@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,8 +32,6 @@ class RunConfig:
     preset: str = "quad-dirac"
     n_grid: int = 4096
     max_period: int = 4
-    depth: int = 48
-    beta_list: list = field(default_factory=lambda: [8.0, 64.0])
     out: str = "."
     seed: int = 0
     kernel_grid: int = 64
@@ -49,8 +47,7 @@ class RunConfig:
                 if not hasattr(cfg, key):
                     raise ValueError(f"unknown config key {key!r}")
                 setattr(cfg, key, val)
-        for key in ("preset", "n_grid", "max_period", "depth", "out", "seed",
-                    "kernel_grid"):
+        for key in ("preset", "n_grid", "max_period", "out", "seed", "kernel_grid"):
             val = getattr(args, key.replace("-", "_"), None)
             if val is not None:
                 setattr(cfg, key, val)
@@ -209,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed for probe sampling")
         p.add_argument("--n-grid", type=int, dest="n_grid", help="grid resolution")
         p.add_argument("--max-period", type=int, dest="max_period")
-        p.add_argument("--depth", type=int, help="cocycle series depth")
         p.add_argument("--kernel-grid", type=int, dest="kernel_grid")
     return parser
 

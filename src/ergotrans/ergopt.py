@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import SystemSpec, PeriodicOrbit, apply_map, as_real, periodic_orbits
 from .potentials import PotentialSpec
 from .thermo import GridFunction, _Operator
@@ -71,20 +69,21 @@ def critical_value(sys: SystemSpec, A: PotentialSpec, max_period: int = DEFAULT_
 
 
 def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
-                     V: GridFunction) -> GridFunction:
+                     V: GridFunction, *, op: _Operator | None = None) -> GridFunction:
     """One max-plus update over inverse branches, on V's grid.
 
-    Ties between branches break toward the smaller branch index (the max
-    scan keeps the first maximum), which pins reproducibility but not the
+    op is the operator of (sys, A) at beta = 1 on V's grid; pass it to
+    reuse one build across steps (calibrated_subaction does), or leave it
+    None to build it here.  The result does not depend on which.  Ties
+    between branches break toward the smaller branch index (the max scan
+    keeps the first maximum), which pins reproducibility but not the
     value.
     """
-    op = _Operator(sys, A, 1.0, V.n_grid)
-    u = V.values
-    best = None
-    for logw, (j, th) in zip(op.logw, op.stencil):
-        cand = logw + (1.0 - th) * u[j] + th * u[j + 1]
-        best = cand if best is None else np.maximum(best, cand)
-    return GridFunction(best - m)
+    if op is None:
+        op = _Operator(sys, A, 1.0, V.n_grid)
+    elif op.n_grid != V.n_grid:
+        raise ErgOptError(f"operator grid {op.n_grid} does not match V's grid {V.n_grid}")
+    return GridFunction(op.max_apply(V.values) - m)
 
 
 @dataclass(frozen=True)
@@ -120,16 +119,19 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
 
     V is renormalized to max 0 after every step.  calibrated is set when
     the final update moves no cell by more than cal_tol, i.e. every cell
-    value is attained by some preimage.
+    value is attained by some preimage.  The grid operator (branch images,
+    A on them, interpolation stencil) is built once and passed to every
+    step as op=.
     """
     orbit = None
     if m is None:
         cv = critical_value(sys, A, max_period=max_period)
         m, orbit = cv.m, cv.orbit
     V = GridFunction.constant(0.0, n_grid)
+    op = _Operator(sys, A, 1.0, n_grid)
     change = math.inf
     for _ in range(max_iter):
-        Vn = lax_oleinik_step(sys, A, m, V)
+        Vn = lax_oleinik_step(sys, A, m, V, op=op)
         Vn = Vn.normalized_max_zero()
         change = V.sup_diff(Vn)
         V = Vn
@@ -137,7 +139,7 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
             break
     else:
         raise ErgOptError(f"Lax-Oleinik iteration did not converge; last change {change:.3e}")
-    final = lax_oleinik_step(sys, A, m, V).normalized_max_zero()
+    final = lax_oleinik_step(sys, A, m, V, op=op).normalized_max_zero()
     calibrated = V.sup_diff(final) <= cal_tol
     return SubactionResult(V, float(m), change, calibrated, orbit)
 
@@ -169,14 +171,26 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     at the first term below tol, which is correct near the maximizing set
     but can underestimate on orbits that merely pass through the zero set
     of R; sweeps that must bound b from below run with early_exit=False.
+
+    T z and R(z) are computed once per distinct orbit point and reused
+    when the orbit revisits it (rational orbits are eventually periodic),
+    so the cost is set by the number of distinct points, not by n_terms.
+    Every term is still added, capped and tested in order, so the result
+    is the same as summing n_terms fresh evaluations.  Nothing is kept
+    between calls.
     """
     if n_terms < 1:
         raise ErgOptError("n_terms must be >= 1")
+    seen: dict = {}
     z = x
     total = 0.0
     for n in range(n_terms):
-        zn = apply_map(sys, z)
-        r = float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+        step = seen.get(z)
+        if step is None:
+            zn = apply_map(sys, z)
+            r = float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+            step = seen[z] = (zn, r)
+        zn, r = step
         total += r
         if total > cap:
             return DeviationValue(math.inf, True, n + 1)

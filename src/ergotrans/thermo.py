@@ -119,15 +119,14 @@ class _Operator:
         if beta < 0:
             raise ThermoError("beta must be >= 0")
         self.n_grid = n_grid
-        self.centers = (np.arange(n_grid) + 0.5) / n_grid
-        self.points = _branch_images(sys, self.centers)
-        self.logw = [beta * np.asarray(A(p), dtype=float) for p in self.points]
+        points = _branch_images(sys, (np.arange(n_grid) + 0.5) / n_grid)
+        self.logw = [beta * np.asarray(A(p), dtype=float) for p in points]
         # interpolation stencil: left index and weight for each read point.
         # Weights are clipped to [0, 1]: reads stay inside the value hull,
         # which keeps the operator positivity-preserving and monotone (the
         # O(h) edge cost is absorbed by grid resolution where it matters).
         self.stencil = []
-        for p in self.points:
+        for p in points:
             t = p * n_grid - 0.5
             j = np.clip(np.floor(t).astype(int), 0, n_grid - 2)
             th = np.clip(t - j, 0.0, 1.0)
@@ -143,6 +142,14 @@ class _Operator:
         for t in terms[1:]:
             out = np.logaddexp(out, t)
         return out
+
+    def max_apply(self, u: np.ndarray) -> np.ndarray:
+        """Max-plus twin of log_apply: max over branches of logw + read of u."""
+        best = None
+        for logw, (j, th) in zip(self.logw, self.stencil):
+            cand = logw + (1.0 - th) * u[j] + th * u[j + 1]
+            best = cand if best is None else np.maximum(best, cand)
+        return best
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
         """Transpose action on densities, in linear space."""
@@ -236,7 +243,11 @@ def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float,
     nu_star = eigen_measure(sys, A_star, beta, n_grid=n_grid)
     centers = (np.arange(n_grid) + 0.5) / n_grid
     logW = beta * W.grid(centers, centers)
-    m = logW + np.log(nu)[:, None] + np.log(nu_star)[None, :]
+    # cells of zero mass (e.g. the Gauss grid below 1/(branch_cap+1)) carry
+    # log 0 = -inf, which drops out of the log-sum-exp exactly
+    with np.errstate(divide="ignore"):
+        log_nu, log_nu_star = np.log(nu), np.log(nu_star)
+    m = logW + log_nu[:, None] + log_nu_star[None, :]
     peak = float(np.max(m))
     log_c = peak + math.log(float(np.sum(np.exp(m - peak))))
     return log_c / beta

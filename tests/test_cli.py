@@ -82,7 +82,13 @@ def test_unknown_preset_is_usage_error(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"presett": "quad-dirac"}))
-    code = run(["subaction", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == EXIT_USAGE
+    # "depth" was a config key that nothing read; it is now unknown too
+    for bad in ({"presett": "quad-dirac"}, {"depth": 48}):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = run(["subaction", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE, bad
+
+
+def test_depth_flag_removed(tmp_path):
+    assert run(["subaction", "--depth", "48", "--out", str(tmp_path)]) == EXIT_USAGE

@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergotrans.dynamics import MINUS_DOUBLING, apply_map, gauss_system
+from ergotrans import ergopt
+from ergotrans.dynamics import DOUBLING, MINUS_DOUBLING, apply_map, as_real, gauss_system
 from ergotrans.ergopt import (
+    ErgOptError,
     calibrated_subaction,
     critical_value,
     deviation_I,
@@ -17,9 +19,10 @@ from ergotrans.potentials import (
     GAUSS_LOG,
     QUAD_DIRAC,
     QUAD_PERIOD2,
+    custom_potential,
     polynomial_potential,
 )
-from ergotrans.thermo import GridFunction
+from ergotrans.thermo import GridFunction, _Operator
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 A_ZERO = polynomial_potential(0, 0, 0, name="0")
@@ -92,6 +95,21 @@ class TestLaxOleinikStep:
             T2 = lax_oleinik_step(MINUS_DOUBLING, QUAD_PERIOD2, -1 / 36, V2)
             assert T1.sup_diff(T2) <= V1.sup_diff(V2) + 1e-12
 
+    @pytest.mark.parametrize("sys, A", [(MINUS_DOUBLING, QUAD_DIRAC),
+                                        (gauss_system(30), GAUSS_LOG)])
+    def test_prebuilt_operator_gives_same_values(self, sys, A):
+        V = GridFunction(np.random.default_rng(5).uniform(-1, 0, size=1024))
+        op = _Operator(sys, A, 1.0, 1024)
+        fresh = lax_oleinik_step(sys, A, -0.3, V)
+        reused = lax_oleinik_step(sys, A, -0.3, V, op=op)
+        assert np.array_equal(fresh.values, reused.values)
+
+    def test_operator_of_other_grid_rejected(self):
+        V = GridFunction.constant(0.0, 1024)
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 512)
+        with pytest.raises(ErgOptError, match="grid"):
+            lax_oleinik_step(MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, V, op=op)
+
 
 class TestCalibratedSubaction:
     def test_quad_dirac_matches_closed_form(self):
@@ -139,6 +157,85 @@ class TestCalibratedSubaction:
         res = calibrated_subaction(MINUS_DOUBLING, QUAD_PERIOD2, n_grid=8192, max_period=4)
         after = lax_oleinik_step(MINUS_DOUBLING, QUAD_PERIOD2, res.m, res.V)
         assert after.sup_diff(res.V) < 1e-8
+
+    def test_operator_built_once_per_solve(self, monkeypatch):
+        built = []
+
+        class CountingOperator(_Operator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ergopt, "_Operator", CountingOperator)
+        res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=512, max_period=4)
+        assert res.calibrated
+        assert len(built) == 1
+
+
+def _plain_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_I,
+                     early_exit=True):
+    """Reference: every term evaluated afresh, no reuse."""
+    z, total = x, 0.0
+    for n in range(n_terms):
+        zn = apply_map(sys, z)
+        r = float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+        total += r
+        if total > cap:
+            return math.inf, True, n + 1
+        if early_exit and abs(r) < tol:
+            return total, True, n + 1
+        z = zn
+    return total, False, n_terms
+
+
+def _closed_V_dirac(x):
+    return -x * x / 3 + 2 * x / 9
+
+
+A_GAUSS_SMOOTH = custom_potential(lambda x: -float(x) ** 2, "-x^2", holder_constant=2.0)
+
+
+class TestDeviationReuse:
+    @pytest.mark.parametrize("sys, A, V, m, x, kw", [
+        # dyadic: ends on the fixed point 0, which is not maximizing
+        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(5, 128),
+         dict(n_terms=3000, early_exit=False)),
+        # 3 * 2^k: ends on a fixed point or the 2-cycle {1/3, 2/3}
+        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(1, 3 * 2 ** 5),
+         dict(n_terms=3000, early_exit=False)),
+        (MINUS_DOUBLING, QUAD_PERIOD2, lambda x: -x * x / 4, -1 / 36, Fraction(7, 3 * 2 ** 4),
+         dict(n_terms=2000, early_exit=False)),
+        (DOUBLING, QUAD_PERIOD2, lambda x: 0.1 * x, -1 / 36, Fraction(5, 3 * 2 ** 6),
+         dict(n_terms=1500, early_exit=False)),
+        # float start: a dyadic float, whose orbit reaches 0 after ~50 steps
+        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, 0.3,
+         dict(n_terms=500, early_exit=False)),
+        # cap hit: R(0) = 8/9 on the non-maximizing fixed point 0
+        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(0),
+         dict(n_terms=500, cap=100.0)),
+        # early exit: R(5/6) = 0 stops the sum at the third term
+        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(11, 3 * 2 ** 3),
+         dict(n_terms=500)),
+        # Gauss orbit of a rational ends on the fixed point 0
+        (gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2, Fraction(5, 13),
+         dict(n_terms=300, early_exit=False)),
+    ])
+    def test_matches_plain_loop(self, sys, A, V, m, x, kw):
+        d = deviation_I(sys, A, V, m, x, **kw)
+        assert (d.value, d.converged, d.n_used) == _plain_deviation(sys, A, V, m, x, **kw)
+
+    def test_potential_evaluated_once_per_distinct_point(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return QUAD_DIRAC(x)
+
+        A = custom_potential(fn, "counting", holder_constant=2.0)
+        d = deviation_I(MINUS_DOUBLING, A, _closed_V_dirac, -1 / 9, Fraction(5, 3 * 2 ** 6),
+                        n_terms=3000, early_exit=False)
+        assert d.n_used == 3000
+        assert len(seen) == len(set(seen)) <= 10
 
 
 class TestDeviation:

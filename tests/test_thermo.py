@@ -8,6 +8,7 @@ import pytest
 from ergotrans.dynamics import DOUBLING, MINUS_DOUBLING
 from ergotrans.involution import quadratic_kernel, KernelForm, KernelSpec
 from ergotrans.potentials import QUAD_DIRAC, QUAD_PERIOD2, polynomial_potential
+from ergotrans.presets import get_preset
 from ergotrans.thermo import (
     GridFunction,
     ThermoError,
@@ -156,6 +157,16 @@ class TestGammaEstimate:
         W = quadratic_kernel(0, 1, -1)
         g = gamma_estimate(MINUS_DOUBLING, QUAD_PERIOD2, W, 32.0, n_grid=512, A_star=QUAD_PERIOD2)
         assert abs(g - (-4.0 / 27.0)) < 0.1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [8.0, 64.0])
+    def test_gauss_zero_mass_cells_do_not_warn(self, beta):
+        # cells below 1/(branch_cap+1) get no mass; their log is -inf
+        pre = get_preset("gauss-golden")
+        nu = eigen_measure(pre.system, pre.potential, beta, n_grid=512)
+        assert np.any(nu == 0.0)
+        g = gamma_estimate(pre.system, pre.potential, pre.kernel, beta)
+        assert abs(g - pre.gamma_exact) < 1e-3
 
 
 def test_eigen_measure_is_probability():
