@@ -19,6 +19,7 @@ import numpy as np
 from . import involution as inv
 from . import transport as tr
 from .accept import CRITERIA
+from .dynamics import probe_floor
 from .ergopt import calibrated_subaction, critical_value, deviation_I
 from .presets import PRESETS, get_preset
 
@@ -102,7 +103,7 @@ def cmd_dual(cfg: RunConfig) -> int:
                                        pre.potential, probes=500, seed=cfg.seed)
     out = _outdir(cfg)
     n = cfg.kernel_grid
-    lo = 1.0 / (pre.system.branch_cap + 1) + 1e-3 if pre.name == "gauss-golden" else 0.0
+    lo = probe_floor(pre.system, 0.0)
     ys = np.linspace(lo + 1e-3, 1.0 - 1e-3, n)
     path = out / f"{pre.name}-dual.csv"
     with open(path, "w", newline="\n") as fh:

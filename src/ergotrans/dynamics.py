@@ -184,6 +184,18 @@ def _check_interval(x) -> None:
         raise DynamicsError(f"point {x!r} outside [0, 1]")
 
 
+def probe_floor(sys: SystemSpec, default: float) -> float:
+    """Lower end of the range from which past points y are probed.
+
+    A Gauss point below 1/(branch_cap+1) has its first digit beyond the
+    retained branches, so Gauss probes start 1e-3 above that; the other
+    systems start at the caller's `default`.
+    """
+    if sys.kind is SystemKind.GAUSS:
+        return 1.0 / (sys.branch_cap + 1) + 1e-3
+    return default
+
+
 def apply_map(sys: SystemSpec, x):
     """Forward map.  Words are shifted left and padded with 0 on the right
     (constant depth); interval points use mod-1 arithmetic, so 0 is fixed

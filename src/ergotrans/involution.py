@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import SystemSpec, SystemKind, backward_step, branch_point, as_real
+from .dynamics import (SystemSpec, SystemKind, _check_interval, as_real, backward_step,
+                       branch_point, probe_floor)
 from .potentials import PotentialSpec, perturbed_potential, polynomial_potential
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "w1",
     "w2",
     "quadratic_kernel",
-    "kernel_for_quadratic",
     "gauss_log_kernel",
     "example5_kernel",
     "example6_kernel",
@@ -113,14 +113,6 @@ def quadratic_kernel(a, b, c, name: str | None = None) -> KernelSpec:
                       name or f"{af:g}+{bf:g}*W1+{cf:g}*W2")
 
 
-def kernel_for_quadratic(A: PotentialSpec) -> KernelSpec:
-    """The closed-form kernel matching a polynomial potential's coefficients."""
-    if A.coeffs is None:
-        raise InvolutionError(f"potential {A.name} has no quadratic coefficients")
-    a, b, c = A.coeffs
-    return quadratic_kernel(a, b, c, name=f"W[{A.name}]")
-
-
 def gauss_log_kernel() -> KernelSpec:
     """W(x, y) = -2 log(1 + x y), the kernel of 2 log x for the Gauss map."""
 
@@ -167,9 +159,17 @@ def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) 
     The branch at step n is selected by the symbol of T*^(n-1) y.  Exact
     Fraction inputs stay exact for polynomial potentials on the affine
     systems, in which case the returned value carries no rounding at all.
+    On 2x and -2x mod 1, with a potential that has coefficients and x, x'
+    and y all Fractions, the sum is computed in integers over one common
+    denominator (`_affine_cocycle`); the Fraction returned is the same as
+    the step-by-step loop's.  Every other input takes that loop.
     """
     if depth < 1:
         raise InvolutionError("cocycle depth must be >= 1")
+    if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
+            and all(isinstance(p, Fraction) for p in (x, x_prime, y))):
+        return CocycleValue(_affine_cocycle(sys, A, x, x_prime, y, depth),
+                            series_tail_bound(A, depth))
     cur_x, cur_xp, cur_y = x, x_prime, y
     total = 0
     for _ in range(depth):
@@ -178,6 +178,46 @@ def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) 
         cur_xp = branch_point(sys, s, cur_xp)
         total = total + (A(cur_x) - A(cur_xp))
     return CocycleValue(total, series_tail_bound(A, depth))
+
+
+def _affine_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fraction,
+                    y: Fraction, depth: int) -> Fraction:
+    """Exact cocycle of a + b x + c x^2 under 2x or -2x mod 1, in integers.
+
+    With D = lcm of the x denominators, the n-th backward points are
+    X_n / (D 2^n) and X'_n / (D 2^n), while y = Y / E keeps its own
+    denominator.  The constant a cancels, and
+    Delta = (b D sum dX_n 2^(2d-n) + c sum dX_n (X_n + X'_n) 4^(d-n)) / (D^2 4^d)
+    with dX_n = X_n - X'_n; both sums are accumulated by Horner steps.
+    Branch images of points of [0, 1] stay in [0, 1], so the inputs are
+    the only points that need a range check.
+    """
+    for p in (y, x, x_prime):
+        _check_interval(p)
+    _, b, c = A.coeffs
+    D = math.lcm(x.denominator, x_prime.denominator)
+    X = x.numerator * (D // x.denominator)
+    Xp = x_prime.numerator * (D // x_prime.denominator)
+    Y, E = y.numerator, y.denominator
+    minus = sys.kind is SystemKind.MINUS_DOUBLING
+    half = D  # D 2^(n-1) at step n
+    acc_b = acc_c = 0
+    for _ in range(depth):
+        s = 0 if 2 * Y < E else 1
+        if minus:
+            Y = (1 + s) * E - 2 * Y
+            X = (1 + s) * half - X
+            Xp = (1 + s) * half - Xp
+        else:
+            Y = 2 * Y - s * E
+            if s:
+                X += half
+                Xp += half
+        half <<= 1
+        dX = X - Xp
+        acc_b = 2 * acc_b + dX
+        acc_c = 4 * acc_c + dX * (X + Xp)
+    return (b * ((acc_b * D) << depth) + c * acc_c) / (D * D << 2 * depth)
 
 
 def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime, depth: int = 48) -> KernelSpec:
@@ -206,7 +246,7 @@ def dual_potential(sys: SystemSpec, A: PotentialSpec, W: KernelSpec,
     tol_dual (beyond the kernel's recorded series tail), i.e. when W is
     not an involution kernel for A.
     """
-    lo = 1.0 / (sys.branch_cap + 1) + 1e-3 if sys.kind is SystemKind.GAUSS else 1e-3
+    lo = probe_floor(sys, 1e-3)
     ys = np.linspace(lo, 1.0 - 1e-3, check_grid)
     slack = tol_dual + 4.0 * W.tail_bound
     for y in ys:
@@ -232,7 +272,7 @@ def cohomology_residual(sys: SystemSpec, A: PotentialSpec, W: KernelSpec,
     if probes < 1:
         raise InvolutionError("probes must be >= 1")
     rng = np.random.default_rng(seed)
-    lo = 1.0 / (sys.branch_cap + 1) + 1e-3 if sys.kind is SystemKind.GAUSS else 1e-9
+    lo = probe_floor(sys, 1e-9)
     worst = 0.0
     for _ in range(probes):
         x = float(rng.uniform(0.0, 1.0))

@@ -130,15 +130,18 @@ def _periodic_point_from_digits(sys: SystemSpec, digits: Sequence[int]):
                 ca, cb = Fraction(1, 2), Fraction(s, 2)
             a, b = ca * a, ca * b + cb
         return b / (1 - a)
-    # Gauss: Moebius composition fixed point
+    # Gauss: fixed point of g_{k_1} o ... o g_{k_p}, branch k acting as the
+    # Moebius matrix [[0, 1], [1, k]]; folding from the last digit multiplies
+    # each branch in on the left.
     a, b, c, d = 1, 0, 0, 1
     for k in reversed(digits):
-        a, b, c, d = b, a, d + k * b, c + k * a
+        a, b, c, d = c, d, a + k * c, b + k * d
     disc = (d - a) ** 2 + 4 * b * c
-    x = (-(d - a) + math.sqrt(disc)) / (2 * c)
-    if not (0 < x <= 1):
-        x = (-(d - a) - math.sqrt(disc)) / (2 * c)
-    return x
+    for root in (-(d - a) + math.sqrt(disc), -(d - a) - math.sqrt(disc)):
+        x = root / (2 * c)
+        if 0 < x <= 1:
+            return x
+    raise TransportError(f"Gauss digits {tuple(digits)} have no periodic point in (0, 1]")
 
 
 def maximizing_extension_measure(sys: SystemSpec, tied_orbits: Sequence[PeriodicOrbit]) -> tuple[AtomicMeasure, AtomicMeasure, AtomicMeasure]:

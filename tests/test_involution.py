@@ -6,7 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergotrans.dynamics import MINUS_DOUBLING, FULL_SHIFT2, SymbolWord, gauss_system
+from ergotrans import involution
+from ergotrans.dynamics import (
+    DOUBLING,
+    FULL_SHIFT2,
+    MINUS_DOUBLING,
+    DynamicsError,
+    SymbolWord,
+    backward_step,
+    branch_point,
+    gauss_system,
+)
 from ergotrans.involution import (
     InvolutionError,
     TwistMethod,
@@ -88,6 +98,81 @@ class TestCocycle:
             assert abs(float(d25 - d15)) < 2.0 * 0.5 ** 15 / 0.5
             danti = cocycle_delta(FULL_SHIFT2, A_SQUARE, xp, x, y, 25).value
             assert abs(float(d25 + danti)) < 1e-12
+
+
+def reference_cocycle(sysm, A, x, xp, y, depth):
+    """The backward-orbit sum written out step by step in Fraction arithmetic."""
+    a, b, c = A.coeffs
+    total = 0
+    for _ in range(depth):
+        s = 0 if 2 * y < 1 else 1
+        if sysm is MINUS_DOUBLING:
+            y = (1 + s) - 2 * y
+            x, xp = (1 + s - x) / 2, (1 + s - xp) / 2
+        else:
+            y = 2 * y - s
+            x, xp = (x + s) / 2, (xp + s) / 2
+        total = total + ((a + b * x + c * x * x) - (a + b * xp + c * xp * xp))
+    return total
+
+
+class TestExactAffineCocycle:
+    POTENTIALS = [A_SQUARE, QUAD_DIRAC, QUAD_PERIOD2, LINEAR,
+                  polynomial_potential(Fraction(2, 7), Fraction(-3, 5), Fraction(11, 13))]
+    POINTS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 7),
+              Fraction(1365, 4096), Fraction(123457, 1000003)]
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING], ids=["doubling", "minus"])
+    @pytest.mark.parametrize("depth", [1, 2, 48])
+    def test_equals_fraction_loop(self, sysm, depth):
+        rng = np.random.default_rng(depth)
+        for A in self.POTENTIALS:
+            for _ in range(20):
+                x, xp, y = (self.POINTS[int(i)] for i in rng.integers(0, len(self.POINTS), 3))
+                got = cocycle_delta(sysm, A, x, xp, y, depth)
+                want = reference_cocycle(sysm, A, x, xp, y, depth)
+                assert type(got.value) is Fraction
+                assert got.value == want
+                assert got.tail_bound == A.holder_constant * 0.5 ** depth / 0.5
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING], ids=["doubling", "minus"])
+    def test_points_outside_unit_interval_raise(self, sysm):
+        inside, outside = Fraction(1, 3), Fraction(5, 4)
+        for args in [(outside, inside, inside), (inside, outside, inside),
+                     (inside, inside, outside), (inside, inside, Fraction(-1, 8))]:
+            with pytest.raises(DynamicsError):
+                cocycle_delta(sysm, QUAD_DIRAC, *args, 10)
+        with pytest.raises(InvolutionError):
+            cocycle_delta(sysm, QUAD_DIRAC, inside, inside, inside, 0)
+
+    def test_exact_call_takes_no_branch_steps(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(involution, "branch_point", counted(involution.branch_point))
+        monkeypatch.setattr(involution, "backward_step", counted(involution.backward_step))
+        cocycle_delta(MINUS_DOUBLING, QUAD_PERIOD2, Fraction(1, 3), Fraction(2, 5),
+                      Fraction(3, 7), 48)
+        assert calls == []
+        cocycle_delta(MINUS_DOUBLING, QUAD_PERIOD2, Fraction(1, 3), 0.4, Fraction(3, 7), 2)
+        assert calls == ["backward_step", "branch_point", "branch_point"] * 2
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING], ids=["doubling", "minus"])
+    def test_mixed_inputs_keep_the_float_loop(self, sysm):
+        x, xp, y = Fraction(1, 3), 0.4, Fraction(3, 7)
+        got = cocycle_delta(sysm, QUAD_DIRAC, x, xp, y, 48).value
+        cur_x, cur_xp, cur_y, want = x, xp, y, 0
+        for _ in range(48):
+            s, cur_y = backward_step(sysm, cur_y)
+            cur_x, cur_xp = branch_point(sysm, s, cur_x), branch_point(sysm, s, cur_xp)
+            want = want + (QUAD_DIRAC(cur_x) - QUAD_DIRAC(cur_xp))
+        assert type(got) is float
+        assert got == want
 
 
 class TestFundamentalKernel:

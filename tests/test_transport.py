@@ -11,7 +11,9 @@ from ergotrans.dynamics import (
     FULL_SHIFT2,
     MINUS_DOUBLING,
     ExtensionPoint,
+    PeriodicOrbit,
     extension_forward,
+    gauss_system,
     periodic_orbits,
 )
 from ergotrans.ergopt import critical_value, deviation_I
@@ -52,6 +54,17 @@ class TestNaturalExtension:
             tx, ty = pairs[(i + 1) % len(pairs)]
             assert abs(float(nxt.x) - float(tx)) < 1e-12
             assert abs(float(nxt.y) - float(ty)) < 1e-12
+
+    def test_gauss_period2_past_points(self):
+        # itinerary (1, 2): sqrt3 - 1 -> (sqrt3 - 1)/2 -> sqrt3 - 1; each past
+        # point carries the reversed digit word, i.e. the other orbit point
+        r = math.sqrt(3) - 1
+        orbit = PeriodicOrbit((r, r / 2), 2, (1, 2))
+        ext = tr.natural_extension_measure(gauss_system(3), orbit)
+        (xy0, w0), (xy1, w1) = ext.atoms
+        assert xy0[1] == pytest.approx(r / 2, abs=1e-15)
+        assert xy1[1] == pytest.approx(r, abs=1e-15)
+        assert w0 == w1 == Fraction(1, 2)
 
     def test_tied_orbits_combine_to_diagonal_atoms(self):
         mu, mu_star, ext = quad_period2_measures()
