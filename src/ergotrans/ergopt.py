@@ -83,18 +83,25 @@ def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
         op = _Operator(sys, A, 1.0, V.n_grid)
     elif op.n_grid != V.n_grid:
         raise ErgOptError(f"operator grid {op.n_grid} does not match V's grid {V.n_grid}")
-    return GridFunction(op.max_apply(V.values) - m)
+    out = op.max_apply(V.values)
+    out -= m
+    return GridFunction(out)
 
 
 @dataclass(frozen=True)
 class SubactionResult:
-    """Converged subaction with its critical value and calibration data."""
+    """Converged subaction with its critical value and calibration data.
+
+    iterations counts the Lax-Oleinik steps of the converging loop (not
+    the final calibration step); it is not part of header_dict.
+    """
 
     V: GridFunction
     m: float
     residual: float
     calibrated: bool
     orbit: PeriodicOrbit | None = None
+    iterations: int = 0
 
     def header_dict(self) -> dict:
         return {
@@ -130,7 +137,7 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
     V = GridFunction.constant(0.0, n_grid)
     op = _Operator(sys, A, 1.0, n_grid)
     change = math.inf
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         Vn = lax_oleinik_step(sys, A, m, V, op=op)
         Vn = Vn.normalized_max_zero()
         change = V.sup_diff(Vn)
@@ -138,10 +145,11 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
         if change <= tol:
             break
     else:
-        raise ErgOptError(f"Lax-Oleinik iteration did not converge; last change {change:.3e}")
+        raise ErgOptError(f"Lax-Oleinik iteration did not converge after {max_iter} steps; "
+                          f"last change {change:.3e}")
     final = lax_oleinik_step(sys, A, m, V, op=op).normalized_max_zero()
     calibrated = V.sup_diff(final) <= cal_tol
-    return SubactionResult(V, float(m), change, calibrated, orbit)
+    return SubactionResult(V, float(m), change, calibrated, orbit, it)
 
 
 @dataclass(frozen=True)

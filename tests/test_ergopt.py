@@ -1,5 +1,6 @@
 """Critical values, Lax-Oleinik subactions, and the deviation function."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -147,7 +148,7 @@ class TestCalibratedSubaction:
         # iteration oscillates and must report non-convergence
         from ergotrans.ergopt import ErgOptError
 
-        with pytest.raises(ErgOptError, match="change"):
+        with pytest.raises(ErgOptError, match="after 500 steps; last change"):
             calibrated_subaction(MINUS_DOUBLING, polynomial_potential(0, 0, 1),
                                  n_grid=512, max_period=12, max_iter=500)
 
@@ -170,6 +171,29 @@ class TestCalibratedSubaction:
         res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=512, max_period=4)
         assert res.calibrated
         assert len(built) == 1
+
+    def test_iterations_count_loop_steps(self, monkeypatch):
+        steps = []
+        plain = ergopt.lax_oleinik_step
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(ergopt, "lax_oleinik_step", counting)
+        res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=512, max_period=4)
+        # the last call is the calibration step after the loop
+        assert res.iterations == len(steps) - 1
+        assert res.iterations > 1
+        assert "iterations" not in res.header_dict()
+
+    def test_values_pinned_at_n_grid_2_16(self):
+        # sha256 of V's little-endian float64 bytes, computed with the
+        # unblocked grid operator that the blocked kernel replaced: the
+        # kernel must reproduce it to the last bit
+        res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=1 << 16, max_period=4)
+        digest = hashlib.sha256(res.V.values.astype("<f8").tobytes()).hexdigest()
+        assert digest == "7ca239b745d4c42ac0e2bf1190874c3b0e6f836ce48d31af7e6e10b62c04273f"
 
 
 def _plain_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_I,

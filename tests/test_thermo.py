@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from ergotrans.dynamics import DOUBLING, MINUS_DOUBLING
+from ergotrans.dynamics import DOUBLING, MINUS_DOUBLING, gauss_system
 from ergotrans.involution import quadratic_kernel, KernelForm, KernelSpec
-from ergotrans.potentials import QUAD_DIRAC, QUAD_PERIOD2, polynomial_potential
+from ergotrans.potentials import GAUSS_LOG, QUAD_DIRAC, QUAD_PERIOD2, polynomial_potential
 from ergotrans.presets import get_preset
 from ergotrans.thermo import (
+    _BLOCK,
     GridFunction,
     ThermoError,
+    _Operator,
     eigen_measure,
     eigenpair,
     gamma_estimate,
@@ -64,6 +66,55 @@ class TestRuelleApply:
             assert np.all(Lf.values <= Lg.values + 1e-12)
 
 
+def _plain_applies(op, u):
+    """Reference: the unblocked max_apply and log_apply expressions."""
+    best, log = None, None
+    for logw, (j, th) in zip(op.logw, op.stencil):
+        cand = logw + (1.0 - th) * u[j] + th * u[j + 1]
+        best = cand if best is None else np.maximum(best, cand)
+        term = logw + ((1.0 - th) * u[j] + th * u[j + 1])
+        log = term if log is None else np.logaddexp(log, term)
+    return best, log
+
+
+class TestBlockedOperator:
+    @pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("sys, A", [(DOUBLING, QUAD_DIRAC),
+                                        (MINUS_DOUBLING, QUAD_PERIOD2),
+                                        (gauss_system(30), GAUSS_LOG)])
+    def test_applies_equal_plain_expressions(self, sys, A, n):
+        op = _Operator(sys, A, 3.0, n)
+        rng = np.random.default_rng(n)
+        # two inputs on one operator: the second sees the scratch rows the
+        # first left behind
+        for u in (rng.uniform(-2.0, 1.0, size=n), rng.uniform(-50.0, 0.0, size=n)):
+            best, log = _plain_applies(op, u)
+            assert np.array_equal(op.max_apply(u), best)
+            assert np.array_equal(op.log_apply(u), log)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_fewer_than_two_cells_rejected(self, n):
+        with pytest.raises(ThermoError, match="n_grid >= 2"):
+            _Operator(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n)
+        with pytest.raises(ThermoError, match="n_grid >= 2"):
+            eigen_measure(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=n)
+
+    def test_input_of_other_size_rejected(self):
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 64)
+        with pytest.raises(ThermoError, match="64 cells"):
+            op.max_apply(np.zeros(63))
+        with pytest.raises(ThermoError, match="64 cells"):
+            op.log_apply(np.zeros(65))
+
+
+def test_sup_diff_is_max_abs_difference():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=1000), rng.normal(size=1000)
+    a0, b0 = a.copy(), b.copy()
+    assert GridFunction(a).sup_diff(GridFunction(b)) == np.max(np.abs(a - b))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
 class TestEigenpair:
     def test_zero_potential(self):
         pair = eigenpair(DOUBLING, A_ZERO, 1.0, n_grid=256)
@@ -104,8 +155,22 @@ class TestEigenpair:
     def test_nonconvergence_raises_with_residual(self):
         # A = x^2 at large beta has a near-degenerate leading pair (the
         # boundary two-cycle), so plain power iteration never settles
-        with pytest.raises(ThermoError, match="residual"):
+        with pytest.raises(ThermoError, match="after 2000 steps; last residual"):
             eigenpair(MINUS_DOUBLING, A_SQUARE, 32.0, n_grid=512, max_iter=2000)
+
+    def test_iterations_count_power_steps(self, monkeypatch):
+        applies = []
+        plain = _Operator.log_apply
+
+        def counting(self, u):
+            applies.append(1)
+            return plain(self, u)
+
+        monkeypatch.setattr(_Operator, "log_apply", counting)
+        pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
+        # one more apply after the loop measures the residual
+        assert pair.iterations == len(applies) - 1
+        assert pair.iterations > 1
 
 
 class TestVBeta:
