@@ -25,13 +25,12 @@ from .potentials import GAUSS_LOG, LINEAR, QUAD_DIRAC, QUAD_PERIOD2, polynomial_
 from .presets import GOLDEN_MEAN, get_preset
 from .thermo import eigenpair, v_beta
 
-__all__ = ["CheckResult", "run_all", "CRITERIA"]
+__all__ = ["CheckResult", "CRITERIA", "transport_instance"]
 
 N_PROBES_COHOMOLOGY = 1000
 N_TRIPLES_COCYCLE = 1000
 COCYCLE_DEPTH = 48
 B_GRID = 64
-I_TERMS = 3000
 Z_GRID = 50
 
 
@@ -70,41 +69,35 @@ def _support_preimages(sys, atoms_x, depth: int = 4) -> list[Fraction]:
     return list(dict.fromkeys(out))
 
 
-def _make_deviation(sys, A, V, m) -> Callable:
-    cache: dict = {}
-
-    def I(x):
-        key = x if isinstance(x, Fraction) else float(x)
-        if key not in cache:
-            cache[key] = deviation_I(sys, A, V, m, x, n_terms=I_TERMS,
-                                     early_exit=False).value
-        return cache[key]
-
-    return I
-
-
 @lru_cache(maxsize=None)
-def _quad_context(name: str):
-    """Shared exact objects for a quadratic preset: measures, gamma, cost, plan."""
+def transport_instance(name: str):
+    """A preset's transport problem: (preset, mu, mu*, cost, atoms, plan).
+
+    quad-convex is the uniform {1/3, 2/3} twist instance under the
+    example-6 cost, with atoms None (its own maximizing measure sits on
+    the circle corner 0 = 1, where the skew coding degenerates).  Every
+    other preset transports its maximizing measure to its dual under
+    c = I - W + gamma, with gamma fitted on the extension atoms and I
+    summed over 2000 terms, once per distinct point.
+    """
     pre = get_preset(name)
-    cv = critical_value(pre.system, pre.potential, max_period=4)
+    if name == "quad-convex":
+        mu = tr.AtomicMeasure.uniform([Fraction(1, 3), Fraction(2, 3)])
+        cost = tr.CostSpec(w=pre.paper_kernel, gamma=0.0)
+        return pre, mu, mu, cost, None, tr.solve_kantorovich(mu, mu, cost)
+    cv = critical_value(pre.system, pre.potential, max_period=pre.orbit_max_period)
     mu, mu_star, ext = tr.maximizing_extension_measure(pre.system, cv.tied)
     atoms = [xy for xy, _ in ext.atoms]
     gamma = tr.gamma_from_support(pre.kernel, pre.closed_V, pre.closed_V, atoms).gamma
-    I = _make_deviation(pre.system, pre.potential, pre.closed_V, pre.m_exact)
+
+    # typed: a Fraction and the float of equal value have different orbits
+    @lru_cache(maxsize=None, typed=True)
+    def I(x):
+        return deviation_I(pre.system, pre.potential, pre.closed_V, pre.m_exact, x,
+                           n_terms=2000, early_exit=False).value
+
     cost = tr.CostSpec(w=pre.kernel, gamma=gamma, i_eval=I)
-    plan = tr.solve_kantorovich(mu, mu_star, cost)
-    return pre, mu, mu_star, atoms, gamma, I, cost, plan
-
-
-@lru_cache(maxsize=None)
-def _example6_instance():
-    """Twist instance: uniform {1/3, 2/3} marginals under the example-6 cost."""
-    pre = get_preset("quad-convex")
-    cost = tr.CostSpec(w=pre.paper_kernel, gamma=0.0)
-    mu = tr.AtomicMeasure.uniform([Fraction(1, 3), Fraction(2, 3)])
-    plan = tr.solve_kantorovich(mu, mu, cost)
-    return cost, mu, plan
+    return pre, mu, mu_star, cost, atoms, tr.solve_kantorovich(mu, mu_star, cost)
 
 
 def check_critical_values() -> CheckResult:
@@ -219,7 +212,7 @@ def check_duality() -> CheckResult:
     grid = _frac_grid(B_GRID)
     details, ok = [], True
     for name in ("quad-dirac", "quad-period2"):
-        pre, mu, mu_star, atoms, gamma, I, cost, plan = _quad_context(name)
+        pre, mu, mu_star, cost, atoms, plan = transport_instance(name)
         probe_x = grid + _support_preimages(pre.system, [x for x, _ in atoms])
         rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
                                      probe_x, grid, mu, mu_star, tol=tol)
@@ -235,19 +228,18 @@ def check_b_function() -> CheckResult:
     tol = 1e-8
     grid = _frac_grid(B_GRID)
     details, ok = [], True
+    ys = np.array([float(y) for y in grid])
     for name in ("quad-dirac", "quad-period2"):
-        pre, mu, mu_star, atoms, gamma, I, cost, plan = _quad_context(name)
+        pre, _, _, cost, atoms, _ = transport_instance(name)
+        gamma, I = cost.gamma, cost.i_eval
         probe_x = grid + _support_preimages(pre.system, [x for x, _ in atoms])
-        bmin = math.inf
-        for x in probe_x:
-            ix = I(x)
-            if math.isinf(ix):
-                continue
-            vx = float(pre.closed_V(float(x)))
-            for y in grid:
-                b = ix + gamma - float(pre.kernel(float(x), float(y))) + vx \
-                    + float(pre.closed_V(float(y)))
-                bmin = min(bmin, b)
+        ix = np.array([float(I(x)) for x in probe_x])
+        keep = ~np.isinf(ix)
+        xs = np.array([float(x) for x in probe_x])[keep]
+        # b = I(x) + gamma - W(x, y) + V(x) + V(y), summed in that order
+        b = ((ix[keep] + gamma)[:, None] - pre.kernel.grid(xs, ys)
+             + pre.closed_V(xs)[:, None]) + pre.closed_V(ys)[None, :]
+        bmin = float(np.min(b, initial=math.inf))
         atom_worst = max(abs(tr.b_function(x, y, pre.kernel, pre.closed_V,
                                            pre.closed_V, gamma, I))
                          for (x, y) in atoms)
@@ -257,11 +249,9 @@ def check_b_function() -> CheckResult:
 
 
 def check_cyclical_monotonicity() -> CheckResult:
-    _, _, _, _, _, _, cost2, plan2 = _quad_context("quad-period2")
-    _, _, _, _, _, _, cost1, plan1 = _quad_context("quad-dirac")
-    cost6, _, plan6 = _example6_instance()
     ok = True
-    for cost, plan in ((cost1, plan1), (cost2, plan2), (cost6, plan6)):
+    for name in ("quad-dirac", "quad-period2", "quad-convex"):
+        _, _, _, cost, _, plan = transport_instance(name)
         rep = tr.cyclical_monotonicity_check(plan.support_pairs(), cost, n_max=5)
         ok = ok and rep.passes
     pre = get_preset("quad-period2")
@@ -279,7 +269,7 @@ def check_cyclical_monotonicity() -> CheckResult:
 
 def check_rochet_potential() -> CheckResult:
     tol = 1e-9
-    cost, _, plan = _example6_instance()
+    _, _, _, cost, _, plan = transport_instance("quad-convex")
     S = sorted(plan.support_pairs(), key=lambda p: float(p[0]))
     worst = 0.0
     for z in np.linspace(0.01, 0.99, Z_GRID):
@@ -291,7 +281,7 @@ def check_rochet_potential() -> CheckResult:
 
 
 def check_graph_property() -> CheckResult:
-    _, _, plan6 = _example6_instance()
+    plan6 = transport_instance("quad-convex")[-1]
     g6 = tr.graph_check(plan6)
     pre_g = get_preset("gauss-golden")
     b = GOLDEN_MEAN
@@ -352,7 +342,3 @@ CRITERIA: list[tuple[str, Callable[[], CheckResult]]] = [
     ("11 graph property", check_graph_property),
     ("12 finite beta", check_finite_beta),
 ]
-
-
-def run_all() -> list[CheckResult]:
-    return [fn() for _, fn in CRITERIA]

@@ -18,9 +18,10 @@ import numpy as np
 
 from . import involution as inv
 from . import transport as tr
-from .accept import CRITERIA
+from .accept import CRITERIA, transport_instance
 from .dynamics import probe_floor
-from .ergopt import calibrated_subaction, critical_value, deviation_I
+from .ergopt import calibrated_subaction
+from .ergopt import deviation_I  # noqa: F401 -- perfbench's tracer test reads cli.deviation_I
 from .presets import PRESETS, get_preset
 
 EXIT_OK = 0
@@ -44,6 +45,8 @@ class RunConfig:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("config must be a JSON object")
             for key, val in data.items():
                 if not hasattr(cfg, key):
                     raise ValueError(f"unknown config key {key!r}")
@@ -52,6 +55,10 @@ class RunConfig:
             val = getattr(args, key.replace("-", "_"), None)
             if val is not None:
                 setattr(cfg, key, val)
+        for key, least in (("n_grid", 2), ("kernel_grid", 1), ("max_period", 1)):
+            val = getattr(cfg, key)
+            if isinstance(val, bool) or not isinstance(val, int) or val < least:
+                raise ValueError(f"{key} must be an integer >= {least}, got {val!r}")
         return cfg
 
 
@@ -126,36 +133,11 @@ def cmd_twist(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _transport_instance(pre):
-    """Marginals + cost for a preset's transport run.
-
-    quad-convex uses the uniform {1/3, 2/3} twist instance (its own
-    maximizing measure sits on the circle corner 0 = 1, where the skew
-    coding degenerates); the others transport their maximizing measure to
-    its dual.
-    """
-    if pre.name == "quad-convex":
-        mu = tr.AtomicMeasure.uniform([Fraction(1, 3), Fraction(2, 3)])
-        return mu, mu, tr.CostSpec(w=pre.paper_kernel, gamma=0.0), None
-    cv = critical_value(pre.system, pre.potential, max_period=4)
-    mu, mu_star, ext = tr.maximizing_extension_measure(pre.system, cv.tied)
-    atoms = [xy for xy, _ in ext.atoms]
-    gamma = tr.gamma_from_support(pre.kernel, pre.closed_V, pre.closed_V, atoms).gamma
-
-    def I(x):
-        return deviation_I(pre.system, pre.potential, pre.closed_V, pre.m_exact, x,
-                           n_terms=2000, early_exit=False).value
-
-    return mu, mu_star, tr.CostSpec(w=pre.kernel, gamma=gamma, i_eval=I), atoms
-
-
 def cmd_transport(cfg: RunConfig) -> int:
-    pre = get_preset(cfg.preset)
-    mu, mu_star, cost, atoms = _transport_instance(pre)
-    plan = tr.solve_kantorovich(mu, mu_star, cost)
+    pre, mu, mu_star, cost, atoms, plan = transport_instance(cfg.preset)
     certificates = {}
     grid = [Fraction(2 * i + 1, 2 * 64) for i in range(64)]
-    if pre.closed_V is not None and atoms is not None:
+    if atoms is not None:
         rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
                                      grid, grid, mu, mu_star)
         certificates["duality"] = rep.to_json_dict()

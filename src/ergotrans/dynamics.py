@@ -82,10 +82,6 @@ class SystemSpec:
         if self.kind is SystemKind.GAUSS and self.branch_cap < 1:
             raise DynamicsError("GaussMap needs branch_cap >= 1")
 
-    @property
-    def n_branches(self) -> int:
-        return self.branch_cap if self.kind is SystemKind.GAUSS else 2
-
 
 FULL_SHIFT2 = SystemSpec(SystemKind.FULL_SHIFT2)
 DOUBLING = SystemSpec(SystemKind.DOUBLING)
@@ -125,21 +121,6 @@ class SymbolWord:
     @classmethod
     def from_symbols(cls, symbols: Iterable[int]) -> "SymbolWord":
         return cls(tuple(int(s) for s in symbols))
-
-    @classmethod
-    def from_real(cls, x: float, depth: int = DEFAULT_WORD_DEPTH) -> "SymbolWord":
-        if not (0.0 <= x <= 1.0):
-            raise DynamicsError("real point must lie in [0, 1]")
-        syms = []
-        v = Fraction(x) if isinstance(x, Fraction) else Fraction.from_float(float(x))
-        for _ in range(depth):
-            v = v * 2
-            if v >= 1:
-                syms.append(1)
-                v -= 1
-            else:
-                syms.append(0)
-        return cls(tuple(syms))
 
     @classmethod
     def periodic(cls, pattern: Sequence[int], depth: int = DEFAULT_WORD_DEPTH) -> "SymbolWord":

@@ -71,11 +71,6 @@ class GridFunction:
         return np.interp(x, self.centers, self.values)
 
     @classmethod
-    def from_callable(cls, fn, n_grid: int = DEFAULT_N_GRID) -> "GridFunction":
-        c = (np.arange(n_grid) + 0.5) / n_grid
-        return cls(np.asarray(fn(c), dtype=float))
-
-    @classmethod
     def constant(cls, value: float, n_grid: int = DEFAULT_N_GRID) -> "GridFunction":
         return cls(np.full(n_grid, float(value)))
 

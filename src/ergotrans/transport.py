@@ -1,13 +1,13 @@
 """Kantorovich transport between maximizing measures, with certification.
 
-Costs are c = -W + gamma or c = I - W + gamma for an involution kernel W.
-Plans on finitely supported marginals are solved exactly by vertex
-enumeration when small (permutations for square uniform marginals, basis
-enumeration otherwise) and by scipy's HiGHS LP for larger instances.
-The certification operations implement the structural checks: duality /
-complementary slackness, c-cyclical monotonicity, the twist order
-relation, the graph property, and the Rockafellar-type potential with
-its twist-ordered closed form.
+Costs are c = -W + gamma or c = I - W + gamma for an involution kernel W,
+evaluated on point sets as one matrix (`CostSpec.matrix`).  Plans on
+finitely supported marginals are solved exactly by permutation
+enumeration for small square uniform marginals and by scipy's HiGHS LP
+for everything else.  The certification operations implement the
+structural checks: duality / complementary slackness, c-cyclical
+monotonicity, the twist order relation, the graph property, and the
+Rockafellar-type potential with its twist-ordered closed form.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import SystemSpec, SystemKind, PeriodicOrbit, as_real
+from .involution import KernelSpec
 
 __all__ = [
     "TransportError",
     "AtomicMeasure",
-    "CostVariant",
     "CostSpec",
     "TransportPlan",
     "natural_extension_measure",
@@ -163,22 +163,28 @@ def maximizing_extension_measure(sys: SystemSpec, tied_orbits: Sequence[Periodic
     return mu, mu_star, ext
 
 
-class CostVariant(enum.Enum):
-    MINUS_W = "minus_w"
-    MINUS_W_PLUS_I = "minus_w_plus_i"
-
-
 @dataclass(frozen=True)
 class CostSpec:
     """Cost c(x, y) = gamma - W(x, y) (+ I(x) for the deviation variant)."""
 
-    w: Callable
+    w: KernelSpec
     gamma: float = 0.0
     i_eval: Callable | None = None
 
-    @property
-    def variant(self) -> CostVariant:
-        return CostVariant.MINUS_W_PLUS_I if self.i_eval is not None else CostVariant.MINUS_W
+    def matrix(self, xs: Sequence, ys: Sequence) -> np.ndarray:
+        """C[i, j] = cost(xs[i], ys[j]), equal to the scalar cost bit for bit.
+
+        W comes from one `KernelSpec.grid` call on the points as floats;
+        I is evaluated once per row on the point as given, so exact
+        rationals stay exact, and an infinite deviation makes the row +inf.
+        """
+        C = self.gamma - self.w.grid(np.array([as_real(x) for x in xs], dtype=float),
+                                     np.array([as_real(y) for y in ys], dtype=float))
+        if self.i_eval is not None:
+            for i, x in enumerate(xs):
+                iv = float(self.i_eval(x))
+                C[i] = math.inf if math.isinf(iv) else C[i] + iv
+        return C
 
     def cost(self, x, y) -> float:
         base = self.gamma - float(self.w(as_real(x), as_real(y)))
@@ -248,76 +254,41 @@ class TransportPlan:
         }
 
 
-def _cost_matrix(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) -> np.ndarray:
-    C = np.empty((len(mu.atoms), len(mu_star.atoms)))
-    for i, x in enumerate(mu.points):
-        for j, y in enumerate(mu_star.points):
-            C[i, j] = c.cost(x, y)
-    return C
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row, in itertools.permutations order."""
+    P = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        # first entry i, then the permutations of range(k) without i, in order
+        P = np.vstack([np.column_stack([np.full(len(P), i), P + (P >= i)]) for i in range(k)])
+    return P
 
 
 def _solve_permutations(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cheapest permutation coupling: all n! values at once, summed row by row
+    in order i = 0..n-1, first minimum in itertools order on ties."""
     n = C.shape[0]
-    best_val, best_perm = math.inf, None
-    for perm in itertools.permutations(range(n)):
-        val = sum(C[i, perm[i]] * w[i] for i in range(n))
-        if val < best_val:
-            best_val, best_perm = val, perm
-    P = np.zeros_like(C)
+    perms = _permutations(n)
+    vals = np.zeros(len(perms))
     for i in range(n):
-        P[i, best_perm[i]] = w[i]
-    return P, float(best_val)
-
-
-def _solve_basis_enumeration(C: np.ndarray, wr: np.ndarray, wc: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimum over all basic feasible solutions (n, m <= 4)."""
-    n, m = C.shape
-    cells = [(i, j) for i in range(n) for j in range(m)]
-    nb = n + m - 1
-    # one marginal equation is redundant; drop the last column constraint
-    best_val, best_P = math.inf, None
-    for basis in itertools.combinations(cells, nb):
-        A = np.zeros((n + m - 1, nb))
-        for k, (i, j) in enumerate(basis):
-            A[i, k] = 1.0
-            if j < m - 1:
-                A[n + j, k] = 1.0
-        rhs = np.concatenate([wr, wc[:-1]])
-        try:
-            sol, res, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            continue
-        if rank < nb:
-            continue
-        if np.max(np.abs(A @ sol - rhs)) > 1e-11:
-            continue
-        if np.min(sol) < -1e-11:
-            continue
-        P = np.zeros((n, m))
-        for k, (i, j) in enumerate(basis):
-            P[i, j] = max(sol[k], 0.0)
-        val = float(np.sum(P * np.where(np.isinf(C), 1e30, C)))
-        if np.any(np.isinf(C) & (P > 1e-12)):
-            continue
-        if val < best_val:
-            best_val, best_P = val, P
-    if best_P is None:
-        raise TransportError("no feasible basic solution found")
-    return best_P, best_val
+        vals += C[i, perms[:, i]] * w[i]
+    best = int(np.argmin(vals))
+    P = np.zeros_like(C)
+    P[np.arange(n), perms[best]] = w
+    return P, float(vals[best])
 
 
 def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) -> TransportPlan:
     """Minimize the total cost over couplings with the given marginals.
 
     Square uniform instances up to 8x8 go through exact permutation
-    enumeration (the vertices of the scaled Birkhoff polytope); other
-    instances up to 4x4 through exact basis enumeration; anything larger
-    through scipy's HiGHS simplex, whose duals certify the gap.
+    enumeration (the vertices of the scaled Birkhoff polytope); every
+    other instance through scipy's HiGHS simplex, whose duals certify
+    the gap.
     """
     wr, wc = mu.weights, mu_star.weights
     if abs(wr.sum() - wc.sum()) > MARGINAL_TOL:
         raise TransportError("infeasible marginals: masses differ")
-    C = _cost_matrix(mu, mu_star, c)
+    C = c.matrix(mu.points, mu_star.points)
     for i in range(C.shape[0]):
         if wr[i] > 0 and np.all(np.isinf(C[i])):
             raise TransportError(
@@ -328,10 +299,6 @@ def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) ->
     if n == m and n <= 8 and uniform and not np.any(np.isinf(C)):
         P, val = _solve_permutations(C, wr)
         method = "permutation_enumeration"
-        du = dv = None
-    elif n <= 4 and m <= 4:
-        P, val = _solve_basis_enumeration(C, wr, wc)
-        method = "basis_enumeration"
         du = dv = None
     else:
         from scipy.optimize import linprog
@@ -366,18 +333,14 @@ def conjugate_transform(f, G, xs: np.ndarray, ys: np.ndarray,
                         variant: str = "kernel_max") -> np.ndarray:
     """G-transform of f over a probe grid.
 
-    kernel_max: f#(y) = max_x (-f(x) + G(x, y));
-    cost_min:   f#(y) = min_x (-f(x) + c(x, y)) for a cost callable.
+    kernel_max: f#(y) = max_x (-f(x) + G(x, y)) for a KernelSpec G;
+    cost_min:   f#(y) = min_x (-f(x) + c(x, y)) for a CostSpec c.
     f may be a callable or an array aligned with xs.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     fv = np.asarray(f(xs), dtype=float) if callable(f) else np.asarray(f, dtype=float)
-    out = np.empty(len(ys))
-    for k, y in enumerate(np.asarray(ys, dtype=float)):
-        gv = np.asarray([float(G(x, y)) for x in xs])
-        vals = -fv + gv
-        out[k] = np.max(vals) if variant == "kernel_max" else np.min(vals)
-    return out
+    vals = -fv[:, None] + (G.matrix(xs, ys) if isinstance(G, CostSpec) else G.grid(xs, ys))
+    return vals.max(axis=0) if variant == "kernel_max" else vals.min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -398,24 +361,21 @@ class DualPair:
         """Build f# as the cost-min transform of f; admissible by construction."""
         xs, ys = tuple(xs), tuple(ys)
         fv = np.asarray([float(f(as_real(x))) for x in xs])
-        ivals = np.asarray([float(cost.i_eval(x)) for x in xs]) if cost.i_eval \
-            else np.zeros(len(xs))
-        fs = np.empty(len(ys))
-        for k, y in enumerate(ys):
-            cv = cost.gamma - np.asarray([float(cost.w(as_real(x), as_real(y))) for x in xs]) + ivals
-            fs[k] = np.min(-fv + cv)
+        fs = (-fv[:, None] + cost.matrix(xs, ys)).min(axis=0)
         return cls(xs, fv, ys, fs)
 
     def worst_violation(self, cost: CostSpec) -> float:
-        """max of f(x) + f#(y) - c(x, y) over the probe grids (<= 0 when admissible)."""
-        worst = -math.inf
-        for x, fx in zip(self.xs, self.f):
-            ix = float(cost.i_eval(x)) if cost.i_eval else 0.0
-            if math.isinf(ix):
-                continue
-            for y, fy in zip(self.ys, self.f_sharp):
-                worst = max(worst, fx + fy - (cost.gamma - float(cost.w(as_real(x), as_real(y))) + ix))
-        return worst
+        """max of f(x) + f#(y) - c(x, y) over the probe grids (<= 0 when admissible).
+
+        Rows of infinite deviation are skipped."""
+        return _worst_violation(self.f[:, None] + self.f_sharp[None, :],
+                                cost.matrix(self.xs, self.ys))
+
+
+def _worst_violation(dual: np.ndarray, C: np.ndarray) -> float:
+    """max of dual - C over the rows of C that are not all +inf, or -inf."""
+    rows = ~np.all(C == math.inf, axis=1)
+    return float(np.max((dual - C)[rows], initial=-math.inf))
 
 
 @dataclass(frozen=True)
@@ -456,20 +416,11 @@ def duality_certificate(V, V_star, c: CostSpec, plan: TransportPlan,
     shift = float(np.mean(residuals))
     worst_atom = float(max(abs(r - shift) for r in residuals))
 
-    worst = -math.inf
-    vstar_vals = [float(V_star(as_real(y))) for y in probe_y]
-    for x in probe_x:
-        vx = -float(V(as_real(x)))
-        # probe points pass through to the deviation evaluator unconverted:
-        # exact rationals keep forward orbits exact, floats drift off atoms
-        ix = float(c.i_eval(x)) if c.i_eval is not None else 0.0
-        if math.isinf(ix):
-            continue
-        for y, vy in zip(probe_y, vstar_vals):
-            cv = c.gamma - float(c.w(as_real(x), as_real(y))) + ix
-            viol = (vx - vy + shift) - cv
-            if viol > worst:
-                worst = viol
+    vx = np.array([-float(V(as_real(x))) for x in probe_x])
+    vy = np.array([float(V_star(as_real(y))) for y in probe_y])
+    # probe points pass through to the deviation evaluator unconverted:
+    # exact rationals keep forward orbits exact, floats drift off atoms
+    worst = _worst_violation(vx[:, None] - vy[None, :] + shift, c.matrix(probe_x, probe_y))
     primal = plan.value
     dual = (-np.sum([float(V(as_real(p))) * w for p, w in zip(mu.points, mu.weights)])
             - np.sum([float(V_star(as_real(p))) * w for p, w in zip(mu_star.points, mu_star.weights)])
@@ -502,24 +453,24 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec, n_max: int = 5,
     """Exhaustive c-cyclical-monotonicity check over subsets of size <= n_max.
 
     slack = sum c(x_j, y_j) - sum c(x_sigma(j), y_j); a positive slack is a
-    violation and its subset/permutation are returned as witness.
+    violation and its subset/permutation are returned as witness.  The
+    costs come from one matrix over the support.
     """
     if n_max > 7:
         raise TransportError("n_max above 7 is not supported (factorial blow-up)")
     pts = list(S)
+    C = c.matrix([x for x, _ in pts], [y for _, y in pts]).tolist()
     worst = -math.inf
     wit_s, wit_p = None, None
     for k in range(2, min(n_max, len(pts)) + 1):
-        for subset in itertools.combinations(pts, k):
-            base = sum(c.cost(x, y) for x, y in subset)
-            ys = [y for _, y in subset]
-            for perm in itertools.permutations(range(k)):
-                if all(p == i for i, p in enumerate(perm)):
-                    continue
-                permuted = sum(c.cost(subset[p][0], ys[j]) for j, p in enumerate(perm))
+        perms = list(itertools.permutations(range(k)))[1:]  # all but the identity
+        for idx in itertools.combinations(range(len(pts)), k):
+            base = sum(C[i][i] for i in idx)
+            for perm in perms:
+                permuted = sum(C[idx[p]][idx[j]] for j, p in enumerate(perm))
                 slack = base - permuted
                 if slack > worst:
-                    worst, wit_s, wit_p = slack, subset, perm
+                    worst, wit_s, wit_p = slack, tuple(pts[i] for i in idx), perm
     if worst == -math.inf:
         return CyclicalReport(True, 0.0, None, None)
     return CyclicalReport(worst <= tol, float(worst), wit_s, wit_p)
@@ -540,7 +491,7 @@ class TwistOrderReport:
         }
 
 
-def twist_order_check(S: Sequence[tuple], c: CostSpec | None = None) -> TwistOrderReport:
+def twist_order_check(S: Sequence[tuple]) -> TwistOrderReport:
     """Under a twist cost the support must be anti-monotone: for pairs with
     distinct coordinates, a < a' forces b > b'."""
     pts = [(as_real(x), as_real(y)) for x, y in S]
@@ -609,28 +560,32 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
         raise TransportError("empty support")
     x0, y0 = pts[base]
     zv = as_real(z)
+    # C[i][j] = c(x_i, y_j) over the atoms, with z as the last row
+    C = c.matrix([x for x, _ in pts] + [zv], [y for _, y in pts]).tolist()
+    z_row = C[-1]
 
     def chain_value(chain) -> float:
-        prev_x, prev_y = x0, y0
+        prev = base
         total = 0.0
-        for (xi, yi) in chain:
-            total += c.cost(xi, prev_y) - c.cost(prev_x, prev_y)
-            prev_x, prev_y = xi, yi
-        total += c.cost(zv, prev_y) - c.cost(prev_x, prev_y)
+        for i in chain:
+            total += C[i][prev] - C[prev][prev]
+            prev = i
+        total += z_row[prev] - C[prev][prev]
         return total
 
     if mode is RochetMode.BRUTE_FORCE:
         best = chain_value(())
         for n in range(1, chain_cap + 1):
-            for chain in itertools.product(pts, repeat=n):
+            for chain in itertools.product(range(len(pts)), repeat=n):
                 best = min(best, chain_value(chain))
         return float(best)
 
     if mode is RochetMode.TWIST_ORDERED:
-        ordered = sorted(pts, key=lambda p: as_real(p[0]))
-        if (as_real(ordered[0][0]), as_real(ordered[0][1])) != (as_real(x0), as_real(y0)):
+        ordered = sorted(range(len(pts)), key=lambda i: as_real(pts[i][0]))
+        first = pts[ordered[0]]
+        if (as_real(first[0]), as_real(first[1])) != (as_real(x0), as_real(y0)):
             raise TransportError("twist-ordered mode requires base = leftmost support atom")
-        chain = tuple(p for p in ordered[1:] if as_real(p[0]) < zv)
+        chain = tuple(i for i in ordered[1:] if as_real(pts[i][0]) < zv)
         return float(chain_value(chain))
 
     raise TransportError(f"unknown mode {mode!r}")

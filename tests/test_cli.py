@@ -81,13 +81,29 @@ def test_unknown_preset_is_usage_error(tmp_path):
     assert run(["subaction", "--preset", "nope", "--out", str(tmp_path)]) == EXIT_USAGE
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    # "depth" was a config key that nothing read; it is now unknown too
-    for bad in ({"presett": "quad-dirac"}, {"depth": 48}):
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # "depth" was a config key that nothing read; it is now unknown too.
+    # A value of the wrong type and a top level that is not an object are
+    # usage errors as well, reported without a traceback.
+    for bad in ({"presett": "quad-dirac"}, {"depth": 48}, {"n_grid": "abc"}, ["quad-dirac"]):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))
         code = run(["subaction", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_USAGE, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, bad
+
+
+@pytest.mark.parametrize("argv", [
+    ["subaction", "--n-grid", "1"],
+    ["kernel", "--kernel-grid", "0"],
+    ["subaction", "--max-period", "0"],
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # nothing written
 
 
 def test_depth_flag_removed(tmp_path):

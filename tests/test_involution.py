@@ -290,6 +290,58 @@ class TestTwist:
         a, b, ap, bp = rep.witness
         assert a < ap and b < bp
 
+    @pytest.mark.parametrize("method", list(TwistMethod))
+    @pytest.mark.parametrize("kernel", ["W2", "quadratic", "example5", "example6", "gauss",
+                                        "series"])
+    def test_report_equals_scalar_reference(self, kernel, method):
+        W = {
+            "W2": W2K,
+            "quadratic": quadratic_kernel(1, -2, 3),
+            "example5": example5_kernel(),
+            "example6": example6_kernel(),
+            "gauss": gauss_log_kernel(),
+            "series": fundamental_kernel(MINUS_DOUBLING, A_SQUARE, Fraction(1, 2), depth=30),
+        }[kernel]
+        n_grid = 5 if kernel == "series" else 9
+        assert twist_check(W, method, n_grid=n_grid) == scalar_twist_check(W, method, n_grid)
+
+
+def scalar_twist_check(W, method, n_grid, h=1e-4, margin_tol=1e-9):
+    """twist_check written with one scalar kernel call per value."""
+    if method is TwistMethod.MIXED_PARTIAL:
+        g = np.linspace(2 * h, 1 - 2 * h, n_grid)
+        mp_max, mp_min = -math.inf, math.inf
+        wx = wy = float(g[0])
+        for xi in g:
+            row = np.asarray([float(W(xi + h, yj + h)) - float(W(xi + h, yj - h))
+                              - float(W(xi - h, yj + h)) + float(W(xi - h, yj - h))
+                              for yj in g]) / (4 * h * h)
+            jmax = int(np.argmax(row))
+            if row[jmax] > mp_max:
+                mp_max, wx, wy = float(row[jmax]), float(xi), float(g[jmax])
+            mp_min = min(mp_min, float(np.min(row)))
+        return involution.TwistReport(-mp_max > margin_tol, -mp_max,
+                                      (wx - h, wy - h, wx + h, wy + h), method,
+                                      mixed_partial_min=mp_min, mixed_partial_max=mp_max)
+    g = np.linspace(0.0, 1.0, n_grid)
+    best_gap, best_wit = math.inf, None
+    for i in range(n_grid - 1):
+        for ip in range(i + 1, n_grid):
+            for j in range(n_grid - 1):
+                for jp in range(j + 1, n_grid):
+                    if method is TwistMethod.DELTA_MONOTONE and jp != j + 1:
+                        continue
+                    if method is TwistMethod.PAIRWISE_GRID:
+                        gap = (float(W(g[ip], g[j])) + float(W(g[i], g[jp]))
+                               - float(W(g[i], g[j])) - float(W(g[ip], g[jp])))
+                    else:
+                        gap = ((float(W(g[i], g[jp])) - float(W(g[ip], g[jp])))
+                               - (float(W(g[i], g[j])) - float(W(g[ip], g[j]))))
+                    if gap < best_gap:
+                        best_gap = gap
+                        best_wit = (float(g[i]), float(g[j]), float(g[ip]), float(g[jp]))
+    return involution.TwistReport(best_gap > margin_tol, best_gap, best_wit, method)
+
 
 class TestTwistStability:
     def test_zero_perturbation_always_twist(self):

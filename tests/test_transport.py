@@ -1,5 +1,7 @@
 """Transport plans, duality, monotonicity, graph property, Rochet potentials."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,11 +19,41 @@ from ergotrans.dynamics import (
     periodic_orbits,
 )
 from ergotrans.ergopt import critical_value, deviation_I
-from ergotrans.involution import example5_kernel, example6_kernel, quadratic_kernel
-from ergotrans.potentials import QUAD_DIRAC, QUAD_PERIOD2
+from ergotrans.involution import (
+    KernelForm,
+    example5_kernel,
+    example6_kernel,
+    fundamental_kernel,
+    gauss_log_kernel,
+    quadratic_kernel,
+)
+from ergotrans.potentials import QUAD_DIRAC, QUAD_PERIOD2, polynomial_potential
 from ergotrans.presets import GOLDEN_MEAN, get_preset
 
 THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
+
+
+def vertex_optimum(C, wr, wc):
+    """Exact optimum over every basic feasible coupling (small n x m)."""
+    n, m = C.shape
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    nb = n + m - 1
+    rhs = np.concatenate([wr, wc[:-1]])  # the last column equation is redundant
+    best = math.inf
+    for basis in itertools.combinations(cells, nb):
+        A = np.zeros((nb, nb))
+        for k, (i, j) in enumerate(basis):
+            A[i, k] = 1.0
+            if j < m - 1:
+                A[n + j, k] = 1.0
+        try:
+            sol = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError:  # not a basis
+            continue
+        if np.max(np.abs(A @ sol - rhs)) > 1e-11 or np.min(sol) < -1e-11:
+            continue
+        best = min(best, sum(C[i, j] * max(v, 0.0) for (i, j), v in zip(basis, sol)))
+    return best
 
 
 def quad_period2_measures():
@@ -140,22 +172,9 @@ class TestSolveKantorovich:
             a, bq, c = rng.uniform(-1, 1, size=3)
             cost = tr.CostSpec(w=quadratic_kernel(a, bq, c), gamma=float(rng.uniform(-1, 1)))
             plan = tr.solve_kantorovich(mu, mu_star, cost)
-            assert plan.method == "basis_enumeration"
-            from scipy.optimize import linprog
-
+            assert plan.method == "highs"
             C = np.array([[cost.cost(x, y) for y in ys] for x in xs])
-            A_eq = []
-            for i in range(n):
-                row = np.zeros(n * m)
-                row[i * m:(i + 1) * m] = 1
-                A_eq.append(row)
-            for j in range(m):
-                col = np.zeros(n * m)
-                col[j::m] = 1
-                A_eq.append(col)
-            res = linprog(C.ravel(), A_eq=np.array(A_eq),
-                          b_eq=np.concatenate([wr, wc]), bounds=(0, None), method="highs")
-            assert plan.value == pytest.approx(res.fun, abs=1e-9)
+            assert abs(plan.value - vertex_optimum(C, wr, wc)) <= 1e-9
 
     def test_marginals_reproduced(self):
         mu, mu_star, _ = quad_period2_measures()
@@ -193,11 +212,128 @@ class TestSolveKantorovich:
         np.testing.assert_allclose(p1.coupling, p2.coupling, atol=1e-12)
 
 
+KERNELS_BY_FORM = {
+    KernelForm.CLOSED_QUADRATIC: quadratic_kernel(0.5, -1, 2),
+    KernelForm.GAUSS_LOG: gauss_log_kernel(),
+    KernelForm.COCYCLE_SERIES: fundamental_kernel(
+        MINUS_DOUBLING, polynomial_potential(0, 1, -1), Fraction(1, 2), depth=20),
+    KernelForm.EXPLICIT: example5_kernel(),
+}
+
+
+class TestCostMatrix:
+    @pytest.mark.parametrize("form", list(KernelForm))
+    def test_equals_scalar_cost(self, form):
+        W = KERNELS_BY_FORM[form]
+        xs = [THIRD, Fraction(1, 7), TWO_THIRDS, 0.0, 0.3, 0.91, 1.0]
+        ys = [Fraction(5, 8), 0.25, 1.0, THIRD]
+        seen = []
+
+        def I(x):
+            seen.append(x)
+            if x == Fraction(1, 7) or x == 0.3:
+                return math.inf
+            return x * x  # a Fraction on Fraction points
+
+        plain = tr.CostSpec(w=W, gamma=0.25)
+        dev = tr.CostSpec(w=W, gamma=0.25, i_eval=I)
+        for cost in (plain, dev):
+            C = cost.matrix(xs, ys)
+            ref = np.array([[cost.cost(x, y) for y in ys] for x in xs])
+            assert np.array_equal(C, ref)
+        assert np.isinf(C[1]).all() and np.isinf(C[4]).all()
+        assert np.isfinite(np.delete(C, [1, 4], axis=0)).all()
+        seen.clear()
+        dev.matrix(xs, ys)
+        assert seen == xs and [type(x) for x in seen] == [type(x) for x in xs]
+
+
+def scalar_permutation_solve(C, w):
+    n = C.shape[0]
+    best_val, best_perm = math.inf, None
+    for perm in itertools.permutations(range(n)):
+        val = sum(C[i, perm[i]] * w[i] for i in range(n))
+        if val < best_val:
+            best_val, best_perm = val, perm
+    P = np.zeros_like(C)
+    for i in range(n):
+        P[i, best_perm[i]] = w[i]
+    return P, float(best_val)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_solve_equals_scalar_loop(n):
+    rng = np.random.default_rng(n)
+    w = np.full(n, 1.0 / n)
+    for C in (rng.integers(0, 3, size=(n, n)).astype(float), rng.normal(size=(n, n))):
+        P, val = tr._solve_permutations(C, w)
+        P_ref, val_ref = scalar_permutation_solve(C, w)
+        assert np.array_equal(P, P_ref) and val == val_ref
+
+
+def scalar_cyclical(S, c, n_max):
+    worst, wit_s, wit_p = -math.inf, None, None
+    for k in range(2, min(n_max, len(S)) + 1):
+        for subset in itertools.combinations(S, k):
+            base = sum(c.cost(x, y) for x, y in subset)
+            for perm in itertools.permutations(range(k)):
+                if perm == tuple(range(k)):
+                    continue
+                slack = base - sum(c.cost(subset[p][0], subset[j][1])
+                                   for j, p in enumerate(perm))
+                if slack > worst:
+                    worst, wit_s, wit_p = slack, subset, perm
+    return worst, wit_s, wit_p
+
+
+def scalar_rochet(S, c, base, z, chain):
+    prev_x, prev_y = S[base]
+    total = 0.0
+    for xi, yi in chain:
+        total += c.cost(xi, prev_y) - c.cost(prev_x, prev_y)
+        prev_x, prev_y = xi, yi
+    return total + (c.cost(float(z), prev_y) - c.cost(prev_x, prev_y))
+
+
+class TestSupportMatrixChecks:
+    S = [(Fraction(1, 5), Fraction(4, 5)), (THIRD, TWO_THIRDS), (0.45, 0.5),
+         (TWO_THIRDS, THIRD), (0.9, 0.05)]
+
+    def costs(self):
+        pre = get_preset("quad-period2")
+
+        @functools.lru_cache(maxsize=None, typed=True)
+        def I(x):
+            return deviation_I(MINUS_DOUBLING, QUAD_PERIOD2, pre.closed_V, pre.m_exact,
+                               x, n_terms=50, early_exit=False).value
+
+        return [tr.CostSpec(w=example5_kernel()), tr.CostSpec(w=pre.kernel, gamma=0.1, i_eval=I)]
+
+    def test_cyclical_equals_scalar_loop(self):
+        for cost in self.costs():
+            for n_max in (2, 3, 5):
+                rep = tr.cyclical_monotonicity_check(self.S, cost, n_max=n_max)
+                worst, wit_s, wit_p = scalar_cyclical(self.S, cost, n_max)
+                assert (rep.worst_slack, rep.witness_subset, rep.witness_permutation) == \
+                    (worst, wit_s, wit_p)
+
+    def test_rochet_equals_scalar_chains(self):
+        for cost in self.costs():
+            for z in (0.05, THIRD, 0.5, 0.95):
+                brute = min(scalar_rochet(self.S, cost, 0, z, chain)
+                            for n in range(4) for chain in itertools.product(self.S, repeat=n))
+                assert tr.rochet_potential(self.S, cost, 0, z, tr.RochetMode.BRUTE_FORCE,
+                                           chain_cap=3) == brute
+                chain = [p for p in self.S[1:] if float(p[0]) < float(z)]
+                assert tr.rochet_potential(self.S, cost, 0, z, tr.RochetMode.TWIST_ORDERED) \
+                    == scalar_rochet(self.S, cost, 0, z, chain)
+
+
 class TestConjugateTransform:
     def test_zero_kernel_gives_minus_min(self):
         xs = np.linspace(0, 1, 33)
         f = xs ** 2 - 0.3
-        out = tr.conjugate_transform(f, lambda x, y: 0.0, xs, np.array([0.1, 0.9]))
+        out = tr.conjugate_transform(f, quadratic_kernel(0, 0, 0), xs, np.array([0.1, 0.9]))
         np.testing.assert_allclose(out, -f.min(), atol=1e-14)
 
     def test_constant_shift_moves_transform(self):
