@@ -12,7 +12,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dynamics import SystemSpec, PeriodicOrbit, apply_map, as_real, periodic_orbits
+import numpy as np
+
+from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map, as_real,
+                       gauss_orbit_blocks, gauss_orbits, periodic_orbits)
 from .potentials import PotentialSpec
 from .thermo import GridFunction, _Operator
 
@@ -33,6 +36,8 @@ MAX_ITER_LO = 20_000
 CAP_I = 1e6
 TOL_I = 1e-10
 N_TERMS_I = 10_000
+# Relative slack of the Gauss tie screen in critical_value.
+SCREEN_SLACK = 1e-12
 
 
 class ErgOptError(RuntimeError):
@@ -46,16 +51,29 @@ class CriticalValue:
     This is a lower bound on m(A) in general; every example in scope has a
     periodic maximizing orbit, for which it is exact.  tied lists every
     orbit within tie_tol of the maximum (including the argmax itself).
+    n_orbits counts the orbits scored; it is not written to any output.
     """
 
     m: float
     orbit: PeriodicOrbit
     tied: tuple[PeriodicOrbit, ...]
+    n_orbits: int = 0
 
 
 def critical_value(sys: SystemSpec, A: PotentialSpec, max_period: int = DEFAULT_MAX_PERIOD,
                    tie_tol: float = 1e-9) -> CriticalValue:
-    orbits = periodic_orbits(sys, max_period)
+    """Maximum over periodic orbits of the scalar average sum(A(x_i)) / p.
+
+    On a Gauss system the orbits are screened block by block on arrays
+    (_gauss_candidates), and only those that could attain or tie the
+    maximum are built and scored here, so m, orbit and tied are those of a
+    scalar pass over periodic_orbits without materializing it.
+    """
+    if sys.kind is SystemKind.GAUSS:
+        orbits, n_orbits = _gauss_candidates(sys, A, max_period, tie_tol)
+    else:
+        orbits = periodic_orbits(sys, max_period)
+        n_orbits = len(orbits)
     if not orbits:
         raise ErgOptError("no periodic orbits found")
     scored = []
@@ -65,7 +83,38 @@ def critical_value(sys: SystemSpec, A: PotentialSpec, max_period: int = DEFAULT_
     m = max(o.birkhoff_average for o in scored)
     tied = tuple(o for o in scored if m - o.birkhoff_average <= tie_tol)
     best = tied[0]
-    return CriticalValue(m, best, tied)
+    return CriticalValue(m, best, tied, n_orbits)
+
+
+def _gauss_candidates(sys: SystemSpec, A: PotentialSpec, max_period: int,
+                      tie_tol: float) -> tuple[list[PeriodicOrbit], int]:
+    """Gauss orbits whose average may attain or tie the maximum, and the
+    number of orbits scored.
+
+    Averages are summed on each block's array of points in the scalar
+    order.  A row is kept while it is within tie_tol + slack of the running
+    maximum, and the final maximum drops the rows a later block pushed
+    out.  The slack, SCREEN_SLACK times the largest |A| seen, covers the
+    last-bit differences between A on an array (numpy's vectorized log)
+    and A on a float, so no orbit that the scalar scores would tie is lost.
+    """
+    best, scale, n_orbits, kept = -math.inf, 1.0, 0, []
+    for p, digits, points in gauss_orbit_blocks(sys, max_period):
+        vals = np.broadcast_to(np.asarray(A(points), dtype=float), points.shape)
+        total = vals[:, 0].copy()
+        for j in range(1, p):
+            total += vals[:, j]
+        avg = total / p
+        n_orbits += len(avg)
+        scale = max(scale, float(np.abs(vals).max()))
+        best = max(best, float(avg.max()))
+        keep = avg >= best - tie_tol - SCREEN_SLACK * scale
+        if keep.any():
+            kept.append((avg[keep], p, digits[keep], points[keep]))
+    floor = best - tie_tol - SCREEN_SLACK * scale
+    return gauss_orbits((p, k, x) for avg, p, digits, points in kept
+                        for a, k, x in zip(avg.tolist(), digits.tolist(), points.tolist())
+                        if a >= floor), n_orbits
 
 
 def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import SystemSpec, SystemKind, PeriodicOrbit, as_real
+from .dynamics import SystemSpec, SystemKind, PeriodicOrbit, as_real, gauss_fixed_point
 from .involution import KernelSpec
 
 __all__ = [
@@ -130,18 +130,7 @@ def _periodic_point_from_digits(sys: SystemSpec, digits: Sequence[int]):
                 ca, cb = Fraction(1, 2), Fraction(s, 2)
             a, b = ca * a, ca * b + cb
         return b / (1 - a)
-    # Gauss: fixed point of g_{k_1} o ... o g_{k_p}, branch k acting as the
-    # Moebius matrix [[0, 1], [1, k]]; folding from the last digit multiplies
-    # each branch in on the left.
-    a, b, c, d = 1, 0, 0, 1
-    for k in reversed(digits):
-        a, b, c, d = c, d, a + k * c, b + k * d
-    disc = (d - a) ** 2 + 4 * b * c
-    for root in (-(d - a) + math.sqrt(disc), -(d - a) - math.sqrt(disc)):
-        x = root / (2 * c)
-        if 0 < x <= 1:
-            return x
-    raise TransportError(f"Gauss digits {tuple(digits)} have no periodic point in (0, 1]")
+    return float(gauss_fixed_point(digits))
 
 
 def maximizing_extension_measure(sys: SystemSpec, tied_orbits: Sequence[PeriodicOrbit]) -> tuple[AtomicMeasure, AtomicMeasure, AtomicMeasure]:
@@ -574,10 +563,21 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
         return total
 
     if mode is RochetMode.BRUTE_FORCE:
-        best = chain_value(())
-        for n in range(1, chain_cap + 1):
-            for chain in itertools.product(range(len(pts)), repeat=n):
-                best = min(best, chain_value(chain))
+        # Min-plus recursion over the chain's last atom: level[j] is the
+        # least partial sum of the chains of the current length ending at j.
+        # chain_value adds its terms left to right from 0.0, and rounded
+        # addition is monotone (a <= b gives fl(a + d) <= fl(b + d)), so the
+        # least fl(s + d) over a set of partial sums s is fl(min s + d).
+        # With C finite on the support this equals the minimum over every
+        # chain of length <= chain_cap bit for bit, in chain_cap * n^2
+        # additions instead of n^chain_cap chains.
+        n = len(pts)
+        tail = [z_row[j] - C[j][j] for j in range(n)]
+        level = {base: 0.0}
+        best = level[base] + tail[base]
+        for _ in range(chain_cap):
+            level = {j: min(s + (C[j][i] - C[i][i]) for i, s in level.items()) for j in range(n)}
+            best = min(best, min(s + tail[j] for j, s in level.items()))
         return float(best)
 
     if mode is RochetMode.TWIST_ORDERED:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ergotrans.cli import EXIT_OK, EXIT_USAGE, main
+from ergotrans.presets import GOLDEN_MEAN
 
 
 def run(args):
@@ -24,10 +25,11 @@ def test_subaction_quad_dirac(tmp_path, capsys):
 
 def test_subaction_gauss_golden(tmp_path):
     code = run(["subaction", "--preset", "gauss-golden", "--out", str(tmp_path),
-                "--n-grid", "1024", "--max-period", "3"])
+                "--n-grid", "1024"])
     assert code == EXIT_OK
     header = json.loads((tmp_path / "gauss-golden-subaction.json").read_text())
-    assert header["m"] == pytest.approx(-0.9624236501192069, abs=1e-9)
+    assert header["m"] == -0.9624236501192067
+    assert header["orbit"] == [GOLDEN_MEAN]
 
 
 def test_twist_verdicts_via_cli(tmp_path):

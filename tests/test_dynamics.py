@@ -1,6 +1,7 @@
 """Phase-space operations: orders, branches, skew dynamics, orbit enumeration."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,16 +14,19 @@ from ergotrans.dynamics import (
     DynamicsError,
     ExtensionPoint,
     Ordering,
+    PeriodicOrbit,
     SymbolWord,
     apply_map,
     backward_step,
     extension_backward,
     extension_forward,
+    gauss_orbit_blocks,
     gauss_system,
     inverse_branches,
     lex_compare,
     periodic_orbits,
     serialize_point,
+    symbol_of,
     tau_push,
 )
 
@@ -201,6 +205,62 @@ class TestPeriodicOrbits:
     def test_budget_guard(self):
         with pytest.raises(DynamicsError):
             periodic_orbits(gauss_system(30), 12)
+
+    @pytest.mark.parametrize("max_period", range(1, 9))
+    def test_full_shift_orbits_are_the_brute_force_necklaces(self, max_period):
+        assert periodic_orbits(FULL_SHIFT2, max_period) == brute_force_shift_orbits(max_period)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 30])
+    def test_gauss_orbit_counts_are_necklace_counts(self, n):
+        counts = Counter()
+        for p, digits, _ in gauss_orbit_blocks(gauss_system(n), 4):
+            counts[p] += len(digits)
+        assert [counts[p] for p in range(1, 5)] == [necklace_count(n, p) for p in range(1, 5)]
+
+    def test_gauss_orbit_list_counts(self):
+        counts = Counter(o.period for o in periodic_orbits(gauss_system(8), 4))
+        assert [counts[p] for p in range(1, 5)] == [8, 28, 168, 1008]
+
+    def test_gauss_points_are_the_periodic_continued_fractions(self):
+        sys = gauss_system(5)
+        orbits = periodic_orbits(sys, 3)
+        assert len(orbits) == 55
+        for o in orbits:
+            for i, x in enumerate(o.points):
+                word = o.itinerary[i:] + o.itinerary[:i]
+                ref = Fraction(0)
+                for k in reversed(word * (60 // o.period)):
+                    ref = 1 / (k + ref)
+                assert abs(Fraction(x) - ref) <= Fraction(1, 10 ** 15)
+                assert symbol_of(sys, x) == word[0]
+                assert abs(apply_map(sys, x) - o.points[(i + 1) % o.period]) < 1e-9
+
+
+def necklace_count(n, p):
+    """Moreau's count of aperiodic necklaces: (1/p) sum_{d | p} mu(d) n^(p/d)."""
+    def mobius(d):
+        sign = 1
+        for q in range(2, d + 1):
+            if d % q == 0:
+                d //= q
+                if d % q == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    return sum(mobius(d) * n ** (p // d) for d in range(1, p + 1) if p % d == 0) // p
+
+
+def brute_force_shift_orbits(max_period):
+    """Every binary word strictly below its proper rotations, in code order."""
+    orbits = []
+    for p in range(1, max_period + 1):
+        for code in range(2 ** p):
+            w = tuple((code >> (p - 1 - i)) & 1 for i in range(p))
+            rots = [w[i:] + w[:i] for i in range(p)]
+            if w == min(rots) and all(w != rots[d] for d in range(1, p)):
+                orbits.append(PeriodicOrbit(tuple(SymbolWord.periodic(r) for r in rots), p, w))
+    return orbits
 
 
 def test_serialization():

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergotrans import ergopt
-from ergotrans.dynamics import DOUBLING, MINUS_DOUBLING, apply_map, as_real, gauss_system
+from ergotrans import dynamics, ergopt
+from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, apply_map, as_real, gauss_system,
+                                periodic_orbits)
 from ergotrans.ergopt import (
     ErgOptError,
     calibrated_subaction,
@@ -18,9 +19,11 @@ from ergotrans.ergopt import (
 )
 from ergotrans.potentials import (
     GAUSS_LOG,
+    LINEAR,
     QUAD_DIRAC,
     QUAD_PERIOD2,
     custom_potential,
+    perturbed_potential,
     polynomial_potential,
 )
 from ergotrans.thermo import GridFunction, _Operator
@@ -45,6 +48,37 @@ class TestCriticalValue:
     def test_gauss_golden(self):
         cv = critical_value(gauss_system(8), GAUSS_LOG, 4)
         assert cv.m == pytest.approx(2.0 * math.log(GOLDEN), abs=1e-12)
+
+    # "flat" ties all 55 orbits through tie_tol, not through equal averages
+    @pytest.mark.parametrize("A", [GAUSS_LOG, perturbed_potential(GAUSS_LOG, LINEAR, 0.3),
+                                   polynomial_potential(Fraction(1, 10), 0, 0, name="const"),
+                                   polynomial_potential(0, Fraction(1, 10 ** 10), 0, name="flat")],
+                             ids=["log", "perturbed", "constant", "flat"])
+    def test_gauss_equals_scalar_pass(self, A):
+        sys = gauss_system(5)
+        scored = [(float(sum(float(A(p)) for p in o.points) / o.period), o)
+                  for o in periodic_orbits(sys, 3)]
+        m = max(avg for avg, _ in scored)
+        tied = tuple(o.with_average(avg) for avg, o in scored if m - avg <= 1e-9)
+        cv = critical_value(sys, A, 3)
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == (m, tied[0], tied, 55)
+        if A.name in ("const", "flat"):
+            assert len(cv.tied) == 55
+
+    def test_gauss_builds_only_candidate_orbits(self, monkeypatch):
+        built = []
+        real = dynamics.PeriodicOrbit
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "PeriodicOrbit", counting)
+        cv = critical_value(gauss_system(30), GAUSS_LOG, 4)
+        assert cv.m == -0.9624236501192067
+        assert cv.n_orbits == 211_730
+        assert [o.points for o in cv.tied] == [(GOLDEN,)]
+        assert 1 <= len(built) <= 4
 
     def test_constant_shift_invariance(self):
         cv0 = critical_value(MINUS_DOUBLING, QUAD_DIRAC, 4)

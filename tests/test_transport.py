@@ -98,6 +98,13 @@ class TestNaturalExtension:
         assert xy1[1] == pytest.approx(r, abs=1e-15)
         assert w0 == w1 == Fraction(1, 2)
 
+    def test_gauss_periodic_points_are_pinned(self):
+        sys = gauss_system(30)
+        for digits, x in (((1,), 0.6180339887498949), ((1, 2), 0.7320508075688772),
+                          ((2, 1), 0.3660254037844386)):
+            y = tr._periodic_point_from_digits(sys, digits)
+            assert type(y) is float and y == x
+
     def test_tied_orbits_combine_to_diagonal_atoms(self):
         mu, mu_star, ext = quad_period2_measures()
         pairs = sorted((float(x), float(y)) for (x, y), _ in ext.atoms)
@@ -327,6 +334,50 @@ class TestSupportMatrixChecks:
                 chain = [p for p in self.S[1:] if float(p[0]) < float(z)]
                 assert tr.rochet_potential(self.S, cost, 0, z, tr.RochetMode.TWIST_ORDERED) \
                     == scalar_rochet(self.S, cost, 0, z, chain)
+
+
+class MatrixCost:
+    """A cost given by its matrix on (support x's and z) x (support y's)."""
+
+    def __init__(self, C):
+        self.C = C
+
+    def matrix(self, xs, ys):
+        return self.C
+
+
+def enumerated_rochet(C, base, chain_cap):
+    """Least chain value over every chain of length <= chain_cap, z in the last row."""
+    n = len(C) - 1
+
+    def value(chain):
+        prev, total = base, 0.0
+        for i in chain:
+            total += C[i][prev] - C[prev][prev]
+            prev = i
+        return total + (C[n][prev] - C[prev][prev])
+
+    return min(value(chain) for k in range(chain_cap + 1)
+               for chain in itertools.product(range(n), repeat=k))
+
+
+@pytest.mark.parametrize("kind", ["random", "wide", "tied"])
+def test_rochet_recursion_equals_chain_enumeration(kind):
+    rng = np.random.default_rng({"random": 1, "wide": 2, "tied": 3}[kind])
+    for n in range(2, 6):
+        for chain_cap in range(1, 6):
+            for _ in range(3):
+                if kind == "random":
+                    C = rng.normal(size=(n + 1, n))
+                elif kind == "wide":  # magnitudes far apart, so every addition rounds
+                    C = rng.normal(size=(n + 1, n)) * 10.0 ** rng.integers(-8, 9, size=(n + 1, n))
+                else:  # few distinct values, so many chains tie
+                    C = rng.integers(-2, 3, size=(n + 1, n)) / 4
+                S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(n)]
+                base = int(rng.integers(n))
+                got = tr.rochet_potential(S, MatrixCost(C), base, 0.5, tr.RochetMode.BRUTE_FORCE,
+                                          chain_cap=chain_cap)
+                assert got == enumerated_rochet(C.tolist(), base, chain_cap)
 
 
 class TestConjugateTransform:
