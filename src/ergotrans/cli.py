@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,10 +56,13 @@ class RunConfig:
             val = getattr(args, key.replace("-", "_"), None)
             if val is not None:
                 setattr(cfg, key, val)
-        for key, least in (("n_grid", 2), ("kernel_grid", 1), ("max_period", 1)):
+        for key, least in (("n_grid", 2), ("kernel_grid", 1), ("max_period", 1), ("seed", 0)):
             val = getattr(cfg, key)
             if isinstance(val, bool) or not isinstance(val, int) or val < least:
                 raise ValueError(f"{key} must be an integer >= {least}, got {val!r}")
+        tol = cfg.tol_lo
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError(f"tol_lo must be a positive finite number, got {tol!r}")
         return cfg
 
 
@@ -115,8 +119,8 @@ def cmd_dual(cfg: RunConfig) -> int:
     path = out / f"{pre.name}-dual.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write("y,A_star\n")
-        for y in ys:
-            fh.write(f"{y:.17g},{float(A_star(float(y))):.17g}\n")
+        for y, a in zip(ys, A_star(ys)):
+            fh.write(f"{y:.17g},{a:.17g}\n")
     _write_json(out / f"{pre.name}-dual.json",
                 {"cohomology_residual_vs_self": residual, "involutive": residual < 1e-8})
     print(f"{pre.name}: A* computed; |A* - A| residual {residual:.3e}")

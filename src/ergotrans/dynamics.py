@@ -77,17 +77,13 @@ class SystemSpec:
     """A dynamical system together with its retained inverse-branch family.
 
     branch_cap only matters for the Gauss map (branches k = 1..branch_cap);
-    the other systems have exactly two branches.  metric_lambda is the
-    contraction parameter of the word metric / dyadic embedding.
+    the other systems have exactly two branches.
     """
 
     kind: SystemKind
     branch_cap: int = 30
-    metric_lambda: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.metric_lambda < 1.0):
-            raise DynamicsError("metric_lambda must lie in (0, 1)")
         if self.kind is SystemKind.GAUSS and self.branch_cap < 1:
             raise DynamicsError("GaussMap needs branch_cap >= 1")
 
@@ -163,13 +159,24 @@ def as_real(x):
     return float(x)
 
 
+def _outside(v, lo, hi) -> bool:
+    """Whether v, or for an array v some entry of it, lies outside [lo, hi]."""
+    if isinstance(v, np.ndarray):
+        return bool(v.size) and (float(v.min()) < lo or float(v.max()) > hi)
+    return not (lo <= v <= hi)
+
+
 def _check_interval(x) -> None:
-    if isinstance(x, np.ndarray):
-        if x.size and (float(x.min()) < 0 or float(x.max()) > 1):
-            raise DynamicsError("array point outside [0, 1]")
-        return
-    if not (0 <= x <= 1):
-        raise DynamicsError(f"point {x!r} outside [0, 1]")
+    if _outside(x, 0, 1):
+        what = "array point" if isinstance(x, np.ndarray) else f"point {x!r}"
+        raise DynamicsError(f"{what} outside [0, 1]")
+
+
+def _branch_indices(sys: SystemSpec) -> range:
+    """Indices of the retained inverse branches."""
+    if sys.kind is SystemKind.GAUSS:
+        return range(1, sys.branch_cap + 1)
+    return range(2)
 
 
 def probe_floor(sys: SystemSpec, default: float) -> float:
@@ -204,8 +211,8 @@ def apply_map(sys: SystemSpec, x):
     return inv - math.floor(inv)
 
 
-def branch_point(sys: SystemSpec, k: int, x):
-    """Image of x under the k-th inverse branch."""
+def branch_point(sys: SystemSpec, k, x):
+    """Image of x under the k-th inverse branch; an int array k and an array x broadcast."""
     if isinstance(x, SymbolWord):
         if sys.kind not in (SystemKind.FULL_SHIFT2, SystemKind.DOUBLING):
             raise DynamicsError("word points only live in shift/doubling systems")
@@ -213,41 +220,39 @@ def branch_point(sys: SystemSpec, k: int, x):
             raise DynamicsError("shift branch index must be 0 or 1")
         return SymbolWord((k,) + x.symbols[:-1])
     _check_interval(x)
+    ks = _branch_indices(sys)
+    if isinstance(k, np.ndarray):
+        bad = k.dtype.kind not in "iu" or _outside(k, ks[0], ks[-1])
+    else:
+        bad = k not in ks
+    if bad:
+        raise DynamicsError(f"{sys.kind.value} branch index {k!r} outside {ks[0]}..{ks[-1]}")
     if sys.kind in (SystemKind.FULL_SHIFT2, SystemKind.DOUBLING):
-        if k not in (0, 1):
-            raise DynamicsError("doubling branch index must be 0 or 1")
         return (x + k) / 2
     if sys.kind is SystemKind.MINUS_DOUBLING:
-        if k == 0:
-            return (1 - x) / 2
-        if k == 1:
-            return (2 - x) / 2
-        raise DynamicsError("minus-doubling branch index must be 0 or 1")
-    if not (1 <= k <= sys.branch_cap):
-        raise DynamicsError(f"Gauss branch index {k} outside 1..{sys.branch_cap}")
+        return (1 + k - x) / 2
     return 1 / (k + x)
 
 
 def inverse_branches(sys: SystemSpec, x) -> list[tuple[int, object]]:
     """All retained preimages of x, as (branch_index, preimage) pairs."""
-    if sys.kind is SystemKind.GAUSS:
-        ks = range(1, sys.branch_cap + 1)
-    else:
-        ks = range(2)
-    return [(k, branch_point(sys, k, x)) for k in ks]
+    return [(k, branch_point(sys, k, x)) for k in _branch_indices(sys)]
 
 
-def symbol_of(sys: SystemSpec, y) -> int:
-    """Leading itinerary symbol of y: the index of the branch whose range
-    contains y.  The boundary 1/2 is assigned to branch 1."""
+def symbol_of(sys: SystemSpec, y):
+    """Leading itinerary symbol of y, elementwise for an array y: floor(2y),
+    or floor(1/y) on Gauss, clamped to the retained branch indices.  The
+    boundary 1/2 is assigned to branch 1, an exact Gauss boundary 1/k to branch k."""
     if isinstance(y, SymbolWord):
         return y.symbols[0]
     _check_interval(y)
-    if sys.kind is SystemKind.GAUSS:
-        if y == 0:
-            raise DynamicsError("Gauss symbol undefined at 0")
-        return min(max(1, math.floor(1 / y)), sys.branch_cap)
-    return 0 if 2 * y < 1 else 1
+    if sys.kind is SystemKind.GAUSS and np.any(y == 0):
+        raise DynamicsError("Gauss symbol undefined at 0")
+    ks = _branch_indices(sys)
+    v = 1 / y if sys.kind is SystemKind.GAUSS else 2 * y
+    if isinstance(v, np.ndarray):
+        return np.clip(np.floor(v), ks[0], ks[-1]).astype(np.int64)
+    return min(max(ks[0], math.floor(v)), ks[-1])
 
 
 def tau_push(sys: SystemSpec, y, x):
@@ -255,14 +260,14 @@ def tau_push(sys: SystemSpec, y, x):
     return branch_point(sys, symbol_of(sys, y), x)
 
 
-def backward_step(sys: SystemSpec, y) -> tuple[int, object]:
+def backward_step(sys: SystemSpec, y) -> tuple:
     """Leading symbol of y together with the branch-consistent forward image.
 
     On branch boundaries the mod-1 map and the branch inverses disagree
     (e.g. -2x mod 1 sends 1/2 to 0, while the branch containing 1/2 sends
     it to 1).  Backward-orbit machinery (cocycles, extension dynamics,
     dual potentials) must stay on the chosen branch, so it uses this
-    instead of apply_map.  Fraction inputs stay exact.
+    instead of apply_map.  Fraction inputs stay exact; arrays go elementwise.
     """
     s = symbol_of(sys, y)
     if isinstance(y, SymbolWord):
@@ -272,10 +277,9 @@ def backward_step(sys: SystemSpec, y) -> tuple[int, object]:
     if sys.kind is SystemKind.MINUS_DOUBLING:
         return s, (1 + s) - 2 * y
     ty = 1 / y - s
-    if not (0 <= ty <= 1):
-        raise DynamicsError(
-            f"Gauss backward step left [0,1]: y={y!r} has digit beyond branch_cap"
-        )
+    if _outside(ty, 0, 1):
+        where = "an array point" if isinstance(y, np.ndarray) else f"y={y!r}"
+        raise DynamicsError(f"Gauss backward step left [0,1]: {where} has digit beyond branch_cap")
     return s, ty
 
 

@@ -94,9 +94,7 @@ class KernelSpec:
 
     def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Matrix W[i, j] = W(xs[i], ys[j]) on float points, equal to the
-        scalar calls; closed forms broadcast, series kernels loop."""
-        if self.form is KernelForm.COCYCLE_SERIES:
-            return np.array([[float(self.fn(x, y)) for y in ys] for x in xs])
+        scalar calls; every form, series kernels included, broadcasts."""
         return self.fn(np.asarray(xs)[:, None], np.asarray(ys)[None, :])
 
 
@@ -163,7 +161,8 @@ def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) 
     On 2x and -2x mod 1, with a potential that has coefficients and x, x'
     and y all Fractions, the sum is computed in integers over one common
     denominator (`_affine_cocycle`); the Fraction returned is the same as
-    the step-by-step loop's.  Every other input takes that loop.
+    the step-by-step loop's.  Every other input takes that loop, which
+    broadcasts over arrays; a Fraction x' beside an array y stays exact.
     """
     if depth < 1:
         raise InvolutionError("cocycle depth must be >= 1")
@@ -232,56 +231,54 @@ def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime, depth: i
                       tail_bound=series_tail_bound(A, depth), depth=depth)
 
 
-def _dual_value(sys: SystemSpec, A: PotentialSpec, W: KernelSpec, x, y):
+# A* is the mean over the first two probe x; all three check x-independence.
+DUAL_PROBE_XS = (0.17, 0.58, 0.93)
+DUAL_CHECK_GRID = 17
+DUAL_TOL = 1e-8
+
+
+def _dual_values(sys: SystemSpec, A: PotentialSpec, W: KernelSpec, x, y):
+    """A(tau_y x) + W(tau_y x, T* y) - W(x, y), broadcast over x and y."""
     s, ty = backward_step(sys, y)
     tx = branch_point(sys, s, x)
-    return float(A(tx)) + float(W(tx, ty)) - float(W(x, y))
+    return A(tx) + W(tx, ty) - W(x, y)
 
 
-def dual_potential(sys: SystemSpec, A: PotentialSpec, W: KernelSpec,
-                   probe_xs: Sequence[float] = (0.17, 0.58, 0.93),
-                   check_grid: int = 17, tol_dual: float = 1e-8) -> PotentialSpec:
+def dual_potential(sys: SystemSpec, A: PotentialSpec, W: KernelSpec) -> PotentialSpec:
     """Dual potential A*(y), with the x-independence verified up front.
 
     Raises InvolutionError when varying x moves the value by more than
-    tol_dual (beyond the kernel's recorded series tail), i.e. when W is
-    not an involution kernel for A.
+    DUAL_TOL (beyond the kernel's recorded series tail), i.e. when W is
+    not an involution kernel for A.  A* evaluates on float arrays.
     """
-    lo = probe_floor(sys, 1e-3)
-    ys = np.linspace(lo, 1.0 - 1e-3, check_grid)
-    slack = tol_dual + 4.0 * W.tail_bound
-    for y in ys:
-        vals = [_dual_value(sys, A, W, x, float(y)) for x in probe_xs]
-        if max(vals) - min(vals) > slack:
-            raise InvolutionError(
-                f"{W.name} is not an involution kernel for {A.name}: "
-                f"x-dependence {max(vals) - min(vals):.3e} at y={y:.4f}"
-            )
+    ys = np.linspace(probe_floor(sys, 1e-3), 1.0 - 1e-3, DUAL_CHECK_GRID)
+    vals = _dual_values(sys, A, W, np.array(DUAL_PROBE_XS)[:, None], ys[None, :])
+    spread = vals.max(axis=0) - vals.min(axis=0)
+    bad = np.flatnonzero(spread > DUAL_TOL + 4.0 * W.tail_bound)
+    if bad.size:
+        raise InvolutionError(
+            f"{W.name} is not an involution kernel for {A.name}: "
+            f"x-dependence {spread[bad[0]]:.3e} at y={ys[bad[0]]:.4f}"
+        )
+    x0, x1 = DUAL_PROBE_XS[:2]
 
     def fn(y):
-        vals = [_dual_value(sys, A, W, x, y) for x in probe_xs[:2]]
-        return 0.5 * (vals[0] + vals[1])
+        y = np.asarray(y, dtype=float)
+        return 0.5 * (_dual_values(sys, A, W, x0, y) + _dual_values(sys, A, W, x1, y))
 
-    return PotentialSpec(f"dual[{A.name}]", np.vectorize(fn), A.holder_constant,
-                         A.contraction)
+    return PotentialSpec(f"dual[{A.name}]", fn, A.holder_constant, A.contraction)
 
 
 def cohomology_residual(sys: SystemSpec, A: PotentialSpec, W: KernelSpec,
                         A_star: PotentialSpec, probes: int = 1000,
                         seed: int = 0) -> float:
-    """max over probe pairs of |A*(y) - A(tau_y x) - W(tau_y x, T* y) + W(x, y)|."""
+    """max over probe pairs of |A*(y) - A(tau_y x) - W(tau_y x, T* y) + W(x, y)|;
+    the pairs are drawn in turn, x on [0, 1) and then y on [probe_floor, 1)."""
     if probes < 1:
         raise InvolutionError("probes must be >= 1")
     rng = np.random.default_rng(seed)
-    lo = probe_floor(sys, 1e-9)
-    worst = 0.0
-    for _ in range(probes):
-        x = float(rng.uniform(0.0, 1.0))
-        y = float(rng.uniform(lo, 1.0))
-        lhs = float(A_star(y))
-        rhs = _dual_value(sys, A, W, x, y)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    x, y = rng.uniform((0.0, probe_floor(sys, 1e-9)), 1.0, size=(probes, 2)).T
+    return float(np.max(np.abs(A_star(y) - _dual_values(sys, A, W, x, y))))
 
 
 class TwistMethod(enum.Enum):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemSpec, SystemKind, branch_point
+from .dynamics import SystemSpec, inverse_branches
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -108,11 +108,7 @@ class EigenPair:
 
 
 def _branch_images(sys: SystemSpec, centers: np.ndarray) -> list[np.ndarray]:
-    if sys.kind is SystemKind.GAUSS:
-        ks = range(1, sys.branch_cap + 1)
-    else:
-        ks = range(2)
-    return [np.asarray(branch_point(sys, k, centers), dtype=float) for k in ks]
+    return [np.asarray(p, dtype=float) for _, p in inverse_branches(sys, centers)]
 
 
 class _Operator:

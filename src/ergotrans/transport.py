@@ -59,6 +59,11 @@ class TransportError(ValueError):
     pass
 
 
+def _reals(points) -> np.ndarray:
+    """The points as one float array (words by their dyadic value)."""
+    return np.array([as_real(p) for p in points], dtype=float)
+
+
 def _point_key(p, digits: int = 12):
     """Hashable rounded key; handles extension pairs as well as scalars."""
     if isinstance(p, tuple):
@@ -167,8 +172,7 @@ class CostSpec:
         I is evaluated once per row on the point as given, so exact
         rationals stay exact, and an infinite deviation makes the row +inf.
         """
-        C = self.gamma - self.w.grid(np.array([as_real(x) for x in xs], dtype=float),
-                                     np.array([as_real(y) for y in ys], dtype=float))
+        C = self.gamma - self.w.grid(_reals(xs), _reals(ys))
         if self.i_eval is not None:
             for i, x in enumerate(xs):
                 iv = float(self.i_eval(x))
@@ -217,16 +221,10 @@ class TransportPlan:
     row_points: tuple
     col_points: tuple
     method: str
-    dual_row: np.ndarray | None = None
-    dual_col: np.ndarray | None = None
 
     def support(self, tol: float = 1e-12) -> list[tuple]:
-        out = []
-        for i, x in enumerate(self.row_points):
-            for j, y in enumerate(self.col_points):
-                if self.coupling[i, j] > tol:
-                    out.append((x, y, float(self.coupling[i, j])))
-        return out
+        return [(x, y, float(self.coupling[i, j])) for i, x in enumerate(self.row_points)
+                for j, y in enumerate(self.col_points) if self.coupling[i, j] > tol]
 
     def support_pairs(self, tol: float = 1e-12) -> list[tuple]:
         return [(x, y) for x, y, _ in self.support(tol)]
@@ -271,8 +269,9 @@ def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) ->
 
     Square uniform instances up to 8x8 go through exact permutation
     enumeration (the vertices of the scaled Birkhoff polytope); every
-    other instance through scipy's HiGHS simplex, whose duals certify
-    the gap.
+    other instance through scipy's HiGHS simplex.  The plan carries no
+    dual solution: `duality_certificate` certifies a plan against a
+    given dual pair.
     """
     wr, wc = mu.weights, mu_star.weights
     if abs(wr.sum() - wc.sum()) > MARGINAL_TOL:
@@ -288,34 +287,24 @@ def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) ->
     if n == m and n <= 8 and uniform and not np.any(np.isinf(C)):
         P, val = _solve_permutations(C, wr)
         method = "permutation_enumeration"
-        du = dv = None
     else:
         from scipy.optimize import linprog
 
         Cw = np.where(np.isinf(C), 1e12, C)
-        A_eq = []
-        for i in range(n):
-            row = np.zeros(n * m)
-            row[i * m:(i + 1) * m] = 1.0
-            A_eq.append(row)
-        for j in range(m):
-            col = np.zeros(n * m)
-            col[j::m] = 1.0
-            A_eq.append(col)
-        res = linprog(Cw.ravel(), A_eq=np.asarray(A_eq),
+        # one row-sum constraint per row of the plan, then one per column
+        A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+        res = linprog(Cw.ravel(), A_eq=A_eq,
                       b_eq=np.concatenate([wr, wc]), bounds=(0, None),
                       method="highs")
         if not res.success:
             raise TransportError(f"LP failed: {res.message}")
         P = res.x.reshape(n, m)
         val = float(res.fun)
-        marg = res.eqlin.marginals
-        du, dv = -np.asarray(marg[:n]), -np.asarray(marg[n:])
         method = "highs"
     if np.max(np.abs(P.sum(axis=1) - wr)) > MARGINAL_TOL or \
        np.max(np.abs(P.sum(axis=0) - wc)) > MARGINAL_TOL:
         raise TransportError("solver returned a coupling with wrong marginals")
-    return TransportPlan(P, val, tuple(mu.points), tuple(mu_star.points), method, du, dv)
+    return TransportPlan(P, val, tuple(mu.points), tuple(mu_star.points), method)
 
 
 def conjugate_transform(f, G, xs: np.ndarray, ys: np.ndarray,
@@ -324,11 +313,15 @@ def conjugate_transform(f, G, xs: np.ndarray, ys: np.ndarray,
 
     kernel_max: f#(y) = max_x (-f(x) + G(x, y)) for a KernelSpec G;
     cost_min:   f#(y) = min_x (-f(x) + c(x, y)) for a CostSpec c.
-    f may be a callable or an array aligned with xs.
+    f is a callable, evaluated once on the points as floats, or an array
+    aligned with xs.  A CostSpec gets the points as given (exact rationals
+    stay exact in its deviation term), a KernelSpec gets floats.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    fv = np.asarray(f(xs), dtype=float) if callable(f) else np.asarray(f, dtype=float)
-    vals = -fv[:, None] + (G.matrix(xs, ys) if isinstance(G, CostSpec) else G.grid(xs, ys))
+    if variant not in ("kernel_max", "cost_min"):
+        raise TransportError(f"unknown transform variant {variant!r}")
+    fv = np.asarray(f(_reals(xs)) if callable(f) else f, dtype=float)
+    G_xy = G.matrix(xs, ys) if isinstance(G, CostSpec) else G.grid(_reals(xs), _reals(ys))
+    vals = -fv[:, None] + G_xy
     return vals.max(axis=0) if variant == "kernel_max" else vals.min(axis=0)
 
 
@@ -350,8 +343,7 @@ class DualPair:
         """Build f# as the cost-min transform of f; admissible by construction."""
         xs, ys = tuple(xs), tuple(ys)
         fv = np.asarray([float(f(as_real(x))) for x in xs])
-        fs = (-fv[:, None] + cost.matrix(xs, ys)).min(axis=0)
-        return cls(xs, fv, ys, fs)
+        return cls(xs, fv, ys, conjugate_transform(fv, cost, xs, ys, variant="cost_min"))
 
     def worst_violation(self, cost: CostSpec) -> float:
         """max of f(x) + f#(y) - c(x, y) over the probe grids (<= 0 when admissible).

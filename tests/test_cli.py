@@ -110,3 +110,24 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
 
 def test_depth_flag_removed(tmp_path):
     assert run(["subaction", "--depth", "48", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol_lo": "tiny"}, {"tol_lo": 0}, {"tol_lo": -1e-12}, {"tol_lo": True},
+    {"tol_lo": None}, {"seed": "abc"}, {"seed": 1.5}, {"seed": False}, {"seed": -1},
+])
+def test_bad_tolerance_or_seed_in_config_is_usage_error(tmp_path, capsys, bad):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    code = run(["dual", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert next(iter(bad)) in err
+    assert not (tmp_path / "out").exists()  # nothing written
+
+
+def test_good_tolerance_and_seed_in_config(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol_lo": 1e-10, "seed": 7, "n_grid": 512}))
+    assert run(["subaction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK

@@ -18,6 +18,7 @@ from ergotrans.dynamics import (
     SymbolWord,
     apply_map,
     backward_step,
+    branch_point,
     extension_backward,
     extension_forward,
     gauss_orbit_blocks,
@@ -157,6 +158,78 @@ class TestExtension:
         # the mod map would send 1/2 to 0; branch 1 must send it to 1
         s, ty = backward_step(MINUS_DOUBLING, Fraction(1, 2))
         assert s == 1 and ty == 1
+
+
+def boundary_points(sys):
+    """Branch boundaries, their float neighbours and random interior points."""
+    rng = np.random.default_rng(17)
+    if sys.kind.value == "gauss":
+        edges = [1.0 / k for k in range(1, sys.branch_cap + 2)]
+        lo = 1.0 / (sys.branch_cap + 1)
+    else:
+        edges, lo = [0.0, 0.5, 1.0], 0.0
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 2.0)]
+    pts = np.concatenate([edges, near, rng.uniform(lo, 1.0, 40)])
+    return pts[(pts >= lo) & (pts <= 1.0)]
+
+
+ARRAY_SYSTEMS = [FULL_SHIFT2, DOUBLING, MINUS_DOUBLING, gauss_system(30), gauss_system(3)]
+
+
+class TestArrayBranches:
+    """The array path of the branch dynamics against the scalar calls."""
+
+    @pytest.mark.parametrize("sys", ARRAY_SYSTEMS)
+    def test_symbol_of_is_elementwise(self, sys):
+        ys = boundary_points(sys)
+        got = symbol_of(sys, ys)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [symbol_of(sys, float(y)) for y in ys]
+
+    @pytest.mark.parametrize("sys", ARRAY_SYSTEMS)
+    def test_backward_step_is_elementwise(self, sys):
+        ys = boundary_points(sys)
+        s, ty = backward_step(sys, ys)
+        ref = [backward_step(sys, float(y)) for y in ys]
+        assert s.tolist() == [k for k, _ in ref]
+        assert np.array_equal(ty, [t for _, t in ref])
+
+    @pytest.mark.parametrize("sys", ARRAY_SYSTEMS)
+    def test_branch_point_is_elementwise(self, sys):
+        rng = np.random.default_rng(4)
+        xs = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0, 1, 29)])
+        ks = np.resize([k for k, _ in inverse_branches(sys, 0.5)], 32)
+        got = branch_point(sys, ks, xs)
+        assert np.array_equal(got, [branch_point(sys, int(k), float(x)) for k, x in zip(ks, xs)])
+        # one x against every branch broadcasts to a row per branch
+        grid = branch_point(sys, ks[:, None], xs[None, :])
+        assert np.array_equal(grid[:, 3], [branch_point(sys, int(k), float(xs[3])) for k in ks])
+
+    def test_boundaries_take_the_upper_branch(self):
+        assert symbol_of(MINUS_DOUBLING, np.array([0.5, 1.0, 0.0])).tolist() == [1, 1, 0]
+        g = gauss_system(30)
+        assert symbol_of(g, np.array([1.0, 0.5, 0.25])).tolist() == [1, 2, 4]
+
+    def test_exact_points_are_unchanged(self):
+        y = Fraction(1, 2)
+        assert backward_step(MINUS_DOUBLING, y) == (1, Fraction(1))
+        assert backward_step(gauss_system(30), Fraction(1, 3)) == (3, Fraction(0))
+        assert branch_point(MINUS_DOUBLING, 0, Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_bad_array_inputs_raise(self):
+        g = gauss_system(30)
+        with pytest.raises(DynamicsError):
+            symbol_of(g, np.array([0.5, 0.0]))
+        with pytest.raises(DynamicsError):
+            backward_step(g, np.array([0.5, 1.0 / 40]))  # digit 40 > branch_cap
+        with pytest.raises(DynamicsError):
+            symbol_of(MINUS_DOUBLING, np.array([0.5, 1.5]))
+        with pytest.raises(DynamicsError):
+            branch_point(MINUS_DOUBLING, np.array([0, 2]), np.array([0.1, 0.2]))
+        with pytest.raises(DynamicsError):
+            branch_point(MINUS_DOUBLING, np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+        with pytest.raises(DynamicsError):
+            branch_point(g, np.array([0, 1]), np.array([0.1, 0.2]))
 
 
 class TestPeriodicOrbits:

@@ -16,6 +16,8 @@ from ergotrans.dynamics import (
     backward_step,
     branch_point,
     gauss_system,
+    inverse_branches,
+    probe_floor,
 )
 from ergotrans.involution import (
     InvolutionError,
@@ -39,8 +41,10 @@ from ergotrans.potentials import (
     QUAD_DIRAC,
     QUAD_PERIOD2,
     custom_potential,
+    perturbed_potential,
     polynomial_potential,
 )
+from ergotrans.presets import GOLDEN_MEAN, PRESETS
 
 A_SQUARE = polynomial_potential(0, 0, 1)
 A_ZERO = polynomial_potential(0, 0, 0, name="0")
@@ -246,6 +250,85 @@ class TestCohomologyResidual:
         r = cohomology_residual(MINUS_DOUBLING, QUAD_PERIOD2, example5_kernel(),
                                 QUAD_PERIOD2, probes=200, seed=0)
         assert r > 1e-2
+
+
+def scalar_dual_value(sys, A, W, x, y):
+    """A(tau_y x) + W(tau_y x, T* y) - W(x, y) from scalar calls."""
+    s, ty = backward_step(sys, y)
+    tx = branch_point(sys, s, x)
+    return float(A(tx)) + float(W(tx, ty)) - float(W(x, y))
+
+
+def scalar_cocycle(sys, A, x, xp, y, depth):
+    """The backward-orbit cocycle summed one scalar step at a time."""
+    total = 0
+    for _ in range(depth):
+        s, y = backward_step(sys, y)
+        x, xp = branch_point(sys, s, x), branch_point(sys, s, xp)
+        total = total + (A(x) - A(xp))
+    return float(total)
+
+
+class TestArrayPathsMatchScalarReferences:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_dual_potential(self, name):
+        pre = PRESETS[name]
+        A_star = dual_potential(pre.system, pre.potential, pre.kernel)
+        lo = probe_floor(pre.system, 0.0)
+        images = [p for _, p in inverse_branches(pre.system, np.linspace(0.1, 0.9, 5))]
+        ys = np.concatenate([np.linspace(lo + 1e-3, 1.0 - 1e-3, 64)] + images)
+        ys = ys[ys > lo]
+        want = [0.5 * (scalar_dual_value(pre.system, pre.potential, pre.kernel, 0.17, float(y))
+                       + scalar_dual_value(pre.system, pre.potential, pre.kernel, 0.58, float(y)))
+                for y in ys]
+        assert np.array_equal(A_star(ys), want)
+        assert float(A_star(float(ys[3]))) == want[3]
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_cohomology_residual(self, name, seed):
+        pre = PRESETS[name]
+        sysm, A, W = pre.system, pre.potential, pre.kernel
+        A_star = dual_potential(sysm, A, W)
+        rng = np.random.default_rng(seed)
+        lo = probe_floor(sysm, 1e-9)
+        want = 0.0
+        for _ in range(200):
+            x = float(rng.uniform(0.0, 1.0))
+            y = float(rng.uniform(lo, 1.0))
+            want = max(want, abs(float(A_star(y)) - scalar_dual_value(sysm, A, W, x, y)))
+        assert cohomology_residual(sysm, A, W, A_star, probes=200, seed=seed) == want
+
+    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), 0.5])
+    @pytest.mark.parametrize("pot", ["x^2", "x^2+cos", "-(x-1)^2"])
+    def test_series_grid(self, pot, base):
+        A = {"x^2": A_SQUARE, "-(x-1)^2": QUAD_DIRAC,
+             "x^2+cos": perturbed_potential(A_SQUARE, custom_potential(
+                 lambda x: np.cos(2 * np.pi * x), "cos", holder_constant=2 * math.pi), 1.0)}[pot]
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0, 1, 6)])
+        ys = np.concatenate([[0.0, 0.25, 0.5, 0.75, 1.0], rng.uniform(0, 1, 6)])
+        for sysm in (MINUS_DOUBLING, DOUBLING):
+            W0 = fundamental_kernel(sysm, A, base, depth=40)
+            want = [[scalar_cocycle(sysm, A, float(x), base, float(y), 40) for y in ys]
+                    for x in xs]
+            assert np.array_equal(W0.grid(xs, ys), want)
+
+    def test_gauss_series_grid(self):
+        g = gauss_system(30)
+        ys = np.array([GOLDEN_MEAN, GOLDEN_MEAN ** 2, math.sqrt(2) - 1, (math.sqrt(13) - 3) / 2])
+        xs = np.linspace(0.1, 0.9, 5)
+        W0 = fundamental_kernel(g, GAUSS_LOG, 0.5, depth=6)
+        want = [[scalar_cocycle(g, GAUSS_LOG, float(x), 0.5, float(y), 6) for y in ys]
+                for x in xs]
+        assert np.array_equal(W0.grid(xs, ys), want)
+
+    def test_gauss_series_grid_beyond_branch_cap_raises(self):
+        W0 = fundamental_kernel(gauss_system(30), GAUSS_LOG, 0.5, depth=6)
+        with pytest.raises(DynamicsError):
+            W0.grid(np.array([0.2, 0.4]), np.array([0.5 + 1e-9, 1.0 / 45]))
+        with pytest.raises(DynamicsError):
+            W0(0.2, 1.0 / 45)
 
 
 class TestKernelLinearity:

@@ -396,6 +396,28 @@ class TestConjugateTransform:
         outk = tr.conjugate_transform(f + 0.25, pre.kernel, xs, ys)
         np.testing.assert_allclose(outk, out0 - 0.25, atol=1e-12)
 
+    def test_unknown_variant_is_rejected(self):
+        xs = np.linspace(0, 1, 5)
+        for variant in ("kernel-max", "min", ""):
+            with pytest.raises(tr.TransportError):
+                tr.conjugate_transform(xs, quadratic_kernel(0, 0, 1), xs, xs, variant=variant)
+
+    def test_cost_min_evaluates_the_deviation_at_the_points_as_given(self):
+        seen = []
+
+        def I(x):
+            seen.append(x)
+            return 0.0 if isinstance(x, Fraction) else math.inf
+
+        cost = tr.CostSpec(w=quadratic_kernel(0, 1, -1), gamma=0.5, i_eval=I)
+        xs = [Fraction(k, 7) for k in range(8)]
+        ys = [Fraction(1, 3), Fraction(2, 3)]
+        f = np.linspace(-0.2, 0.2, len(xs))
+        out = tr.conjugate_transform(f, cost, xs, ys, variant="cost_min")
+        assert seen == xs and all(type(x) is Fraction for x in seen)
+        want = (-f[:, None] + cost.matrix(xs, ys)).min(axis=0)
+        assert np.array_equal(out, want) and np.all(np.isfinite(out))
+
     def test_transform_of_subaction_is_dual_subaction(self):
         # f# built from V and the kernel satisfies the subaction inequality
         # for the dual potential (equal to A here)
