@@ -77,8 +77,11 @@ def transport_instance(name: str):
     example-6 cost, with atoms None (its own maximizing measure sits on
     the circle corner 0 = 1, where the skew coding degenerates).  Every
     other preset transports its maximizing measure to its dual under
-    c = I - W + gamma, with gamma fitted on the extension atoms and I
-    summed over 2000 terms, once per distinct point.
+    c = I - W + gamma, with gamma fitted on the extension atoms and I the
+    2000-term partial sum of deviation_I: the orbit is walked to its first
+    repeated point, and the periodic tail after it is added on arrays in
+    the same order, so the value is that of adding the 2000 terms one by
+    one.
     """
     pre = get_preset(name)
     if name == "quad-convex":

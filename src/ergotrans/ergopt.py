@@ -36,6 +36,8 @@ MAX_ITER_LO = 20_000
 CAP_I = 1e6
 TOL_I = 1e-10
 N_TERMS_I = 10_000
+# terms per array block of deviation_I's periodic tail (whole cycles)
+_TAIL_BLOCK = 1 << 16
 # Relative slack of the Gauss tie screen in critical_value.
 SCREEN_SLACK = 1e-12
 
@@ -118,7 +120,8 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec, max_period: int,
 
 
 def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
-                     V: GridFunction, *, op: _Operator | None = None) -> GridFunction:
+                     V: GridFunction, *, op: _Operator | None = None,
+                     _out: np.ndarray | None = None) -> GridFunction:
     """One max-plus update over inverse branches, on V's grid.
 
     op is the operator of (sys, A) at beta = 1 on V's grid; pass it to
@@ -127,12 +130,15 @@ def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
     between branches break toward the smaller branch index (the max scan
     keeps the first maximum), which pins reproducibility but not the
     value.
+
+    _out is calibrated_subaction's scratch buffer: the update is written
+    into it instead of a new array.
     """
     if op is None:
         op = _Operator(sys, A, 1.0, V.n_grid)
     elif op.n_grid != V.n_grid:
         raise ErgOptError(f"operator grid {op.n_grid} does not match V's grid {V.n_grid}")
-    out = op.max_apply(V.values)
+    out = op.max_apply(V.values, out=_out)
     out -= m
     return GridFunction(out)
 
@@ -177,7 +183,9 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
     the final update moves no cell by more than cal_tol, i.e. every cell
     value is attained by some preimage.  The grid operator (branch images,
     A on them, interpolation stencil) is built once and passed to every
-    step as op=.
+    step as op=.  The steps alternate between two value buffers and
+    measure the change in a third, so a step allocates no grid-sized
+    array; the arithmetic is that of normalized_max_zero and sup_diff.
     """
     orbit = None
     if m is None:
@@ -185,20 +193,30 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
         m, orbit = cv.m, cv.orbit
     V = GridFunction.constant(0.0, n_grid)
     op = _Operator(sys, A, 1.0, n_grid)
+    spare, diff = np.empty(n_grid), np.empty(n_grid)
     change = math.inf
     for it in range(1, max_iter + 1):
-        Vn = lax_oleinik_step(sys, A, m, V, op=op)
-        Vn = Vn.normalized_max_zero()
-        change = V.sup_diff(Vn)
-        V = Vn
+        Vn = lax_oleinik_step(sys, A, m, V, op=op, _out=spare)
+        un = Vn.values
+        un -= np.max(un)
+        change = _sup_diff(V.values, un, diff)
+        spare, V = V.values, Vn
         if change <= tol:
             break
     else:
         raise ErgOptError(f"Lax-Oleinik iteration did not converge after {max_iter} steps; "
                           f"last change {change:.3e}")
-    final = lax_oleinik_step(sys, A, m, V, op=op).normalized_max_zero()
-    calibrated = V.sup_diff(final) <= cal_tol
+    final = lax_oleinik_step(sys, A, m, V, op=op, _out=spare).values
+    final -= np.max(final)
+    calibrated = _sup_diff(V.values, final, diff) <= cal_tol
     return SubactionResult(V, float(m), change, calibrated, orbit, it)
+
+
+def _sup_diff(u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> float:
+    """max |u - v|, computed in scratch (GridFunction.sup_diff's arithmetic)."""
+    np.subtract(u, v, out=scratch)
+    np.abs(scratch, out=scratch)
+    return float(np.max(scratch))
 
 
 @dataclass(frozen=True)
@@ -208,7 +226,9 @@ class DeviationValue:
     value is +inf when the partial sum exceeded the cap; converged is True
     when the early-exit rule (last term below tol) fired.  When n_terms is
     exhausted with neither, value holds the partial sum and converged is
-    False -- callers needing certainty must raise n_terms.
+    False -- callers needing certainty must raise n_terms.  All three
+    fields are those of adding the n_terms terms one by one, whether the
+    orbit repeated (and its periodic tail was summed on an array) or not.
     """
 
     value: float
@@ -229,29 +249,62 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     but can underestimate on orbits that merely pass through the zero set
     of R; sweeps that must bound b from below run with early_exit=False.
 
-    T z and R(z) are computed once per distinct orbit point and reused
-    when the orbit revisits it (rational orbits are eventually periodic),
-    so the cost is set by the number of distinct points, not by n_terms.
-    Every term is still added, capped and tested in order, so the result
-    is the same as summing n_terms fresh evaluations.  Nothing is kept
-    between calls.
+    The orbit is walked one point at a time until a point repeats
+    (rational orbits are eventually periodic): each new point pays T z and
+    R(z) once, and its term is added, capped and tested in order.  From the
+    first repeat on, the remaining terms are the cycle's terms tiled, and
+    they are added on arrays, in order, by _periodic_tail.  The result is
+    the same as summing n_terms fresh evaluations one by one.  An orbit
+    that never repeats is walked to the end.  Nothing is kept between
+    calls.
     """
     if n_terms < 1:
         raise ErgOptError("n_terms must be >= 1")
-    seen: dict = {}
+    first: dict = {}  # orbit point -> index of its term
+    terms: list[float] = []
     z = x
     total = 0.0
-    for n in range(n_terms):
-        step = seen.get(z)
-        if step is None:
-            zn = apply_map(sys, z)
-            r = float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
-            step = seen[z] = (zn, r)
-        zn, r = step
+    while len(terms) < n_terms:
+        k = first.get(z)
+        if k is not None:
+            return _periodic_tail(terms[k:], total, len(terms), n_terms, cap)
+        zn = apply_map(sys, z)
+        r = float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+        first[z] = len(terms)
+        terms.append(r)
         total += r
         if total > cap:
-            return DeviationValue(math.inf, True, n + 1)
+            return DeviationValue(math.inf, True, len(terms))
         if early_exit and abs(r) < tol:
-            return DeviationValue(total, True, n + 1)
+            return DeviationValue(total, True, len(terms))
         z = zn
+    return DeviationValue(total, False, n_terms)
+
+
+def _periodic_tail(cycle: list[float], total: float, n: int, n_terms: int,
+                   cap: float) -> DeviationValue:
+    """Add terms n .. n_terms - 1, the cycle tiled, to the running total.
+
+    Every cycle term was tested against tol on its first visit, so the
+    early exit cannot fire here; only the cap can.  The tail is added in
+    blocks of whole cycles (at most about _TAIL_BLOCK terms), so memory
+    stays bounded however large n_terms is.
+    """
+    p = len(cycle)
+    # np.tile, not np.resize: resize concatenates one copy per repeat
+    tile = np.tile(cycle, min(max(1, _TAIL_BLOCK // p), -(-(n_terms - n) // p)))
+    sums = np.empty(tile.size + 1)
+    while n < n_terms:
+        s = sums[:min(tile.size, n_terms - n) + 1]
+        s[0] = total
+        s[1:] = tile[:s.size - 1]
+        # np.cumsum (np.add.accumulate) adds strictly left to right, each
+        # partial sum rounded once: the same IEEE additions, in the same
+        # order, as `total += r` term by term.  A pairwise np.sum would not be.
+        np.cumsum(s, out=s)
+        over = s[1:] > cap
+        if over.any():
+            return DeviationValue(math.inf, True, n + int(np.argmax(over)) + 1)
+        total = float(s[-1])
+        n += s.size - 1
     return DeviationValue(total, False, n_terms)

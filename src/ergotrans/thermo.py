@@ -150,21 +150,28 @@ class _Operator:
             branches = [(lw[s:e], j[s:e], th[s:e])
                         for lw, (j, th) in zip(self.logw, self.stencil)]
             self._blocks.append((slice(s, e), scratch, branches))
+        self._adjoint = None  # per-branch weights, built by adjoint_apply
 
-    def _apply(self, u: np.ndarray, merge, sum_reads_first: bool) -> np.ndarray:
+    def _apply(self, u: np.ndarray, merge, sum_reads_first: bool,
+               out: np.ndarray | None) -> np.ndarray:
         """Merge over branches of logw + read of u, block by block.
 
         merge (np.maximum or np.logaddexp) folds each branch into the
         first, in branch order.  The rounding order of the plain
         expressions is kept, so results are bit-for-bit the same:
         logw + ((1 - th) u[j] + th u[j+1]) when sum_reads_first, else
-        (logw + (1 - th) u[j]) + th u[j+1].
+        (logw + (1 - th) u[j]) + th u[j+1].  The result is written into
+        out when given (a float array of n_grid cells, not overlapping u:
+        blocks read u after earlier blocks are written), else a new array.
         """
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_grid,):
             raise ThermoError(f"operator on {self.n_grid} cells applied to shape {u.shape}")
+        if out is None:
+            out = np.empty(self.n_grid)
+        elif out.shape != (self.n_grid,) or np.may_share_memory(out, u):
+            raise ThermoError("out must be a separate array of the operator's grid size")
         u_next = u[1:]  # u_next[j] is u[j + 1]
-        out = np.empty(self.n_grid)
         for cells, (a, b, w), branches in self._blocks:
             dst = out[cells]
             for k, (logw, j, th) in enumerate(branches):
@@ -188,19 +195,28 @@ class _Operator:
 
     def log_apply(self, u: np.ndarray) -> np.ndarray:
         """log of L applied to e^u, with linear interpolation of u."""
-        return self._apply(u, np.logaddexp, True)
+        return self._apply(u, np.logaddexp, True, None)
 
-    def max_apply(self, u: np.ndarray) -> np.ndarray:
+    def max_apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Max-plus twin of log_apply: max over branches of logw + read of u."""
-        return self._apply(u, np.maximum, False)
+        return self._apply(u, np.maximum, False, out)
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        """Transpose action on densities, in linear space."""
+        """Transpose action on densities, in linear space.
+
+        Each branch's (e^logw, 1 - th) pair is computed on the first call
+        and kept, so an operator that is never applied to densities does
+        not hold it; every product and scatter is the plain expression's,
+        in its order.
+        """
+        if self._adjoint is None:
+            self._adjoint = [(np.exp(logw), 1.0 - th, j, j + 1, th)
+                             for logw, (j, th) in zip(self.logw, self.stencil)]
         out = np.zeros_like(v)
-        for logw, (j, th) in zip(self.logw, self.stencil):
-            contrib = np.exp(logw) * v
-            np.add.at(out, j, (1.0 - th) * contrib)
-            np.add.at(out, j + 1, th * contrib)
+        for w, left, j, j1, right in self._adjoint:
+            contrib = w * v
+            np.add.at(out, j, left * contrib)
+            np.add.at(out, j1, right * contrib)
         return out
 
 
@@ -249,16 +265,19 @@ def eigen_measure(sys: SystemSpec, A: PotentialSpec, beta: float,
     """Eigen-probability of the adjoint operator (cell masses summing to 1)."""
     op = _Operator(sys, A, beta, n_grid)
     v = np.full(n_grid, 1.0 / n_grid)
+    change = math.inf
     for _ in range(max_iter):
         vn = op.adjoint_apply(v)
         tot = float(np.sum(vn))
         if tot <= 0:
             raise ThermoError("adjoint iteration lost positivity")
         vn /= tot
-        if float(np.max(np.abs(vn - v))) <= tol * np.max(vn):
+        change = float(np.max(np.abs(vn - v)))
+        if change <= tol * np.max(vn):
             return vn
         v = vn
-    raise ThermoError("adjoint iteration did not converge")
+    raise ThermoError(f"adjoint iteration did not converge after {max_iter} steps; "
+                      f"last change {change:.3e}")
 
 
 def v_beta(sys: SystemSpec, A: PotentialSpec, beta: float,

@@ -26,7 +26,7 @@ from ergotrans.potentials import (
     perturbed_potential,
     polynomial_potential,
 )
-from ergotrans.thermo import GridFunction, _Operator
+from ergotrans.thermo import GridFunction, ThermoError, _Operator
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 A_ZERO = polynomial_potential(0, 0, 0, name="0")
@@ -229,14 +229,60 @@ class TestCalibratedSubaction:
         digest = hashlib.sha256(res.V.values.astype("<f8").tobytes()).hexdigest()
         assert digest == "7ca239b745d4c42ac0e2bf1190874c3b0e6f836ce48d31af7e6e10b62c04273f"
 
+    @pytest.mark.parametrize("sys, A, m, n", [
+        (MINUS_DOUBLING, QUAD_DIRAC, None, 4096),
+        (MINUS_DOUBLING, QUAD_PERIOD2, None, 2048),
+        (gauss_system(30), GAUSS_LOG, 2.0 * math.log(GOLDEN), 1024),
+    ])
+    def test_equals_plain_loop(self, sys, A, m, n):
+        # the loop as first written: a fresh checked GridFunction per step,
+        # normalized_max_zero and sup_diff
+        res = calibrated_subaction(sys, A, n_grid=n, m=m, max_period=4)
+        m = critical_value(sys, A, 4).m if m is None else m
+        op = _Operator(sys, A, 1.0, n)
+        V = GridFunction.constant(0.0, n)
+        for it in range(1, ergopt.MAX_ITER_LO + 1):
+            Vn = lax_oleinik_step(sys, A, m, V, op=op).normalized_max_zero()
+            change = V.sup_diff(Vn)
+            V = Vn
+            if change <= ergopt.TOL_LO:
+                break
+        final = lax_oleinik_step(sys, A, m, V, op=op).normalized_max_zero()
+        assert np.array_equal(res.V.values, V.values)
+        assert (res.iterations, res.residual, res.calibrated) == (it, change,
+                                                                  V.sup_diff(final) <= 1e-8)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: np.where(np.asarray(x) > 0.25, np.nan, 0.0),
+        lambda x: np.where(np.asarray(x) > 0.25, np.inf, 0.0),
+        # -inf on both branch images of the cells below 1/2 only
+        lambda x: np.where(np.asarray(x) > 0.25, -np.inf, 0.0),
+        lambda x: np.full(np.shape(x), -np.inf),
+    ], ids=["nan", "inf", "-inf-some-cells", "-inf-all-cells"])
+    def test_nonfinite_step_raises_at_once(self, fn):
+        # ThermoError at the first step, not ErgOptError after max_iter
+        A = custom_potential(fn, "nonfinite", holder_constant=1.0)
+        with pytest.raises(ThermoError, match="finite"):
+            calibrated_subaction(MINUS_DOUBLING, A, n_grid=64, m=0.0, max_iter=50)
+
 
 def _plain_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_I,
-                     early_exit=True):
-    """Reference: every term evaluated afresh, no reuse."""
+                     early_exit=True, memo=None):
+    """Reference: terms added, capped and tested one at a time.
+
+    Every term is evaluated afresh, or, given a memo dict, once per
+    distinct point (a term is a function of its point alone), which keeps
+    sums of 10**6 terms affordable.
+    """
     z, total = x, 0.0
     for n in range(n_terms):
-        zn = apply_map(sys, z)
-        r = float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+        step = None if memo is None else memo.get(z)
+        if step is None:
+            zn = apply_map(sys, z)
+            step = zn, float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+            if memo is not None:
+                memo[z] = step
+        zn, r = step
         total += r
         if total > cap:
             return math.inf, True, n + 1
@@ -258,7 +304,7 @@ class TestDeviationReuse:
         # dyadic: ends on the fixed point 0, which is not maximizing
         (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(5, 128),
          dict(n_terms=3000, early_exit=False)),
-        # 3 * 2^k: ends on a fixed point or the 2-cycle {1/3, 2/3}
+        # 3 * 2^k: ends on the fixed point 1/3 or 2/3 of -2x (a 2-cycle of 2x)
         (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(1, 3 * 2 ** 5),
          dict(n_terms=3000, early_exit=False)),
         (MINUS_DOUBLING, QUAD_PERIOD2, lambda x: -x * x / 4, -1 / 36, Fraction(7, 3 * 2 ** 4),
@@ -277,10 +323,63 @@ class TestDeviationReuse:
         # Gauss orbit of a rational ends on the fixed point 0
         (gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2, Fraction(5, 13),
          dict(n_terms=300, early_exit=False)),
+        # cap crossed in the periodic tail: 7 preperiod terms, then R(0) = 8/9
+        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(5, 128),
+         dict(n_terms=500, cap=100.0, early_exit=False)),
+        # 5/192 under 2x: 6 preperiod terms, then the 2-cycle {1/3, 2/3};
+        # n_terms before, at and just past the first repeat, and an odd tail
+        *[(DOUBLING, QUAD_PERIOD2, lambda x: 0.1 * x, -1 / 36, Fraction(5, 192),
+           dict(n_terms=k, early_exit=False)) for k in (5, 7, 8, 9, 2001)],
+        # 3/97 under -2x is purely periodic, of period 48
+        *[(MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(3, 97),
+           dict(n_terms=k, early_exit=False)) for k in (20, 48, 1000)],
+        # a float Gauss orbit that does not repeat within n_terms
+        (gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2, 0.5772156649015329,
+         dict(n_terms=300, early_exit=False)),
     ])
     def test_matches_plain_loop(self, sys, A, V, m, x, kw):
         d = deviation_I(sys, A, V, m, x, **kw)
         assert (d.value, d.converged, d.n_used) == _plain_deviation(sys, A, V, m, x, **kw)
+
+    @pytest.mark.parametrize("sys, A, V, m, x, n_terms", [
+        (DOUBLING, QUAD_PERIOD2, lambda x: 0.1 * x, -1 / 36, Fraction(5, 192), 10 ** 6),
+        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(3, 97),
+         2 * ergopt._TAIL_BLOCK + 3),
+    ])
+    def test_long_tail_matches_sequential_sum(self, sys, A, V, m, x, n_terms):
+        # tails of more than one accumulation block; a pairwise or
+        # reordered sum of the tail differs from this in the last bits
+        d = deviation_I(sys, A, V, m, x, n_terms=n_terms, early_exit=False)
+        assert (d.value, d.converged, d.n_used) == _plain_deviation(
+            sys, A, V, m, x, n_terms, early_exit=False, memo={})
+
+    @pytest.mark.parametrize("block", [1, 3, 50])
+    @pytest.mark.parametrize("x, kw", [
+        (Fraction(5, 128), dict(n_terms=500, cap=100.0, early_exit=False)),
+        (Fraction(3, 97), dict(n_terms=1001, early_exit=False)),
+        (Fraction(1, 96), dict(n_terms=1001, early_exit=False)),
+    ])
+    def test_tail_blocks_of_whole_cycles(self, monkeypatch, block, x, kw):
+        # blocks shorter than the cycle, of a few cycles, and of many
+        monkeypatch.setattr(ergopt, "_TAIL_BLOCK", block)
+        args = (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x)
+        d = deviation_I(*args, **kw)
+        assert (d.value, d.converged, d.n_used) == _plain_deviation(*args, **kw)
+
+    def test_walk_stops_at_first_repeat(self):
+        # 5/128 reaches the fixed point 0 after 7 steps: 8 distinct points
+        # are evaluated, and the cap is crossed in the tail, well after them
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return QUAD_DIRAC(x)
+
+        A = custom_potential(fn, "counting", holder_constant=2.0)
+        d = deviation_I(MINUS_DOUBLING, A, _closed_V_dirac, -1 / 9, Fraction(5, 128),
+                        n_terms=500, cap=100.0, early_exit=False)
+        assert len(seen) == 8
+        assert math.isinf(d.value) and d.converged and d.n_used > 100
 
     def test_potential_evaluated_once_per_distinct_point(self):
         seen = []

@@ -91,6 +91,8 @@ class TestBlockedOperator:
             best, log = _plain_applies(op, u)
             assert np.array_equal(op.max_apply(u), best)
             assert np.array_equal(op.log_apply(u), log)
+            out = np.full(n, np.nan)
+            assert op.max_apply(u, out=out) is out and np.array_equal(out, best)
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_fewer_than_two_cells_rejected(self, n):
@@ -105,6 +107,54 @@ class TestBlockedOperator:
             op.max_apply(np.zeros(63))
         with pytest.raises(ThermoError, match="64 cells"):
             op.log_apply(np.zeros(65))
+
+    def test_out_of_other_size_or_overlapping_input_rejected(self):
+        # blocks read u after earlier blocks are written, so out may not
+        # share memory with u
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 64)
+        buf = np.zeros(65)
+        u = buf[:64]
+        for out in (np.empty(63), u, buf[1:]):
+            with pytest.raises(ThermoError, match="separate array"):
+                op.max_apply(u, out=out)
+
+
+def _plain_adjoint(op, v):
+    """The adjoint as first written: weights recomputed on every apply."""
+    out = np.zeros_like(v)
+    for logw, (j, th) in zip(op.logw, op.stencil):
+        contrib = np.exp(logw) * v
+        np.add.at(out, j, (1.0 - th) * contrib)
+        np.add.at(out, j + 1, th * contrib)
+    return out
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("n", [2, 512, 4096])
+    @pytest.mark.parametrize("sys, A, beta", [(DOUBLING, QUAD_DIRAC, 8.0),
+                                              (MINUS_DOUBLING, QUAD_PERIOD2, 64.0),
+                                              (gauss_system(30), GAUSS_LOG, 8.0)])
+    def test_equals_plain_expression(self, sys, A, beta, n):
+        op = _Operator(sys, A, beta, n)
+        # every branch sends several cells to one target cell, so the
+        # scatter order of np.add.at is exercised
+        if n > 2:
+            assert all(np.unique(j).size < j.size for j, _ in op.stencil)
+        rng = np.random.default_rng(n)
+        # the second apply reuses the weights the first one built
+        for v in (rng.uniform(0.0, 1.0, size=n), rng.uniform(0.0, 1e-3, size=n)):
+            assert np.array_equal(op.adjoint_apply(v), _plain_adjoint(op, v))
+
+    def test_weights_built_only_when_applied(self):
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 64)
+        op.max_apply(np.zeros(64))
+        assert op._adjoint is None
+        op.adjoint_apply(np.ones(64))
+        assert len(op._adjoint) == 2
+
+    def test_nonconvergence_raises_with_change(self):
+        with pytest.raises(ThermoError, match="after 3 steps; last change"):
+            eigen_measure(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512, max_iter=3)
 
 
 def test_sup_diff_is_max_abs_difference():
