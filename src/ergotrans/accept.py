@@ -30,6 +30,8 @@ __all__ = ["CheckResult", "CRITERIA", "transport_instance"]
 N_PROBES_COHOMOLOGY = 1000
 N_TRIPLES_COCYCLE = 1000
 COCYCLE_DEPTH = 48
+# Longest period of the orbits the checks enumerate for a critical value.
+MAX_PERIOD = 4
 B_GRID = 64
 Z_GRID = 50
 
@@ -88,7 +90,7 @@ def transport_instance(name: str):
         mu = tr.AtomicMeasure.uniform([Fraction(1, 3), Fraction(2, 3)])
         cost = tr.CostSpec(w=pre.paper_kernel, gamma=0.0)
         return pre, mu, mu, cost, None, tr.solve_kantorovich(mu, mu, cost)
-    cv = critical_value(pre.system, pre.potential, max_period=pre.orbit_max_period)
+    cv = critical_value(pre.system, pre.potential, max_period=MAX_PERIOD)
     mu, mu_star, ext = tr.maximizing_extension_measure(pre.system, cv.tied)
     atoms = [xy for xy, _ in ext.atoms]
     gamma = tr.gamma_from_support(pre.kernel, pre.closed_V, pre.closed_V, atoms).gamma
@@ -108,9 +110,9 @@ def check_critical_values() -> CheckResult:
     errs = []
     for name, target in (("quad-dirac", -1.0 / 9.0), ("quad-period2", -1.0 / 36.0)):
         pre = get_preset(name)
-        cv = critical_value(pre.system, pre.potential, max_period=4)
+        cv = critical_value(pre.system, pre.potential, max_period=MAX_PERIOD)
         errs.append((name, abs(cv.m - target)))
-    cv = critical_value(gauss_system(8), GAUSS_LOG, max_period=4)
+    cv = critical_value(gauss_system(8), GAUSS_LOG, max_period=MAX_PERIOD)
     errs.append(("gauss-golden", abs(cv.m - 2.0 * math.log(GOLDEN_MEAN))))
     worst = max(e for _, e in errs)
     return CheckResult(
@@ -126,7 +128,7 @@ def check_subactions() -> CheckResult:
     ok = True
     for name, n_grid in (("quad-dirac", 1 << 20), ("quad-period2", 1 << 20)):
         pre = get_preset(name)
-        res = calibrated_subaction(pre.system, pre.potential, n_grid=n_grid, max_period=4)
+        res = calibrated_subaction(pre.system, pre.potential, n_grid=n_grid, max_period=MAX_PERIOD)
         c = res.V.centers
         target = np.asarray(pre.closed_V(c), dtype=float)
         target -= target.max()
@@ -156,7 +158,7 @@ def check_cohomology() -> CheckResult:
 def check_cocycle_vs_closed_form() -> CheckResult:
     A = polynomial_potential(0, 0, 1)
     W2 = inv.quadratic_kernel(0, 0, 1)
-    bound = A.holder_constant * A.contraction ** COCYCLE_DEPTH / (1 - A.contraction)
+    bound = inv.series_tail_bound(A, COCYCLE_DEPTH)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(N_TRIPLES_COCYCLE):
@@ -189,7 +191,7 @@ def check_twist_verdicts() -> CheckResult:
 
 def check_transport_plan() -> CheckResult:
     pre = get_preset("quad-period2")
-    cv = critical_value(pre.system, pre.potential, max_period=4)
+    cv = critical_value(pre.system, pre.potential, max_period=MAX_PERIOD)
     mu, mu_star, _ = tr.maximizing_extension_measure(pre.system, cv.tied)
     cost = tr.CostSpec(w=pre.paper_kernel, gamma=0.0)
     plan = tr.solve_kantorovich(mu, mu_star, cost)

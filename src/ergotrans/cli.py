@@ -12,14 +12,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import involution as inv
 from . import transport as tr
-from .accept import CRITERIA, transport_instance
+from .accept import CRITERIA, _frac_grid, transport_instance
 from .dynamics import probe_floor
 from .ergopt import calibrated_subaction
 from .ergopt import deviation_I  # noqa: F401 -- perfbench's tracer test reads cli.deviation_I
@@ -140,7 +139,7 @@ def cmd_twist(cfg: RunConfig) -> int:
 def cmd_transport(cfg: RunConfig) -> int:
     pre, mu, mu_star, cost, atoms, plan = transport_instance(cfg.preset)
     certificates = {}
-    grid = [Fraction(2 * i + 1, 2 * 64) for i in range(64)]
+    grid = _frac_grid(64)
     if atoms is not None:
         rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
                                      grid, grid, mu, mu_star)

@@ -41,7 +41,7 @@ __all__ = [
     "extension_forward",
     "extension_backward",
     "periodic_orbits",
-    "gauss_fixed_point",
+    "periodic_point",
     "gauss_orbit_blocks",
     "gauss_orbits",
     "as_real",
@@ -130,7 +130,7 @@ class SymbolWord:
     @classmethod
     def periodic(cls, pattern: Sequence[int], depth: int = DEFAULT_WORD_DEPTH) -> "SymbolWord":
         reps = -(-depth // len(pattern))
-        return cls(tuple(pattern)[:0] + tuple(list(pattern) * reps)[:depth])
+        return cls(tuple(list(pattern) * reps)[:depth])
 
     def to_json(self) -> str:
         return json.dumps(list(self.symbols))
@@ -329,7 +329,9 @@ def _affine_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     T^p(x) = ((+-2)^p x) mod 1 = x forces x = j / (2^p -+ (-1)^p ...), i.e.
     a rational with denominator |(+-2)^p - 1|; enumerating those numerators
     and verifying forward closure in integer arithmetic finds every orbit
-    (including the fixed point 0, which no inverse-branch word produces).
+    (including the fixed point 0, which no inverse-branch word produces:
+    periodic_point of the -2x words (0, 1) and (1, 0) gives the boundary
+    pair {0, 1} instead, which is no orbit of the mod-1 map).
     """
     mult = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
     found: dict[frozenset, PeriodicOrbit] = {}
@@ -383,23 +385,47 @@ def _necklace_blocks(n: int, p: int) -> Iterator[np.ndarray]:
                 yield words[keep]
 
 
-def gauss_fixed_point(digits):
-    """Point of (0, 1) with continued fraction [0; k_1, ..., k_p, k_1, ...]:
-    the fixed point of g_{k_1} o ... o g_{k_p}, with g_k(x) = 1 / (k + x).
+def periodic_point(sys: SystemSpec, digits):
+    """The point whose itinerary is the digit word repeated forever.
 
-    digits holds the word as ints, or as p equal-length int64 arrays (one
-    word per entry).  Branch k acts as the Moebius matrix [[0, 1], [1, k]];
-    folding from the last digit multiplies each branch in on the left, in
-    exact integers.  The product [[a, b], [c, d]] has b, c >= 1, so
-    c x^2 + (d - a) x - b = 0 has exactly one positive root.  Within the
+    Each inverse branch is an integer Moebius matrix: [[1, k], [0, 2]] for
+    2x mod 1, [[-1, 1 + k], [0, 2]] for -2x mod 1, [[0, 1], [1, k]] for
+    Gauss.  They are folded from the last digit, each multiplied in on the
+    left, in exact integers; the point is the product's fixed point.  On the
+    affine maps the product is [[a, b], [0, d]] and the point the Fraction
+    b / (d - a).  On Gauss (continued fraction [0; k_1, ..., k_p, k_1, ...])
+    digits may also be p equal-length int64 arrays, one word per entry; the
+    product [[a, b], [c, d]] has b, c >= 1, so c x^2 + (d - a) x - b = 0 has
+    one positive root, returned as a float or float array.  Within the
     enumeration budget the entries stay below 2^25 and the discriminant
     below 2^50 (digits 2 at period 19), so the int64 products and the float
-    conversion of the discriminant are exact.
+    conversion of the discriminant are exact.  On the full shift the point
+    is SymbolWord.periodic(digits).
     """
+    if sys.kind is SystemKind.FULL_SHIFT2:
+        return SymbolWord.periodic(digits)
     a, b, c, d = 1, 0, 0, 1
+    if sys.kind is SystemKind.GAUSS:
+        for k in reversed(digits):
+            a, b, c, d = c, d, a + k * c, b + k * d
+        return (-(d - a) + np.sqrt((d - a) ** 2 + 4 * b * c)) / (2 * c)
+    sign, shift = (-1, 1) if sys.kind is SystemKind.MINUS_DOUBLING else (1, 0)
     for k in reversed(digits):
-        a, b, c, d = c, d, a + k * c, b + k * d
-    return (-(d - a) + np.sqrt((d - a) ** 2 + 4 * b * c)) / (2 * c)
+        a, b, d = sign * a, sign * b + (k + shift) * d, 2 * d
+    return Fraction(b, d - a)
+
+
+def _check_enumeration(sys: SystemSpec, max_period: int) -> None:
+    """Raise unless 1 <= max_period and the itineraries of every length up
+    to max_period, over the retained branches, fit in MAX_ITINERARIES."""
+    if max_period < 1:
+        raise DynamicsError("max_period must be >= 1")
+    n_pieces = len(_branch_indices(sys))
+    total = sum(n_pieces ** p for p in range(1, max_period + 1))
+    if total > MAX_ITINERARIES:
+        raise DynamicsError(
+            f"periodic enumeration budget exceeded: {total} itineraries > {MAX_ITINERARIES}"
+        )
 
 
 def gauss_orbit_blocks(sys: SystemSpec, max_period: int,
@@ -409,24 +435,20 @@ def gauss_orbit_blocks(sys: SystemSpec, max_period: int,
     Yields (p, digits, points) by increasing p.  Each row of digits is one
     necklace over the retained digits 1..branch_cap, so each orbit appears
     exactly once; points[:, i] is the point whose itinerary is the row
-    rotated left by i (gauss_fixed_point).  Every row is checked to close
-    under the forward map within tol.  Blocks are small, so a consumer that
-    only scores orbits never holds them all (ergopt.critical_value).
+    rotated left by i, from one array fold of periodic_point over all the
+    rotations of the block.  Every row is checked to close under the
+    forward map within tol.  Blocks are small, so a consumer that only
+    scores orbits never holds them all (ergopt.critical_value).  Raises
+    DynamicsError before the first block when the itineraries up to
+    max_period exceed MAX_ITINERARIES.
     """
-    if max_period < 1:
-        raise DynamicsError("max_period must be >= 1")
-    n_pieces = sys.branch_cap
-    total = sum(n_pieces ** p for p in range(1, max_period + 1))
-    if total > MAX_ITINERARIES:
-        raise DynamicsError(
-            f"periodic enumeration budget exceeded: {total} itineraries > {MAX_ITINERARIES}"
-        )
+    _check_enumeration(sys, max_period)
     for p in range(1, max_period + 1):
         # rotations[r, i] = (r + i) mod p: the letters of the rotation by r
         rotations = np.add.outer(np.arange(p), np.arange(p)) % p
-        for words in _necklace_blocks(n_pieces, p):
+        for words in _necklace_blocks(sys.branch_cap, p):
             digits = words + 1
-            points = gauss_fixed_point(digits[:, rotations].reshape(-1, p).T).reshape(-1, p)
+            points = periodic_point(sys, digits[:, rotations].reshape(-1, p).T).reshape(-1, p)
             inv = 1.0 / points
             gap = np.abs(inv - np.floor(inv) - np.roll(points, -1, axis=1)).max(axis=1)
             if gap.max() > tol:
@@ -446,34 +468,25 @@ def gauss_orbits(rows: Iterable[tuple[int, Sequence[int], Sequence[float]]]) -> 
 def periodic_orbits(sys: SystemSpec, max_period: int, tol: float = 1e-9) -> list[PeriodicOrbit]:
     """All periodic orbits of minimal period <= max_period.
 
-    Affine systems are solved exactly over the rationals from itinerary
-    fixed-point equations; full-shift and Gauss orbits are listed once per
-    necklace, Gauss points in integer Moebius arithmetic
-    (gauss_orbit_blocks).  On gauss_system(30) up to period 4 that is
-    211,730 orbits, about half a second and 117 MB of objects: callers
-    that only score orbits consume gauss_orbit_blocks instead, as
-    ergopt.critical_value does.
+    Affine systems are solved exactly over the rationals (_affine_orbits);
+    full-shift and Gauss orbits are listed once per necklace, each point
+    the periodic_point of a rotation of it, Gauss points in one array fold
+    per block (gauss_orbit_blocks).  On gauss_system(30) up to period 4
+    that is 211,730 orbits, about half a second and 117 MB of objects:
+    callers that only score orbits consume gauss_orbit_blocks instead, as
+    ergopt.critical_value does.  Every system raises DynamicsError before
+    listing anything when the itineraries up to max_period exceed
+    MAX_ITINERARIES.
     """
-    if max_period < 1:
-        raise DynamicsError("max_period must be >= 1")
+    _check_enumeration(sys, max_period)
     if sys.kind is SystemKind.FULL_SHIFT2:
-        orbits = []
-        for p in range(1, max_period + 1):
-            for words in _necklace_blocks(2, p):
-                for pattern in map(tuple, words.tolist()):
-                    pts = tuple(SymbolWord.periodic(pattern[i:] + pattern[:i], DEFAULT_WORD_DEPTH)
-                                for i in range(p))
-                    orbits.append(PeriodicOrbit(pts, p, pattern))
-        return orbits
-
+        return [PeriodicOrbit(tuple(periodic_point(sys, pattern[i:] + pattern[:i])
+                                    for i in range(p)), p, pattern)
+                for p in range(1, max_period + 1)
+                for words in _necklace_blocks(2, p)
+                for pattern in map(tuple, words.tolist())]
     if sys.kind is not SystemKind.GAUSS:
-        total = sum(2 ** p for p in range(1, max_period + 1))
-        if total > MAX_ITINERARIES:
-            raise DynamicsError(
-                f"periodic enumeration budget exceeded: {total} candidates > {MAX_ITINERARIES}"
-            )
         return _affine_orbits(sys, max_period)
-
     return gauss_orbits((p, k, x)
                         for p, digits, points in gauss_orbit_blocks(sys, max_period, tol)
                         for k, x in zip(digits.tolist(), points.tolist()))

@@ -250,26 +250,27 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     of R; sweeps that must bound b from below run with early_exit=False.
 
     The orbit is walked one point at a time until a point repeats
-    (rational orbits are eventually periodic): each new point pays T z and
-    R(z) once, and its term is added, capped and tested in order.  From the
-    first repeat on, the remaining terms are the cycle's terms tiled, and
-    they are added on arrays, in order, by _periodic_tail.  The result is
-    the same as summing n_terms fresh evaluations one by one.  An orbit
-    that never repeats is walked to the end.  Nothing is kept between
-    calls.
+    (rational orbits are eventually periodic): each new point pays T z,
+    V(T z) and A(z) once (its V(z) is the V(T z) of the step before), and
+    its term is added, capped and tested in order.  From the first repeat
+    on, the remaining terms are the cycle's terms tiled, and they are added
+    on arrays, in order, by _periodic_tail.  The result is the same as
+    summing n_terms fresh evaluations one by one.  An orbit that never
+    repeats is walked to the end.  Nothing is kept between calls.
     """
     if n_terms < 1:
         raise ErgOptError("n_terms must be >= 1")
     first: dict = {}  # orbit point -> index of its term
     terms: list[float] = []
-    z = x
+    z, vz = x, float(V(as_real(x)))
     total = 0.0
     while len(terms) < n_terms:
         k = first.get(z)
         if k is not None:
             return _periodic_tail(terms[k:], total, len(terms), n_terms, cap)
         zn = apply_map(sys, z)
-        r = float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+        vzn = float(V(as_real(zn)))
+        r = vzn - vz - float(A(z)) + m
         first[z] = len(terms)
         terms.append(r)
         total += r
@@ -277,7 +278,7 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
             return DeviationValue(math.inf, True, len(terms))
         if early_exit and abs(r) < tol:
             return DeviationValue(total, True, len(terms))
-        z = zn
+        z, vz = zn, vzn
     return DeviationValue(total, False, n_terms)
 
 

@@ -105,7 +105,7 @@ def quadratic_kernel(a, b, c, name: str | None = None) -> KernelSpec:
 
     def fn(x, y):
         if isinstance(x, Fraction) and isinstance(y, Fraction):
-            return ar + br * (-(x + y) / 3) + cr * ((x * x + y * y) / 3 - 4 * x * y / 3)
+            return ar + br * w1(x, y) + cr * w2(x, y)
         return af + bf * w1(x, y) + cf * w2(x, y)
 
     return KernelSpec(KernelForm.CLOSED_QUADRATIC, fn,

@@ -1,9 +1,8 @@
 """Named example configurations wiring systems, potentials, and kernels.
 
 Each preset carries the closed-form reference objects (critical value,
-calibrated subaction, involution kernel, support of the maximizing
-measure) that the pipeline commands and the verification suite compare
-against.
+calibrated subaction, involution kernel) that the pipeline commands and
+the verification suite compare against.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ class Preset:
     paper_kernel, when set, is the literal published variant that several
     transport reference values are quoted for (it differs by a function
     of x and is not itself an involution kernel).  closed_V is the exact
-    calibrated subaction normalized to vanish on the maximizing set;
-    support_points are the x-atoms of the maximizing measure.
+    calibrated subaction normalized to vanish on the maximizing set.
     """
 
     name: str
@@ -48,11 +46,9 @@ class Preset:
     potential: PotentialSpec
     kernel: inv.KernelSpec
     m_exact: float
-    support_points: tuple
     closed_V: Callable | None = None
     paper_kernel: inv.KernelSpec | None = None
     gamma_exact: float | None = None
-    orbit_max_period: int = 4
 
     @property
     def twist_kernel(self) -> inv.KernelSpec:
@@ -73,7 +69,6 @@ def _quad_dirac() -> Preset:
         potential=QUAD_DIRAC,
         kernel=W,
         m_exact=-1.0 / 9.0,
-        support_points=(Fraction(2, 3),),
         closed_V=V,
         gamma_exact=float(W(Fraction(2, 3), Fraction(2, 3))),
     )
@@ -92,7 +87,6 @@ def _quad_period2() -> Preset:
         potential=QUAD_PERIOD2,
         kernel=W,
         m_exact=-1.0 / 36.0,
-        support_points=(Fraction(1, 3), Fraction(2, 3)),
         closed_V=V,
         paper_kernel=inv.example5_kernel(),
         gamma_exact=float(W(Fraction(1, 3), Fraction(1, 3))),
@@ -107,7 +101,6 @@ def _quad_convex() -> Preset:
         potential=QUAD_CONVEX,
         kernel=W,
         m_exact=0.25,
-        support_points=(Fraction(0),),
         paper_kernel=inv.example6_kernel(),
     )
 
@@ -126,7 +119,6 @@ def _gauss_golden() -> Preset:
         potential=GAUSS_LOG,
         kernel=W,
         m_exact=2.0 * math.log(b),
-        support_points=(b,),
         closed_V=V,
         gamma_exact=-2.0 * math.log(1.0 + b * b),
     )
@@ -145,7 +137,6 @@ def _linear() -> Preset:
         potential=LINEAR,
         kernel=W,
         m_exact=2.0 / 3.0,
-        support_points=(Fraction(2, 3),),
         closed_V=V,
         gamma_exact=float(W(Fraction(2, 3), Fraction(2, 3))),
     )

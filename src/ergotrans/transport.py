@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import SystemSpec, SystemKind, PeriodicOrbit, as_real, gauss_fixed_point
+from .dynamics import SystemSpec, PeriodicOrbit, as_real, periodic_point
 from .involution import KernelSpec
 
 __all__ = [
@@ -109,33 +109,17 @@ class AtomicMeasure:
 
 def natural_extension_measure(sys: SystemSpec, orbit: PeriodicOrbit) -> AtomicMeasure:
     """Uniform measure on the extension orbit: each x_i paired with the past
-    point whose itinerary is the orbit's symbol word read backwards."""
+    point whose itinerary is the orbit's symbol word read backwards
+    (dynamics.periodic_point; a Gauss past point is kept as a float)."""
     p = orbit.period
     digits = orbit.itinerary
     atoms = []
     for i in range(p):
-        rev = [digits[(i - 1 - k) % p] for k in range(p)]
-        y = _periodic_point_from_digits(sys, rev)
+        y = periodic_point(sys, [digits[(i - 1 - k) % p] for k in range(p)])
+        if isinstance(y, np.floating):
+            y = float(y)
         atoms.append(((orbit.points[i], y), Fraction(1, p)))
     return AtomicMeasure(tuple(atoms))
-
-
-def _periodic_point_from_digits(sys: SystemSpec, digits: Sequence[int]):
-    """The point whose itinerary is the given digit word repeated."""
-    if sys.kind is SystemKind.FULL_SHIFT2:
-        from .dynamics import SymbolWord
-
-        return SymbolWord.periodic(tuple(digits))
-    if sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING):
-        a, b = Fraction(1), Fraction(0)
-        for s in reversed(digits):
-            if sys.kind is SystemKind.MINUS_DOUBLING:
-                ca, cb = Fraction(-1, 2), Fraction(s + 1, 2)
-            else:
-                ca, cb = Fraction(1, 2), Fraction(s, 2)
-            a, b = ca * a, ca * b + cb
-        return b / (1 - a)
-    return float(gauss_fixed_point(digits))
 
 
 def maximizing_extension_measure(sys: SystemSpec, tied_orbits: Sequence[PeriodicOrbit]) -> tuple[AtomicMeasure, AtomicMeasure, AtomicMeasure]:
@@ -369,10 +353,6 @@ class DualityReport:
     primal_value: float
     dual_value: float
     duality_gap: float
-
-    @property
-    def ok(self) -> bool:
-        return self.admissible and self.slackness_ok and abs(self.duality_gap) <= 1e-8
 
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in (

@@ -394,6 +394,32 @@ class TestDeviationReuse:
         assert d.n_used == 3000
         assert len(seen) == len(set(seen)) <= 10
 
+    @pytest.mark.parametrize("x, kw", [
+        (Fraction(5, 128), dict(n_terms=500, cap=100.0, early_exit=False)),
+        (Fraction(5, 3 * 2 ** 6), dict(n_terms=3000, early_exit=False)),
+        (Fraction(11, 3 * 2 ** 3), dict(n_terms=500)),
+        (Fraction(3, 97), dict(n_terms=20, early_exit=False)),
+    ])
+    def test_value_function_evaluated_once_per_point(self, x, kw):
+        # V(T z) of one step is V(z) of the next: V is read at the start
+        # and at the image of each distinct point walked, and nowhere else
+        walked, v_args = [], []
+
+        def fn(z):
+            walked.append(z)
+            return QUAD_DIRAC(z)
+
+        def V(z):
+            v_args.append(z)
+            return _closed_V_dirac(z)
+
+        A = custom_potential(fn, "counting", holder_constant=2.0)
+        args = (MINUS_DOUBLING, A, V, -1 / 9, x)
+        d = deviation_I(*args, **kw)
+        assert len(v_args) == len(set(walked)) + 1 == len(walked) + 1
+        assert (d.value, d.converged, d.n_used) == _plain_deviation(
+            MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x, **kw)
+
 
 class TestDeviation:
     def test_zero_on_maximizing_orbit(self):

@@ -17,6 +17,7 @@ from ergotrans.dynamics import (
     extension_forward,
     gauss_system,
     periodic_orbits,
+    periodic_point,
 )
 from ergotrans.ergopt import critical_value, deviation_I
 from ergotrans.involution import (
@@ -102,8 +103,14 @@ class TestNaturalExtension:
         sys = gauss_system(30)
         for digits, x in (((1,), 0.6180339887498949), ((1, 2), 0.7320508075688772),
                           ((2, 1), 0.3660254037844386)):
-            y = tr._periodic_point_from_digits(sys, digits)
-            assert type(y) is float and y == x
+            y = periodic_point(sys, digits)
+            assert y == x
+            # the extension measure keeps the past point as a plain float
+            rev, p = digits[::-1], len(digits)
+            orbit = PeriodicOrbit(tuple(periodic_point(sys, rev[i:] + rev[:i]) for i in range(p)),
+                                  p, rev)
+            past = tr.natural_extension_measure(sys, orbit).atoms[0][0][1]
+            assert type(past) is float and past == x
 
     def test_tied_orbits_combine_to_diagonal_atoms(self):
         mu, mu_star, ext = quad_period2_measures()
