@@ -145,7 +145,7 @@ def check_cohomology() -> CheckResult:
         ("A=x^2,W2", MINUS_DOUBLING, polynomial_potential(0, 0, 1), inv.quadratic_kernel(0, 0, 1)),
         ("quad-dirac", MINUS_DOUBLING, QUAD_DIRAC, get_preset("quad-dirac").kernel),
         ("quad-period2", MINUS_DOUBLING, QUAD_PERIOD2, get_preset("quad-period2").kernel),
-        ("gauss", gauss_system(30), GAUSS_LOG, inv.gauss_log_kernel()),
+        ("gauss", gauss_system(), GAUSS_LOG, inv.gauss_log_kernel()),
     ]
     worst = 0.0
     for label, sysm, A, W in cases:
@@ -190,9 +190,7 @@ def check_twist_verdicts() -> CheckResult:
 
 
 def check_transport_plan() -> CheckResult:
-    pre = get_preset("quad-period2")
-    cv = critical_value(pre.system, pre.potential, max_period=MAX_PERIOD)
-    mu, mu_star, _ = tr.maximizing_extension_measure(pre.system, cv.tied)
+    pre, mu, mu_star, *_ = transport_instance("quad-period2")
     cost = tr.CostSpec(w=pre.paper_kernel, gamma=0.0)
     plan = tr.solve_kantorovich(mu, mu_star, cost)
     support = plan.support_pairs()

@@ -16,7 +16,6 @@ with tau_y the inverse branch selected by the leading symbol of y.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +59,12 @@ MAX_ITINERARIES = 2_000_000
 # working set, and the process's peak memory, flat.
 NECKLACE_BLOCK = 1024
 
+# Gauss inverse branches retained by default: digits 1..GAUSS_BRANCH_CAP.
+GAUSS_BRANCH_CAP = 30
+
+# Largest forward-closure gap |T x_i - x_(i+1)| accepted on a Gauss orbit.
+CLOSURE_TOL = 1e-9
+
 
 class DynamicsError(ValueError):
     """Raised on invalid points, depth mismatches, or enumeration overflow."""
@@ -81,7 +86,7 @@ class SystemSpec:
     """
 
     kind: SystemKind
-    branch_cap: int = 30
+    branch_cap: int = GAUSS_BRANCH_CAP
 
     def __post_init__(self):
         if self.kind is SystemKind.GAUSS and self.branch_cap < 1:
@@ -93,7 +98,7 @@ DOUBLING = SystemSpec(SystemKind.DOUBLING)
 MINUS_DOUBLING = SystemSpec(SystemKind.MINUS_DOUBLING)
 
 
-def gauss_system(branch_cap: int = 30) -> SystemSpec:
+def gauss_system(branch_cap: int = GAUSS_BRANCH_CAP) -> SystemSpec:
     return SystemSpec(SystemKind.GAUSS, branch_cap=branch_cap)
 
 
@@ -131,9 +136,6 @@ class SymbolWord:
     def periodic(cls, pattern: Sequence[int], depth: int = DEFAULT_WORD_DEPTH) -> "SymbolWord":
         reps = -(-depth // len(pattern))
         return cls(tuple(list(pattern) * reps)[:depth])
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.symbols))
 
 
 class Ordering(enum.IntEnum):
@@ -428,8 +430,8 @@ def _check_enumeration(sys: SystemSpec, max_period: int) -> None:
         )
 
 
-def gauss_orbit_blocks(sys: SystemSpec, max_period: int,
-                       tol: float = 1e-9) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def gauss_orbit_blocks(sys: SystemSpec,
+                       max_period: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Every Gauss periodic orbit of minimal period <= max_period, in blocks.
 
     Yields (p, digits, points) by increasing p.  Each row of digits is one
@@ -437,8 +439,8 @@ def gauss_orbit_blocks(sys: SystemSpec, max_period: int,
     exactly once; points[:, i] is the point whose itinerary is the row
     rotated left by i, from one array fold of periodic_point over all the
     rotations of the block.  Every row is checked to close under the
-    forward map within tol.  Blocks are small, so a consumer that only
-    scores orbits never holds them all (ergopt.critical_value).  Raises
+    forward map within CLOSURE_TOL.  Blocks are small, so a consumer that
+    only scores orbits never holds them all (ergopt.critical_value).  Raises
     DynamicsError before the first block when the itineraries up to
     max_period exceed MAX_ITINERARIES.
     """
@@ -451,10 +453,10 @@ def gauss_orbit_blocks(sys: SystemSpec, max_period: int,
             points = periodic_point(sys, digits[:, rotations].reshape(-1, p).T).reshape(-1, p)
             inv = 1.0 / points
             gap = np.abs(inv - np.floor(inv) - np.roll(points, -1, axis=1)).max(axis=1)
-            if gap.max() > tol:
+            if gap.max() > CLOSURE_TOL:
                 row = int(np.argmax(gap))
                 raise DynamicsError(f"Gauss orbit of digits {tuple(digits[row].tolist())} "
-                                    f"does not close: gap {gap[row]:.3e} > {tol}")
+                                    f"does not close: gap {gap[row]:.3e} > {CLOSURE_TOL}")
             yield p, digits, points
 
 
@@ -465,7 +467,7 @@ def gauss_orbits(rows: Iterable[tuple[int, Sequence[int], Sequence[float]]]) -> 
     return sorted(orbits, key=lambda o: (o.period, o.points[0]))
 
 
-def periodic_orbits(sys: SystemSpec, max_period: int, tol: float = 1e-9) -> list[PeriodicOrbit]:
+def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     """All periodic orbits of minimal period <= max_period.
 
     Affine systems are solved exactly over the rationals (_affine_orbits);
@@ -488,12 +490,6 @@ def periodic_orbits(sys: SystemSpec, max_period: int, tol: float = 1e-9) -> list
     if sys.kind is not SystemKind.GAUSS:
         return _affine_orbits(sys, max_period)
     return gauss_orbits((p, k, x)
-                        for p, digits, points in gauss_orbit_blocks(sys, max_period, tol)
+                        for p, digits, points in gauss_orbit_blocks(sys, max_period)
                         for k, x in zip(digits.tolist(), points.tolist()))
 
-
-def serialize_point(x) -> str:
-    """Points serialize as JSON symbol arrays (words) or 17-digit decimals."""
-    if isinstance(x, SymbolWord):
-        return x.to_json()
-    return format(float(x), ".17g")

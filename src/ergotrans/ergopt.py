@@ -38,8 +38,12 @@ TOL_I = 1e-10
 N_TERMS_I = 10_000
 # terms per array block of deviation_I's periodic tail (whole cycles)
 _TAIL_BLOCK = 1 << 16
+# Orbits whose average is within TIE_TOL of the maximum count as maximizing.
+TIE_TOL = 1e-9
 # Relative slack of the Gauss tie screen in critical_value.
 SCREEN_SLACK = 1e-12
+# A subaction is calibrated when one more update moves no cell by more than this.
+CAL_TOL = 1e-8
 
 
 class ErgOptError(RuntimeError):
@@ -52,7 +56,7 @@ class CriticalValue:
 
     This is a lower bound on m(A) in general; every example in scope has a
     periodic maximizing orbit, for which it is exact.  tied lists every
-    orbit within tie_tol of the maximum (including the argmax itself).
+    orbit within TIE_TOL of the maximum (including the argmax itself).
     n_orbits counts the orbits scored; it is not written to any output.
     """
 
@@ -62,8 +66,8 @@ class CriticalValue:
     n_orbits: int = 0
 
 
-def critical_value(sys: SystemSpec, A: PotentialSpec, max_period: int = DEFAULT_MAX_PERIOD,
-                   tie_tol: float = 1e-9) -> CriticalValue:
+def critical_value(sys: SystemSpec, A: PotentialSpec,
+                   max_period: int = DEFAULT_MAX_PERIOD) -> CriticalValue:
     """Maximum over periodic orbits of the scalar average sum(A(x_i)) / p.
 
     On a Gauss system the orbits are screened block by block on arrays
@@ -72,7 +76,7 @@ def critical_value(sys: SystemSpec, A: PotentialSpec, max_period: int = DEFAULT_
     scalar pass over periodic_orbits without materializing it.
     """
     if sys.kind is SystemKind.GAUSS:
-        orbits, n_orbits = _gauss_candidates(sys, A, max_period, tie_tol)
+        orbits, n_orbits = _gauss_candidates(sys, A, max_period)
     else:
         orbits = periodic_orbits(sys, max_period)
         n_orbits = len(orbits)
@@ -83,18 +87,18 @@ def critical_value(sys: SystemSpec, A: PotentialSpec, max_period: int = DEFAULT_
         avg = float(sum(float(A(p)) for p in o.points) / o.period)
         scored.append(o.with_average(avg))
     m = max(o.birkhoff_average for o in scored)
-    tied = tuple(o for o in scored if m - o.birkhoff_average <= tie_tol)
+    tied = tuple(o for o in scored if m - o.birkhoff_average <= TIE_TOL)
     best = tied[0]
     return CriticalValue(m, best, tied, n_orbits)
 
 
-def _gauss_candidates(sys: SystemSpec, A: PotentialSpec, max_period: int,
-                      tie_tol: float) -> tuple[list[PeriodicOrbit], int]:
+def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
+                      max_period: int) -> tuple[list[PeriodicOrbit], int]:
     """Gauss orbits whose average may attain or tie the maximum, and the
     number of orbits scored.
 
     Averages are summed on each block's array of points in the scalar
-    order.  A row is kept while it is within tie_tol + slack of the running
+    order.  A row is kept while it is within TIE_TOL + slack of the running
     maximum, and the final maximum drops the rows a later block pushed
     out.  The slack, SCREEN_SLACK times the largest |A| seen, covers the
     last-bit differences between A on an array (numpy's vectorized log)
@@ -110,10 +114,10 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec, max_period: int,
         n_orbits += len(avg)
         scale = max(scale, float(np.abs(vals).max()))
         best = max(best, float(avg.max()))
-        keep = avg >= best - tie_tol - SCREEN_SLACK * scale
+        keep = avg >= best - TIE_TOL - SCREEN_SLACK * scale
         if keep.any():
             kept.append((avg[keep], p, digits[keep], points[keep]))
-    floor = best - tie_tol - SCREEN_SLACK * scale
+    floor = best - TIE_TOL - SCREEN_SLACK * scale
     return gauss_orbits((p, k, x) for avg, p, digits, points in kept
                         for a, k, x in zip(avg.tolist(), digits.tolist(), points.tolist())
                         if a >= floor), n_orbits
@@ -175,12 +179,11 @@ class SubactionResult:
 
 def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
                          m: float | None = None, max_period: int = DEFAULT_MAX_PERIOD,
-                         tol: float = TOL_LO, max_iter: int = MAX_ITER_LO,
-                         cal_tol: float = 1e-8) -> SubactionResult:
+                         tol: float = TOL_LO, max_iter: int = MAX_ITER_LO) -> SubactionResult:
     """Iterate the max-plus update from V = 0 until the sup-change stalls.
 
     V is renormalized to max 0 after every step.  calibrated is set when
-    the final update moves no cell by more than cal_tol, i.e. every cell
+    the final update moves no cell by more than CAL_TOL, i.e. every cell
     value is attained by some preimage.  The grid operator (branch images,
     A on them, interpolation stencil) is built once and passed to every
     step as op=.  The steps alternate between two value buffers and
@@ -208,7 +211,7 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
                           f"last change {change:.3e}")
     final = lax_oleinik_step(sys, A, m, V, op=op, _out=spare).values
     final -= np.max(final)
-    calibrated = _sup_diff(V.values, final, diff) <= cal_tol
+    calibrated = _sup_diff(V.values, final, diff) <= CAL_TOL
     return SubactionResult(V, float(m), change, calibrated, orbit, it)
 
 
@@ -224,7 +227,7 @@ class DeviationValue:
     """Partial sum of the one-sided rate function I at a point.
 
     value is +inf when the partial sum exceeded the cap; converged is True
-    when the early-exit rule (last term below tol) fired.  When n_terms is
+    when the early-exit rule (last term below TOL_I) fired.  When n_terms is
     exhausted with neither, value holds the partial sum and converged is
     False -- callers needing certainty must raise n_terms.  All three
     fields are those of adding the n_terms terms one by one, whether the
@@ -240,12 +243,12 @@ class DeviationValue:
 
 
 def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
-                n_terms: int = N_TERMS_I, tol: float = TOL_I,
-                cap: float = CAP_I, early_exit: bool = True) -> DeviationValue:
+                n_terms: int = N_TERMS_I, cap: float = CAP_I,
+                early_exit: bool = True) -> DeviationValue:
     """Sum of R(T^n x) with R = V(T .) - V(.) - A(.) + m along the forward orbit.
 
     V may be a GridFunction or any callable.  With early_exit the sum stops
-    at the first term below tol, which is correct near the maximizing set
+    at the first term below TOL_I, which is correct near the maximizing set
     but can underestimate on orbits that merely pass through the zero set
     of R; sweeps that must bound b from below run with early_exit=False.
 
@@ -276,7 +279,7 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
         total += r
         if total > cap:
             return DeviationValue(math.inf, True, len(terms))
-        if early_exit and abs(r) < tol:
+        if early_exit and abs(r) < TOL_I:
             return DeviationValue(total, True, len(terms))
         z, vz = zn, vzn
     return DeviationValue(total, False, n_terms)
@@ -286,7 +289,7 @@ def _periodic_tail(cycle: list[float], total: float, n: int, n_terms: int,
                    cap: float) -> DeviationValue:
     """Add terms n .. n_terms - 1, the cycle tiled, to the running total.
 
-    Every cycle term was tested against tol on its first visit, so the
+    Every cycle term was tested against TOL_I on its first visit, so the
     early exit cannot fire here; only the cap can.  The tail is added in
     blocks of whole cycles (at most about _TAIL_BLOCK terms), so memory
     stays bounded however large n_terms is.

@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (SystemSpec, SystemKind, _check_interval, as_real, backward_step,
-                       branch_point, probe_floor)
+from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _check_interval, as_real,
+                       backward_step, branch_point, probe_floor)
 from .potentials import PotentialSpec, perturbed_potential, polynomial_potential
 
 __all__ = [
@@ -235,6 +235,9 @@ def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime, depth: i
 DUAL_PROBE_XS = (0.17, 0.58, 0.93)
 DUAL_CHECK_GRID = 17
 DUAL_TOL = 1e-8
+# twist_check's finite-difference step, and the margin a twist verdict needs.
+TWIST_STEP = 1e-4
+TWIST_MARGIN = 1e-9
 
 
 def _dual_values(sys: SystemSpec, A: PotentialSpec, W: KernelSpec, x, y):
@@ -316,25 +319,25 @@ class TwistReport:
 
 
 def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,
-                n_grid: int = 21, h: float = 1e-4, margin_tol: float = 1e-9,
-                domain: tuple[float, float] = (0.0, 1.0)) -> TwistReport:
+                n_grid: int = 21) -> TwistReport:
     """Check the submodularity W(a,b) + W(a',b') < W(a,b') + W(a',b) for a<a', b<b'.
 
-    Every kernel value comes from `KernelSpec.grid` on the check grid.
+    Every kernel value comes from `KernelSpec.grid` on an n_grid-point grid
+    of [0, 1]; the verdict is margin > TWIST_MARGIN.
     """
-    lo, hi = domain
     if method is TwistMethod.MIXED_PARTIAL:
-        g = np.linspace(lo + 2 * h, hi - 2 * h, n_grid)
+        h = TWIST_STEP
+        g = np.linspace(2 * h, 1.0 - 2 * h, n_grid)
         gp, gm = g + h, g - h
         mp = (W.grid(gp, gp) - W.grid(gp, gm) - W.grid(gm, gp) + W.grid(gm, gm)) / (4 * h * h)
         i, j = np.unravel_index(int(np.argmax(mp)), mp.shape)
         mp_max, wx, wy = float(mp[i, j]), float(g[i]), float(g[j])
         margin = -mp_max
-        return TwistReport(margin > margin_tol, margin,
+        return TwistReport(margin > TWIST_MARGIN, margin,
                            (wx - h, wy - h, wx + h, wy + h), method,
                            mixed_partial_min=float(np.min(mp)), mixed_partial_max=mp_max)
 
-    g = np.linspace(lo, hi, n_grid)
+    g = np.linspace(0.0, 1.0, n_grid)
     Wg = W.grid(g, g)
     if method is TwistMethod.PAIRWISE_GRID:
         iu = np.triu_indices(n_grid, k=1)
@@ -348,7 +351,7 @@ def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,
                 if gaps[k] < best_gap:
                     best_gap = float(gaps[k])
                     best_wit = (float(g[i]), float(g[iu[0][k]]), float(g[ip]), float(g[iu[1][k]]))
-        return TwistReport(best_gap > margin_tol, best_gap, best_wit, method)
+        return TwistReport(best_gap > TWIST_MARGIN, best_gap, best_wit, method)
 
     if method is TwistMethod.DELTA_MONOTONE:
         best_gap, best_wit = math.inf, (0.0, 0.0, 0.0, 0.0)
@@ -360,7 +363,7 @@ def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,
                 if diffs[k] < best_gap:
                     best_gap = float(diffs[k])
                     best_wit = (float(g[i]), float(g[k]), float(g[ip]), float(g[k + 1]))
-        return TwistReport(best_gap > margin_tol, best_gap, best_wit, method)
+        return TwistReport(best_gap > TWIST_MARGIN, best_gap, best_wit, method)
 
     raise InvolutionError(f"unknown twist method {method!r}")
 
@@ -372,9 +375,9 @@ class TwistStabilityResult:
 
 
 def twist_stability_probe(p_coeffs: tuple, R: PotentialSpec, eps_list: Sequence[float],
-                          sys: SystemSpec | None = None, depth: int = 48,
-                          base_x_prime: float = 0.5, n_grid: int = 9) -> TwistStabilityResult:
-    """For A = p + eps*R build the cocycle-series kernel and run the twist check.
+                          depth: int = 48, n_grid: int = 9) -> TwistStabilityResult:
+    """For A = p + eps*R under -2x mod 1, build the cocycle-series kernel
+    from the base point x' = 1/2 and run the twist check.
 
     Series kernels are only piecewise smooth in y (the backward branch word
     flips at dyadic points; the flips cancel exactly for the quadratic part
@@ -386,15 +389,12 @@ def twist_stability_probe(p_coeffs: tuple, R: PotentialSpec, eps_list: Sequence[
     a, b, c = p_coeffs
     if not float(c) > 0:
         raise InvolutionError("stability probe requires a strictly convex quadratic part")
-    if sys is None:
-        from .dynamics import MINUS_DOUBLING
-        sys = MINUS_DOUBLING
     p = polynomial_potential(a, b, c)
     reports = {}
     passing = []
     for eps in eps_list:
         A = perturbed_potential(p, R, eps)
-        W0 = fundamental_kernel(sys, A, base_x_prime, depth=depth)
+        W0 = fundamental_kernel(MINUS_DOUBLING, A, 0.5, depth=depth)
         rep = twist_check(W0, TwistMethod.DELTA_MONOTONE, n_grid=n_grid)
         reports[float(eps)] = rep
         if rep.is_twist:

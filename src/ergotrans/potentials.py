@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import SymbolWord
+from .dynamics import GAUSS_BRANCH_CAP, SymbolWord
 
 __all__ = [
     "PotentialSpec",
@@ -88,24 +88,24 @@ def polynomial_potential(a, b, c, name: str | None = None) -> PotentialSpec:
     return PotentialSpec(label, fn, holder_constant=lip, contraction=0.5, coeffs=(af, bf, cf))
 
 
-def gauss_log_potential(branch_cap: int = 30) -> PotentialSpec:
-    """A(x) = 2 log x = -log|T'| for the Gauss map.
+def gauss_log_potential() -> PotentialSpec:
+    """A(x) = 2 log x = -log|T'| for the Gauss map; A(0) = -inf, unwarned.
 
-    The Lipschitz bound holds on [1/(branch_cap+1), 1], where all branch
-    images live; the two-step contraction of the Gauss branches is below
-    the golden mean squared, recorded here as a single-step 0.62.
+    The Lipschitz bound holds on [1/(GAUSS_BRANCH_CAP+1), 1], where all
+    branch images live; the two-step contraction of the Gauss branches is
+    below the golden mean squared, recorded here as a single-step 0.62.
     """
 
     def fn(x):
-        return 2.0 * np.log(x)
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log(x)
 
-    return PotentialSpec("2*log(x)", fn, holder_constant=2.0 * (branch_cap + 1),
+    return PotentialSpec("2*log(x)", fn, holder_constant=2.0 * (GAUSS_BRANCH_CAP + 1),
                          contraction=0.62)
 
 
-def custom_potential(fn: Callable, name: str, holder_constant: float,
-                     contraction: float = 0.5) -> PotentialSpec:
-    return PotentialSpec(name, fn, holder_constant, contraction)
+def custom_potential(fn: Callable, name: str, holder_constant: float) -> PotentialSpec:
+    return PotentialSpec(name, fn, holder_constant)
 
 
 # The potentials exercised throughout the test-suite presets.

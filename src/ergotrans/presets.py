@@ -115,7 +115,7 @@ def _gauss_golden() -> Preset:
 
     return Preset(
         name="gauss-golden",
-        system=gauss_system(30),
+        system=gauss_system(),
         potential=GAUSS_LOG,
         kernel=W,
         m_exact=2.0 * math.log(b),

@@ -53,6 +53,9 @@ MARGINAL_TOL = 1e-10
 MAX_SUPPORT = 256
 CHAIN_CAP = 5
 CLUSTER_TOL = 1e-9
+# Bounds on gamma_from_support's atom spread and on a passing cyclical slack.
+GAMMA_TOL = 1e-8
+CYCLICAL_TOL = 1e-10
 
 
 class TransportError(ValueError):
@@ -180,10 +183,10 @@ class GammaResult:
     max_deviation: float
 
 
-def gamma_from_support(W, V, V_star, support_atoms: Sequence, tol_gamma: float = 1e-8) -> GammaResult:
+def gamma_from_support(W, V, V_star, support_atoms: Sequence) -> GammaResult:
     """gamma = W(p, p*) - V(p) - V*(p*) averaged over the extension atoms.
 
-    The identity must hold atom by atom; a spread above tol_gamma means
+    The identity must hold atom by atom; a spread of GAMMA_TOL or more means
     the supplied V, V*, W are inconsistent and is an error.
     """
     vals = []
@@ -191,7 +194,7 @@ def gamma_from_support(W, V, V_star, support_atoms: Sequence, tol_gamma: float =
         vals.append(float(W(as_real(x), as_real(y))) - float(V(as_real(x))) - float(V_star(as_real(y))))
     gamma = float(np.mean(vals))
     dev = float(max(abs(v - gamma) for v in vals))
-    if dev >= tol_gamma:
+    if dev >= GAMMA_TOL:
         raise TransportError(f"support identity violated: atom spread {dev:.3e}")
     return GammaResult(gamma, dev)
 
@@ -409,13 +412,13 @@ class CyclicalReport:
         }
 
 
-def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec, n_max: int = 5,
-                                tol: float = 1e-10) -> CyclicalReport:
+def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
+                                n_max: int = 5) -> CyclicalReport:
     """Exhaustive c-cyclical-monotonicity check over subsets of size <= n_max.
 
-    slack = sum c(x_j, y_j) - sum c(x_sigma(j), y_j); a positive slack is a
-    violation and its subset/permutation are returned as witness.  The
-    costs come from one matrix over the support.
+    slack = sum c(x_j, y_j) - sum c(x_sigma(j), y_j); a slack above
+    CYCLICAL_TOL is a violation and its subset/permutation are returned as
+    witness.  The costs come from one matrix over the support.
     """
     if n_max > 7:
         raise TransportError("n_max above 7 is not supported (factorial blow-up)")
@@ -434,7 +437,7 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec, n_max: int = 5,
                     worst, wit_s, wit_p = slack, tuple(pts[i] for i in idx), perm
     if worst == -math.inf:
         return CyclicalReport(True, 0.0, None, None)
-    return CyclicalReport(worst <= tol, float(worst), wit_s, wit_p)
+    return CyclicalReport(worst <= CYCLICAL_TOL, float(worst), wit_s, wit_p)
 
 
 @dataclass(frozen=True)
@@ -479,7 +482,7 @@ class GraphReport:
         }
 
 
-def graph_check(plan: TransportPlan, cluster_tol: float = CLUSTER_TOL) -> GraphReport:
+def graph_check(plan: TransportPlan) -> GraphReport:
     """Group support atoms by x and test one-y-per-x plus anti-monotonicity.
 
     Clusters with several y values are reported as witnesses; whether such
@@ -489,14 +492,14 @@ def graph_check(plan: TransportPlan, cluster_tol: float = CLUSTER_TOL) -> GraphR
     atoms = sorted(((as_real(x), as_real(y)) for x, y, _ in plan.support()))
     clusters: list[tuple[float, list[float]]] = []
     for x, y in atoms:
-        if clusters and abs(x - clusters[-1][0]) <= cluster_tol:
+        if clusters and abs(x - clusters[-1][0]) <= CLUSTER_TOL:
             clusters[-1][1].append(y)
         else:
             clusters.append((x, [y]))
     bad = tuple((x, tuple(sorted(set(ys)))) for x, ys in clusters
                 if len({round(v, 12) for v in ys}) > 1)
     ys_rep = [max(ys) for _, ys in clusters]
-    mono = all(ys_rep[i] >= ys_rep[i + 1] - cluster_tol for i in range(len(ys_rep) - 1))
+    mono = all(ys_rep[i] >= ys_rep[i + 1] - CLUSTER_TOL for i in range(len(ys_rep) - 1))
     return GraphReport(not bad, bad, mono)
 
 

@@ -84,3 +84,14 @@ def test_transport_runs_share_one_wiring(monkeypatch, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["transport", "--preset", name, "--out", str(tmp_path)]) == 0
     assert calls == list(names)
+
+
+def test_transport_plan_reuses_the_instance_measures(monkeypatch):
+    accept.transport_instance("quad-period2")
+
+    def no_critical_value(*args, **kwargs):
+        raise AssertionError("check 6 computed its own critical value")
+
+    monkeypatch.setattr(accept, "critical_value", no_critical_value)
+    result = dict(CRITERIA)["6 transport plan"]()
+    assert result.passed and result.detail == DETAILS["6 transport plan"]

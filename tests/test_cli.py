@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ergotrans.accept import transport_instance
 from ergotrans.cli import EXIT_OK, EXIT_USAGE, main
 from ergotrans.presets import GOLDEN_MEAN
 
@@ -57,6 +58,15 @@ def test_transport_command(tmp_path):
     assert plan["certificates"]["graph"]["is_graph"] is True
     assert plan["certificates"]["duality"]["admissible"] is True
     assert plan["certificates"]["cyclical"]["passes"] is True
+
+
+def test_gauss_transport_warns_nothing(tmp_path, capsys):
+    # its probes reach x = 0, where A = 2 log x is -inf by design; the
+    # suite turns any numpy warning into an error
+    transport_instance.cache_clear()
+    code = run(["transport", "--preset", "gauss-golden", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_kernel_command_reproducible(tmp_path):

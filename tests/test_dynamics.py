@@ -26,7 +26,6 @@ from ergotrans.dynamics import (
     inverse_branches,
     lex_compare,
     periodic_orbits,
-    serialize_point,
     symbol_of,
     tau_push,
 )
@@ -334,9 +333,3 @@ def brute_force_shift_orbits(max_period):
             if w == min(rots) and all(w != rots[d] for d in range(1, p)):
                 orbits.append(PeriodicOrbit(tuple(SymbolWord.periodic(r) for r in rots), p, w))
     return orbits
-
-
-def test_serialization():
-    assert serialize_point(word(1, 0, 1)) == "[1, 0, 1]"
-    assert serialize_point(0.5) == "0.5"
-    assert len(serialize_point(1 / 3).replace("0.", "")) >= 16

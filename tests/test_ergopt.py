@@ -49,7 +49,7 @@ class TestCriticalValue:
         cv = critical_value(gauss_system(8), GAUSS_LOG, 4)
         assert cv.m == pytest.approx(2.0 * math.log(GOLDEN), abs=1e-12)
 
-    # "flat" ties all 55 orbits through tie_tol, not through equal averages
+    # "flat" ties all 55 orbits through TIE_TOL, not through equal averages
     @pytest.mark.parametrize("A", [GAUSS_LOG, perturbed_potential(GAUSS_LOG, LINEAR, 0.3),
                                    polynomial_potential(Fraction(1, 10), 0, 0, name="const"),
                                    polynomial_potential(0, Fraction(1, 10 ** 10), 0, name="flat")],

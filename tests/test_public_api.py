@@ -1,0 +1,61 @@
+"""The public contract: the names the package binds, and every module's __all__."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import ergotrans
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ergotrans.__path__))
+
+# Every name ergotrans/__init__.py binds.  Dropping one breaks callers; do
+# it on purpose, here and in CHANGES.md.
+CONTRACT = {
+    "DOUBLING", "FULL_SHIFT2", "MINUS_DOUBLING", "ExtensionPoint", "Ordering",
+    "PeriodicOrbit", "SymbolWord", "SystemKind", "SystemSpec", "apply_map",
+    "backward_step", "extension_backward", "extension_forward", "gauss_system",
+    "inverse_branches", "lex_compare", "periodic_orbits", "tau_push",
+    "GAUSS_LOG", "LINEAR", "QUAD_CONVEX", "QUAD_DIRAC", "QUAD_PERIOD2", "PotentialSpec",
+    "gauss_log_potential", "polynomial_potential",
+    "EigenPair", "GridFunction", "eigen_measure", "eigenpair", "gamma_estimate",
+    "ruelle_apply", "v_beta",
+    "CriticalValue", "SubactionResult", "calibrated_subaction", "critical_value",
+    "deviation_I", "lax_oleinik_step",
+    "KernelSpec", "TwistMethod", "TwistReport", "cocycle_delta", "cohomology_residual",
+    "dual_potential", "example5_kernel", "example6_kernel", "fundamental_kernel",
+    "gauss_log_kernel", "quadratic_kernel", "twist_check", "twist_stability_probe",
+    "AtomicMeasure", "CostSpec", "DualPair", "RochetMode", "TransportPlan", "b_function",
+    "conjugate_transform", "cyclical_monotonicity_check", "duality_certificate",
+    "gamma_from_support", "graph_check", "maximizing_extension_measure",
+    "natural_extension_measure", "rochet_potential", "solve_kantorovich",
+    "twist_order_check",
+    "PRESETS", "Preset", "get_preset",
+    "__version__",
+}
+
+
+def _bound_names(path: Path) -> set[str]:
+    """Names bound at the top level of a module by imports and assignments."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_package_binds_exactly_the_contract():
+    bound = _bound_names(Path(ergotrans.__file__))
+    assert bound == CONTRACT
+    assert all(hasattr(ergotrans, name) for name in bound)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    mod = importlib.import_module(f"ergotrans.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, f"ergotrans.{name}.__all__ names missing attributes: {missing}"
