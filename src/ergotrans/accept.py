@@ -19,7 +19,7 @@ import numpy as np
 
 from . import involution as inv
 from . import transport as tr
-from .dynamics import MINUS_DOUBLING, gauss_system
+from .dynamics import MINUS_DOUBLING, gauss_system, inverse_branches
 from .ergopt import calibrated_subaction, critical_value, deviation_I
 from .potentials import GAUSS_LOG, LINEAR, QUAD_DIRAC, QUAD_PERIOD2, polynomial_potential
 from .presets import GOLDEN_MEAN, get_preset
@@ -33,6 +33,8 @@ COCYCLE_DEPTH = 48
 # Longest period of the orbits the checks enumerate for a critical value.
 MAX_PERIOD = 4
 B_GRID = 64
+# Backward steps taken from the support atoms to the slack checks' probe points.
+PREIMAGE_DEPTH = 4
 Z_GRID = 50
 
 
@@ -50,18 +52,16 @@ def _frac_grid(n: int) -> list[Fraction]:
     return [Fraction(2 * i + 1, 2 * n) for i in range(n)]
 
 
-def _support_preimages(sys, atoms_x, depth: int = 4) -> list[Fraction]:
-    """Exact backward-orbit points of the support atoms.
+def _support_preimages(sys, atoms_x) -> list[Fraction]:
+    """Exact backward-orbit points of the support atoms, PREIMAGE_DEPTH steps deep.
 
     The uniform rational grid never approaches the maximizing set (its
     orbits cannot reach denominator-3 atoms), so the slack-function checks
     are only tight on these points, where the deviation term is a short
     finite sum.
     """
-    from .dynamics import inverse_branches
-
     out, layer = [], list(dict.fromkeys(atoms_x))
-    for _ in range(depth):
+    for _ in range(PREIMAGE_DEPTH):
         nxt = []
         for x in layer:
             for _, z in inverse_branches(sys, x):

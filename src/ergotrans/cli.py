@@ -59,6 +59,10 @@ class RunConfig:
             val = getattr(cfg, key)
             if isinstance(val, bool) or not isinstance(val, int) or val < least:
                 raise ValueError(f"{key} must be an integer >= {least}, got {val!r}")
+        for key in ("preset", "out"):
+            val = getattr(cfg, key)
+            if not isinstance(val, str):
+                raise ValueError(f"{key} must be a string, got {val!r}")
         tol = cfg.tol_lo
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
             raise ValueError(f"tol_lo must be a positive finite number, got {tol!r}")

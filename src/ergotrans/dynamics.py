@@ -42,7 +42,7 @@ __all__ = [
     "periodic_orbits",
     "periodic_point",
     "gauss_orbit_blocks",
-    "gauss_orbits",
+    "sorted_orbits",
     "as_real",
     "FULL_SHIFT2",
     "DOUBLING",
@@ -325,39 +325,6 @@ class PeriodicOrbit:
         return PeriodicOrbit(self.points, self.period, self.itinerary, avg)
 
 
-def _affine_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
-    """Exact orbit enumeration for the mod-1 affine maps.
-
-    T^p(x) = ((+-2)^p x) mod 1 = x forces x = j / (2^p -+ (-1)^p ...), i.e.
-    a rational with denominator |(+-2)^p - 1|; enumerating those numerators
-    and verifying forward closure in integer arithmetic finds every orbit
-    (including the fixed point 0, which no inverse-branch word produces:
-    periodic_point of the -2x words (0, 1) and (1, 0) gives the boundary
-    pair {0, 1} instead, which is no orbit of the mod-1 map).
-    """
-    mult = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
-    found: dict[frozenset, PeriodicOrbit] = {}
-    for p in range(1, max_period + 1):
-        den = abs(mult ** p - 1)
-        for num in range(den + 1):
-            orbit_nums = [num]
-            for _ in range(p):
-                orbit_nums.append((mult * orbit_nums[-1]) % den if den > 1 else 0)
-            if orbit_nums[p] != num:
-                continue
-            if any(p % d == 0 and orbit_nums[d] == num for d in range(1, p)):
-                continue
-            if len(set(orbit_nums[:p])) != p:
-                continue
-            pts = tuple(Fraction(k, den) for k in orbit_nums[:p])
-            key = frozenset(pts)
-            if key in found:
-                continue
-            digits = tuple(symbol_of(sys, q) for q in pts)
-            found[key] = PeriodicOrbit(pts, p, digits)
-    return sorted(found.values(), key=lambda o: (o.period, as_real(o.points[0])))
-
-
 def _necklace_blocks(n: int, p: int) -> Iterator[np.ndarray]:
     """Words of length p over 0..n-1 that are strictly smaller than each of
     their proper rotations: one word per cyclic class of minimal period p.
@@ -460,9 +427,9 @@ def gauss_orbit_blocks(sys: SystemSpec,
             yield p, digits, points
 
 
-def gauss_orbits(rows: Iterable[tuple[int, Sequence[int], Sequence[float]]]) -> list[PeriodicOrbit]:
-    """PeriodicOrbit objects for (period, digits, points) rows taken from
-    gauss_orbit_blocks, in periodic_orbits' order."""
+def sorted_orbits(rows: Iterable[tuple[int, Sequence[int], Sequence]]) -> list[PeriodicOrbit]:
+    """PeriodicOrbit objects for (period, itinerary, points) rows, sorted by
+    period and then by points[0]: periodic_orbits' order."""
     orbits = [PeriodicOrbit(tuple(x), p, tuple(k)) for p, k, x in rows]
     return sorted(orbits, key=lambda o: (o.period, o.points[0]))
 
@@ -470,15 +437,20 @@ def gauss_orbits(rows: Iterable[tuple[int, Sequence[int], Sequence[float]]]) -> 
 def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     """All periodic orbits of minimal period <= max_period.
 
-    Affine systems are solved exactly over the rationals (_affine_orbits);
-    full-shift and Gauss orbits are listed once per necklace, each point
-    the periodic_point of a rotation of it, Gauss points in one array fold
-    per block (gauss_orbit_blocks).  On gauss_system(30) up to period 4
-    that is 211,730 orbits, about half a second and 117 MB of objects:
-    callers that only score orbits consume gauss_orbit_blocks instead, as
-    ergopt.critical_value does.  Every system raises DynamicsError before
-    listing anything when the itineraries up to max_period exceed
-    MAX_ITINERARIES.
+    Every orbit is listed once per necklace (_necklace_blocks), each point
+    the periodic_point of a rotation of it: on the shift a word, on 2x and
+    -2x an exact Fraction, on Gauss a float from one array fold per block
+    (gauss_orbit_blocks).  On the circle the branch points 0 and 1 are the
+    single fixed point 0, so the words whose fold touches them (the 2x
+    words (0) and (1), the -2x boundary cycle (0 1)) are skipped and {0} is
+    listed by hand.  An affine orbit starts at its least point and must
+    close exactly under apply_map; a Gauss orbit must close within
+    CLOSURE_TOL.  Either failure raises DynamicsError.  On gauss_system(30)
+    up to period 4 that is 211,730 orbits, about half a second and 117 MB
+    of objects: callers that only score orbits consume gauss_orbit_blocks
+    instead, as ergopt.critical_value does.  Every system raises
+    DynamicsError before listing anything when the itineraries up to
+    max_period exceed MAX_ITINERARIES.
     """
     _check_enumeration(sys, max_period)
     if sys.kind is SystemKind.FULL_SHIFT2:
@@ -487,9 +459,20 @@ def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
                 for p in range(1, max_period + 1)
                 for words in _necklace_blocks(2, p)
                 for pattern in map(tuple, words.tolist())]
-    if sys.kind is not SystemKind.GAUSS:
-        return _affine_orbits(sys, max_period)
-    return gauss_orbits((p, k, x)
-                        for p, digits, points in gauss_orbit_blocks(sys, max_period)
-                        for k, x in zip(digits.tolist(), points.tolist()))
-
+    if sys.kind is SystemKind.GAUSS:
+        return sorted_orbits((p, k, x)
+                             for p, digits, points in gauss_orbit_blocks(sys, max_period)
+                             for k, x in zip(digits.tolist(), points.tolist()))
+    rows = [(1, (0,), (Fraction(0),))]
+    for p in range(1, max_period + 1):
+        for word in (w for words in _necklace_blocks(2, p) for w in words.tolist()):
+            points = [periodic_point(sys, word[i:] + word[:i]) for i in range(p)]
+            if 0 in points or 1 in points:
+                continue
+            i = points.index(min(points))
+            points, word = points[i:] + points[:i], word[i:] + word[:i]
+            if any(apply_map(sys, x) != y for x, y in zip(points, points[1:] + points[:1])):
+                raise DynamicsError(f"{sys.kind.value} orbit of itinerary {tuple(word)} "
+                                    "does not close")
+            rows.append((p, word, points))
+    return sorted_orbits(rows)

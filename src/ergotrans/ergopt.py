@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map, as_real,
-                       gauss_orbit_blocks, gauss_orbits, periodic_orbits)
+                       gauss_orbit_blocks, periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
 from .thermo import GridFunction, _Operator
 
@@ -118,9 +118,9 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
         if keep.any():
             kept.append((avg[keep], p, digits[keep], points[keep]))
     floor = best - TIE_TOL - SCREEN_SLACK * scale
-    return gauss_orbits((p, k, x) for avg, p, digits, points in kept
-                        for a, k, x in zip(avg.tolist(), digits.tolist(), points.tolist())
-                        if a >= floor), n_orbits
+    return sorted_orbits((p, k, x) for avg, p, digits, points in kept
+                         for a, k, x in zip(avg.tolist(), digits.tolist(), points.tolist())
+                         if a >= floor), n_orbits
 
 
 def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemSpec, inverse_branches
+from .involution import dual_potential
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -298,8 +299,6 @@ def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float,
     of A (in x) and of the dual potential (in y), evaluated by log-sum-exp
     over the product grid.
     """
-    from .involution import dual_potential
-
     if A_star is None:
         A_star = dual_potential(sys, A, W)
     nu = eigen_measure(sys, A, beta, n_grid=n_grid)

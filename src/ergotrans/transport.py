@@ -56,6 +56,10 @@ CLUSTER_TOL = 1e-9
 # Bounds on gamma_from_support's atom spread and on a passing cyclical slack.
 GAMMA_TOL = 1e-8
 CYCLICAL_TOL = 1e-10
+# Smallest coupling weight a plan's support keeps by default.
+SUPPORT_TOL = 1e-12
+# Points equal to this many decimal digits are one point (_point_key).
+KEY_DIGITS = 12
 
 
 class TransportError(ValueError):
@@ -67,11 +71,11 @@ def _reals(points) -> np.ndarray:
     return np.array([as_real(p) for p in points], dtype=float)
 
 
-def _point_key(p, digits: int = 12):
-    """Hashable rounded key; handles extension pairs as well as scalars."""
+def _point_key(p):
+    """Hashable key rounded to KEY_DIGITS; handles extension pairs as well as scalars."""
     if isinstance(p, tuple):
-        return tuple(_point_key(q, digits) for q in p)
-    return round(as_real(p), digits)
+        return tuple(_point_key(q) for q in p)
+    return round(as_real(p), KEY_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -209,12 +213,12 @@ class TransportPlan:
     col_points: tuple
     method: str
 
-    def support(self, tol: float = 1e-12) -> list[tuple]:
+    def support(self, tol: float = SUPPORT_TOL) -> list[tuple]:
         return [(x, y, float(self.coupling[i, j])) for i, x in enumerate(self.row_points)
                 for j, y in enumerate(self.col_points) if self.coupling[i, j] > tol]
 
-    def support_pairs(self, tol: float = 1e-12) -> list[tuple]:
-        return [(x, y) for x, y, _ in self.support(tol)]
+    def support_pairs(self) -> list[tuple]:
+        return [(x, y) for x, y, _ in self.support()]
 
     def to_json_dict(self, certificates: dict | None = None) -> dict:
         return {
@@ -497,7 +501,7 @@ def graph_check(plan: TransportPlan) -> GraphReport:
         else:
             clusters.append((x, [y]))
     bad = tuple((x, tuple(sorted(set(ys)))) for x, ys in clusters
-                if len({round(v, 12) for v in ys}) > 1)
+                if len({_point_key(v) for v in ys}) > 1)
     ys_rep = [max(ys) for _, ys in clusters]
     mono = all(ys_rep[i] >= ys_rep[i + 1] - CLUSTER_TOL for i in range(len(ys_rep) - 1))
     return GraphReport(not bad, bad, mono)

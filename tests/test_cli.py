@@ -137,6 +137,22 @@ def test_bad_tolerance_or_seed_in_config_is_usage_error(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()  # nothing written
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["kernel", "--preset", "linear"], {"out": 5}),
+    (["kernel"], {"preset": ["x"]}),
+], ids=["out", "preset"])
+def test_non_string_preset_or_out_in_config_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                            argv, bad):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(bad))
+    assert run(argv + ["--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert next(iter(bad)) in err
+    assert [f.name for f in tmp_path.iterdir()] == ["c.json"]  # nothing written
+
+
 def test_good_tolerance_and_seed_in_config(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"tol_lo": 1e-10, "seed": 7, "n_grid": 512}))

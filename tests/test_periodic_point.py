@@ -1,4 +1,5 @@
-"""dynamics.periodic_point against the two folds it replaced, and the
+"""dynamics.periodic_point against the two folds it replaced, affine
+periodic_orbits against the numerator scan it replaced, and the
 enumeration budget shared by every system."""
 
 import itertools
@@ -51,6 +52,33 @@ def reference_point(sys, digits):
     return float(gauss_fold(digits))
 
 
+def numerator_scan_orbits(sys, max_period):
+    """Reference: the affine orbits as first enumerated.  T^p(x) = x forces x
+    = j / |(+-2)^p - 1|; every numerator is scanned and kept when its orbit
+    closes with minimal period p, each orbit once, from its least point."""
+    mult = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
+    found = {}
+    for p in range(1, max_period + 1):
+        den = abs(mult ** p - 1)
+        for num in range(den + 1):
+            orbit_nums = [num]
+            for _ in range(p):
+                orbit_nums.append((mult * orbit_nums[-1]) % den if den > 1 else 0)
+            if orbit_nums[p] != num:
+                continue
+            if any(p % d == 0 and orbit_nums[d] == num for d in range(1, p)):
+                continue
+            if len(set(orbit_nums[:p])) != p:
+                continue
+            pts = tuple(Fraction(k, den) for k in orbit_nums[:p])
+            key = frozenset(pts)
+            if key in found:
+                continue
+            digits = tuple(dynamics.symbol_of(sys, q) for q in pts)
+            found[key] = dynamics.PeriodicOrbit(pts, p, digits)
+    return sorted(found.values(), key=lambda o: (o.period, float(o.points[0])))
+
+
 def rotation_digits(digits):
     """The p digit arrays of every rotation of every row, as gauss_orbit_blocks folds them."""
     p = digits.shape[1]
@@ -99,6 +127,28 @@ class TestPeriodicPoint:
             assert [type(y) for (_, y), _ in got] == [type(y) for (_, y), _ in want]
 
 
+class TestAffineOrbits:
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("max_period", range(1, 11))
+    def test_equal_numerator_scan(self, sys, max_period):
+        got, want = periodic_orbits(sys, max_period), numerator_scan_orbits(sys, max_period)
+        assert got == want  # points, periods and itineraries, in order
+        assert [tuple(map(type, o.points)) for o in got] == [(Fraction,) * o.period for o in want]
+
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=lambda s: s.kind.value)
+    def test_orbit_that_does_not_close_raises(self, monkeypatch, sys):
+        fold = dynamics.periodic_point
+
+        def wrong_for_one_rotation(sys_, digits):
+            x = fold(sys_, digits)
+            return x + Fraction(1, 1000) if tuple(digits) == (1, 0, 1) else x
+
+        monkeypatch.setattr(dynamics, "periodic_point", wrong_for_one_rotation)
+        assert periodic_orbits(sys, 2)
+        with pytest.raises(DynamicsError, match="does not close"):
+            periodic_orbits(sys, 3)
+
+
 class TestEnumerationBudget:
     @pytest.mark.parametrize("sys, max_period", [
         (FULL_SHIFT2, 21), (DOUBLING, 21), (MINUS_DOUBLING, 21), (gauss_system(30), 5),
@@ -109,7 +159,6 @@ class TestEnumerationBudget:
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr(dynamics, "_necklace_blocks", no_enumeration)
-        monkeypatch.setattr(dynamics, "_affine_orbits", no_enumeration)
         with pytest.raises(DynamicsError, match="budget exceeded"):
             periodic_orbits(sys, max_period)
 

@@ -59,3 +59,23 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module(f"ergotrans.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"ergotrans.{name}.__all__ names missing attributes: {missing}"
+
+
+def _imports_the_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "ergotrans"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "ergotrans" for a in node.names)
+    return False
+
+
+def test_no_package_import_inside_a_function():
+    # A module imports its siblings at the top; an import inside a function
+    # hides a dependency and is only needed to break a cycle, which the
+    # package has none of.  Third-party imports are out of scope.
+    found = [f"{path.name}:{node.lineno} in {fn.name}"
+             for path in sorted(Path(ergotrans.__file__).parent.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if _imports_the_package(node)]
+    assert not found, f"package imports inside functions: {found}"
