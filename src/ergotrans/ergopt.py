@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map, as_real,
                        gauss_orbit_blocks, periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
-from .thermo import GridFunction, _Operator
+from .thermo import _BLOCK, GridFunction, _Operator
 
 __all__ = [
     "ErgOptError",
@@ -130,7 +130,8 @@ def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
 
     op is the operator of (sys, A) at beta = 1 on V's grid; pass it to
     reuse one build across steps (calibrated_subaction does), or leave it
-    None to build it here.  The result does not depend on which.  Ties
+    None to build it here.  The result does not depend on which; an op
+    built for another system, potential, beta or grid raises.  Ties
     between branches break toward the smaller branch index (the max scan
     keeps the first maximum), which pins reproducibility but not the
     value.
@@ -142,6 +143,9 @@ def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
         op = _Operator(sys, A, 1.0, V.n_grid)
     elif op.n_grid != V.n_grid:
         raise ErgOptError(f"operator grid {op.n_grid} does not match V's grid {V.n_grid}")
+    elif (op.sys, op.A, op.beta) != (sys, A, 1.0):
+        raise ErgOptError(f"operator of {op.A.name} on {op.sys.kind.name} at beta {op.beta} "
+                          f"does not match {A.name} on {sys.kind.name} at beta 1")
     out = op.max_apply(V.values, out=_out)
     out -= m
     return GridFunction(out)
@@ -186,9 +190,10 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
     the final update moves no cell by more than CAL_TOL, i.e. every cell
     value is attained by some preimage.  The grid operator (branch images,
     A on them, interpolation stencil) is built once and passed to every
-    step as op=.  The steps alternate between two value buffers and
-    measure the change in a third, so a step allocates no grid-sized
-    array; the arithmetic is that of normalized_max_zero and sup_diff.
+    step as op=.  The steps alternate between two value buffers, and each
+    step's renormalization and sup-change are one blocked pass, so a step
+    allocates no grid-sized array; the arithmetic is that of
+    normalized_max_zero and sup_diff.
     """
     orbit = None
     if m is None:
@@ -196,13 +201,11 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
         m, orbit = cv.m, cv.orbit
     V = GridFunction.constant(0.0, n_grid)
     op = _Operator(sys, A, 1.0, n_grid)
-    spare, diff = np.empty(n_grid), np.empty(n_grid)
+    spare, scratch = np.empty(n_grid), np.empty(min(_BLOCK, n_grid))
     change = math.inf
     for it in range(1, max_iter + 1):
         Vn = lax_oleinik_step(sys, A, m, V, op=op, _out=spare)
-        un = Vn.values
-        un -= np.max(un)
-        change = _sup_diff(V.values, un, diff)
+        change = _renormalize_change(Vn.values, V.values, scratch)
         spare, V = V.values, Vn
         if change <= tol:
             break
@@ -210,16 +213,28 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
         raise ErgOptError(f"Lax-Oleinik iteration did not converge after {max_iter} steps; "
                           f"last change {change:.3e}")
     final = lax_oleinik_step(sys, A, m, V, op=op, _out=spare).values
-    final -= np.max(final)
-    calibrated = _sup_diff(V.values, final, diff) <= CAL_TOL
+    calibrated = _renormalize_change(final, V.values, scratch) <= CAL_TOL
     return SubactionResult(V, float(m), change, calibrated, orbit, it)
 
 
-def _sup_diff(u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> float:
-    """max |u - v|, computed in scratch (GridFunction.sup_diff's arithmetic)."""
-    np.subtract(u, v, out=scratch)
-    np.abs(scratch, out=scratch)
-    return float(np.max(scratch))
+def _renormalize_change(un: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> float:
+    """Shift un to max 0 in place and return max |u - un|.
+
+    The shift and the difference run block by block through scratch, so
+    each block is read from memory once; the arithmetic is that of
+    normalized_max_zero and sup_diff, and a NaN difference propagates.
+    """
+    top = np.max(un)
+    size = scratch.size
+    peaks = np.empty(-(-un.size // size))
+    for k, s in enumerate(range(0, un.size, size)):
+        block = un[s:s + size]
+        block -= top
+        d = scratch[:block.size]
+        np.subtract(u[s:s + size], block, out=d)
+        np.abs(d, out=d)
+        peaks[k] = np.max(d)
+    return float(np.max(peaks))
 
 
 @dataclass(frozen=True)

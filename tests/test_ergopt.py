@@ -1,7 +1,9 @@
 """Critical values, Lax-Oleinik subactions, and the deviation function."""
 
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,7 @@ from ergotrans.potentials import (
     perturbed_potential,
     polynomial_potential,
 )
-from ergotrans.thermo import GridFunction, ThermoError, _Operator
+from ergotrans.thermo import _BLOCK, GridFunction, ThermoError, _Operator
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 A_ZERO = polynomial_potential(0, 0, 0, name="0")
@@ -145,6 +147,18 @@ class TestLaxOleinikStep:
         with pytest.raises(ErgOptError, match="grid"):
             lax_oleinik_step(MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, V, op=op)
 
+    @pytest.mark.parametrize("sys, A, beta", [(MINUS_DOUBLING, LINEAR, 5.0),
+                                              (MINUS_DOUBLING, LINEAR, 1.0),
+                                              (DOUBLING, QUAD_DIRAC, 1.0),
+                                              (MINUS_DOUBLING, QUAD_DIRAC, 5.0)])
+    def test_operator_of_other_system_potential_or_beta_rejected(self, sys, A, beta):
+        # such an op used to be applied silently: linear at beta 5 on
+        # quad-dirac is off by about 5 on 64 cells
+        V = GridFunction.constant(0.0, 64)
+        op = _Operator(sys, A, beta, 64)
+        with pytest.raises(ErgOptError, match="does not match"):
+            lax_oleinik_step(MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, V, op=op)
+
 
 class TestCalibratedSubaction:
     def test_quad_dirac_matches_closed_form(self):
@@ -206,6 +220,27 @@ class TestCalibratedSubaction:
         assert res.calibrated
         assert len(built) == 1
 
+    def test_operator_freed_on_return(self, monkeypatch):
+        # with the cycle collector off, the operator (its logw arrays and
+        # scratch rows) must go with the last reference to it, or a second
+        # solve at a large grid would hold two
+        built = []
+
+        class RecordingOperator(_Operator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(ergopt, "_Operator", RecordingOperator)
+        gc.disable()
+        try:
+            res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=1 << 16, max_period=4)
+            alive = [ref() is not None for ref in built]
+        finally:
+            gc.enable()
+        assert res.calibrated
+        assert alive == [False]
+
     def test_iterations_count_loop_steps(self, monkeypatch):
         steps = []
         plain = ergopt.lax_oleinik_step
@@ -223,11 +258,15 @@ class TestCalibratedSubaction:
 
     def test_values_pinned_at_n_grid_2_16(self):
         # sha256 of V's little-endian float64 bytes, computed with the
-        # unblocked grid operator that the blocked kernel replaced: the
-        # kernel must reproduce it to the last bit
+        # unblocked grid operator that the blocked kernel replaced (the
+        # quad-period2 one with the gather-only kernel that strided runs
+        # replaced): the kernel must reproduce them to the last bit
         res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=1 << 16, max_period=4)
         digest = hashlib.sha256(res.V.values.astype("<f8").tobytes()).hexdigest()
         assert digest == "7ca239b745d4c42ac0e2bf1190874c3b0e6f836ce48d31af7e6e10b62c04273f"
+        res = calibrated_subaction(MINUS_DOUBLING, QUAD_PERIOD2, n_grid=1 << 16, max_period=4)
+        digest = hashlib.sha256(res.V.values.astype("<f8").tobytes()).hexdigest()
+        assert digest == "4dd8be714f5a839a70a08edc6096f5b7883aa29583dc67b46ef7cd40d50de64f"
 
     @pytest.mark.parametrize("sys, A, m, n", [
         (MINUS_DOUBLING, QUAD_DIRAC, None, 4096),
@@ -251,6 +290,16 @@ class TestCalibratedSubaction:
         assert np.array_equal(res.V.values, V.values)
         assert (res.iterations, res.residual, res.calibrated) == (it, change,
                                                                   V.sup_diff(final) <= 1e-8)
+
+    def test_renormalized_change_keeps_a_nan(self):
+        # the change is a max over block peaks, which must not drop a NaN
+        # the way Python's max(peak, nan) does
+        n = 3 * _BLOCK + 5
+        u = np.zeros(n)
+        u[_BLOCK + 7] = np.nan
+        un = np.linspace(-1.0, 0.5, n)
+        assert math.isnan(ergopt._renormalize_change(un, u, np.empty(_BLOCK)))
+        assert un.max() == 0.0
 
     @pytest.mark.parametrize("fn", [
         lambda x: np.where(np.asarray(x) > 0.25, np.nan, 0.0),

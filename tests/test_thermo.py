@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from ergotrans import thermo
 from ergotrans.dynamics import DOUBLING, MINUS_DOUBLING, gauss_system
 from ergotrans.involution import quadratic_kernel, KernelForm, KernelSpec
-from ergotrans.potentials import GAUSS_LOG, QUAD_DIRAC, QUAD_PERIOD2, polynomial_potential
+from ergotrans.potentials import (GAUSS_LOG, LINEAR, QUAD_CONVEX, QUAD_DIRAC, QUAD_PERIOD2,
+                                  polynomial_potential)
 from ergotrans.presets import get_preset
 from ergotrans.thermo import (
     _BLOCK,
@@ -119,6 +121,93 @@ class TestBlockedOperator:
                 op.max_apply(u, out=out)
 
 
+def _plain_stencil(sys, n):
+    """Reference: every cell's (j, th), as first written."""
+    out = []
+    for p in thermo._branch_images(sys, (np.arange(n) + 0.5) / n):
+        t = p * n - 0.5
+        j = np.clip(np.floor(t).astype(int), 0, n - 2)
+        out.append((j, np.clip(t - j, 0.0, 1.0)))
+    return out
+
+
+def _split_runs(runs):
+    """A branch's runs of several cells, and its runs of one cell."""
+    return [r for r in runs if r[1] > 1], [r for r in runs if r[1] == 1]
+
+
+class TestStridedRuns:
+    # (n, minimum run length): the default, then shorter minimums so that
+    # small grids take runs too, and the rounding noise of grids that are
+    # not powers of two breaks runs inside and across blocks
+    @pytest.mark.parametrize("n, min_run", [(n, thermo._MIN_RUN) for n in (
+        2, 3, 15, 16, 17, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5)] + [
+        (2, 2), (3, 2), (15, 2), (16, 2), (17, 2), (_BLOCK - 1, 3), (_BLOCK + 1, 3)])
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    @pytest.mark.parametrize("A", [QUAD_DIRAC, QUAD_PERIOD2, QUAD_CONVEX, LINEAR],
+                             ids=lambda A: A.name)
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
+    def test_affine_applies_equal_plain_expressions(self, monkeypatch, sys, A, beta, n, min_run):
+        monkeypatch.setattr(thermo, "_MIN_RUN", min_run)
+        op = _Operator(sys, A, beta, n)
+        for (j, th), (plain_j, plain_th) in zip(op.stencil, _plain_stencil(sys, n)):
+            assert np.array_equal(j, plain_j) and np.array_equal(th, plain_th)
+        u = np.random.default_rng(n).uniform(-2.0, 1.0, size=n)
+        best, log = _plain_applies(op, u)
+        assert np.array_equal(op.max_apply(u), best)
+        assert np.array_equal(op.log_apply(u), log)
+
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
+    def test_power_of_two_grid_is_runs_but_the_clipped_edge(self, sys):
+        # each parity class has th exactly 1/4 or 3/4 and j stepping by
+        # +-1, but for one clipped edge cell per branch (th 0 or 1)
+        n = 1 << 16
+        op = _Operator(sys, QUAD_DIRAC, 1.0, n)
+        for runs, kept in op._branches:
+            long, single = _split_runs(runs)
+            assert kept is None
+            assert sorted(count for _, count, *_ in long) == [n // 2 - 1, n // 2]
+            assert {t for *_, t in long} == {0.25, 0.75}
+            assert [t for *_, t in single] in ([0.0], [1.0])
+
+    @pytest.mark.parametrize("n", [2048, 1 << 16])
+    def test_gauss_has_no_runs(self, n):
+        op = _Operator(gauss_system(30), GAUSS_LOG, 1.0, n)
+        assert all(runs == [] and kept is not None for runs, kept in op._branches)
+
+    def test_grid_of_other_size_keeps_its_stencil(self):
+        # rounding moves th off 1/4 and 3/4 on scattered cells: too many
+        # cells are left over, and the branches gather
+        n = 4099
+        op = _Operator(MINUS_DOUBLING, QUAD_PERIOD2, 1.0, n)
+        for (runs, kept), (plain_j, plain_th) in zip(op._branches, _plain_stencil(MINUS_DOUBLING, n)):
+            assert runs == []
+            assert np.array_equal(kept[0], plain_j) and np.array_equal(kept[1], plain_th)
+
+    def test_irregular_cell_inside_a_run(self, monkeypatch):
+        # nudge one branch image in the middle of a block: the run splits
+        # around its cell, which is read as a run of its own
+        n, cell = 1 << 16, _BLOCK + 1001
+        plain = thermo._branch_images
+
+        def nudged(sys, centers):
+            points = plain(sys, centers)
+            points[1][cell] += 0.3 / n
+            return points
+
+        monkeypatch.setattr(thermo, "_branch_images", nudged)
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 3.0, n)
+        long, single = _split_runs(op._branches[1][0])
+        assert len(long) == 3 and cell in [c for c, *_ in single] and len(single) == 2
+        for (j, th), (plain_j, plain_th) in zip(op.stencil, _plain_stencil(MINUS_DOUBLING, n)):
+            assert np.array_equal(j, plain_j) and np.array_equal(th, plain_th)
+        rng = np.random.default_rng(11)
+        for u in (rng.uniform(-2.0, 1.0, size=n), rng.uniform(-50.0, 0.0, size=n)):
+            best, log = _plain_applies(op, u)
+            assert np.array_equal(op.max_apply(u), best)
+            assert np.array_equal(op.log_apply(u), log)
+
+
 def _plain_adjoint(op, v):
     """The adjoint as first written: weights recomputed on every apply."""
     out = np.zeros_like(v)
@@ -212,9 +301,9 @@ class TestEigenpair:
         applies = []
         plain = _Operator.log_apply
 
-        def counting(self, u):
+        def counting(self, u, **kwargs):
             applies.append(1)
-            return plain(self, u)
+            return plain(self, u, **kwargs)
 
         monkeypatch.setattr(_Operator, "log_apply", counting)
         pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
