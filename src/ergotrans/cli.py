@@ -103,9 +103,10 @@ def cmd_kernel(cfg: RunConfig) -> int:
     path = out / f"{pre.name}-kernel.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write("x,y,W\n")
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                fh.write(f"{x:.17g},{y:.17g},{W[i, j]:.17g}\n")
+        labels = [f"{x:.17g}" for x in xs.tolist()]
+        for x, row in zip(labels, W.tolist()):
+            for y, w in zip(labels, row):
+                fh.write(f"{x},{y},{w:.17g}\n")
     print(f"wrote {path} ({n}x{n} grid of {pre.kernel.name})")
     return EXIT_OK
 
@@ -122,7 +123,7 @@ def cmd_dual(cfg: RunConfig) -> int:
     path = out / f"{pre.name}-dual.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write("y,A_star\n")
-        for y, a in zip(ys, A_star(ys)):
+        for y, a in zip(ys.tolist(), np.asarray(A_star(ys), dtype=float).tolist()):
             fh.write(f"{y:.17g},{a:.17g}\n")
     _write_json(out / f"{pre.name}-dual.json",
                 {"cohomology_residual_vs_self": residual, "involutive": residual < 1e-8})

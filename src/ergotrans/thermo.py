@@ -98,7 +98,7 @@ class GridFunction:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write("cell_center,value\n")
-            for c, v in zip(self.centers, self.values):
+            for c, v in zip(self.centers.tolist(), self.values.tolist()):
                 fh.write(f"{c:.17g},{v:.17g}\n")
 
 

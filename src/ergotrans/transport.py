@@ -2,12 +2,13 @@
 
 Costs are c = -W + gamma or c = I - W + gamma for an involution kernel W,
 evaluated on point sets as one matrix (`CostSpec.matrix`).  Plans on
-finitely supported marginals are solved exactly by permutation
-enumeration for small square uniform marginals and by scipy's HiGHS LP
-for everything else.  The certification operations implement the
-structural checks: duality / complementary slackness, c-cyclical
-monotonicity, the twist order relation, the graph property, and the
-Rockafellar-type potential with its twist-ordered closed form.
+finitely supported marginals are solved exactly: square uniform
+marginals by permutation enumeration up to 8 atoms and by scipy's
+assignment solver above, everything else by scipy's HiGHS LP.  The
+certification operations implement the structural checks: duality /
+complementary slackness, c-cyclical monotonicity, the twist order
+relation, the graph property, and the Rockafellar-type potential with
+its twist-ordered closed form.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ CLUSTER_TOL = 1e-9
 # Bounds on gamma_from_support's atom spread and on a passing cyclical slack.
 GAMMA_TOL = 1e-8
 CYCLICAL_TOL = 1e-10
+# Slacks scored per array block by cyclical_monotonicity_check.
+CYCLICAL_BLOCK = 1 << 16
 # Smallest coupling weight a plan's support keeps by default.
 SUPPORT_TOL = 1e-12
 # Points equal to this many decimal digits are one point (_point_key).
@@ -159,11 +162,23 @@ class CostSpec:
     def matrix(self, xs: Sequence, ys: Sequence) -> np.ndarray:
         """C[i, j] = cost(xs[i], ys[j]), equal to the scalar cost bit for bit.
 
-        W comes from one `KernelSpec.grid` call on the points as floats;
-        I is evaluated once per row on the point as given, so exact
-        rationals stay exact, and an infinite deviation makes the row +inf.
+        W is one broadcast call of the kernel's `fn` on the points as
+        floats, as in `KernelSpec.grid`; I is evaluated once per row on
+        the point as given, so exact rationals stay exact, and an infinite
+        deviation makes the row +inf.
         """
-        C = self.gamma - self.w.grid(_reals(xs), _reals(ys))
+        return self._costs(xs, _reals(xs)[:, None], _reals(ys)[None, :])
+
+    def _costs(self, xs: Sequence, xf: np.ndarray, yf: np.ndarray) -> np.ndarray:
+        """The one cost evaluation: gamma - W(xf, yf) on the float arrays
+        xf, yf as they broadcast, then I(xs[i]) added along the first axis,
+        xs[i] being the point of xf[i] as given.
+
+        Aligned 1-D arrays give the cost of each pair (xs[k], ys[k]), bit
+        for bit the `matrix` entry of that pair.  The kernel's `fn` is
+        called on the arrays, not the scalar `KernelSpec.__call__`.
+        """
+        C = self.gamma - self.w.fn(xf, yf)
         if self.i_eval is not None:
             for i, x in enumerate(xs):
                 iv = float(self.i_eval(x))
@@ -241,6 +256,18 @@ def _permutations(n: int) -> np.ndarray:
     return P
 
 
+def _permutation_plan(C: np.ndarray, w: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, float]:
+    """The coupling of row i to column perm[i] with weight w[i], and its
+    value summed row by row in order i = 0..n-1, starting from 0.0."""
+    rows = np.arange(C.shape[0])
+    P = np.zeros_like(C)
+    P[rows, perm] = w
+    val = 0.0
+    for term in (C[rows, perm] * w).tolist():
+        val += term
+    return P, val
+
+
 def _solve_permutations(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     """Cheapest permutation coupling: all n! values at once, summed row by row
     in order i = 0..n-1, first minimum in itertools order on ties."""
@@ -249,20 +276,45 @@ def _solve_permutations(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float
     vals = np.zeros(len(perms))
     for i in range(n):
         vals += C[i, perms[:, i]] * w[i]
-    best = int(np.argmin(vals))
-    P = np.zeros_like(C)
-    P[np.arange(n), perms[best]] = w
-    return P, float(vals[best])
+    return _permutation_plan(C, w, perms[int(np.argmin(vals))])
+
+
+def _solve_assignment(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cheapest permutation coupling by scipy's exact assignment solver."""
+    from scipy.optimize import linear_sum_assignment
+
+    _, perm = linear_sum_assignment(C)
+    return _permutation_plan(C, w, perm)
+
+
+def _solve_highs(C: np.ndarray, wr: np.ndarray, wc: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Kantorovich LP by scipy's HiGHS; +inf costs become 1e12."""
+    from scipy.optimize import linprog
+
+    n, m = C.shape
+    Cw = np.where(np.isinf(C), 1e12, C)
+    # one row-sum constraint per row of the plan, then one per column
+    A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    res = linprog(Cw.ravel(), A_eq=A_eq, b_eq=np.concatenate([wr, wc]), bounds=(0, None),
+                  method="highs")
+    if not res.success:
+        raise TransportError(f"LP failed: {res.message}")
+    return res.x.reshape(n, m), float(res.fun)
 
 
 def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) -> TransportPlan:
     """Minimize the total cost over couplings with the given marginals.
 
-    Square uniform instances up to 8x8 go through exact permutation
-    enumeration (the vertices of the scaled Birkhoff polytope); every
-    other instance through scipy's HiGHS simplex.  The plan carries no
-    dual solution: `duality_certificate` certifies a plan against a
-    given dual pair.
+    When every weight of both marginals is the same float and the square
+    cost matrix is finite, the feasible couplings form the scaled
+    Birkhoff polytope, whose vertices are permutations
+    (Birkhoff-von Neumann), so an optimal plan is a permutation: up to
+    8x8 it comes from exact enumeration (first minimum in
+    itertools.permutations order on ties), above that from scipy's
+    `linear_sum_assignment`.  Both sum the value row by row from 0.0.
+    Every other instance goes through scipy's HiGHS simplex.  The plan
+    carries no dual solution: `duality_certificate` certifies a plan
+    against a given dual pair.
     """
     wr, wc = mu.weights, mu_star.weights
     if abs(wr.sum() - wc.sum()) > MARGINAL_TOL:
@@ -274,24 +326,15 @@ def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) ->
                 f"atom {as_real(mu.points[i]):g} has infinite deviation: cannot carry mass"
             )
     n, m = C.shape
-    uniform = np.allclose(wr, wr[0]) and np.allclose(wc, wc[0])
-    if n == m and n <= 8 and uniform and not np.any(np.isinf(C)):
-        P, val = _solve_permutations(C, wr)
-        method = "permutation_enumeration"
+    # exact equality: a permutation carries each row weight to one column whole
+    uniform = bool(np.all(wr == wr[0]) and np.all(wc == wr[0]))
+    if n == m and uniform and not np.any(np.isinf(C)):
+        if n <= 8:
+            (P, val), method = _solve_permutations(C, wr), "permutation_enumeration"
+        else:
+            (P, val), method = _solve_assignment(C, wr), "assignment"
     else:
-        from scipy.optimize import linprog
-
-        Cw = np.where(np.isinf(C), 1e12, C)
-        # one row-sum constraint per row of the plan, then one per column
-        A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
-        res = linprog(Cw.ravel(), A_eq=A_eq,
-                      b_eq=np.concatenate([wr, wc]), bounds=(0, None),
-                      method="highs")
-        if not res.success:
-            raise TransportError(f"LP failed: {res.message}")
-        P = res.x.reshape(n, m)
-        val = float(res.fun)
-        method = "highs"
+        (P, val), method = _solve_highs(C, wr, wc), "highs"
     if np.max(np.abs(P.sum(axis=1) - wr)) > MARGINAL_TOL or \
        np.max(np.abs(P.sum(axis=0) - wc)) > MARGINAL_TOL:
         raise TransportError("solver returned a coupling with wrong marginals")
@@ -422,23 +465,45 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
 
     slack = sum c(x_j, y_j) - sum c(x_sigma(j), y_j); a slack above
     CYCLICAL_TOL is a violation and its subset/permutation are returned as
-    witness.  The costs come from one matrix over the support.
+    witness: the first largest slack over subset sizes k = 2..n_max, the
+    subsets in itertools.combinations order and the permutations but the
+    identity in itertools.permutations order.  The costs come from one
+    matrix over the support; each subset size is scored as arrays of
+    subsets x permutations, in blocks of about CYCLICAL_BLOCK slacks.
     """
     if n_max > 7:
         raise TransportError("n_max above 7 is not supported (factorial blow-up)")
     pts = list(S)
-    C = c.matrix([x for x, _ in pts], [y for _, y in pts]).tolist()
+    C = c.matrix([x for x, _ in pts], [y for _, y in pts])
+    diag = np.diagonal(C)
     worst = -math.inf
     wit_s, wit_p = None, None
     for k in range(2, min(n_max, len(pts)) + 1):
-        perms = list(itertools.permutations(range(k)))[1:]  # all but the identity
-        for idx in itertools.combinations(range(len(pts)), k):
-            base = sum(C[i][i] for i in idx)
-            for perm in perms:
-                permuted = sum(C[idx[p]][idx[j]] for j, p in enumerate(perm))
-                slack = base - permuted
-                if slack > worst:
-                    worst, wit_s, wit_p = slack, tuple(pts[i] for i in idx), perm
+        perms = _permutations(k)[1:]  # all but the identity, in itertools order
+        block = max(1, CYCLICAL_BLOCK // len(perms))
+        combos = itertools.combinations(range(len(pts)), k)
+        while True:
+            idx = np.array(list(itertools.islice(combos, block)), dtype=np.intp)
+            if not idx.size:
+                break
+            # slack[s, q] for subset s and permutation q, each sum added
+            # term by term from 0.0 as the scalar loop adds it
+            base = np.zeros(len(idx))
+            permuted = np.zeros((len(idx), len(perms)))
+            rows = idx[:, perms]
+            for j in range(k):
+                base += diag[idx[:, j]]
+                permuted += C[rows[:, :, j], idx[:, j, None]]
+            with np.errstate(invalid="ignore"):
+                slack = base[:, None] - permuted
+            # first maximum in loop order; a NaN slack (inf - inf) never wins
+            slack[np.isnan(slack)] = -math.inf
+            best = int(np.argmax(slack))
+            if slack.flat[best] > worst:
+                s_i, q_i = divmod(best, len(perms))
+                worst = float(slack.flat[best])
+                wit_s = tuple(pts[i] for i in idx[s_i].tolist())
+                wit_p = tuple(perms[q_i].tolist())
     if worst == -math.inf:
         return CyclicalReport(True, 0.0, None, None)
     return CyclicalReport(worst <= CYCLICAL_TOL, float(worst), wit_s, wit_p)
@@ -520,38 +585,31 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     BRUTE_FORCE takes the infimum of the telescoping sum over all chains
     of length <= chain_cap (elements of S with repetition); TWIST_ORDERED
     evaluates the closed-form chain that uses the support atoms strictly
-    left of z in increasing x order, starting from the base atom.  Under a
-    twist cost the two agree.
+    left of z in increasing x order, starting from the base atom, and
+    evaluates only the costs that chain reads, each bit for bit its entry
+    of the full cost matrix.  Under a twist cost the two agree.
     """
     pts = list(S)
     if not pts:
         raise TransportError("empty support")
     x0, y0 = pts[base]
     zv = as_real(z)
-    # C[i][j] = c(x_i, y_j) over the atoms, with z as the last row
-    C = c.matrix([x for x, _ in pts] + [zv], [y for _, y in pts]).tolist()
-    z_row = C[-1]
-
-    def chain_value(chain) -> float:
-        prev = base
-        total = 0.0
-        for i in chain:
-            total += C[i][prev] - C[prev][prev]
-            prev = i
-        total += z_row[prev] - C[prev][prev]
-        return total
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
 
     if mode is RochetMode.BRUTE_FORCE:
+        # C[i][j] = c(x_i, y_j) over the atoms, with z as the last row.
         # Min-plus recursion over the chain's last atom: level[j] is the
         # least partial sum of the chains of the current length ending at j.
-        # chain_value adds its terms left to right from 0.0, and rounded
+        # A chain's value adds its terms left to right from 0.0, and rounded
         # addition is monotone (a <= b gives fl(a + d) <= fl(b + d)), so the
         # least fl(s + d) over a set of partial sums s is fl(min s + d).
         # With C finite on the support this equals the minimum over every
         # chain of length <= chain_cap bit for bit, in chain_cap * n^2
         # additions instead of n^chain_cap chains.
+        C = c.matrix(xs + [zv], ys).tolist()
         n = len(pts)
-        tail = [z_row[j] - C[j][j] for j in range(n)]
+        tail = [C[-1][j] - C[j][j] for j in range(n)]
         level = {base: 0.0}
         best = level[base] + tail[base]
         for _ in range(chain_cap):
@@ -560,12 +618,25 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
         return float(best)
 
     if mode is RochetMode.TWIST_ORDERED:
-        ordered = sorted(range(len(pts)), key=lambda i: as_real(pts[i][0]))
-        first = pts[ordered[0]]
-        if (as_real(first[0]), as_real(first[1])) != (as_real(x0), as_real(y0)):
+        xr = [as_real(x) for x in xs]
+        ordered = sorted(range(len(pts)), key=xr.__getitem__)
+        if (xr[ordered[0]], as_real(pts[ordered[0]][1])) != (xr[base], as_real(y0)):
             raise TransportError("twist-ordered mode requires base = leftmost support atom")
-        chain = tuple(i for i in ordered[1:] if as_real(pts[i][0]) < zv)
-        return float(chain_value(chain))
+        walk = [base] + [i for i in ordered[1:] if xr[i] < zv]
+        k = len(walk) - 1
+        # The chain reads only c(x_i, y_i) along the walk, c(x_t, y_{t-1})
+        # between its steps and c(z, y_last): 2k + 2 entries of the full
+        # matrix, evaluated as one aligned array.
+        xw = [xr[i] for i in walk]
+        yw = [as_real(ys[i]) for i in walk]
+        vals = c._costs([xs[i] for i in walk] + [xs[i] for i in walk[1:]] + [zv],
+                        np.array(xw + xw[1:] + [zv]), np.array(yw + yw[:-1] + yw[-1:])).tolist()
+        diag, step, z_cost = vals[:k + 1], vals[k + 1:2 * k + 1], vals[-1]
+        total = 0.0
+        for t in range(k):
+            total += step[t] - diag[t]
+        total += z_cost - diag[k]
+        return float(total)
 
     raise TransportError(f"unknown mode {mode!r}")
 

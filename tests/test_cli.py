@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ergotrans.accept import transport_instance
 from ergotrans.cli import EXIT_OK, EXIT_USAGE, main
-from ergotrans.presets import GOLDEN_MEAN
+from ergotrans.involution import dual_potential
+from ergotrans.presets import GOLDEN_MEAN, get_preset
 
 
 def run(args):
@@ -157,3 +159,20 @@ def test_good_tolerance_and_seed_in_config(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"tol_lo": 1e-10, "seed": 7, "n_grid": 512}))
     assert run(["subaction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_kernel_and_dual_csv_format_every_value_to_17_digits(tmp_path):
+    pre = get_preset("quad-period2")
+    assert run(["kernel", "--preset", pre.name, "--out", str(tmp_path),
+                "--kernel-grid", "8"]) == EXIT_OK
+    assert run(["dual", "--preset", pre.name, "--out", str(tmp_path),
+                "--kernel-grid", "8"]) == EXIT_OK
+    xs = (np.arange(8) + 0.5) / 8
+    W = pre.kernel.grid(xs, xs)
+    want = ["x,y,W"] + [f"{x:.17g},{y:.17g},{W[i, j]:.17g}"
+                        for i, x in enumerate(xs) for j, y in enumerate(xs)]
+    assert (tmp_path / f"{pre.name}-kernel.csv").read_text().splitlines() == want
+    ys = np.linspace(1e-3, 1.0 - 1e-3, 8)
+    A_star = dual_potential(pre.system, pre.potential, pre.kernel)(ys)
+    want = ["y,A_star"] + [f"{y:.17g},{a:.17g}" for y, a in zip(ys, A_star)]
+    assert (tmp_path / f"{pre.name}-dual.csv").read_text().splitlines() == want

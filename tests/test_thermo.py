@@ -388,3 +388,4 @@ def test_gridfunction_csv(tmp_path):
     c, v = lines[1].split(",")
     assert float(c) == pytest.approx(1 / 6)
     assert float(v) == 1 / 3
+    assert lines[1:] == [f"{c:.17g},{v:.17g}" for c, v in zip(g.centers, g.values)]

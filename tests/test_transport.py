@@ -22,6 +22,7 @@ from ergotrans.dynamics import (
 from ergotrans.ergopt import critical_value, deviation_I
 from ergotrans.involution import (
     KernelForm,
+    KernelSpec,
     example5_kernel,
     example6_kernel,
     fundamental_kernel,
@@ -661,3 +662,206 @@ def test_plan_json_export():
     d = plan.to_json_dict({"graph": tr.graph_check(plan).to_json_dict()})
     assert sorted(a["x"] for a in d["atoms"]) == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
     assert d["certificates"]["graph"]["is_graph"] is True
+
+
+# ---------------------------------------------------------------- assignment
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6])
+def test_near_uniform_marginals_take_the_lp(eps):
+    # weights that are almost, not exactly, equal: a permutation cannot
+    # carry them, so the instance goes to HiGHS
+    mu = tr.AtomicMeasure(((0.25, 0.5 + eps), (0.75, 0.5 - eps)))
+    mu_star = tr.AtomicMeasure.uniform([0.25, 0.75])
+    plan = tr.solve_kantorovich(mu, mu_star, tr.CostSpec(w=example6_kernel()))
+    assert plan.method == "highs"
+    np.testing.assert_allclose(plan.coupling.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.coupling.sum(axis=0), mu_star.weights, rtol=0, atol=1e-12)
+
+
+def uniform_instance(n, seed):
+    rng = np.random.default_rng(seed)
+    xs = [float(v) for v in rng.permutation(np.linspace(0.01, 0.99, n) + rng.uniform(0, 1e-3, n))]
+    ys = [float(v) for v in rng.uniform(0, 1, n)]
+    return tr.AtomicMeasure.uniform(xs), tr.AtomicMeasure.uniform(ys)
+
+
+@pytest.mark.parametrize("n", [9, 16, 64])
+@pytest.mark.parametrize("kname", ["W1", "ex5", "ex6"])
+def test_assignment_matches_highs(n, kname):
+    W = {"W1": quadratic_kernel(0, 1, 0), "ex5": example5_kernel(), "ex6": example6_kernel()}[kname]
+    for seed in range(3):
+        mu, mu_star = uniform_instance(n, seed)
+        cost = tr.CostSpec(w=W, gamma=0.25)
+        plan = tr.solve_kantorovich(mu, mu_star, cost)
+        assert plan.method == "assignment"
+        C = cost.matrix(mu.points, mu_star.points)
+        _, ref_value = tr._solve_highs(C, mu.weights, mu_star.weights)
+        assert abs(plan.value - ref_value) <= 1e-9
+        P = plan.coupling
+        np.testing.assert_allclose(P.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(P.sum(axis=0), mu_star.weights, rtol=0, atol=1e-12)
+        if kname == "W1":  # mixed partial 0: every coupling is optimal
+            continue
+        # an exact permutation matrix carrying the row weights
+        assert np.count_nonzero(P) == n
+        assert np.all(np.count_nonzero(P, axis=0) == 1) and np.all(np.count_nonzero(P, axis=1) == 1)
+        assert np.all(P[P != 0] == mu.weights[0])
+        # the value is summed row by row from 0.0
+        perm = np.argmax(P, axis=1)
+        value = 0.0
+        for i in range(n):
+            value += C[i, perm[i]] * mu.weights[i]
+        assert plan.value == value
+        # strict twist: the support is the monotone rearrangement
+        # (example 5: c has negative mixed partial, comonotone; example 6 anti-monotone)
+        xs, ys = sorted(mu.points), sorted(mu_star.points)
+        if kname == "ex6":
+            ys = ys[::-1]
+        assert sorted(plan.support_pairs()) == sorted(zip(xs, ys))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_square_uniform_methods_by_size(n):
+    mu, mu_star = uniform_instance(n, 5)
+    plan = tr.solve_kantorovich(mu, mu_star, tr.CostSpec(w=example6_kernel()))
+    assert plan.method == ("permutation_enumeration" if n <= 8 else "assignment")
+
+
+def test_infinite_cost_square_uniform_takes_highs():
+    # a kernel of -inf on a few pairs: c = +inf there, so no assignment solve
+    def fn(x, y):
+        return np.where(x + y > 1.6, -np.inf, x * y)
+
+    mu, mu_star = uniform_instance(9, 1)
+    plan = tr.solve_kantorovich(mu, mu_star, tr.CostSpec(w=KernelSpec(KernelForm.EXPLICIT, fn, "cut")))
+    assert plan.method == "highs"
+
+
+# ------------------------------------------------- chain-only Rochet potential
+
+
+def full_matrix_twist_rochet(S, c, base, z):
+    """TWIST_ORDERED as a walk over the full cost matrix, z in the last row."""
+    pts = list(S)
+    zv = float(z)
+    C = c.matrix([x for x, _ in pts] + [zv], [y for _, y in pts]).tolist()
+    ordered = sorted(range(len(pts)), key=lambda i: float(pts[i][0]))
+    prev, total = base, 0.0
+    for i in (i for i in ordered[1:] if float(pts[i][0]) < zv):
+        total += C[i][prev] - C[prev][prev]
+        prev = i
+    return total + (C[-1][prev] - C[prev][prev])
+
+
+def anti_monotone_support(rng, n):
+    xs = np.sort(rng.uniform(0, 1, n))
+    ys = np.sort(rng.uniform(0, 1, n))[::-1]
+    pts = [(Fraction(x).limit_denominator(1 << 20) if k % 2 else float(x), float(y))
+           for k, (x, y) in enumerate(zip(xs, ys))]
+    return pts
+
+
+class TestChainOnlyRochet:
+    def costs(self):
+        def I(x):
+            # +inf on every atom right of 0.7, as for a non-maximizing cycle
+            return math.inf if float(x) > 0.7 else float(x) ** 2
+
+        return [tr.CostSpec(w=example6_kernel()),
+                tr.CostSpec(w=quadratic_kernel(0.1, -0.7, 0.4), gamma=-0.3),
+                tr.CostSpec(w=example5_kernel(), gamma=0.2, i_eval=I)]
+
+    def test_equals_full_matrix_walk(self):
+        rng = np.random.default_rng(41)
+        for cost in self.costs():
+            for n in range(1, 12):
+                S = anti_monotone_support(rng, n)
+                for z in [*rng.uniform(0, 1, 6), float(S[0][0]) / 2, 0.999, THIRD]:
+                    got = tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
+                    assert got.hex() == full_matrix_twist_rochet(S, cost, 0, z).hex()
+
+    def test_empty_chain(self):
+        # z left of every atom but the base: only c(x0, y0) and c(z, y0) are read
+        for cost in self.costs():
+            S = [(0.2, 0.9), (0.5, 0.5), (0.8, 0.1)]
+            got = tr.rochet_potential(S, cost, 0, 0.3, tr.RochetMode.TWIST_ORDERED)
+            assert got.hex() == (cost.cost(0.3, 0.9) - cost.cost(0.2, 0.9)).hex()
+            assert got.hex() == full_matrix_twist_rochet(S, cost, 0, 0.3).hex()
+
+    def test_infinite_rows_propagate(self):
+        cost = self.costs()[2]
+        S = [(0.2, 0.9), (0.5, 0.5), (0.8, 0.1)]
+        # the chain passes an atom with I = +inf: inf - inf is NaN, as in the full matrix
+        got = tr.rochet_potential(S, cost, 0, 0.9, tr.RochetMode.TWIST_ORDERED)
+        assert math.isnan(got) and math.isnan(full_matrix_twist_rochet(S, cost, 0, 0.9))
+        # z itself has I = +inf
+        got = tr.rochet_potential(S, cost, 0, 0.75, tr.RochetMode.TWIST_ORDERED)
+        assert got == math.inf == full_matrix_twist_rochet(S, cost, 0, 0.75)
+
+    def test_check_10_instance(self):
+        from ergotrans.accept import Z_GRID, transport_instance
+
+        _, _, _, cost, _, plan = transport_instance("quad-convex")
+        S = sorted(plan.support_pairs(), key=lambda p: float(p[0]))
+        for z in np.linspace(0.01, 0.99, Z_GRID):
+            got = tr.rochet_potential(S, cost, 0, float(z), tr.RochetMode.TWIST_ORDERED)
+            assert got.hex() == full_matrix_twist_rochet(S, cost, 0, float(z)).hex()
+
+    def test_reads_no_scalar_kernel_call(self, monkeypatch):
+        def refuse(self, x, y):
+            raise AssertionError("scalar kernel call")
+
+        monkeypatch.setattr(type(example6_kernel()), "__call__", refuse)
+        S = [(0.2, 0.9), (0.5, 0.5), (0.8, 0.1)]
+        tr.rochet_potential(S, tr.CostSpec(w=example6_kernel()), 0, 0.9,
+                            tr.RochetMode.TWIST_ORDERED)
+
+    def test_aligned_costs_equal_matrix_entries(self):
+        rng = np.random.default_rng(3)
+        xs = [float(v) for v in rng.uniform(0, 1, 7)] + [THIRD]
+        ys = [float(v) for v in rng.uniform(0, 1, 5)] + [TWO_THIRDS]
+        for cost in self.costs() + [tr.CostSpec(w=gauss_log_kernel(), gamma=0.5)]:
+            C = cost.matrix(xs, ys)
+            ii, jj = np.meshgrid(np.arange(len(xs)), np.arange(len(ys)), indexing="ij")
+            px, py = [xs[i] for i in ii.ravel()], [ys[j] for j in jj.ravel()]
+            got = cost._costs(px, np.array([float(x) for x in px]), np.array([float(y) for y in py]))
+            assert got.reshape(C.shape).tobytes() == C.tobytes()
+
+
+# ------------------------------------------------ cyclical monotonicity arrays
+
+
+class TestCyclicalArrays:
+    def test_random_supports_equal_scalar_loop(self, monkeypatch):
+        def I(x):
+            return math.inf if float(x) > 0.8 else 0.5 * float(x)
+
+        rng = np.random.default_rng(17)
+        costs = [tr.CostSpec(w=example5_kernel()), tr.CostSpec(w=example6_kernel(), i_eval=I)]
+        for block in (tr.CYCLICAL_BLOCK, 5):  # one block per size, and many small ones
+            monkeypatch.setattr(tr, "CYCLICAL_BLOCK", block)
+            for cost in costs:
+                for n in (2, 4, 7):
+                    S = [(float(x), float(y)) for x, y in rng.uniform(0, 1, (n, 2))]
+                    rep = tr.cyclical_monotonicity_check(S, cost, n_max=4)
+                    worst, wit_s, wit_p = scalar_cyclical(S, cost, 4)
+                    if worst == -math.inf:
+                        assert (rep.passes, rep.worst_slack, rep.witness_subset) == (True, 0.0, None)
+                        continue
+                    assert rep.worst_slack.hex() == worst.hex()
+                    assert (rep.witness_subset, rep.witness_permutation) == (wit_s, wit_p)
+                    assert all(type(p) is int for p in rep.witness_permutation)
+
+    def test_nan_slack_is_never_the_witness(self):
+        def I(x):
+            return math.inf if float(x) > 0.5 else 0.0
+
+        S = [(0.6, 0.3), (0.9, 0.1)]  # both rows infinite: every slack is inf - inf
+        rep = tr.cyclical_monotonicity_check(S, tr.CostSpec(w=example5_kernel(), i_eval=I))
+        assert (rep.passes, rep.worst_slack, rep.witness_subset, rep.witness_permutation) == \
+            (True, 0.0, None, None)
+        S = [(0.1, 0.2), (0.3, 0.4), (0.6, 0.3)]  # only subsets avoiding 0.6 count
+        rep = tr.cyclical_monotonicity_check(S, tr.CostSpec(w=example5_kernel(), i_eval=I))
+        assert not math.isnan(rep.worst_slack)
+        assert rep.witness_subset == ((0.1, 0.2), (0.3, 0.4))
