@@ -29,7 +29,6 @@ __all__ = ["CheckResult", "CRITERIA", "transport_instance"]
 
 N_PROBES_COHOMOLOGY = 1000
 N_TRIPLES_COCYCLE = 1000
-COCYCLE_DEPTH = 48
 # Longest period of the orbits the checks enumerate for a critical value.
 MAX_PERIOD = 4
 B_GRID = 64
@@ -158,12 +157,12 @@ def check_cohomology() -> CheckResult:
 def check_cocycle_vs_closed_form() -> CheckResult:
     A = polynomial_potential(0, 0, 1)
     W2 = inv.quadratic_kernel(0, 0, 1)
-    bound = inv.series_tail_bound(A, COCYCLE_DEPTH)
+    bound = inv.series_tail_bound(A, inv.SERIES_DEPTH)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(N_TRIPLES_COCYCLE):
         x, xp, y = (Fraction(int(rng.integers(0, 4096)), 4096) for _ in range(3))
-        delta = inv.cocycle_delta(MINUS_DOUBLING, A, x, xp, y, COCYCLE_DEPTH)
+        delta = inv.cocycle_delta(MINUS_DOUBLING, A, x, xp, y, inv.SERIES_DEPTH)
         closed = W2(x, y) - W2(xp, y)
         worst = max(worst, abs(float(delta.value - closed)))
     return CheckResult("cocycle-vs-closed-form", worst < bound,
@@ -211,14 +210,14 @@ def check_transport_plan() -> CheckResult:
 
 
 def check_duality() -> CheckResult:
-    tol = 1e-8
+    tol = tr.DUALITY_TOL
     grid = _frac_grid(B_GRID)
     details, ok = [], True
     for name in ("quad-dirac", "quad-period2"):
         pre, mu, mu_star, cost, atoms, plan = transport_instance(name)
         probe_x = grid + _support_preimages(pre.system, [x for x, _ in atoms])
         rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
-                                     probe_x, grid, mu, mu_star, tol=tol)
+                                     probe_x, grid, mu, mu_star)
         ok = ok and rep.admissible and rep.slackness_ok and abs(rep.duality_gap) <= tol
         details.append(
             f"{name}: viol {rep.worst_violation:+.2e}, atom {rep.worst_atom_residual:.2e}, "

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import involution as inv
 from . import transport as tr
-from .accept import CRITERIA, _frac_grid, transport_instance
+from .accept import B_GRID, CRITERIA, MAX_PERIOD, _frac_grid, transport_instance
 from .dynamics import probe_floor
-from .ergopt import calibrated_subaction
+from .ergopt import TOL_LO, calibrated_subaction
 from .ergopt import deviation_I  # noqa: F401 -- perfbench's tracer test reads cli.deviation_I
 from .presets import PRESETS, get_preset
+from .thermo import DEFAULT_N_GRID
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -32,12 +33,12 @@ EXIT_USAGE = 2
 @dataclass
 class RunConfig:
     preset: str = "quad-dirac"
-    n_grid: int = 4096
-    max_period: int = 4
+    n_grid: int = DEFAULT_N_GRID
+    max_period: int = MAX_PERIOD
     out: str = "."
     seed: int = 0
     kernel_grid: int = 64
-    tol_lo: float = 1e-12
+    tol_lo: float = TOL_LO
 
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
@@ -144,7 +145,7 @@ def cmd_twist(cfg: RunConfig) -> int:
 def cmd_transport(cfg: RunConfig) -> int:
     pre, mu, mu_star, cost, atoms, plan = transport_instance(cfg.preset)
     certificates = {}
-    grid = _frac_grid(64)
+    grid = _frac_grid(B_GRID)
     if atoms is not None:
         rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
                                      grid, grid, mu, mu_star)

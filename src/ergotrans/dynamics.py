@@ -133,9 +133,9 @@ class SymbolWord:
         return cls(tuple(int(s) for s in symbols))
 
     @classmethod
-    def periodic(cls, pattern: Sequence[int], depth: int = DEFAULT_WORD_DEPTH) -> "SymbolWord":
-        reps = -(-depth // len(pattern))
-        return cls(tuple(list(pattern) * reps)[:depth])
+    def periodic(cls, pattern: Sequence[int]) -> "SymbolWord":
+        reps = -(-DEFAULT_WORD_DEPTH // len(pattern))
+        return cls(tuple(list(pattern) * reps)[:DEFAULT_WORD_DEPTH])
 
 
 class Ordering(enum.IntEnum):

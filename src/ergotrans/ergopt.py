@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map, as_real,
                        gauss_orbit_blocks, periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
-from .thermo import _BLOCK, GridFunction, _Operator
+from .thermo import _BLOCK, DEFAULT_N_GRID, GridFunction, _Operator
 
 __all__ = [
     "ErgOptError",
@@ -181,9 +181,9 @@ class SubactionResult:
             fh.write("\n")
 
 
-def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
+def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = DEFAULT_N_GRID,
                          m: float | None = None, max_period: int = DEFAULT_MAX_PERIOD,
-                         tol: float = TOL_LO, max_iter: int = MAX_ITER_LO) -> SubactionResult:
+                         tol: float = TOL_LO) -> SubactionResult:
     """Iterate the max-plus update from V = 0 until the sup-change stalls.
 
     V is renormalized to max 0 after every step.  calibrated is set when
@@ -203,14 +203,14 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = 4096,
     op = _Operator(sys, A, 1.0, n_grid)
     spare, scratch = np.empty(n_grid), np.empty(min(_BLOCK, n_grid))
     change = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER_LO + 1):
         Vn = lax_oleinik_step(sys, A, m, V, op=op, _out=spare)
         change = _renormalize_change(Vn.values, V.values, scratch)
         spare, V = V.values, Vn
         if change <= tol:
             break
     else:
-        raise ErgOptError(f"Lax-Oleinik iteration did not converge after {max_iter} steps; "
+        raise ErgOptError(f"Lax-Oleinik iteration did not converge after {MAX_ITER_LO} steps; "
                           f"last change {change:.3e}")
     final = lax_oleinik_step(sys, A, m, V, op=op, _out=spare).values
     calibrated = _renormalize_change(final, V.values, scratch) <= CAL_TOL
@@ -241,7 +241,7 @@ def _renormalize_change(un: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> f
 class DeviationValue:
     """Partial sum of the one-sided rate function I at a point.
 
-    value is +inf when the partial sum exceeded the cap; converged is True
+    value is +inf when the partial sum exceeded CAP_I; converged is True
     when the early-exit rule (last term below TOL_I) fired.  When n_terms is
     exhausted with neither, value holds the partial sum and converged is
     False -- callers needing certainty must raise n_terms.  All three
@@ -258,8 +258,7 @@ class DeviationValue:
 
 
 def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
-                n_terms: int = N_TERMS_I, cap: float = CAP_I,
-                early_exit: bool = True) -> DeviationValue:
+                n_terms: int = N_TERMS_I, early_exit: bool = True) -> DeviationValue:
     """Sum of R(T^n x) with R = V(T .) - V(.) - A(.) + m along the forward orbit.
 
     V may be a GridFunction or any callable.  With early_exit the sum stops
@@ -285,14 +284,14 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     while len(terms) < n_terms:
         k = first.get(z)
         if k is not None:
-            return _periodic_tail(terms[k:], total, len(terms), n_terms, cap)
+            return _periodic_tail(terms[k:], total, len(terms), n_terms)
         zn = apply_map(sys, z)
         vzn = float(V(as_real(zn)))
         r = vzn - vz - float(A(z)) + m
         first[z] = len(terms)
         terms.append(r)
         total += r
-        if total > cap:
+        if total > CAP_I:
             return DeviationValue(math.inf, True, len(terms))
         if early_exit and abs(r) < TOL_I:
             return DeviationValue(total, True, len(terms))
@@ -300,12 +299,11 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     return DeviationValue(total, False, n_terms)
 
 
-def _periodic_tail(cycle: list[float], total: float, n: int, n_terms: int,
-                   cap: float) -> DeviationValue:
+def _periodic_tail(cycle: list[float], total: float, n: int, n_terms: int) -> DeviationValue:
     """Add terms n .. n_terms - 1, the cycle tiled, to the running total.
 
     Every cycle term was tested against TOL_I on its first visit, so the
-    early exit cannot fire here; only the cap can.  The tail is added in
+    early exit cannot fire here; only CAP_I can.  The tail is added in
     blocks of whole cycles (at most about _TAIL_BLOCK terms), so memory
     stays bounded however large n_terms is.
     """
@@ -321,7 +319,7 @@ def _periodic_tail(cycle: list[float], total: float, n: int, n_terms: int,
         # partial sum rounded once: the same IEEE additions, in the same
         # order, as `total += r` term by term.  A pairwise np.sum would not be.
         np.cumsum(s, out=s)
-        over = s[1:] > cap
+        over = s[1:] > CAP_I
         if over.any():
             return DeviationValue(math.inf, True, n + int(np.argmax(over)) + 1)
         total = float(s[-1])

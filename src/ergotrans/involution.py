@@ -52,6 +52,9 @@ __all__ = [
     "twist_stability_probe",
 ]
 
+# Terms of every cocycle series the pipeline sums (kernels, probes, check 4).
+SERIES_DEPTH = 48
+
 
 class InvolutionError(ValueError):
     """Raised when a claimed kernel fails the cohomology identity."""
@@ -220,7 +223,8 @@ def _affine_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fra
     return (b * ((acc_b * D) << depth) + c * acc_c) / (D * D << 2 * depth)
 
 
-def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime, depth: int = 48) -> KernelSpec:
+def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime,
+                       depth: int = SERIES_DEPTH) -> KernelSpec:
     """W0(x, y) = Delta_A(x, base, y), lazily evaluated at the given depth."""
 
     def fn(x, y):
@@ -323,8 +327,10 @@ def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,
     """Check the submodularity W(a,b) + W(a',b') < W(a,b') + W(a',b) for a<a', b<b'.
 
     Every kernel value comes from `KernelSpec.grid` on an n_grid-point grid
-    of [0, 1]; the verdict is margin > TWIST_MARGIN.
+    of [0, 1], n_grid >= 2; the verdict is margin > TWIST_MARGIN.
     """
+    if n_grid < 2:
+        raise InvolutionError(f"twist_check needs n_grid >= 2, got {n_grid}")
     if method is TwistMethod.MIXED_PARTIAL:
         h = TWIST_STEP
         g = np.linspace(2 * h, 1.0 - 2 * h, n_grid)
@@ -375,9 +381,9 @@ class TwistStabilityResult:
 
 
 def twist_stability_probe(p_coeffs: tuple, R: PotentialSpec, eps_list: Sequence[float],
-                          depth: int = 48, n_grid: int = 9) -> TwistStabilityResult:
+                          n_grid: int = 9) -> TwistStabilityResult:
     """For A = p + eps*R under -2x mod 1, build the cocycle-series kernel
-    from the base point x' = 1/2 and run the twist check.
+    of SERIES_DEPTH terms from the base point x' = 1/2 and run the twist check.
 
     Series kernels are only piecewise smooth in y (the backward branch word
     flips at dyadic points; the flips cancel exactly for the quadratic part
@@ -394,7 +400,7 @@ def twist_stability_probe(p_coeffs: tuple, R: PotentialSpec, eps_list: Sequence[
     passing = []
     for eps in eps_list:
         A = perturbed_potential(p, R, eps)
-        W0 = fundamental_kernel(MINUS_DOUBLING, A, 0.5, depth=depth)
+        W0 = fundamental_kernel(MINUS_DOUBLING, A, 0.5, depth=SERIES_DEPTH)
         rep = twist_check(W0, TwistMethod.DELTA_MONOTONE, n_grid=n_grid)
         reports[float(eps)] = rep
         if rep.is_twist:

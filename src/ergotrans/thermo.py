@@ -380,17 +380,17 @@ def ruelle_apply(sys: SystemSpec, A: PotentialSpec, beta: float, f: GridFunction
 
 
 def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
-              n_grid: int = DEFAULT_N_GRID, max_iter: int = MAX_ITER_EIG) -> EigenPair:
+              n_grid: int = DEFAULT_N_GRID) -> EigenPair:
     """Leading eigenpair by power iteration with sup normalization.
 
     Iterates from the constant function until the relative eigenvalue
     change drops below TOL_EIG; raises ThermoError with the step count and
-    the last residual if max_iter is exhausted first.
+    the last residual if MAX_ITER_EIG steps are exhausted first.
     """
     op = _Operator(sys, A, beta, n_grid)
     u, spare = np.zeros(n_grid), np.empty(n_grid)  # the steps alternate between the two
     log_lam = math.nan
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER_EIG + 1):
         un = op.log_apply(u, out=spare)
         s = float(np.max(un))
         un -= s
@@ -402,7 +402,7 @@ def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
     else:
         un = op.log_apply(u, out=spare)
         res = float(np.max(np.abs(np.exp(un - log_lam) - np.exp(u))))
-        raise ThermoError(f"power iteration did not converge after {max_iter} steps; "
+        raise ThermoError(f"power iteration did not converge after {MAX_ITER_EIG} steps; "
                           f"last residual {res:.3e}")
     un = op.log_apply(u, out=spare)
     residual = float(np.max(np.abs(np.exp(un - log_lam) - np.exp(u))))
@@ -411,12 +411,12 @@ def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
 
 
 def eigen_measure(sys: SystemSpec, A: PotentialSpec, beta: float,
-                  n_grid: int = DEFAULT_N_GRID, max_iter: int = MAX_ITER_EIG) -> np.ndarray:
+                  n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
     """Eigen-probability of the adjoint operator (cell masses summing to 1)."""
     op = _Operator(sys, A, beta, n_grid)
     v = np.full(n_grid, 1.0 / n_grid)
     change = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER_EIG):
         vn = op.adjoint_apply(v)
         tot = float(np.sum(vn))
         if tot <= 0:
@@ -426,7 +426,7 @@ def eigen_measure(sys: SystemSpec, A: PotentialSpec, beta: float,
         if change <= TOL_MEASURE * np.max(vn):
             return vn
         v = vn
-    raise ThermoError(f"adjoint iteration did not converge after {max_iter} steps; "
+    raise ThermoError(f"adjoint iteration did not converge after {MAX_ITER_EIG} steps; "
                       f"last change {change:.3e}")
 
 
@@ -441,15 +441,14 @@ def v_beta(sys: SystemSpec, A: PotentialSpec, beta: float,
 
 
 def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float,
-                   n_grid: int = 512, A_star: PotentialSpec | None = None) -> float:
+                   n_grid: int = 512) -> float:
     """(1/beta) log of the kernel normalization integral c_beta.
 
     c_beta = integral of e^(beta W(x, y)) against the eigen-probabilities
-    of A (in x) and of the dual potential (in y), evaluated by log-sum-exp
-    over the product grid.
+    of A (in x) and of the dual potential of (A, W) (in y), evaluated by
+    log-sum-exp over the product grid.
     """
-    if A_star is None:
-        A_star = dual_potential(sys, A, W)
+    A_star = dual_potential(sys, A, W)
     nu = eigen_measure(sys, A, beta, n_grid=n_grid)
     nu_star = eigen_measure(sys, A_star, beta, n_grid=n_grid)
     centers = (np.arange(n_grid) + 0.5) / n_grid

@@ -59,6 +59,8 @@ GAMMA_TOL = 1e-8
 CYCLICAL_TOL = 1e-10
 # Slacks scored per array block by cyclical_monotonicity_check.
 CYCLICAL_BLOCK = 1 << 16
+# Largest violation and atom residual a duality certificate passes.
+DUALITY_TOL = 1e-8
 # Smallest coupling weight a plan's support keeps by default.
 SUPPORT_TOL = 1e-12
 # Points equal to this many decimal digits are one point (_point_key).
@@ -192,9 +194,6 @@ class CostSpec:
         i = float(self.i_eval(x))
         return math.inf if math.isinf(i) else base + i
 
-    def __call__(self, x, y) -> float:
-        return self.cost(x, y)
-
 
 @dataclass(frozen=True)
 class GammaResult:
@@ -287,16 +286,25 @@ def _solve_assignment(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     return _permutation_plan(C, w, perm)
 
 
+def _marginal_matrix(n: int, m: int):
+    """The equality constraints of an n x m plan, sparse: one row-sum
+    constraint per row of the plan, then one per column.  Column k, the
+    plan entry (k // m, k % m), has a 1 in its row's and its column's."""
+    from scipy.sparse import csc_array
+
+    k = np.arange(n * m)
+    rows = np.stack([k // m, n + k % m], axis=1).ravel()
+    return csc_array((np.ones(2 * n * m), rows, 2 * np.arange(n * m + 1)), shape=(n + m, n * m))
+
+
 def _solve_highs(C: np.ndarray, wr: np.ndarray, wc: np.ndarray) -> tuple[np.ndarray, float]:
     """The Kantorovich LP by scipy's HiGHS; +inf costs become 1e12."""
     from scipy.optimize import linprog
 
     n, m = C.shape
     Cw = np.where(np.isinf(C), 1e12, C)
-    # one row-sum constraint per row of the plan, then one per column
-    A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
-    res = linprog(Cw.ravel(), A_eq=A_eq, b_eq=np.concatenate([wr, wc]), bounds=(0, None),
-                  method="highs")
+    res = linprog(Cw.ravel(), A_eq=_marginal_matrix(n, m), b_eq=np.concatenate([wr, wc]),
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise TransportError(f"LP failed: {res.message}")
     return res.x.reshape(n, m), float(res.fun)
@@ -412,14 +420,14 @@ class DualityReport:
 
 def duality_certificate(V, V_star, c: CostSpec, plan: TransportPlan,
                         probe_x: np.ndarray, probe_y: np.ndarray,
-                        mu: AtomicMeasure, mu_star: AtomicMeasure,
-                        tol: float = 1e-8) -> DualityReport:
+                        mu: AtomicMeasure, mu_star: AtomicMeasure) -> DualityReport:
     """Certify that (-V, -V*) is an optimal admissible pair for the plan.
 
     One additive constant (applied to -V*) is fitted from the support atoms
     before checking, since V* is only pinned up to a constant relative to
     V; the shift is recorded.  Checks: admissibility on the probe grid,
-    equality on every support atom, and dual value = plan value.
+    equality on every support atom, and dual value = plan value; the
+    first two pass within DUALITY_TOL.
     """
     atoms = plan.support()
     residuals = [c.cost(x, y) - (-float(V(as_real(x))) - float(V_star(as_real(y))))
@@ -437,8 +445,8 @@ def duality_certificate(V, V_star, c: CostSpec, plan: TransportPlan,
             - np.sum([float(V_star(as_real(p))) * w for p, w in zip(mu_star.points, mu_star.weights)])
             + shift)
     gap = float(primal - dual)
-    return DualityReport(worst <= tol, float(worst), worst_atom <= tol, worst_atom,
-                         shift, float(primal), float(dual), gap)
+    return DualityReport(worst <= DUALITY_TOL, float(worst), worst_atom <= DUALITY_TOL,
+                         worst_atom, shift, float(primal), float(dual), gap)
 
 
 @dataclass(frozen=True)
@@ -592,6 +600,8 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     pts = list(S)
     if not pts:
         raise TransportError("empty support")
+    if not 0 <= base < len(pts):
+        raise TransportError(f"base {base} is not an atom index of a support of {len(pts)}")
     x0, y0 = pts[base]
     zv = as_real(z)
     xs = [x for x, _ in pts]

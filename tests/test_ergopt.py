@@ -191,14 +191,15 @@ class TestCalibratedSubaction:
         r = res.V(np.mod(-2 * z, 1.0)) - res.V.values - np.asarray(QUAD_DIRAC(z)) + res.m
         assert float(r.min()) >= -1e-8
 
-    def test_nonconvergence_raises_with_change(self):
+    def test_nonconvergence_raises_with_change(self, monkeypatch):
         # the boundary two-cycle of A = x^2 has cyclicity 2: the max-plus
         # iteration oscillates and must report non-convergence
         from ergotrans.ergopt import ErgOptError
 
+        monkeypatch.setattr(ergopt, "MAX_ITER_LO", 500)
         with pytest.raises(ErgOptError, match="after 500 steps; last change"):
             calibrated_subaction(MINUS_DOUBLING, polynomial_potential(0, 0, 1),
-                                 n_grid=512, max_period=12, max_iter=500)
+                                 n_grid=512, max_period=12)
 
     def test_calibration_equality_per_cell(self):
         # with the exact m, one more max-plus step moves nothing: every cell
@@ -308,11 +309,12 @@ class TestCalibratedSubaction:
         lambda x: np.where(np.asarray(x) > 0.25, -np.inf, 0.0),
         lambda x: np.full(np.shape(x), -np.inf),
     ], ids=["nan", "inf", "-inf-some-cells", "-inf-all-cells"])
-    def test_nonfinite_step_raises_at_once(self, fn):
-        # ThermoError at the first step, not ErgOptError after max_iter
+    def test_nonfinite_step_raises_at_once(self, monkeypatch, fn):
+        # ThermoError at the first step, not ErgOptError after MAX_ITER_LO
+        monkeypatch.setattr(ergopt, "MAX_ITER_LO", 50)
         A = custom_potential(fn, "nonfinite", holder_constant=1.0)
         with pytest.raises(ThermoError, match="finite"):
-            calibrated_subaction(MINUS_DOUBLING, A, n_grid=64, m=0.0, max_iter=50)
+            calibrated_subaction(MINUS_DOUBLING, A, n_grid=64, m=0.0)
 
 
 def _plain_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_I,
@@ -339,6 +341,13 @@ def _plain_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_
             return total, True, n + 1
         z = zn
     return total, False, n_terms
+
+
+def _deviation(monkeypatch, *args, cap=None, **kw):
+    """deviation_I with the reference's cap keyword set as ergopt.CAP_I."""
+    if cap is not None:
+        monkeypatch.setattr(ergopt, "CAP_I", cap)
+    return deviation_I(*args, **kw)
 
 
 def _closed_V_dirac(x):
@@ -386,8 +395,8 @@ class TestDeviationReuse:
         (gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2, 0.5772156649015329,
          dict(n_terms=300, early_exit=False)),
     ])
-    def test_matches_plain_loop(self, sys, A, V, m, x, kw):
-        d = deviation_I(sys, A, V, m, x, **kw)
+    def test_matches_plain_loop(self, monkeypatch, sys, A, V, m, x, kw):
+        d = _deviation(monkeypatch, sys, A, V, m, x, **kw)
         assert (d.value, d.converged, d.n_used) == _plain_deviation(sys, A, V, m, x, **kw)
 
     @pytest.mark.parametrize("sys, A, V, m, x, n_terms", [
@@ -412,10 +421,10 @@ class TestDeviationReuse:
         # blocks shorter than the cycle, of a few cycles, and of many
         monkeypatch.setattr(ergopt, "_TAIL_BLOCK", block)
         args = (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x)
-        d = deviation_I(*args, **kw)
+        d = _deviation(monkeypatch, *args, **kw)
         assert (d.value, d.converged, d.n_used) == _plain_deviation(*args, **kw)
 
-    def test_walk_stops_at_first_repeat(self):
+    def test_walk_stops_at_first_repeat(self, monkeypatch):
         # 5/128 reaches the fixed point 0 after 7 steps: 8 distinct points
         # are evaluated, and the cap is crossed in the tail, well after them
         seen = []
@@ -425,8 +434,9 @@ class TestDeviationReuse:
             return QUAD_DIRAC(x)
 
         A = custom_potential(fn, "counting", holder_constant=2.0)
+        monkeypatch.setattr(ergopt, "CAP_I", 100.0)
         d = deviation_I(MINUS_DOUBLING, A, _closed_V_dirac, -1 / 9, Fraction(5, 128),
-                        n_terms=500, cap=100.0, early_exit=False)
+                        n_terms=500, early_exit=False)
         assert len(seen) == 8
         assert math.isinf(d.value) and d.converged and d.n_used > 100
 
@@ -449,7 +459,7 @@ class TestDeviationReuse:
         (Fraction(11, 3 * 2 ** 3), dict(n_terms=500)),
         (Fraction(3, 97), dict(n_terms=20, early_exit=False)),
     ])
-    def test_value_function_evaluated_once_per_point(self, x, kw):
+    def test_value_function_evaluated_once_per_point(self, monkeypatch, x, kw):
         # V(T z) of one step is V(z) of the next: V is read at the start
         # and at the image of each distinct point walked, and nowhere else
         walked, v_args = [], []
@@ -464,7 +474,7 @@ class TestDeviationReuse:
 
         A = custom_potential(fn, "counting", holder_constant=2.0)
         args = (MINUS_DOUBLING, A, V, -1 / 9, x)
-        d = deviation_I(*args, **kw)
+        d = _deviation(monkeypatch, *args, **kw)
         assert len(v_args) == len(set(walked)) + 1 == len(walked) + 1
         assert (d.value, d.converged, d.n_used) == _plain_deviation(
             MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x, **kw)
@@ -482,11 +492,11 @@ class TestDeviation:
                         n_terms=200, early_exit=False)
         assert d.value == 0.0
 
-    def test_infinite_at_origin_for_quad_dirac(self):
+    def test_infinite_at_origin_for_quad_dirac(self, monkeypatch):
         # R(0) = A(2/3) - A(0) = 8/9 summed forever; small cap makes it explicit
         V = lambda x: -x * x / 3 + 2 * x / 9
-        d = deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, Fraction(0), n_terms=500,
-                        cap=100.0)
+        monkeypatch.setattr(ergopt, "CAP_I", 100.0)
+        d = deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, Fraction(0), n_terms=500)
         assert math.isinf(d.value)
         assert d.n_used <= 150
 

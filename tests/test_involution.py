@@ -368,6 +368,17 @@ class TestTwist:
         verdicts = {m: twist_check(W, m, n_grid=9).is_twist for m in TwistMethod}
         assert len(set(verdicts.values())) == 1
 
+    @pytest.mark.parametrize("method", list(TwistMethod))
+    @pytest.mark.parametrize("n_grid", [1, 0, -3])
+    def test_grid_of_fewer_than_two_points_rejected(self, method, n_grid):
+        # one point has no pair a < a': the flat W1 would pass with margin inf
+        with pytest.raises(InvolutionError, match="n_grid >= 2"):
+            twist_check(quadratic_kernel(0, 1, 0), method, n_grid=n_grid)
+
+    @pytest.mark.parametrize("method", list(TwistMethod))
+    def test_two_point_grid_judges_w1_flat(self, method):
+        assert not twist_check(quadratic_kernel(0, 1, 0), method, n_grid=2).is_twist
+
     def test_witness_ordering(self):
         rep = twist_check(example5_kernel(), TwistMethod.PAIRWISE_GRID, n_grid=7)
         a, b, ap, bp = rep.witness
@@ -427,23 +438,42 @@ def scalar_twist_check(W, method, n_grid, h=1e-4, margin_tol=1e-9):
 
 
 class TestTwistStability:
-    def test_zero_perturbation_always_twist(self):
+    def test_zero_perturbation_always_twist(self, monkeypatch):
+        monkeypatch.setattr(involution, "SERIES_DEPTH", 30)
         R0 = custom_potential(lambda x: 0.0 * x, "0", holder_constant=0.0)
-        res = twist_stability_probe((0, 0, 1), R0, [0.5, 0.1, 0.01], depth=30, n_grid=5)
+        res = twist_stability_probe((0, 0, 1), R0, [0.5, 0.1, 0.01], n_grid=5)
         assert res.largest_passing_eps == 0.5
         assert all(rep.is_twist for rep in res.reports.values())
 
-    def test_cubic_perturbation_has_passing_eps(self):
+    def test_cubic_perturbation_has_passing_eps(self, monkeypatch):
+        monkeypatch.setattr(involution, "SERIES_DEPTH", 30)
         R = custom_potential(lambda x: x ** 3, "x^3", holder_constant=3.0)
-        res = twist_stability_probe((0, 0, 1), R, [0.5, 0.1, 0.01], depth=30, n_grid=5)
+        res = twist_stability_probe((0, 0, 1), R, [0.5, 0.1, 0.01], n_grid=5)
         assert res.largest_passing_eps is not None
 
-    def test_small_sine_perturbation_is_twist(self):
+    def test_small_sine_perturbation_is_twist(self, monkeypatch):
+        monkeypatch.setattr(involution, "SERIES_DEPTH", 40)
         R = custom_potential(lambda x: np.sin(2 * np.pi * x), "sin",
                              holder_constant=2 * math.pi)
-        res = twist_stability_probe((0, 0, 1), R, [1e-3], depth=40, n_grid=5)
+        res = twist_stability_probe((0, 0, 1), R, [1e-3], n_grid=5)
         rep = res.reports[1e-3]
         assert rep.is_twist and rep.margin > 0
+
+    def test_kernels_take_series_depth_at_call_time(self, monkeypatch):
+        depths = []
+        kernel = involution.fundamental_kernel
+
+        def recording(*args, **kw):
+            W = kernel(*args, **kw)
+            depths.append(W.depth)
+            return W
+
+        monkeypatch.setattr(involution, "fundamental_kernel", recording)
+        R0 = custom_potential(lambda x: 0.0 * x, "0", holder_constant=0.0)
+        twist_stability_probe((0, 0, 1), R0, [0.1], n_grid=5)
+        monkeypatch.setattr(involution, "SERIES_DEPTH", 30)
+        twist_stability_probe((0, 0, 1), R0, [0.1], n_grid=5)
+        assert depths == [48, 30]
 
     def test_requires_convex_quadratic(self):
         R0 = custom_potential(lambda x: 0.0 * x, "0", holder_constant=0.0)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -35,6 +36,54 @@ CONTRACT = {
     "PRESETS", "Preset", "get_preset",
     "__version__",
 }
+
+
+# Every keyword option with a default on a module-level function of the
+# library modules, as module.function(option).  Each option doubles the
+# configurations to test; add one here, and in CHANGES.md, on purpose.
+LIBRARY_MODULES = ("dynamics", "potentials", "thermo", "ergopt", "involution", "transport")
+OPTIONS = {
+    "dynamics.gauss_system(branch_cap)",
+    "potentials.polynomial_potential(name)",
+    "thermo.eigen_measure(n_grid)",
+    "thermo.eigenpair(n_grid)",
+    "thermo.gamma_estimate(n_grid)",
+    "thermo.v_beta(n_grid)",
+    "ergopt.calibrated_subaction(n_grid)",
+    "ergopt.calibrated_subaction(m)",
+    "ergopt.calibrated_subaction(max_period)",
+    "ergopt.calibrated_subaction(tol)",
+    "ergopt.critical_value(max_period)",
+    "ergopt.deviation_I(n_terms)",
+    "ergopt.deviation_I(early_exit)",
+    "ergopt.lax_oleinik_step(op)",
+    "ergopt.lax_oleinik_step(_out)",
+    "involution.cohomology_residual(probes)",
+    "involution.cohomology_residual(seed)",
+    "involution.fundamental_kernel(depth)",
+    "involution.quadratic_kernel(name)",
+    "involution.twist_check(method)",
+    "involution.twist_check(n_grid)",
+    "involution.twist_stability_probe(n_grid)",
+    "transport.b_function(I)",
+    "transport.conjugate_transform(variant)",
+    "transport.cyclical_monotonicity_check(n_max)",
+    "transport.rochet_potential(mode)",
+    "transport.rochet_potential(chain_cap)",
+}
+
+
+def test_keyword_options_are_the_inventory():
+    found = []
+    for name in LIBRARY_MODULES:
+        mod = importlib.import_module(f"ergotrans.{name}")
+        for fname, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                found += [f"{name}.{fname}({p.name})"
+                          for p in inspect.signature(fn).parameters.values()
+                          if p.default is not inspect.Parameter.empty]
+    assert len(OPTIONS) == 27
+    assert sorted(found) == sorted(OPTIONS)
 
 
 def _bound_names(path: Path) -> set[str]:

@@ -241,9 +241,10 @@ class TestAdjoint:
         op.adjoint_apply(np.ones(64))
         assert len(op._adjoint) == 2
 
-    def test_nonconvergence_raises_with_change(self):
+    def test_nonconvergence_raises_with_change(self, monkeypatch):
+        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 3)
         with pytest.raises(ThermoError, match="after 3 steps; last change"):
-            eigen_measure(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512, max_iter=3)
+            eigen_measure(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
 
 
 def test_sup_diff_is_max_abs_difference():
@@ -291,11 +292,12 @@ class TestEigenpair:
         pair = eigenpair(MINUS_DOUBLING, QUAD_PERIOD2, 16.0, n_grid=1024)
         assert pair.residual < 1e-10
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
         # A = x^2 at large beta has a near-degenerate leading pair (the
         # boundary two-cycle), so plain power iteration never settles
+        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 2000)
         with pytest.raises(ThermoError, match="after 2000 steps; last residual"):
-            eigenpair(MINUS_DOUBLING, A_SQUARE, 32.0, n_grid=512, max_iter=2000)
+            eigenpair(MINUS_DOUBLING, A_SQUARE, 32.0, n_grid=512)
 
     def test_iterations_count_power_steps(self, monkeypatch):
         applies = []
@@ -348,18 +350,18 @@ class TestVBeta:
 class TestGammaEstimate:
     def test_zero_kernel(self):
         W0 = KernelSpec(KernelForm.EXPLICIT, lambda x, y: 0.0 * (np.asarray(x) + np.asarray(y)), "0")
-        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, W0, 8.0, n_grid=128, A_star=A_ZERO)
+        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, W0, 8.0, n_grid=128)
         assert abs(g) < 1e-12
 
     def test_constant_kernel(self):
         k = -0.7
         Wk = KernelSpec(KernelForm.EXPLICIT, lambda x, y: k + 0.0 * (np.asarray(x) + np.asarray(y)), "k")
-        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, Wk, 8.0, n_grid=128, A_star=A_ZERO)
+        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, Wk, 8.0, n_grid=128)
         assert abs(g - k) < 1e-12
 
     def test_quadratic_example_vs_support_identity(self):
         W = quadratic_kernel(0, 1, -1)
-        g = gamma_estimate(MINUS_DOUBLING, QUAD_PERIOD2, W, 32.0, n_grid=512, A_star=QUAD_PERIOD2)
+        g = gamma_estimate(MINUS_DOUBLING, QUAD_PERIOD2, W, 32.0, n_grid=512)
         assert abs(g - (-4.0 / 27.0)) < 0.1
 
     @pytest.mark.filterwarnings("error")

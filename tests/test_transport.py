@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ergotrans import transport as tr
+from ergotrans.accept import transport_instance
 from ergotrans.dynamics import (
     FULL_SHIFT2,
     MINUS_DOUBLING,
@@ -464,6 +465,18 @@ class TestDuality:
         assert rep.worst_atom_residual < 1e-12
         assert abs(rep.duality_gap) < 1e-12
 
+    def test_tolerance_read_at_call_time(self, monkeypatch):
+        # the quad-period2 instance of `ergotrans transport` passes at
+        # DUALITY_TOL; below its worst violation both checks fail
+        pre, mu, mu_star, cost, _, plan = transport_instance("quad-period2")
+        grid = [Fraction(2 * i + 1, 64) for i in range(32)]
+        args = (pre.closed_V, pre.closed_V, cost, plan, grid, grid, mu, mu_star)
+        rep = tr.duality_certificate(*args)
+        assert rep.admissible and rep.slackness_ok
+        monkeypatch.setattr(tr, "DUALITY_TOL", rep.worst_violation - 1.0)
+        rep = tr.duality_certificate(*args)
+        assert not rep.admissible and not rep.slackness_ok
+
     def test_gamma_shift_absorbed(self):
         pre = get_preset("quad-dirac")
         mu = tr.AtomicMeasure.dirac(TWO_THIRDS)
@@ -624,6 +637,13 @@ class TestRochet:
             tr.rochet_potential(list(reversed(self.anti_support())), self.cost6(), 0,
                                 0.5, tr.RochetMode.TWIST_ORDERED)
 
+    @pytest.mark.parametrize("mode", list(tr.RochetMode))
+    @pytest.mark.parametrize("base", [-2, -1, 2, 5])
+    def test_base_outside_the_support_rejected(self, mode, base):
+        # a negative index would silently pick an atom from the end
+        with pytest.raises(tr.TransportError, match="atom index"):
+            tr.rochet_potential(self.anti_support(), self.cost6(), base, 0.5, mode)
+
 
 class TestBFunction:
     def test_all_zero_case(self):
@@ -636,7 +656,7 @@ class TestBFunction:
                           pre.closed_V, -16 / 27)
         assert abs(b) < 1e-14
 
-    def test_positive_off_support(self):
+    def test_positive_off_support(self, monkeypatch):
         pre = get_preset("quad-dirac")
 
         def I(x):
@@ -650,8 +670,9 @@ class TestBFunction:
         # the origin is fixed with positive R: infinite deviation propagates
         def I_inf(x):
             return deviation_I(MINUS_DOUBLING, QUAD_DIRAC, pre.closed_V, pre.m_exact,
-                               x, n_terms=2000, cap=100.0, early_exit=False).value
+                               x, n_terms=2000, early_exit=False).value
 
+        monkeypatch.setattr("ergotrans.ergopt.CAP_I", 100.0)
         assert tr.b_function(Fraction(0), Fraction(0), pre.kernel, pre.closed_V,
                              pre.closed_V, -16 / 27, I_inf) == math.inf
 
@@ -726,6 +747,43 @@ def test_square_uniform_methods_by_size(n):
     mu, mu_star = uniform_instance(n, 5)
     plan = tr.solve_kantorovich(mu, mu_star, tr.CostSpec(w=example6_kernel()))
     assert plan.method == ("permutation_enumeration" if n <= 8 else "assignment")
+
+
+def dense_marginal_matrix(n, m):
+    """The equality matrix of an n x m plan as np.kron builds it."""
+    return np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 2), (5, 5), (7, 11), (11, 11)])
+def test_marginal_matrix_is_the_sparse_kron(n, m):
+    from scipy.sparse import issparse
+
+    A = tr._marginal_matrix(n, m)
+    assert issparse(A) and A.nnz == 2 * n * m
+    assert np.array_equal(A.toarray(), dense_marginal_matrix(n, m))
+
+
+def test_highs_on_sparse_matrix_equals_dense_build():
+    # the LP with the sparse equality matrix gives the dense build's
+    # coupling and value bit for bit, on instances up to 11 x 11 with
+    # random and uniform weights, ties and a capped +inf cost
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(15)
+    for t in range(40):
+        n, m = (int(k) for k in rng.integers(1, 12, 2))
+        C = rng.normal(size=(n, m))
+        if t % 3 == 0:
+            C = np.round(C, 1)
+        if t % 5 == 0:
+            C[rng.integers(n), rng.integers(m)] = np.inf
+        wr = np.full(n, 1.0 / n) if t % 4 == 0 else rng.random(n)
+        wc = rng.random(m)
+        wr, wc = wr / wr.sum(), wc / wc.sum()
+        P, val = tr._solve_highs(C, wr, wc)
+        ref = linprog(np.where(np.isinf(C), 1e12, C).ravel(), A_eq=dense_marginal_matrix(n, m),
+                      b_eq=np.concatenate([wr, wc]), bounds=(0, None), method="highs")
+        assert np.array_equal(P, ref.x.reshape(n, m)) and val == float(ref.fun)
 
 
 def test_infinite_cost_square_uniform_takes_highs():
