@@ -9,23 +9,15 @@ property, Rockafellar-type potentials).
 
 from .dynamics import (
     DOUBLING,
-    FULL_SHIFT2,
     MINUS_DOUBLING,
-    ExtensionPoint,
-    Ordering,
     PeriodicOrbit,
-    SymbolWord,
     SystemKind,
     SystemSpec,
     apply_map,
     backward_step,
-    extension_backward,
-    extension_forward,
     gauss_system,
     inverse_branches,
-    lex_compare,
     periodic_orbits,
-    tau_push,
 )
 from .potentials import (
     GAUSS_LOG,
@@ -37,7 +29,7 @@ from .potentials import (
     gauss_log_potential,
     polynomial_potential,
 )
-from .thermo import EigenPair, GridFunction, eigen_measure, eigenpair, gamma_estimate, ruelle_apply, v_beta
+from .thermo import EigenPair, GridFunction, eigen_measure, eigenpair, gamma_estimate, v_beta
 from .ergopt import (
     CriticalValue,
     SubactionResult,
@@ -64,7 +56,6 @@ from .involution import (
 from .transport import (
     AtomicMeasure,
     CostSpec,
-    DualPair,
     RochetMode,
     TransportPlan,
     b_function,
@@ -77,7 +68,6 @@ from .transport import (
     natural_extension_measure,
     rochet_potential,
     solve_kantorovich,
-    twist_order_check,
 )
 from .presets import PRESETS, Preset, get_preset
 

@@ -313,13 +313,13 @@ def check_finite_beta() -> CheckResult:
     c = None
     sups, merrs = {}, {}
     for beta in (8.0, 64.0):
-        vb = v_beta(pre.system, pre.potential, beta, n_grid=4096)
+        vb = v_beta(pre.system, pre.potential, beta)
         if c is None:
             c = vb.centers
             target = np.asarray(pre.closed_V(c), dtype=float)
             target -= target.max()
         sups[beta] = float(np.max(np.abs(vb.values - target)))
-        pair = eigenpair(pre.system, pre.potential, beta, n_grid=4096)
+        pair = eigenpair(pre.system, pre.potential, beta)
         merrs[beta] = abs(pair.log_eigenvalue / beta - pre.m_exact)
     ratio = sups[64.0] / sups[8.0]
     ok = ratio < 0.25 and merrs[64.0] < merrs[8.0]

@@ -1,16 +1,16 @@
 """Phase spaces and their dynamics.
 
-Four systems are supported: the full 2-shift on binary words, the
-doubling map 2x mod 1, the minus-doubling map -2x mod 1, and the Gauss
-map 1/x - [1/x] with a truncated family of inverse branches.  Points of
-the shift are finite binary words (truncated sequences); points of the
-interval systems are reals in [0, 1].  Exact `fractions.Fraction`
-inputs are propagated exactly through the affine systems, which the
-orbit enumeration relies on.
+Three systems are supported: the doubling map 2x mod 1, the
+minus-doubling map -2x mod 1, and the Gauss map 1/x - [1/x] with a
+truncated family of inverse branches.  Points are reals in [0, 1]; the
+full 2-shift is 2x mod 1 read through binary expansions.  Exact
+`fractions.Fraction` inputs are propagated exactly through the affine
+systems, which the orbit enumeration relies on.
 
 The two-sided extension is represented as pairs (x, y) where y records
 the backward itinerary; the backward map is (x, y) -> (tau_y x, T y)
-with tau_y the inverse branch selected by the leading symbol of y.
+with tau_y the inverse branch selected by the leading symbol of y:
+tau_y x = branch_point(sys, symbol_of(sys, y), x).
 """
 
 from __future__ import annotations
@@ -26,31 +26,20 @@ import numpy as np
 __all__ = [
     "SystemKind",
     "SystemSpec",
-    "SymbolWord",
-    "ExtensionPoint",
     "PeriodicOrbit",
-    "Ordering",
-    "lex_compare",
     "apply_map",
     "inverse_branches",
     "branch_point",
     "symbol_of",
-    "tau_push",
     "backward_step",
-    "extension_forward",
-    "extension_backward",
     "periodic_orbits",
     "periodic_point",
     "gauss_orbit_blocks",
     "sorted_orbits",
-    "as_real",
-    "FULL_SHIFT2",
     "DOUBLING",
     "MINUS_DOUBLING",
     "gauss_system",
 ]
-
-DEFAULT_WORD_DEPTH = 24
 
 # Enumeration budget: itineraries examined by periodic_orbits may not exceed this.
 MAX_ITINERARIES = 2_000_000
@@ -67,11 +56,10 @@ CLOSURE_TOL = 1e-9
 
 
 class DynamicsError(ValueError):
-    """Raised on invalid points, depth mismatches, or enumeration overflow."""
+    """Raised on invalid points or systems, or enumeration overflow."""
 
 
 class SystemKind(enum.Enum):
-    FULL_SHIFT2 = "full_shift2"
     DOUBLING = "doubling"
     MINUS_DOUBLING = "minus_doubling"
     GAUSS = "gauss"
@@ -89,76 +77,17 @@ class SystemSpec:
     branch_cap: int = GAUSS_BRANCH_CAP
 
     def __post_init__(self):
-        if self.kind is SystemKind.GAUSS and self.branch_cap < 1:
-            raise DynamicsError("GaussMap needs branch_cap >= 1")
+        cap = self.branch_cap
+        if self.kind is SystemKind.GAUSS and (not isinstance(cap, int) or cap < 1):
+            raise DynamicsError(f"GaussMap needs an int branch_cap >= 1, not {cap!r}")
 
 
-FULL_SHIFT2 = SystemSpec(SystemKind.FULL_SHIFT2)
 DOUBLING = SystemSpec(SystemKind.DOUBLING)
 MINUS_DOUBLING = SystemSpec(SystemKind.MINUS_DOUBLING)
 
 
 def gauss_system(branch_cap: int = GAUSS_BRANCH_CAP) -> SystemSpec:
     return SystemSpec(SystemKind.GAUSS, branch_cap=branch_cap)
-
-
-@dataclass(frozen=True)
-class SymbolWord:
-    """Truncated point of {0,1}^N; doubles as a dyadic point of [0, 1)."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.symbols) < 1:
-            raise DynamicsError("word depth must be >= 1")
-        if any(s not in (0, 1) for s in self.symbols):
-            raise DynamicsError("word symbols must be 0 or 1")
-
-    @property
-    def depth(self) -> int:
-        return len(self.symbols)
-
-    def value(self) -> float:
-        """Dyadic embedding sum_i s_i 2^-(i+1), in [0, 1)."""
-        return float(self.exact_value())
-
-    def exact_value(self) -> Fraction:
-        num = 0
-        for s in self.symbols:
-            num = 2 * num + s
-        return Fraction(num, 2 ** self.depth)
-
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[int]) -> "SymbolWord":
-        return cls(tuple(int(s) for s in symbols))
-
-    @classmethod
-    def periodic(cls, pattern: Sequence[int]) -> "SymbolWord":
-        reps = -(-DEFAULT_WORD_DEPTH // len(pattern))
-        return cls(tuple(list(pattern) * reps)[:DEFAULT_WORD_DEPTH])
-
-
-class Ordering(enum.IntEnum):
-    LT = -1
-    EQ = 0
-    GT = 1
-
-
-def lex_compare(a: SymbolWord, b: SymbolWord) -> Ordering:
-    """Lexicographic order on words of equal depth (0 < 1)."""
-    if a.depth != b.depth:
-        raise DynamicsError(f"depth mismatch: {a.depth} != {b.depth}")
-    for sa, sb in zip(a.symbols, b.symbols):
-        if sa != sb:
-            return Ordering.LT if sa < sb else Ordering.GT
-    return Ordering.EQ
-
-
-def as_real(x):
-    """Coerce a point (word or real) to a float in [0, 1]."""
-    if isinstance(x, SymbolWord):
-        return x.value()
-    return float(x)
 
 
 def _outside(v, lo, hi) -> bool:
@@ -194,15 +123,10 @@ def probe_floor(sys: SystemSpec, default: float) -> float:
 
 
 def apply_map(sys: SystemSpec, x):
-    """Forward map.  Words are shifted left and padded with 0 on the right
-    (constant depth); interval points use mod-1 arithmetic, so 0 is fixed
-    for the affine maps.  Fraction inputs stay exact."""
-    if isinstance(x, SymbolWord):
-        if sys.kind not in (SystemKind.FULL_SHIFT2, SystemKind.DOUBLING):
-            raise DynamicsError("word points only live in shift/doubling systems")
-        return SymbolWord(x.symbols[1:] + (0,))
+    """Forward map in mod-1 arithmetic, so 0 is fixed for the affine maps.
+    Fraction inputs stay exact."""
     _check_interval(x)
-    if sys.kind in (SystemKind.FULL_SHIFT2, SystemKind.DOUBLING):
+    if sys.kind is SystemKind.DOUBLING:
         return (2 * x) % 1
     if sys.kind is SystemKind.MINUS_DOUBLING:
         return (-2 * x) % 1
@@ -215,12 +139,6 @@ def apply_map(sys: SystemSpec, x):
 
 def branch_point(sys: SystemSpec, k, x):
     """Image of x under the k-th inverse branch; an int array k and an array x broadcast."""
-    if isinstance(x, SymbolWord):
-        if sys.kind not in (SystemKind.FULL_SHIFT2, SystemKind.DOUBLING):
-            raise DynamicsError("word points only live in shift/doubling systems")
-        if k not in (0, 1):
-            raise DynamicsError("shift branch index must be 0 or 1")
-        return SymbolWord((k,) + x.symbols[:-1])
     _check_interval(x)
     ks = _branch_indices(sys)
     if isinstance(k, np.ndarray):
@@ -229,7 +147,7 @@ def branch_point(sys: SystemSpec, k, x):
         bad = k not in ks
     if bad:
         raise DynamicsError(f"{sys.kind.value} branch index {k!r} outside {ks[0]}..{ks[-1]}")
-    if sys.kind in (SystemKind.FULL_SHIFT2, SystemKind.DOUBLING):
+    if sys.kind is SystemKind.DOUBLING:
         return (x + k) / 2
     if sys.kind is SystemKind.MINUS_DOUBLING:
         return (1 + k - x) / 2
@@ -245,8 +163,6 @@ def symbol_of(sys: SystemSpec, y):
     """Leading itinerary symbol of y, elementwise for an array y: floor(2y),
     or floor(1/y) on Gauss, clamped to the retained branch indices.  The
     boundary 1/2 is assigned to branch 1, an exact Gauss boundary 1/k to branch k."""
-    if isinstance(y, SymbolWord):
-        return y.symbols[0]
     _check_interval(y)
     if sys.kind is SystemKind.GAUSS and np.any(y == 0):
         raise DynamicsError("Gauss symbol undefined at 0")
@@ -255,11 +171,6 @@ def symbol_of(sys: SystemSpec, y):
     if isinstance(v, np.ndarray):
         return np.clip(np.floor(v), ks[0], ks[-1]).astype(np.int64)
     return min(max(ks[0], math.floor(v)), ks[-1])
-
-
-def tau_push(sys: SystemSpec, y, x):
-    """tau_y(x): apply to x the inverse branch selected by y's leading symbol."""
-    return branch_point(sys, symbol_of(sys, y), x)
 
 
 def backward_step(sys: SystemSpec, y) -> tuple:
@@ -272,9 +183,7 @@ def backward_step(sys: SystemSpec, y) -> tuple:
     instead of apply_map.  Fraction inputs stay exact; arrays go elementwise.
     """
     s = symbol_of(sys, y)
-    if isinstance(y, SymbolWord):
-        return s, apply_map(sys, y)
-    if sys.kind in (SystemKind.FULL_SHIFT2, SystemKind.DOUBLING):
+    if sys.kind is SystemKind.DOUBLING:
         return s, 2 * y - s
     if sys.kind is SystemKind.MINUS_DOUBLING:
         return s, (1 + s) - 2 * y
@@ -283,28 +192,6 @@ def backward_step(sys: SystemSpec, y) -> tuple:
         where = "an array point" if isinstance(y, np.ndarray) else f"y={y!r}"
         raise DynamicsError(f"Gauss backward step left [0,1]: {where} has digit beyond branch_cap")
     return s, ty
-
-
-@dataclass(frozen=True)
-class ExtensionPoint:
-    """Point <y, x> = (x, y) of the two-sided extension; y is the past."""
-
-    x: object
-    y: object
-
-
-def extension_forward(sys: SystemSpec, p: ExtensionPoint) -> ExtensionPoint:
-    """(x, y) -> (T x, tau*_x y): the skew forward map."""
-    return ExtensionPoint(apply_map(sys, p.x), tau_push(sys, p.x, p.y))
-
-
-def extension_backward(sys: SystemSpec, p: ExtensionPoint) -> ExtensionPoint:
-    """(x, y) -> (tau_y x, T* y): inverse of extension_forward up to truncation.
-
-    The y-coordinate advances by the branch-consistent map (see
-    backward_step), which matters only on branch boundaries."""
-    s, ty = backward_step(sys, p.y)
-    return ExtensionPoint(branch_point(sys, s, p.x), ty)
 
 
 @dataclass(frozen=True)
@@ -368,11 +255,8 @@ def periodic_point(sys: SystemSpec, digits):
     one positive root, returned as a float or float array.  Within the
     enumeration budget the entries stay below 2^25 and the discriminant
     below 2^50 (digits 2 at period 19), so the int64 products and the float
-    conversion of the discriminant are exact.  On the full shift the point
-    is SymbolWord.periodic(digits).
+    conversion of the discriminant are exact.
     """
-    if sys.kind is SystemKind.FULL_SHIFT2:
-        return SymbolWord.periodic(digits)
     a, b, c, d = 1, 0, 0, 1
     if sys.kind is SystemKind.GAUSS:
         for k in reversed(digits):
@@ -438,8 +322,8 @@ def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     """All periodic orbits of minimal period <= max_period.
 
     Every orbit is listed once per necklace (_necklace_blocks), each point
-    the periodic_point of a rotation of it: on the shift a word, on 2x and
-    -2x an exact Fraction, on Gauss a float from one array fold per block
+    the periodic_point of a rotation of it: on 2x and -2x an exact
+    Fraction, on Gauss a float from one array fold per block
     (gauss_orbit_blocks).  On the circle the branch points 0 and 1 are the
     single fixed point 0, so the words whose fold touches them (the 2x
     words (0) and (1), the -2x boundary cycle (0 1)) are skipped and {0} is
@@ -453,12 +337,6 @@ def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     max_period exceed MAX_ITINERARIES.
     """
     _check_enumeration(sys, max_period)
-    if sys.kind is SystemKind.FULL_SHIFT2:
-        return [PeriodicOrbit(tuple(periodic_point(sys, pattern[i:] + pattern[:i])
-                                    for i in range(p)), p, pattern)
-                for p in range(1, max_period + 1)
-                for words in _necklace_blocks(2, p)
-                for pattern in map(tuple, words.tolist())]
     if sys.kind is SystemKind.GAUSS:
         return sorted_orbits((p, k, x)
                              for p, digits, points in gauss_orbit_blocks(sys, max_period)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map, as_real,
+from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map,
                        gauss_orbit_blocks, periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
 from .thermo import _BLOCK, DEFAULT_N_GRID, GridFunction, _Operator
@@ -171,7 +171,7 @@ class SubactionResult:
             "m": self.m,
             "residual": self.residual,
             "calibrated": self.calibrated,
-            "orbit": [as_real(p) for p in self.orbit.points] if self.orbit else None,
+            "orbit": [float(p) for p in self.orbit.points] if self.orbit else None,
         }
 
     def export(self, csv_path, json_path) -> None:
@@ -279,14 +279,14 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
         raise ErgOptError("n_terms must be >= 1")
     first: dict = {}  # orbit point -> index of its term
     terms: list[float] = []
-    z, vz = x, float(V(as_real(x)))
+    z, vz = x, float(V(float(x)))
     total = 0.0
     while len(terms) < n_terms:
         k = first.get(z)
         if k is not None:
             return _periodic_tail(terms[k:], total, len(terms), n_terms)
         zn = apply_map(sys, z)
-        vzn = float(V(as_real(zn)))
+        vzn = float(V(float(zn)))
         r = vzn - vz - float(A(z)) + m
         first[z] = len(terms)
         terms.append(r)

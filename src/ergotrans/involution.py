@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _check_interval, as_real,
+from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _check_interval,
                        backward_step, branch_point, probe_floor)
 from .potentials import PotentialSpec, perturbed_potential, polynomial_potential
 
@@ -231,7 +231,7 @@ def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime,
         return cocycle_delta(sys, A, x, base_x_prime, y, depth).value
 
     return KernelSpec(KernelForm.COCYCLE_SERIES, fn,
-                      f"Delta[{A.name}; base={as_real(base_x_prime):g}]",
+                      f"Delta[{A.name}; base={float(base_x_prime):g}]",
                       tail_bound=series_tail_bound(A, depth), depth=depth)
 
 

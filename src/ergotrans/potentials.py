@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import GAUSS_BRANCH_CAP, SymbolWord
+from .dynamics import GAUSS_BRANCH_CAP
 
 __all__ = [
     "PotentialSpec",
@@ -50,8 +50,6 @@ class PotentialSpec:
             # exact points, e.g. a rational base point carried back along an
             # array of branch words: each is valued as a scalar, rounded once
             return np.array([float(self(p)) for p in x.flat]).reshape(x.shape)
-        if isinstance(x, SymbolWord):
-            x = x.exact_value()
         if isinstance(x, Fraction):
             if self.coeffs is not None:
                 a, b, c = self.coeffs

@@ -22,7 +22,6 @@ __all__ = [
     "GridFunction",
     "EigenPair",
     "ThermoError",
-    "ruelle_apply",
     "eigenpair",
     "eigen_measure",
     "v_beta",
@@ -369,14 +368,6 @@ class _Operator:
             np.add.at(out, j, left * contrib)
             np.add.at(out, j1, right * contrib)
         return out
-
-
-def ruelle_apply(sys: SystemSpec, A: PotentialSpec, beta: float, f: GridFunction) -> GridFunction:
-    """One application of the transfer operator to a strictly positive f."""
-    if np.any(f.values <= 0):
-        raise ThermoError("ruelle_apply needs a strictly positive function")
-    op = _Operator(sys, A, beta, f.n_grid)
-    return GridFunction(np.exp(op.log_apply(np.log(f.values))))
 
 
 def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,

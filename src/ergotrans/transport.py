@@ -6,9 +6,9 @@ finitely supported marginals are solved exactly: square uniform
 marginals by permutation enumeration up to 8 atoms and by scipy's
 assignment solver above, everything else by scipy's HiGHS LP.  The
 certification operations implement the structural checks: duality /
-complementary slackness, c-cyclical monotonicity, the twist order
-relation, the graph property, and the Rockafellar-type potential with
-its twist-ordered closed form.
+complementary slackness, c-cyclical monotonicity, the graph property
+with the twist order (anti-monotone support), and the Rockafellar-type
+potential with its twist-ordered closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import SystemSpec, PeriodicOrbit, as_real, periodic_point
+from .dynamics import SystemSpec, PeriodicOrbit, _branch_indices, periodic_point
 from .involution import KernelSpec
 
 __all__ = [
@@ -36,12 +36,10 @@ __all__ = [
     "gamma_from_support",
     "solve_kantorovich",
     "conjugate_transform",
-    "DualPair",
     "DualityReport",
     "duality_certificate",
     "CyclicalReport",
     "cyclical_monotonicity_check",
-    "twist_order_check",
     "GraphReport",
     "graph_check",
     "RochetMode",
@@ -72,15 +70,15 @@ class TransportError(ValueError):
 
 
 def _reals(points) -> np.ndarray:
-    """The points as one float array (words by their dyadic value)."""
-    return np.array([as_real(p) for p in points], dtype=float)
+    """The points as one float array."""
+    return np.array([float(p) for p in points], dtype=float)
 
 
 def _point_key(p):
     """Hashable key rounded to KEY_DIGITS; handles extension pairs as well as scalars."""
     if isinstance(p, tuple):
         return tuple(_point_key(q) for q in p)
-    return round(as_real(p), KEY_DIGITS)
+    return round(float(p), KEY_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,18 @@ class AtomicMeasure:
 def natural_extension_measure(sys: SystemSpec, orbit: PeriodicOrbit) -> AtomicMeasure:
     """Uniform measure on the extension orbit: each x_i paired with the past
     point whose itinerary is the orbit's symbol word read backwards
-    (dynamics.periodic_point; a Gauss past point is kept as a float)."""
+    (dynamics.periodic_point; a Gauss past point is kept as a float).
+    Raises TransportError unless the orbit has period >= 1, one point and
+    one digit per step, and every digit a branch index of the system."""
     p = orbit.period
     digits = orbit.itinerary
+    if p < 1 or len(orbit.points) != p or len(digits) != p:
+        raise TransportError(f"orbit of period {p} needs {p} points and digits, "
+                             f"got {len(orbit.points)} and {len(digits)}")
+    ks = _branch_indices(sys)
+    if any(k not in ks for k in digits):
+        raise TransportError(f"itinerary {tuple(digits)} leaves the {sys.kind.value} "
+                             f"branch indices {ks[0]}..{ks[-1]}")
     atoms = []
     for i in range(p):
         y = periodic_point(sys, [digits[(i - 1 - k) % p] for k in range(p)])
@@ -188,7 +195,7 @@ class CostSpec:
         return C
 
     def cost(self, x, y) -> float:
-        base = self.gamma - float(self.w(as_real(x), as_real(y)))
+        base = self.gamma - float(self.w(float(x), float(y)))
         if self.i_eval is None:
             return base
         i = float(self.i_eval(x))
@@ -209,7 +216,7 @@ def gamma_from_support(W, V, V_star, support_atoms: Sequence) -> GammaResult:
     """
     vals = []
     for (x, y) in support_atoms:
-        vals.append(float(W(as_real(x), as_real(y))) - float(V(as_real(x))) - float(V_star(as_real(y))))
+        vals.append(float(W(float(x), float(y))) - float(V(float(x))) - float(V_star(float(y))))
     gamma = float(np.mean(vals))
     dev = float(max(abs(v - gamma) for v in vals))
     if dev >= GAMMA_TOL:
@@ -237,7 +244,7 @@ class TransportPlan:
     def to_json_dict(self, certificates: dict | None = None) -> dict:
         return {
             "atoms": [
-                {"x": as_real(x), "y": as_real(y), "w": w}
+                {"x": float(x), "y": float(y), "w": w}
                 for x, y, w in self.support()
             ],
             "value": self.value,
@@ -331,7 +338,7 @@ def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) ->
     for i in range(C.shape[0]):
         if wr[i] > 0 and np.all(np.isinf(C[i])):
             raise TransportError(
-                f"atom {as_real(mu.points[i]):g} has infinite deviation: cannot carry mass"
+                f"atom {float(mu.points[i]):g} has infinite deviation: cannot carry mass"
             )
     n, m = C.shape
     # exact equality: a permutation carries each row weight to one column whole
@@ -365,34 +372,6 @@ def conjugate_transform(f, G, xs: np.ndarray, ys: np.ndarray,
     G_xy = G.matrix(xs, ys) if isinstance(G, CostSpec) else G.grid(_reals(xs), _reals(ys))
     vals = -fv[:, None] + G_xy
     return vals.max(axis=0) if variant == "kernel_max" else vals.min(axis=0)
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """An admissible pair (f, f#) sampled on probe grids: f(x) + f#(y) <= c(x, y).
-
-    Probe points are stored as given (exact rationals stay exact for the
-    deviation evaluator inside the cost).
-    """
-
-    xs: tuple
-    f: np.ndarray
-    ys: tuple
-    f_sharp: np.ndarray
-
-    @classmethod
-    def from_cost_transform(cls, f, cost: CostSpec, xs, ys) -> "DualPair":
-        """Build f# as the cost-min transform of f; admissible by construction."""
-        xs, ys = tuple(xs), tuple(ys)
-        fv = np.asarray([float(f(as_real(x))) for x in xs])
-        return cls(xs, fv, ys, conjugate_transform(fv, cost, xs, ys, variant="cost_min"))
-
-    def worst_violation(self, cost: CostSpec) -> float:
-        """max of f(x) + f#(y) - c(x, y) over the probe grids (<= 0 when admissible).
-
-        Rows of infinite deviation are skipped."""
-        return _worst_violation(self.f[:, None] + self.f_sharp[None, :],
-                                cost.matrix(self.xs, self.ys))
 
 
 def _worst_violation(dual: np.ndarray, C: np.ndarray) -> float:
@@ -430,19 +409,19 @@ def duality_certificate(V, V_star, c: CostSpec, plan: TransportPlan,
     first two pass within DUALITY_TOL.
     """
     atoms = plan.support()
-    residuals = [c.cost(x, y) - (-float(V(as_real(x))) - float(V_star(as_real(y))))
+    residuals = [c.cost(x, y) - (-float(V(float(x))) - float(V_star(float(y))))
                  for x, y, _ in atoms]
     shift = float(np.mean(residuals))
     worst_atom = float(max(abs(r - shift) for r in residuals))
 
-    vx = np.array([-float(V(as_real(x))) for x in probe_x])
-    vy = np.array([float(V_star(as_real(y))) for y in probe_y])
+    vx = np.array([-float(V(float(x))) for x in probe_x])
+    vy = np.array([float(V_star(float(y))) for y in probe_y])
     # probe points pass through to the deviation evaluator unconverted:
     # exact rationals keep forward orbits exact, floats drift off atoms
     worst = _worst_violation(vx[:, None] - vy[None, :] + shift, c.matrix(probe_x, probe_y))
     primal = plan.value
-    dual = (-np.sum([float(V(as_real(p))) * w for p, w in zip(mu.points, mu.weights)])
-            - np.sum([float(V_star(as_real(p))) * w for p, w in zip(mu_star.points, mu_star.weights)])
+    dual = (-np.sum([float(V(float(p))) * w for p, w in zip(mu.points, mu.weights)])
+            - np.sum([float(V_star(float(p))) * w for p, w in zip(mu_star.points, mu_star.weights)])
             + shift)
     gap = float(primal - dual)
     return DualityReport(worst <= DUALITY_TOL, float(worst), worst_atom <= DUALITY_TOL,
@@ -460,7 +439,7 @@ class CyclicalReport:
         return {
             "passes": self.passes,
             "worst_slack": self.worst_slack,
-            "witness_subset": [(as_real(x), as_real(y)) for x, y in self.witness_subset]
+            "witness_subset": [(float(x), float(y)) for x, y in self.witness_subset]
             if self.witness_subset else None,
             "witness_permutation": list(self.witness_permutation)
             if self.witness_permutation else None,
@@ -478,9 +457,11 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
     identity in itertools.permutations order.  The costs come from one
     matrix over the support; each subset size is scored as arrays of
     subsets x permutations, in blocks of about CYCLICAL_BLOCK slacks.
+    n_max outside 2..7 raises TransportError.
     """
-    if n_max > 7:
-        raise TransportError("n_max above 7 is not supported (factorial blow-up)")
+    if not 2 <= n_max <= 7:
+        raise TransportError(f"n_max {n_max} outside 2..7: below 2 no cycle is checked, "
+                             "above 7 the permutations blow up")
     pts = list(S)
     C = c.matrix([x for x, _ in pts], [y for _, y in pts])
     diag = np.diagonal(C)
@@ -518,32 +499,6 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
 
 
 @dataclass(frozen=True)
-class TwistOrderReport:
-    passes: bool
-    violations: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passes": self.passes,
-            "violations": [
-                [(as_real(a), as_real(b)), (as_real(ap), as_real(bp))]
-                for (a, b), (ap, bp) in self.violations
-            ],
-        }
-
-
-def twist_order_check(S: Sequence[tuple]) -> TwistOrderReport:
-    """Under a twist cost the support must be anti-monotone: for pairs with
-    distinct coordinates, a < a' forces b > b'."""
-    pts = [(as_real(x), as_real(y)) for x, y in S]
-    bad = []
-    for (a, b), (ap, bp) in itertools.combinations(pts, 2):
-        if a != ap and b != bp and (a - ap) * (b - bp) > 0:
-            bad.append(((a, b), (ap, bp)))
-    return TwistOrderReport(not bad, tuple(bad))
-
-
-@dataclass(frozen=True)
 class GraphReport:
     is_graph: bool
     bad_clusters: tuple
@@ -566,7 +521,7 @@ def graph_check(plan: TransportPlan) -> GraphReport:
     a cluster is the measure-zero exception the theory permits is left to
     the caller.
     """
-    atoms = sorted(((as_real(x), as_real(y)) for x, y, _ in plan.support()))
+    atoms = sorted(((float(x), float(y)) for x, y, _ in plan.support()))
     clusters: list[tuple[float, list[float]]] = []
     for x, y in atoms:
         if clusters and abs(x - clusters[-1][0]) <= CLUSTER_TOL:
@@ -603,7 +558,7 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     if not 0 <= base < len(pts):
         raise TransportError(f"base {base} is not an atom index of a support of {len(pts)}")
     x0, y0 = pts[base]
-    zv = as_real(z)
+    zv = float(z)
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
 
@@ -628,9 +583,9 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
         return float(best)
 
     if mode is RochetMode.TWIST_ORDERED:
-        xr = [as_real(x) for x in xs]
+        xr = [float(x) for x in xs]
         ordered = sorted(range(len(pts)), key=xr.__getitem__)
-        if (xr[ordered[0]], as_real(pts[ordered[0]][1])) != (xr[base], as_real(y0)):
+        if (xr[ordered[0]], float(pts[ordered[0]][1])) != (xr[base], float(y0)):
             raise TransportError("twist-ordered mode requires base = leftmost support atom")
         walk = [base] + [i for i in ordered[1:] if xr[i] < zv]
         k = len(walk) - 1
@@ -638,7 +593,7 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
         # between its steps and c(z, y_last): 2k + 2 entries of the full
         # matrix, evaluated as one aligned array.
         xw = [xr[i] for i in walk]
-        yw = [as_real(ys[i]) for i in walk]
+        yw = [float(ys[i]) for i in walk]
         vals = c._costs([xs[i] for i in walk] + [xs[i] for i in walk[1:]] + [zv],
                         np.array(xw + xw[1:] + [zv]), np.array(yw + yw[:-1] + yw[-1:])).tolist()
         diag, step, z_cost = vals[:k + 1], vals[k + 1:2 * k + 1], vals[-1]
@@ -657,4 +612,4 @@ def b_function(x, y, W, V, V_star, gamma: float, I=None) -> float:
     iv = float(I(x)) if I is not None else 0.0
     if math.isinf(iv):
         return math.inf
-    return iv + gamma - float(W(as_real(x), as_real(y))) + float(V(as_real(x))) + float(V_star(as_real(y)))
+    return iv + gamma - float(W(float(x), float(y))) + float(V(float(x))) + float(V_star(float(y)))

@@ -1,4 +1,4 @@
-"""Phase-space operations: orders, branches, skew dynamics, orbit enumeration."""
+"""Phase-space operations: branches, skew dynamics, orbit enumeration."""
 
 import math
 from collections import Counter
@@ -9,61 +9,39 @@ import pytest
 
 from ergotrans.dynamics import (
     DOUBLING,
-    FULL_SHIFT2,
     MINUS_DOUBLING,
     DynamicsError,
-    ExtensionPoint,
-    Ordering,
     PeriodicOrbit,
-    SymbolWord,
+    SystemKind,
+    SystemSpec,
     apply_map,
     backward_step,
     branch_point,
-    extension_backward,
-    extension_forward,
     gauss_orbit_blocks,
     gauss_system,
     inverse_branches,
-    lex_compare,
     periodic_orbits,
     symbol_of,
-    tau_push,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def word(*symbols):
-    return SymbolWord.from_symbols(symbols)
+class TestSystemSpec:
+    def test_three_kinds(self):
+        assert [k.value for k in SystemKind] == ["doubling", "minus_doubling", "gauss"]
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, "3", None, 0, -1])
+    def test_gauss_branch_cap_must_be_a_positive_int(self, cap):
+        # a float cap used to build and fail later in range() with a bare TypeError
+        with pytest.raises(DynamicsError, match="branch_cap"):
+            gauss_system(cap)
+        with pytest.raises(DynamicsError, match="branch_cap"):
+            SystemSpec(SystemKind.GAUSS, branch_cap=cap)
 
-class TestLexCompare:
-    def test_first_symbol_dominates(self):
-        assert lex_compare(word(0, 1, 1), word(1, 0, 0)) is Ordering.LT
-
-    def test_equal_words(self):
-        assert lex_compare(word(1, 0, 1), word(1, 0, 1)) is Ordering.EQ
-
-    def test_last_symbol(self):
-        assert lex_compare(word(1, 0, 0), word(1, 0, 1)) is Ordering.LT
-
-    def test_depth_mismatch_rejected(self):
-        with pytest.raises(DynamicsError):
-            lex_compare(word(0, 1), word(0, 1, 1))
-
-    def test_agrees_with_dyadic_order(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            a = SymbolWord.from_symbols(rng.integers(0, 2, size=20))
-            b = SymbolWord.from_symbols(rng.integers(0, 2, size=20))
-            cmp = lex_compare(a, b)
-            va, vb = a.exact_value(), b.exact_value()
-            if cmp is Ordering.LT:
-                assert va < vb
-            elif cmp is Ordering.GT:
-                assert va > vb
-            else:
-                assert va == vb
+    def test_int_caps_build(self):
+        assert len(periodic_orbits(gauss_system(1), 2)) == 1
+        assert [k for k, _ in inverse_branches(gauss_system(2), 0.5)] == [1, 2]
 
 
 class TestApplyMap:
@@ -76,10 +54,6 @@ class TestApplyMap:
 
     def test_gauss_golden_fixed(self):
         assert abs(apply_map(gauss_system(), GOLDEN) - GOLDEN) < 1e-14
-
-    def test_shift_pads_right(self):
-        w = word(1, 0, 1)
-        assert apply_map(FULL_SHIFT2, w) == word(0, 1, 0)
 
 
 class TestInverseBranches:
@@ -104,54 +78,51 @@ class TestInverseBranches:
                 d = abs(apply_map(sys, z) - x)
                 assert min(d, 1.0 - d) < 1e-12
 
-    def test_shift_branches_are_sections(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            w = SymbolWord.from_symbols(rng.integers(0, 2, size=16))
-            for _, z in inverse_branches(FULL_SHIFT2, w):
-                back = apply_map(FULL_SHIFT2, z)
-                assert abs(back.value() - w.value()) <= 2.0 ** -15
+
+def tau(sys, y, x):
+    """tau_y x: the inverse branch selected by y's leading symbol, applied to x."""
+    return branch_point(sys, symbol_of(sys, y), x)
+
+
+def skew_forward(sys, x, y):
+    """The skew forward map (x, y) -> (T x, tau_x y)."""
+    return apply_map(sys, x), tau(sys, x, y)
+
+
+def skew_backward(sys, x, y):
+    """The skew backward map (x, y) -> (tau_y x, T y), T on y's branch."""
+    s, ty = backward_step(sys, y)
+    return branch_point(sys, s, x), ty
 
 
 class TestTauPush:
-    def test_shift_prepends(self):
-        y, x = word(1, 0, 1), word(0, 1, 1)
-        assert tau_push(FULL_SHIFT2, y, x) == word(1, 0, 1)
-
     def test_branch0_fixed_point(self):
         y = Fraction(1, 4)  # leading symbol 0
-        assert tau_push(MINUS_DOUBLING, y, Fraction(1, 3)) == Fraction(1, 3)
+        assert tau(MINUS_DOUBLING, y, Fraction(1, 3)) == Fraction(1, 3)
 
     def test_branch1_at_zero(self):
-        assert tau_push(MINUS_DOUBLING, 0.9, 0.0) == 1.0
+        assert tau(MINUS_DOUBLING, 0.9, 0.0) == 1.0
 
     def test_push_then_map_is_identity(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             x, y = rng.uniform(0.01, 0.99, size=2)
-            z = tau_push(MINUS_DOUBLING, float(y), float(x))
+            z = tau(MINUS_DOUBLING, float(y), float(x))
             assert abs(apply_map(MINUS_DOUBLING, z) - x) < 1e-12
 
 
 class TestExtension:
-    def test_backward_formula_on_words(self):
-        x, y = word(0, 1, 1, 0), word(0, 1, 0, 1)
-        p = extension_backward(FULL_SHIFT2, ExtensionPoint(x, y))
-        assert p.x == word(0, 0, 1, 1)  # y's leading 0 prepended
-        assert p.y == word(1, 0, 1, 0)
-
     def test_fixed_extension_point(self):
-        p = ExtensionPoint(Fraction(1, 3), Fraction(1, 3))
-        q = extension_backward(MINUS_DOUBLING, p)
-        assert (q.x, q.y) == (Fraction(1, 3), Fraction(1, 3))
+        q = skew_backward(MINUS_DOUBLING, Fraction(1, 3), Fraction(1, 3))
+        assert q == (Fraction(1, 3), Fraction(1, 3))
 
     def test_forward_then_backward_identity(self):
         rng = np.random.default_rng(7)
         for sys in (MINUS_DOUBLING, DOUBLING):
             for _ in range(30):
                 x, y = (float(v) for v in rng.uniform(0.01, 0.99, size=2))
-                p = extension_backward(sys, extension_forward(sys, ExtensionPoint(x, y)))
-                assert abs(p.x - x) < 1e-12 and abs(p.y - y) < 1e-12
+                px, py = skew_backward(sys, *skew_forward(sys, x, y))
+                assert abs(px - x) < 1e-12 and abs(py - y) < 1e-12
 
     def test_backward_step_is_branch_consistent_at_half(self):
         # the mod map would send 1/2 to 0; branch 1 must send it to 1
@@ -172,7 +143,7 @@ def boundary_points(sys):
     return pts[(pts >= lo) & (pts <= 1.0)]
 
 
-ARRAY_SYSTEMS = [FULL_SHIFT2, DOUBLING, MINUS_DOUBLING, gauss_system(30), gauss_system(3)]
+ARRAY_SYSTEMS = [DOUBLING, MINUS_DOUBLING, gauss_system(30), gauss_system(3)]
 
 
 class TestArrayBranches:
@@ -251,12 +222,6 @@ class TestPeriodicOrbits:
         assert sorted(float(p) for p in by_p[2][0].points) == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
         assert len(by_p[3]) == 2
 
-    def test_full_shift_fixed_words(self):
-        orbits = periodic_orbits(FULL_SHIFT2, 1)
-        symbols = sorted(o.points[0].symbols[0] for o in orbits)
-        assert symbols == [0, 1]
-        assert all(o.period == 1 for o in orbits)
-
     def test_orbits_closed_and_distinct(self):
         for sys in (MINUS_DOUBLING, DOUBLING):
             orbits = periodic_orbits(sys, 4)
@@ -279,8 +244,9 @@ class TestPeriodicOrbits:
             periodic_orbits(gauss_system(30), 12)
 
     @pytest.mark.parametrize("max_period", range(1, 9))
-    def test_full_shift_orbits_are_the_brute_force_necklaces(self, max_period):
-        assert periodic_orbits(FULL_SHIFT2, max_period) == brute_force_shift_orbits(max_period)
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
+    def test_affine_orbits_are_the_brute_force_cycles(self, sys, max_period):
+        assert periodic_orbits(sys, max_period) == brute_force_affine_orbits(sys, max_period)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 30])
     def test_gauss_orbit_counts_are_necklace_counts(self, n):
@@ -308,6 +274,25 @@ class TestPeriodicOrbits:
                 assert abs(apply_map(sys, x) - o.points[(i + 1) % o.period]) < 1e-9
 
 
+def brute_force_affine_orbits(sys, max_period):
+    """Every cycle of x -> 2x or -2x mod 1 with minimal period <= max_period,
+    found by iterating each candidate k / |(+-2)^p - 1| exactly; each cycle
+    starts at its least point, its itinerary the digits floor(2x), and the
+    list is in period and then first-point order."""
+    s = 2 if sys.kind is SystemKind.DOUBLING else -2
+    orbits = []
+    for p in range(1, max_period + 1):
+        q = abs(s ** p - 1)
+        for k in range(q):
+            points = [Fraction(k, q)]
+            for _ in range(p - 1):
+                points.append((s * points[-1]) % 1)
+            if (s * points[-1]) % 1 != points[0] or len(set(points)) != p or min(points) != points[0]:
+                continue
+            orbits.append(PeriodicOrbit(tuple(points), p, tuple(math.floor(2 * x) for x in points)))
+    return sorted(orbits, key=lambda o: (o.period, o.points[0]))
+
+
 def necklace_count(n, p):
     """Moreau's count of aperiodic necklaces: (1/p) sum_{d | p} mu(d) n^(p/d)."""
     def mobius(d):
@@ -322,14 +307,3 @@ def necklace_count(n, p):
 
     return sum(mobius(d) * n ** (p // d) for d in range(1, p + 1) if p % d == 0) // p
 
-
-def brute_force_shift_orbits(max_period):
-    """Every binary word strictly below its proper rotations, in code order."""
-    orbits = []
-    for p in range(1, max_period + 1):
-        for code in range(2 ** p):
-            w = tuple((code >> (p - 1 - i)) & 1 for i in range(p))
-            rots = [w[i:] + w[:i] for i in range(p)]
-            if w == min(rots) and all(w != rots[d] for d in range(1, p)):
-                orbits.append(PeriodicOrbit(tuple(SymbolWord.periodic(r) for r in rots), p, w))
-    return orbits

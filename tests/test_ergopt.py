@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ergotrans import dynamics, ergopt
-from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, apply_map, as_real, gauss_system,
+from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, apply_map, gauss_system,
                                 periodic_orbits)
 from ergotrans.ergopt import (
     ErgOptError,
@@ -330,7 +330,7 @@ def _plain_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_
         step = None if memo is None else memo.get(z)
         if step is None:
             zn = apply_map(sys, z)
-            step = zn, float(V(as_real(zn))) - float(V(as_real(z))) - float(A(z)) + m
+            step = zn, float(V(float(zn))) - float(V(float(z))) - float(A(z)) + m
             if memo is not None:
                 memo[z] = step
         zn, r = step

@@ -9,10 +9,8 @@ import pytest
 from ergotrans import involution
 from ergotrans.dynamics import (
     DOUBLING,
-    FULL_SHIFT2,
     MINUS_DOUBLING,
     DynamicsError,
-    SymbolWord,
     backward_step,
     branch_point,
     gauss_system,
@@ -92,15 +90,14 @@ class TestCocycle:
                 assert d.tail_bound == pytest.approx(bound)
 
     def test_converges_geometrically_on_the_shift(self):
+        # 2x mod 1 on dyadic points is the full 2-shift on their binary words
         rng = np.random.default_rng(5)
         for _ in range(10):
-            x = SymbolWord.from_symbols(rng.integers(0, 2, size=30))
-            xp = SymbolWord.from_symbols(rng.integers(0, 2, size=30))
-            y = SymbolWord.from_symbols(rng.integers(0, 2, size=30))
-            d15 = cocycle_delta(FULL_SHIFT2, A_SQUARE, x, xp, y, 15).value
-            d25 = cocycle_delta(FULL_SHIFT2, A_SQUARE, x, xp, y, 25).value
+            x, xp, y = rand_fracs(rng, 3, den=2 ** 30)
+            d15 = cocycle_delta(DOUBLING, A_SQUARE, x, xp, y, 15).value
+            d25 = cocycle_delta(DOUBLING, A_SQUARE, x, xp, y, 25).value
             assert abs(float(d25 - d15)) < 2.0 * 0.5 ** 15 / 0.5
-            danti = cocycle_delta(FULL_SHIFT2, A_SQUARE, xp, x, y, 25).value
+            danti = cocycle_delta(DOUBLING, A_SQUARE, xp, x, y, 25).value
             assert abs(float(d25 + danti)) < 1e-12
 
 

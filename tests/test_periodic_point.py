@@ -12,10 +12,8 @@ from ergotrans import dynamics
 from ergotrans import transport as tr
 from ergotrans.dynamics import (
     DOUBLING,
-    FULL_SHIFT2,
     MINUS_DOUBLING,
     DynamicsError,
-    SymbolWord,
     SystemKind,
     gauss_orbit_blocks,
     gauss_system,
@@ -23,7 +21,7 @@ from ergotrans.dynamics import (
     periodic_point,
 )
 
-BINARY_SYSTEMS = [FULL_SHIFT2, DOUBLING, MINUS_DOUBLING]
+BINARY_SYSTEMS = [DOUBLING, MINUS_DOUBLING]
 BINARY_WORDS = [w for n in range(1, 9) for w in itertools.product((0, 1), repeat=n)]
 
 
@@ -38,8 +36,6 @@ def gauss_fold(digits):
 def reference_point(sys, digits):
     """Reference: the point of a repeated word as first written, with the
     affine branches composed as Fraction maps x -> ca x + cb."""
-    if sys.kind is SystemKind.FULL_SHIFT2:
-        return SymbolWord.periodic(tuple(digits))
     if sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING):
         a, b = Fraction(1), Fraction(0)
         for s in reversed(digits):
@@ -113,7 +109,7 @@ class TestPeriodicPoint:
         assert n_rows == 211_730
 
     @pytest.mark.parametrize("sys, max_period", [
-        (FULL_SHIFT2, 8), (DOUBLING, 8), (MINUS_DOUBLING, 8), (gauss_system(6), 4),
+        (DOUBLING, 8), (MINUS_DOUBLING, 8), (gauss_system(6), 4),
     ], ids=lambda v: getattr(getattr(v, "kind", None), "value", str(v)))
     def test_extension_atoms_unchanged(self, sys, max_period):
         orbits = periodic_orbits(sys, max_period)
@@ -151,8 +147,8 @@ class TestAffineOrbits:
 
 class TestEnumerationBudget:
     @pytest.mark.parametrize("sys, max_period", [
-        (FULL_SHIFT2, 21), (DOUBLING, 21), (MINUS_DOUBLING, 21), (gauss_system(30), 5),
-    ], ids=["shift", "doubling", "minus-doubling", "gauss"])
+        (DOUBLING, 21), (MINUS_DOUBLING, 21), (gauss_system(30), 5),
+    ], ids=["doubling", "minus-doubling", "gauss"])
     def test_raises_before_enumerating(self, monkeypatch, sys, max_period):
         # 2^1 + ... + 2^21 is about 4.2 M itineraries, 30^5 alone 24 M
         def no_enumeration(*args, **kwargs):

@@ -19,7 +19,6 @@ from ergotrans.thermo import (
     eigen_measure,
     eigenpair,
     gamma_estimate,
-    ruelle_apply,
     v_beta,
 )
 
@@ -27,43 +26,45 @@ A_ZERO = polynomial_potential(0, 0, 0, name="0")
 A_SQUARE = polynomial_potential(0, 0, 1)
 
 
+def ruelle(sys, A, beta, f):
+    """One application of the transfer operator to a positive f, in log space."""
+    op = _Operator(sys, A, beta, f.n_grid)
+    return GridFunction(np.exp(op.log_apply(np.log(f.values))))
+
+
 class TestRuelleApply:
     def test_zero_potential_counts_branches(self):
         f = GridFunction.constant(1.0, 256)
-        out = ruelle_apply(DOUBLING, A_ZERO, 3.7, f)
+        out = ruelle(DOUBLING, A_ZERO, 3.7, f)
         np.testing.assert_allclose(out.values, 2.0, rtol=1e-14)
 
     def test_constant_potential(self):
         beta, c = 2.5, 0.3
         f = GridFunction.constant(1.0, 256)
-        out = ruelle_apply(MINUS_DOUBLING, polynomial_potential(c, 0, 0), beta, f)
+        out = ruelle(MINUS_DOUBLING, polynomial_potential(c, 0, 0), beta, f)
         np.testing.assert_allclose(out.values, 2.0 * math.exp(beta * c), rtol=1e-13)
 
     def test_branch_formula_near_zero(self):
         # (L f)(x) = e^{A(tau0 x)} + e^{A(tau1 x)} for f = 1; at x -> 0 this is
         # e^{0.25} + e for A = x^2 under -2x mod 1
         f = GridFunction.constant(1.0, 4096)
-        out = ruelle_apply(MINUS_DOUBLING, A_SQUARE, 1.0, f)
+        out = ruelle(MINUS_DOUBLING, A_SQUARE, 1.0, f)
         assert abs(out.values[0] - (math.exp(0.25) + math.e)) < 1e-3
 
     def test_exact_formula_at_centers(self):
         f = GridFunction.constant(1.0, 512)
-        out = ruelle_apply(MINUS_DOUBLING, A_SQUARE, 1.0, f)
+        out = ruelle(MINUS_DOUBLING, A_SQUARE, 1.0, f)
         c = f.centers
         direct = np.exp(((1 - c) / 2) ** 2) + np.exp(((2 - c) / 2) ** 2)
         np.testing.assert_allclose(out.values, direct, rtol=1e-13)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ThermoError):
-            ruelle_apply(DOUBLING, A_ZERO, 1.0, GridFunction(np.array([1.0, -1.0, 1.0])))
 
     def test_positivity_and_monotonicity(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             f = GridFunction(rng.uniform(0.5, 1.5, size=128))
             g = GridFunction(f.values + rng.uniform(0.0, 1.0, size=128))
-            Lf = ruelle_apply(MINUS_DOUBLING, QUAD_DIRAC, 2.0, f)
-            Lg = ruelle_apply(MINUS_DOUBLING, QUAD_DIRAC, 2.0, g)
+            Lf = ruelle(MINUS_DOUBLING, QUAD_DIRAC, 2.0, f)
+            Lg = ruelle(MINUS_DOUBLING, QUAD_DIRAC, 2.0, g)
             assert np.all(Lf.values > 0)
             assert np.all(Lf.values <= Lg.values + 1e-12)
 

@@ -11,14 +11,15 @@ import pytest
 from ergotrans import transport as tr
 from ergotrans.accept import transport_instance
 from ergotrans.dynamics import (
-    FULL_SHIFT2,
+    DOUBLING,
     MINUS_DOUBLING,
-    ExtensionPoint,
     PeriodicOrbit,
-    extension_forward,
+    apply_map,
+    branch_point,
     gauss_system,
     periodic_orbits,
     periodic_point,
+    symbol_of,
 )
 from ergotrans.ergopt import critical_value, deviation_I
 from ergotrans.involution import (
@@ -73,22 +74,41 @@ class TestNaturalExtension:
         assert (x, y) == (TWO_THIRDS, TWO_THIRDS) and float(w) == 1.0
 
     def test_shift_period2_pairs_with_reversed_word(self):
-        orbit = next(o for o in periodic_orbits(FULL_SHIFT2, 2) if o.period == 2)
-        ext = tr.natural_extension_measure(FULL_SHIFT2, orbit)
+        # 2x mod 1 is the full 2-shift read through binary expansions
+        orbit = next(o for o in periodic_orbits(DOUBLING, 2) if o.period == 2)
+        ext = tr.natural_extension_measure(DOUBLING, orbit)
         for (x, y), _ in ext.atoms:
-            # the past of (a0 a1)^inf is (a1 a0)^inf: embeddings 1/3 <-> 2/3
-            assert abs(x.value() + y.value() - 1.0) < 1e-6
-            assert abs(x.value() - y.value()) > 0.3
+            # the past of (a0 a1)^inf is (a1 a0)^inf: 1/3 <-> 2/3
+            assert abs(float(x) + float(y) - 1.0) < 1e-6
+            assert abs(float(x) - float(y)) > 0.3
+        assert [xy for xy, _ in ext.atoms] == [(THIRD, TWO_THIRDS), (TWO_THIRDS, THIRD)]
 
     def test_extension_orbit_is_forward_invariant(self):
         orbit = next(o for o in periodic_orbits(MINUS_DOUBLING, 3) if o.period == 3)
         ext = tr.natural_extension_measure(MINUS_DOUBLING, orbit)
         pairs = [xy for xy, _ in ext.atoms]
         for i, (x, y) in enumerate(pairs):
-            nxt = extension_forward(MINUS_DOUBLING, ExtensionPoint(x, y))
+            # the skew forward map (x, y) -> (T x, tau_x y)
+            nx = apply_map(MINUS_DOUBLING, x)
+            ny = branch_point(MINUS_DOUBLING, symbol_of(MINUS_DOUBLING, x), y)
             tx, ty = pairs[(i + 1) % len(pairs)]
-            assert abs(float(nxt.x) - float(tx)) < 1e-12
-            assert abs(float(nxt.y) - float(ty)) < 1e-12
+            assert abs(float(nx) - float(tx)) < 1e-12
+            assert abs(float(ny) - float(ty)) < 1e-12
+
+    @pytest.mark.parametrize("sys, orbit", [
+        (DOUBLING, PeriodicOrbit((Fraction(0),), 1, (2,))),  # past point 2
+        (DOUBLING, PeriodicOrbit((Fraction(0),), 1, (-1,))),
+        (gauss_system(3), PeriodicOrbit((0.5,), 1, (0,))),  # past point 1.0
+        (gauss_system(3), PeriodicOrbit((0.25,), 1, (4,))),
+        (gauss_system(3), PeriodicOrbit((0.7, 0.4), 2, (1,))),  # was a bare IndexError
+        (MINUS_DOUBLING, PeriodicOrbit((THIRD,), 2, (0, 1))),
+        (MINUS_DOUBLING, PeriodicOrbit((THIRD, TWO_THIRDS), 1, (0,))),
+        (MINUS_DOUBLING, PeriodicOrbit((), 0, ())),
+    ], ids=["doubling-digit-2", "doubling-digit-minus-1", "gauss-digit-0", "gauss-digit-4",
+            "short-itinerary", "short-points", "long-points", "period-0"])
+    def test_malformed_orbit_rejected(self, sys, orbit):
+        with pytest.raises(tr.TransportError):
+            tr.natural_extension_measure(sys, orbit)
 
     def test_gauss_period2_past_points(self):
         # itinerary (1, 2): sqrt3 - 1 -> (sqrt3 - 1)/2 -> sqrt3 - 1; each past
@@ -499,7 +519,7 @@ class TestDuality:
         assert abs(reports[1].duality_gap) < 1e-12
 
 
-class TestDualPair:
+class TestCostTransform:
     def test_cost_transform_is_admissible_and_tight_on_support(self):
         pre = get_preset("quad-dirac")
 
@@ -514,11 +534,13 @@ class TestDualPair:
         def f(x):
             return -float(pre.closed_V(x))
 
-        pair = tr.DualPair.from_cost_transform(f, cost, xs, ys)
-        assert pair.worst_violation(cost) <= 1e-10
+        fv = np.array([f(float(x)) for x in xs])
+        f_sharp = tr.conjugate_transform(fv, cost, xs, ys, variant="cost_min")
+        # f(x) + f#(y) <= c(x, y) on the probe grids, rows of infinite deviation skipped
+        assert tr._worst_violation(fv[:, None] + f_sharp[None, :], cost.matrix(xs, ys)) <= 1e-10
         k = ys.index(Fraction(2, 3))
         # f#(p*) recovers -V*(p*) at the support atom
-        assert pair.f_sharp[k] == pytest.approx(0.0, abs=1e-10)
+        assert f_sharp[k] == pytest.approx(0.0, abs=1e-10)
 
 
 class TestCyclicalMonotonicity:
@@ -553,21 +575,33 @@ class TestCyclicalMonotonicity:
             tr.cyclical_monotonicity_check([(0.1, 0.2)], tr.CostSpec(w=example5_kernel()),
                                            n_max=8)
 
+    def test_n_max_below_two_rejected(self):
+        # n_max 2 finds the swapped pair's violation; below 2 no cycle is
+        # checked, which used to report passes=True with slack 0.0
+        cost = tr.CostSpec(w=example5_kernel())
+        swapped = [(THIRD, TWO_THIRDS), (TWO_THIRDS, THIRD)]
+        rep = tr.cyclical_monotonicity_check(swapped, cost, 2)
+        assert not rep.passes and rep.worst_slack == pytest.approx(4 / 27, abs=1e-14)
+        for n_max in (1, 0, -1):
+            with pytest.raises(tr.TransportError, match="n_max"):
+                tr.cyclical_monotonicity_check(swapped, cost, n_max)
+
 
 class TestTwistOrder:
     def test_anti_monotone_passes(self):
-        rep = tr.twist_order_check([(0.2, 0.8), (0.7, 0.1)])
-        assert rep.passes
+        plan = tr.TransportPlan(np.diag([0.5, 0.5]), 0.0, (0.2, 0.7), (0.8, 0.1), "constructed")
+        assert tr.graph_check(plan).monotone_nonincreasing
 
     def test_monotone_pair_fails(self):
-        rep = tr.twist_order_check([(0.2, 0.1), (0.7, 0.8)])
-        assert not rep.passes and rep.violations
+        plan = tr.TransportPlan(np.diag([0.5, 0.5]), 0.0, (0.2, 0.7), (0.1, 0.8), "constructed")
+        rep = tr.graph_check(plan)
+        assert rep.is_graph and not rep.monotone_nonincreasing
 
     def test_twist_optimal_plan_is_anti_monotone(self):
         cost = tr.CostSpec(w=example6_kernel())
         mu = tr.AtomicMeasure.uniform([THIRD, TWO_THIRDS])
         plan = tr.solve_kantorovich(mu, mu, cost)
-        assert tr.twist_order_check(plan.support_pairs()).passes
+        assert tr.graph_check(plan).monotone_nonincreasing
         support = sorted((float(x), float(y)) for x, y in plan.support_pairs())
         assert support == [pytest.approx((1 / 3, 2 / 3)), pytest.approx((2 / 3, 1 / 3))]
 
