@@ -1,17 +1,17 @@
-"""Command-line front end.
+"""Command-line front end: the package's one place that reads settings and writes files.
 
-Commands: subaction, kernel, dual, twist, transport, verify.  Every flag
-mirrors a config key; a JSON config file supplies defaults and flags
-override it.  Exit codes: 0 success, 1 check failure, 2 usage error.
+Commands: subaction, kernel, dual, twist, transport, verify.  Every
+setting is a flag with a default; an out-of-range value is a usage error
+reported before anything is written.  CSV files hold one row per point,
+every value to 17 significant digits; JSON files are indented with sorted
+keys.  Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import involution as inv
 from . import transport as tr
 from .accept import B_GRID, CRITERIA, MAX_PERIOD, _frac_grid, transport_instance
 from .dynamics import probe_floor
-from .ergopt import TOL_LO, calibrated_subaction
+from .ergopt import calibrated_subaction
 from .ergopt import deviation_I  # noqa: F401 -- perfbench's tracer test reads cli.deviation_I
 from .presets import PRESETS, get_preset
 from .thermo import DEFAULT_N_GRID
@@ -29,49 +29,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-
-@dataclass
-class RunConfig:
-    preset: str = "quad-dirac"
-    n_grid: int = DEFAULT_N_GRID
-    max_period: int = MAX_PERIOD
-    out: str = "."
-    seed: int = 0
-    kernel_grid: int = 64
-    tol_lo: float = TOL_LO
-
-    @classmethod
-    def load(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("config must be a JSON object")
-            for key, val in data.items():
-                if not hasattr(cfg, key):
-                    raise ValueError(f"unknown config key {key!r}")
-                setattr(cfg, key, val)
-        for key in ("preset", "n_grid", "max_period", "out", "seed", "kernel_grid"):
-            val = getattr(args, key.replace("-", "_"), None)
-            if val is not None:
-                setattr(cfg, key, val)
-        for key, least in (("n_grid", 2), ("kernel_grid", 1), ("max_period", 1), ("seed", 0)):
-            val = getattr(cfg, key)
-            if isinstance(val, bool) or not isinstance(val, int) or val < least:
-                raise ValueError(f"{key} must be an integer >= {least}, got {val!r}")
-        for key in ("preset", "out"):
-            val = getattr(cfg, key)
-            if not isinstance(val, str):
-                raise ValueError(f"{key} must be a string, got {val!r}")
-        tol = cfg.tol_lo
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-            raise ValueError(f"tol_lo must be a positive finite number, got {tol!r}")
-        return cfg
+# (setting, least value) of the integer flags
+_INT_FLOORS = (("n_grid", 2), ("kernel_grid", 1), ("max_period", 1), ("seed", 0))
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    p = Path(cfg.out)
+def _outdir(args: argparse.Namespace) -> Path:
+    p = Path(args.out)
     p.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -82,68 +45,67 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def cmd_subaction(cfg: RunConfig) -> int:
-    pre = get_preset(cfg.preset)
-    res = calibrated_subaction(pre.system, pre.potential, n_grid=cfg.n_grid,
-                               max_period=cfg.max_period, tol=cfg.tol_lo)
-    out = _outdir(cfg)
-    res.export(out / f"{pre.name}-V.csv", out / f"{pre.name}-subaction.json")
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """One row per index of the equal-length columns, each value to 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % vals for vals in zip(*(np.asarray(c, dtype=float).tolist()
+                                                    for c in columns)))
+
+
+def cmd_subaction(args: argparse.Namespace) -> int:
+    pre = get_preset(args.preset)
+    res = calibrated_subaction(pre.system, pre.potential, n_grid=args.n_grid,
+                               max_period=args.max_period)
+    out = _outdir(args)
+    _write_csv(out / f"{pre.name}-V.csv", "cell_center,value", res.V.centers, res.V.values)
+    _write_json(out / f"{pre.name}-subaction.json", res.header_dict())
     print(f"{pre.name}: m = {res.m:.12g}, residual {res.residual:.3g}, "
           f"calibrated = {res.calibrated}")
     print(f"note: m is the maximum over periodic orbits of period <= "
-          f"{cfg.max_period}; a lower bound on the true critical value in general")
+          f"{args.max_period}; a lower bound on the true critical value in general")
     return EXIT_OK
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
-    pre = get_preset(cfg.preset)
-    out = _outdir(cfg)
-    n = cfg.kernel_grid
+def cmd_kernel(args: argparse.Namespace) -> int:
+    pre = get_preset(args.preset)
+    out = _outdir(args)
+    n = args.kernel_grid
     xs = (np.arange(n) + 0.5) / n
-    W = pre.kernel.grid(xs, xs)
     path = out / f"{pre.name}-kernel.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,W\n")
-        labels = [f"{x:.17g}" for x in xs.tolist()]
-        for x, row in zip(labels, W.tolist()):
-            for y, w in zip(labels, row):
-                fh.write(f"{x},{y},{w:.17g}\n")
+    _write_csv(path, "x,y,W", np.repeat(xs, n), np.tile(xs, n), pre.kernel.grid(xs, xs).ravel())
     print(f"wrote {path} ({n}x{n} grid of {pre.kernel.name})")
     return EXIT_OK
 
 
-def cmd_dual(cfg: RunConfig) -> int:
-    pre = get_preset(cfg.preset)
+def cmd_dual(args: argparse.Namespace) -> int:
+    pre = get_preset(args.preset)
     A_star = inv.dual_potential(pre.system, pre.potential, pre.kernel)
     residual = inv.cohomology_residual(pre.system, pre.potential, pre.kernel,
-                                       pre.potential, probes=500, seed=cfg.seed)
-    out = _outdir(cfg)
-    n = cfg.kernel_grid
+                                       pre.potential, probes=500, seed=args.seed)
+    out = _outdir(args)
     lo = probe_floor(pre.system, 0.0)
-    ys = np.linspace(lo + 1e-3, 1.0 - 1e-3, n)
-    path = out / f"{pre.name}-dual.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("y,A_star\n")
-        for y, a in zip(ys.tolist(), np.asarray(A_star(ys), dtype=float).tolist()):
-            fh.write(f"{y:.17g},{a:.17g}\n")
+    ys = np.linspace(lo + 1e-3, 1.0 - 1e-3, args.kernel_grid)
+    _write_csv(out / f"{pre.name}-dual.csv", "y,A_star", ys, A_star(ys))
     _write_json(out / f"{pre.name}-dual.json",
                 {"cohomology_residual_vs_self": residual, "involutive": residual < 1e-8})
     print(f"{pre.name}: A* computed; |A* - A| residual {residual:.3e}")
     return EXIT_OK
 
 
-def cmd_twist(cfg: RunConfig) -> int:
-    pre = get_preset(cfg.preset)
+def cmd_twist(args: argparse.Namespace) -> int:
+    pre = get_preset(args.preset)
     rep = inv.twist_check(pre.twist_kernel)
-    out = _outdir(cfg)
+    out = _outdir(args)
     _write_json(out / f"{pre.name}-twist.json", rep.to_json_dict())
     print(f"{pre.name}: kernel {pre.twist_kernel.name} is_twist = {rep.is_twist} "
           f"(margin {rep.margin:.6g})")
     return EXIT_OK
 
 
-def cmd_transport(cfg: RunConfig) -> int:
-    pre, mu, mu_star, cost, atoms, plan = transport_instance(cfg.preset)
+def cmd_transport(args: argparse.Namespace) -> int:
+    pre, mu, mu_star, cost, atoms, plan = transport_instance(args.preset)
     certificates = {}
     grid = _frac_grid(B_GRID)
     if atoms is not None:
@@ -153,21 +115,21 @@ def cmd_transport(cfg: RunConfig) -> int:
     certificates["cyclical"] = tr.cyclical_monotonicity_check(
         plan.support_pairs(), cost, n_max=5).to_json_dict()
     certificates["graph"] = tr.graph_check(plan).to_json_dict()
-    out = _outdir(cfg)
+    out = _outdir(args)
     _write_json(out / f"{pre.name}-transport.json", plan.to_json_dict(certificates))
     print(f"{pre.name}: plan value {plan.value:.12g} via {plan.method}; "
           f"graph = {certificates['graph']['is_graph']}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = []
     for label, fn in CRITERIA:
         res = fn()
         results.append(res)
         print(res.line())
     n_fail = sum(not r.passed for r in results)
-    out = _outdir(cfg)
+    out = _outdir(args)
     _write_json(out / "verify.json",
                 [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results])
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
@@ -192,13 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="named example")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="seed for probe sampling")
-        p.add_argument("--n-grid", type=int, dest="n_grid", help="grid resolution")
-        p.add_argument("--max-period", type=int, dest="max_period")
-        p.add_argument("--kernel-grid", type=int, dest="kernel_grid")
+        p.add_argument("--preset", choices=sorted(PRESETS), default="quad-dirac",
+                       help="named example")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--seed", type=int, default=0, help="seed for probe sampling")
+        p.add_argument("--n-grid", type=int, dest="n_grid", default=DEFAULT_N_GRID,
+                       help="grid resolution")
+        p.add_argument("--max-period", type=int, dest="max_period", default=MAX_PERIOD)
+        p.add_argument("--kernel-grid", type=int, dest="kernel_grid", default=64)
     return parser
 
 
@@ -209,8 +172,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = RunConfig.load(args)
-        return COMMANDS[args.command](cfg)
+        for key, least in _INT_FLOORS:
+            val = getattr(args, key)
+            if val < least:
+                raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {val}")
+        return COMMANDS[args.command](args)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -255,8 +255,17 @@ def periodic_point(sys: SystemSpec, digits):
     one positive root, returned as a float or float array.  Within the
     enumeration budget the entries stay below 2^25 and the discriminant
     below 2^50 (digits 2 at period 19), so the int64 products and the float
-    conversion of the discriminant are exact.
+    conversion of the discriminant are exact.  An empty word, or a digit
+    that is not a branch index of the system, raises DynamicsError.
     """
+    ks = _branch_indices(sys)
+    if isinstance(digits, np.ndarray):
+        bad = digits.dtype.kind not in "iu" or _outside(digits, ks[0], ks[-1])
+    else:
+        bad = any(not isinstance(k, (int, np.integer)) or k not in ks for k in digits)
+    if len(digits) == 0 or bad:
+        raise DynamicsError(f"{sys.kind.value} periodic word needs at least one digit, "
+                            f"each in {ks[0]}..{ks[-1]}: got {digits!r}")
     a, b, c, d = 1, 0, 0, 1
     if sys.kind is SystemKind.GAUSS:
         for k in reversed(digits):

@@ -8,7 +8,6 @@ uses, with max in place of log-sum-exp).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -174,17 +173,11 @@ class SubactionResult:
             "orbit": [float(p) for p in self.orbit.points] if self.orbit else None,
         }
 
-    def export(self, csv_path, json_path) -> None:
-        self.V.to_csv(csv_path)
-        with open(json_path, "w") as fh:
-            json.dump(self.header_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = DEFAULT_N_GRID,
-                         m: float | None = None, max_period: int = DEFAULT_MAX_PERIOD,
-                         tol: float = TOL_LO) -> SubactionResult:
-    """Iterate the max-plus update from V = 0 until the sup-change stalls.
+                         m: float | None = None,
+                         max_period: int = DEFAULT_MAX_PERIOD) -> SubactionResult:
+    """Iterate the max-plus update from V = 0 until the sup-change is at most TOL_LO.
 
     V is renormalized to max 0 after every step.  calibrated is set when
     the final update moves no cell by more than CAL_TOL, i.e. every cell
@@ -207,7 +200,7 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = DEFAUL
         Vn = lax_oleinik_step(sys, A, m, V, op=op, _out=spare)
         change = _renormalize_change(Vn.values, V.values, scratch)
         spare, V = V.values, Vn
-        if change <= tol:
+        if change <= TOL_LO:
             break
     else:
         raise ErgOptError(f"Lax-Oleinik iteration did not converge after {MAX_ITER_LO} steps; "

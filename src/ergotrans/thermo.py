@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULT_N_GRID = 4096
+# cells per axis of gamma_estimate's product grid
+GAMMA_N_GRID = 512
 TOL_EIG = 1e-10
 # eigen_measure stops once no cell mass moves by more than this times the largest
 TOL_MEASURE = 1e-13
@@ -93,12 +95,6 @@ class GridFunction:
         d = self.values - other.values
         np.abs(d, out=d)
         return float(np.max(d))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("cell_center,value\n")
-            for c, v in zip(self.centers.tolist(), self.values.tolist()):
-                fh.write(f"{c:.17g},{v:.17g}\n")
 
 
 @dataclass(frozen=True)
@@ -431,14 +427,14 @@ def v_beta(sys: SystemSpec, A: PotentialSpec, beta: float,
     return GridFunction(u - np.max(u))
 
 
-def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float,
-                   n_grid: int = 512) -> float:
+def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float) -> float:
     """(1/beta) log of the kernel normalization integral c_beta.
 
     c_beta = integral of e^(beta W(x, y)) against the eigen-probabilities
     of A (in x) and of the dual potential of (A, W) (in y), evaluated by
-    log-sum-exp over the product grid.
+    log-sum-exp over the GAMMA_N_GRID x GAMMA_N_GRID product grid.
     """
+    n_grid = GAMMA_N_GRID
     A_star = dual_potential(sys, A, W)
     nu = eigen_measure(sys, A, beta, n_grid=n_grid)
     nu_star = eigen_measure(sys, A_star, beta, n_grid=n_grid)

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ergotrans.accept import transport_instance
+from ergotrans.accept import MAX_PERIOD, transport_instance
 from ergotrans.cli import EXIT_OK, EXIT_USAGE, main
+from ergotrans.ergopt import calibrated_subaction
 from ergotrans.involution import dual_potential
 from ergotrans.presets import GOLDEN_MEAN, get_preset
 
@@ -81,37 +82,15 @@ def test_kernel_command_reproducible(tmp_path):
     assert b1 == b2
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"preset": "quad-dirac", "n_grid": 512}))
-    code = run(["subaction", "--config", str(cfg), "--out", str(tmp_path),
-                "--n-grid", "1024"])
-    assert code == EXIT_OK
-    csv = (tmp_path / "quad-dirac-V.csv").read_text().splitlines()
-    assert len(csv) == 1025  # flag overrides config
-
-
 def test_unknown_preset_is_usage_error(tmp_path):
     assert run(["subaction", "--preset", "nope", "--out", str(tmp_path)]) == EXIT_USAGE
-
-
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    # "depth" was a config key that nothing read; it is now unknown too.
-    # A value of the wrong type and a top level that is not an object are
-    # usage errors as well, reported without a traceback.
-    for bad in ({"presett": "quad-dirac"}, {"depth": 48}, {"n_grid": "abc"}, ["quad-dirac"]):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(bad))
-        code = run(["subaction", "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == EXIT_USAGE, bad
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, bad
 
 
 @pytest.mark.parametrize("argv", [
     ["subaction", "--n-grid", "1"],
     ["kernel", "--kernel-grid", "0"],
     ["subaction", "--max-period", "0"],
+    ["dual", "--seed", "-1"],
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
@@ -124,41 +103,12 @@ def test_depth_flag_removed(tmp_path):
     assert run(["subaction", "--depth", "48", "--out", str(tmp_path)]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("bad", [
-    {"tol_lo": "tiny"}, {"tol_lo": 0}, {"tol_lo": -1e-12}, {"tol_lo": True},
-    {"tol_lo": None}, {"seed": "abc"}, {"seed": 1.5}, {"seed": False}, {"seed": -1},
-])
-def test_bad_tolerance_or_seed_in_config_is_usage_error(tmp_path, capsys, bad):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(bad))
-    code = run(["dual", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert next(iter(bad)) in err
-    assert not (tmp_path / "out").exists()  # nothing written
-
-
-@pytest.mark.parametrize("argv, bad", [
-    (["kernel", "--preset", "linear"], {"out": 5}),
-    (["kernel"], {"preset": ["x"]}),
-], ids=["out", "preset"])
-def test_non_string_preset_or_out_in_config_is_usage_error(tmp_path, monkeypatch, capsys,
-                                                            argv, bad):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(bad))
-    assert run(argv + ["--config", str(cfg)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert next(iter(bad)) in err
-    assert [f.name for f in tmp_path.iterdir()] == ["c.json"]  # nothing written
-
-
-def test_good_tolerance_and_seed_in_config(tmp_path):
+def test_config_flag_removed(tmp_path):
+    # settings are flags only; a config file is not read
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"tol_lo": 1e-10, "seed": 7, "n_grid": 512}))
-    assert run(["subaction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    cfg.write_text(json.dumps({"n_grid": 512}))
+    assert run(["subaction", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
 
 
 def test_kernel_and_dual_csv_format_every_value_to_17_digits(tmp_path):
@@ -176,3 +126,14 @@ def test_kernel_and_dual_csv_format_every_value_to_17_digits(tmp_path):
     A_star = dual_potential(pre.system, pre.potential, pre.kernel)(ys)
     want = ["y,A_star"] + [f"{y:.17g},{a:.17g}" for y, a in zip(ys, A_star)]
     assert (tmp_path / f"{pre.name}-dual.csv").read_text().splitlines() == want
+
+
+def test_subaction_csv_formats_every_value_to_17_digits(tmp_path):
+    pre = get_preset("quad-period2")
+    assert run(["subaction", "--preset", pre.name, "--out", str(tmp_path),
+                "--n-grid", "8"]) == EXIT_OK
+    V = calibrated_subaction(pre.system, pre.potential, n_grid=8, max_period=MAX_PERIOD).V
+    lines = (tmp_path / f"{pre.name}-V.csv").read_text().splitlines()
+    assert lines == ["cell_center,value"] + [f"{c:.17g},{v:.17g}"
+                                             for c, v in zip(V.centers, V.values)]
+    assert [float(v) for v in (line.split(",")[1] for line in lines[1:])] == V.values.tolist()

@@ -123,6 +123,27 @@ class TestPeriodicPoint:
             assert [type(y) for (_, y), _ in got] == [type(y) for (_, y), _ in want]
 
 
+class TestBadWords:
+    # The empty word used to divide by zero on 2x and -2x and give nan on
+    # Gauss; a digit off the branch indices gave a point off [0, 1].
+    @pytest.mark.parametrize("sys, word", [
+        (DOUBLING, ()), (MINUS_DOUBLING, ()), (gauss_system(3), ()),
+        (DOUBLING, (2,)), (MINUS_DOUBLING, (0, 5)), (gauss_system(3), (0, 5)),
+        (gauss_system(3), (1, 4)), (DOUBLING, (1.0,)),
+    ], ids=lambda v: getattr(getattr(v, "kind", None), "value", repr(v)))
+    def test_rejected(self, sys, word):
+        with pytest.raises(DynamicsError, match="periodic word"):
+            periodic_point(sys, word)
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[1, 2], [3, 4]]), np.array([[1, 0], [3, 2]]), np.array([[1.0], [2.0]]),
+        np.empty((0, 4), dtype=np.int64),
+    ], ids=["digit-4", "digit-0", "float", "empty"])
+    def test_gauss_array_rejected(self, rows):
+        with pytest.raises(DynamicsError, match="periodic word"):
+            periodic_point(gauss_system(3), rows)
+
+
 class TestAffineOrbits:
     @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=lambda s: s.kind.value)
     @pytest.mark.parametrize("max_period", range(1, 11))

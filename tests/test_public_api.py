@@ -43,12 +43,10 @@ OPTIONS = {
     "potentials.polynomial_potential(name)",
     "thermo.eigen_measure(n_grid)",
     "thermo.eigenpair(n_grid)",
-    "thermo.gamma_estimate(n_grid)",
     "thermo.v_beta(n_grid)",
     "ergopt.calibrated_subaction(n_grid)",
     "ergopt.calibrated_subaction(m)",
     "ergopt.calibrated_subaction(max_period)",
-    "ergopt.calibrated_subaction(tol)",
     "ergopt.critical_value(max_period)",
     "ergopt.deviation_I(n_terms)",
     "ergopt.deviation_I(early_exit)",
@@ -78,7 +76,7 @@ def test_keyword_options_are_the_inventory():
                 found += [f"{name}.{fname}({p.name})"
                           for p in inspect.signature(fn).parameters.values()
                           if p.default is not inspect.Parameter.empty]
-    assert len(OPTIONS) == 27
+    assert len(OPTIONS) == 25
     assert sorted(found) == sorted(OPTIONS)
 
 

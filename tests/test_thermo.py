@@ -349,20 +349,22 @@ class TestVBeta:
 
 
 class TestGammaEstimate:
-    def test_zero_kernel(self):
+    def test_zero_kernel(self, monkeypatch):
+        monkeypatch.setattr(thermo, "GAMMA_N_GRID", 128)
         W0 = KernelSpec(KernelForm.EXPLICIT, lambda x, y: 0.0 * (np.asarray(x) + np.asarray(y)), "0")
-        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, W0, 8.0, n_grid=128)
+        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, W0, 8.0)
         assert abs(g) < 1e-12
 
-    def test_constant_kernel(self):
+    def test_constant_kernel(self, monkeypatch):
+        monkeypatch.setattr(thermo, "GAMMA_N_GRID", 128)
         k = -0.7
         Wk = KernelSpec(KernelForm.EXPLICIT, lambda x, y: k + 0.0 * (np.asarray(x) + np.asarray(y)), "k")
-        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, Wk, 8.0, n_grid=128)
+        g = gamma_estimate(MINUS_DOUBLING, A_ZERO, Wk, 8.0)
         assert abs(g - k) < 1e-12
 
     def test_quadratic_example_vs_support_identity(self):
         W = quadratic_kernel(0, 1, -1)
-        g = gamma_estimate(MINUS_DOUBLING, QUAD_PERIOD2, W, 32.0, n_grid=512)
+        g = gamma_estimate(MINUS_DOUBLING, QUAD_PERIOD2, W, 32.0)
         assert abs(g - (-4.0 / 27.0)) < 0.1
 
     @pytest.mark.filterwarnings("error")
@@ -381,14 +383,3 @@ def test_eigen_measure_is_probability():
     assert abs(float(nu.sum()) - 1.0) < 1e-12
     assert np.all(nu > 0)
 
-
-def test_gridfunction_csv(tmp_path):
-    g = GridFunction(np.array([1 / 3, 2 / 3, 0.125]))
-    path = tmp_path / "g.csv"
-    g.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cell_center,value"
-    c, v = lines[1].split(",")
-    assert float(c) == pytest.approx(1 / 6)
-    assert float(v) == 1 / 3
-    assert lines[1:] == [f"{c:.17g},{v:.17g}" for c, v in zip(g.centers, g.values)]

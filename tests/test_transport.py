@@ -3,7 +3,11 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -167,6 +171,21 @@ class TestGammaFromSupport:
         with pytest.raises(tr.TransportError):
             tr.gamma_from_support(pre.kernel, wrong_V, wrong_V,
                                   [(THIRD, THIRD), (TWO_THIRDS, TWO_THIRDS)])
+
+    def test_empty_support_rejected(self):
+        # it used to warn twice (mean of an empty slice) and raise a bare ValueError
+        with pytest.raises(tr.TransportError, match="at least one atom"):
+            tr.gamma_from_support(lambda x, y: 0.0, lambda x: 0.0, lambda x: 0.0, [])
+
+
+@pytest.mark.parametrize("atoms", [
+    ((0.1, math.nan),), ((0.1, 0.5), (0.7, math.nan)), ((math.nan, 1.0),),
+    ((math.inf, 1.0),), (((0.5, math.nan), 1.0),), (((-math.inf, 0.5), 1.0),),
+], ids=["weight", "second-weight", "point", "inf-point", "pair-y", "pair-x"])
+def test_atomic_measure_rejects_non_finite(atoms):
+    # NaN passed both the sign and the sum test of the weights
+    with pytest.raises(tr.TransportError, match="finite"):
+        tr.AtomicMeasure(atoms)
 
 
 class TestSolveKantorovich:
@@ -957,3 +976,26 @@ class TestCyclicalArrays:
         rep = tr.cyclical_monotonicity_check(S, tr.CostSpec(w=example5_kernel(), i_eval=I))
         assert not math.isnan(rep.worst_slack)
         assert rep.witness_subset == ((0.1, 0.2), (0.3, 0.4))
+
+
+# Runs in a fresh interpreter, so no earlier test has imported scipy.optimize.
+SCIPY_PROBE = """
+import contextlib, io, sys
+from ergotrans import accept, cli
+from ergotrans.presets import PRESETS
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in sorted(PRESETS):
+        assert cli.main(["transport", "--preset", name, "--out", sys.argv[1]]) == 0
+for label, check in accept.CRITERIA[5:11]:  # checks 6 to 11
+    assert check().passed, label
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+
+
+def test_small_plans_leave_scipy_optimize_unimported(tmp_path):
+    paths = [str(Path(tr.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
