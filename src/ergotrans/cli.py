@@ -1,10 +1,12 @@
 """Command-line front end: the package's one place that reads settings and writes files.
 
 Commands: subaction, kernel, dual, twist, transport, verify.  Every
-setting is a flag with a default; an out-of-range value is a usage error
-reported before anything is written.  CSV files hold one row per point,
-every value to 17 significant digits; JSON files are indented with sorted
-keys.  Exit codes: 0 success, 1 check failure, 2 usage error.
+setting is a flag with a default, and each command takes only the flags
+it reads (build_parser); an unknown flag or an out-of-range value is a
+usage error reported before anything is written.  CSV files hold one
+row per point, every value to 17 significant digits; JSON files are
+indented with sorted keys.  Exit codes: 0 success, 1 check failure, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# (setting, least value) of the integer flags
+# (setting, least value) of the integer flags, where the command has them
 _INT_FLOORS = (("n_grid", 2), ("kernel_grid", 1), ("max_period", 1), ("seed", 0))
 
 
@@ -147,6 +149,11 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command, each with only the flags it reads: --out
+    on all six, --preset and --seed on the five preset commands (dual reads
+    the seed; the others accept it so that one seed can go to every
+    command), --n-grid and --max-period on subaction, --kernel-grid on
+    kernel and dual."""
     parser = argparse.ArgumentParser(
         prog="ergotrans",
         description="Subactions, involution kernels, and transport between maximizing measures",
@@ -154,14 +161,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
+        p.add_argument("--out", default=".", help="output directory")
+        if name == "verify":
+            continue
         p.add_argument("--preset", choices=sorted(PRESETS), default="quad-dirac",
                        help="named example")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for probe sampling")
-        p.add_argument("--n-grid", type=int, dest="n_grid", default=DEFAULT_N_GRID,
-                       help="grid resolution")
-        p.add_argument("--max-period", type=int, dest="max_period", default=MAX_PERIOD)
-        p.add_argument("--kernel-grid", type=int, dest="kernel_grid", default=64)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for probe sampling; read by dual, accepted by every "
+                            "preset command so that one seed can be passed to all")
+        if name == "subaction":
+            p.add_argument("--n-grid", type=int, dest="n_grid", default=DEFAULT_N_GRID,
+                           help="grid resolution")
+            p.add_argument("--max-period", type=int, dest="max_period", default=MAX_PERIOD)
+        if name in ("kernel", "dual"):
+            p.add_argument("--kernel-grid", type=int, dest="kernel_grid", default=64)
     return parser
 
 
@@ -173,7 +186,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         for key, least in _INT_FLOORS:
-            val = getattr(args, key)
+            val = getattr(args, key, least)
             if val < least:
                 raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {val}")
         return COMMANDS[args.command](args)

@@ -154,6 +154,11 @@ def branch_point(sys: SystemSpec, k, x):
     return 1 / (k + x)
 
 
+def _affine_branch(sys: SystemSpec, k: int) -> tuple[int, int]:
+    """(s, c) such that the k-th inverse branch of 2x or -2x mod 1 is x -> (s x + c) / 2."""
+    return (-1, 1 + k) if sys.kind is SystemKind.MINUS_DOUBLING else (1, k)
+
+
 def inverse_branches(sys: SystemSpec, x) -> list[tuple[int, object]]:
     """All retained preimages of x, as (branch_index, preimage) pairs."""
     return [(k, branch_point(sys, k, x)) for k in _branch_indices(sys)]
@@ -244,8 +249,8 @@ def _necklace_blocks(n: int, p: int) -> Iterator[np.ndarray]:
 def periodic_point(sys: SystemSpec, digits):
     """The point whose itinerary is the digit word repeated forever.
 
-    Each inverse branch is an integer Moebius matrix: [[1, k], [0, 2]] for
-    2x mod 1, [[-1, 1 + k], [0, 2]] for -2x mod 1, [[0, 1], [1, k]] for
+    Each inverse branch is an integer Moebius matrix: [[s, c], [0, 2]] for
+    x -> (s x + c) / 2 on 2x and -2x (_affine_branch), [[0, 1], [1, k]] for
     Gauss.  They are folded from the last digit, each multiplied in on the
     left, in exact integers; the point is the product's fixed point.  On the
     affine maps the product is [[a, b], [0, d]] and the point the Fraction
@@ -271,9 +276,9 @@ def periodic_point(sys: SystemSpec, digits):
         for k in reversed(digits):
             a, b, c, d = c, d, a + k * c, b + k * d
         return (-(d - a) + np.sqrt((d - a) ** 2 + 4 * b * c)) / (2 * c)
-    sign, shift = (-1, 1) if sys.kind is SystemKind.MINUS_DOUBLING else (1, 0)
     for k in reversed(digits):
-        a, b, d = sign * a, sign * b + (k + shift) * d, 2 * d
+        s, c = _affine_branch(sys, k)
+        a, b, d = s * a, s * b + c * d, 2 * d
     return Fraction(b, d - a)
 
 

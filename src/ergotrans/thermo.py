@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemSpec, inverse_branches
+from .dynamics import SystemKind, SystemSpec, _affine_branch, inverse_branches
 from .involution import dual_potential
 from .potentials import PotentialSpec
 
@@ -39,16 +39,6 @@ MAX_ITER_EIG = 200_000
 # cells were timed at n_grid 2^20 on a 2-core Xeon with 4 MB of L2 cache,
 # and 2^14 was fastest
 _BLOCK = 1 << 14
-# runs shorter than this are not taken: each run costs a few numpy calls
-# per block, and a branch broken into short runs gathers faster
-_MIN_RUN = 256
-# a branch with runs reads each cell they leave over as a run of one cell
-# (four numpy calls per apply, where a gather takes eight); with more cells
-# left over than this it gathers instead
-_MAX_LEFTOVER = 16
-# runs are looked for along each parity class of cells: a branch of slope
-# +-1/2 (the affine maps' branches) keeps th constant along every other cell
-_RUN_STRIDE = 2
 
 
 class ThermoError(RuntimeError):
@@ -78,8 +68,7 @@ class GridFunction:
 
     @property
     def centers(self) -> np.ndarray:
-        n = self.n_grid
-        return (np.arange(n) + 0.5) / n
+        return _centers(self.n_grid)
 
     def __call__(self, x):
         return np.interp(x, self.centers, self.values)
@@ -115,61 +104,9 @@ class EigenPair:
     iterations: int = 0
 
 
-def _branch_images(sys: SystemSpec, centers: np.ndarray) -> list[np.ndarray]:
-    return [np.asarray(p, dtype=float) for _, p in inverse_branches(sys, centers)]
-
-
-def _class_runs(j: np.ndarray, same: np.ndarray) -> list[tuple[int, int, int]]:
-    """Runs along one parity class of cells: (first, count, step) in class indices.
-
-    same[m] says th is equal at class cells m and m + 1.  A run is a
-    stretch of at least _MIN_RUN cells with th constant and j stepping by
-    one nonzero step.  Two runs of different steps may share their
-    meeting cell, which both read alike.
-    """
-    if same.size + 1 < _MIN_RUN:
-        return []
-    key = np.where(same, j[1:] - j[:-1], 0)  # step of each link, 0 where a run breaks
-    starts = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
-    # the links a..b-1 of equal step join the cells a..b
-    counts = np.concatenate((starts[1:], [key.size])) - starts + 1
-    keep = (key[starts] != 0) & (counts >= _MIN_RUN)
-    return list(zip(starts[keep].tolist(), counts[keep].tolist(),
-                    key[starts[keep]].astype(int).tolist()))
-
-
-def _find_runs(j: np.ndarray, th: np.ndarray) -> list[tuple[int, int, int, int, float]]:
-    """Strided runs of one branch's stencil: (c0, count, j0, step, th).
-
-    A run covers the cells c0, c0 + _RUN_STRIDE, ... along which th is
-    constant and j steps by a constant nonzero step from j0, so its reads
-    are strided slices of u.  Runs shorter than _MIN_RUN cells are
-    dropped, and each cell left over becomes a run of its own.  A branch
-    with no long run, or with more than _MAX_LEFTOVER cells left over,
-    keeps no runs.
-    """
-    n = j.size
-    same = th[_RUN_STRIDE:] == th[:-_RUN_STRIDE]
-    # runs of 2 or more cells that leave at most _MAX_LEFTOVER cells over
-    # have at least half as many equal links as they have cells
-    if 2 * np.count_nonzero(same) < n - _MAX_LEFTOVER:
-        return []
-    runs, rest = [], np.ones(n, dtype=bool)
-    for r in range(_RUN_STRIDE):
-        for a, count, step in _class_runs(j[r::_RUN_STRIDE], same[r::_RUN_STRIDE]):
-            c0 = r + _RUN_STRIDE * a
-            runs.append((c0, count, int(j[c0]), step, float(th[c0])))
-            rest[c0:c0 + _RUN_STRIDE * count:_RUN_STRIDE] = False
-    cells = np.flatnonzero(rest).tolist()
-    if not runs or len(cells) > _MAX_LEFTOVER:
-        return []
-    return runs + [(c, 1, int(j[c]), 1, float(th[c])) for c in cells]
-
-
-def _steps(start: int, step: int, count: int) -> slice:
-    """The slice of count indices start, start + step, ... (step may be < 0)."""
-    stop = start + step * (count - 1) + (1 if step > 0 else -1)
-    return slice(start, stop if stop >= 0 else None, step)
+def _centers(n: int) -> np.ndarray:
+    """The centers (i + 1/2)/n of the n cells of [0, 1]."""
+    return (np.arange(n) + 0.5) / n
 
 
 class _Operator:
@@ -177,109 +114,126 @@ class _Operator:
 
     max_apply and log_apply share one kernel that walks the grid in blocks
     of _BLOCK cells and finishes every branch of a block before the next,
-    so the block's scratch rows stay in cache.  A branch whose stencil
-    has runs (see _find_runs) is read by them: per block, u times each run
-    weight (1 - th or th) is formed once over the read range, and a run
-    reads its two terms from those products by strided slices.  Such a
-    branch keeps no per-cell (j, th); stencil rebuilds it on request.
-    Every other branch gathers u[j] and u[j + 1].  sys, A and beta are
-    those the operator was built for.
+    so the block's scratch rows stay in cache.  On 2x and -2x every read
+    is at an exact quarter-integer (see stencil): per block a branch forms
+    0.25 u and 0.75 u once and reads each parity class of cells by strided
+    slices of them, and its one clipped read (th 0 or 1) on its own.  It
+    keeps no (j, th), and its weights by parity class, loaded contiguously:
+    a load then never trails a store into the strided output by a fixed
+    offset, which made an apply up to 1.6 times as slow where the output
+    sat a few cache lines ahead of a weight array modulo a huge page.  A
+    Gauss branch gathers u[j] and u[j + 1] from its float stencil.  sys, A
+    and beta are those the operator was built for.
     """
 
     def __init__(self, sys: SystemSpec, A: PotentialSpec, beta: float, n_grid: int):
-        if beta < 0:
-            raise ThermoError("beta must be >= 0")
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ThermoError(f"beta must be finite and >= 0, got {beta}")
         if n_grid < 2:
             raise ThermoError(f"the operator needs n_grid >= 2, got {n_grid}")
         self.sys, self.A, self.beta, self.n_grid = sys, A, beta, n_grid
-        points = _branch_images(sys, (np.arange(n_grid) + 0.5) / n_grid)
-        self.logw = [beta * np.asarray(A(p), dtype=float) for p in points]
-        # interpolation stencil: left index and weight for each read point.
-        # Weights are clipped to [0, 1]: reads stay inside the value hull,
-        # which keeps the operator positivity-preserving and monotone (the
-        # O(h) edge cost is absorbed by grid resolution where it matters).
-        # 0 <= j <= n_grid - 2, so the kernel's unchecked reads at j and
-        # j + 1 stay inside u.  Per branch: its runs, or else its (j, th).
-        self._branches = []
-        for t in points:
-            # each branch image (a fresh array) becomes its read position
-            # p n - 0.5 and then its th, in place
-            t *= n_grid
-            t -= 0.5
-            j = np.floor(t)  # integer-valued floats
-            np.clip(j, 0, n_grid - 2, out=j)
-            th = np.clip(np.subtract(t, j, out=t), 0.0, 1.0, out=t)
-            runs = _find_runs(j, th)
-            self._branches.append((runs, None if runs else (j.astype(np.intp), th)))
+        gauss = sys.kind is SystemKind.GAUSS
+        # per branch, its weights as one class of cells (Gauss) or two
+        self._logw, self._gauss = [], [] if gauss else None
+        for _, t in inverse_branches(sys, _centers(n_grid)):
+            w = beta * np.asarray(A(t), dtype=float)
+            self._logw.append((w,) if gauss else (w[0::2].copy(), w[1::2].copy()))
+            if gauss:
+                # in place, the image (a fresh array) becomes t = p n - 0.5, then th
+                t *= n_grid
+                t -= 0.5
+                j = np.clip(np.floor(t), 0, n_grid - 2)
+                th = np.clip(np.subtract(t, j, out=t), 0.0, 1.0, out=t)
+                self._gauss.append((j.astype(np.intp), th))
         self._blocks = self._plan_blocks()
         self._adjoint = None  # per-branch weights, built by adjoint_apply
 
     @property
-    def stencil(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per branch, the left index j and weight th of every cell's read."""
-        out = []
-        for runs, kept in self._branches:
-            if kept is None:
-                kept = np.empty(self.n_grid, dtype=np.intp), np.empty(self.n_grid)
-                for c0, count, j0, step, t in runs:
-                    at = slice(c0, c0 + _RUN_STRIDE * count, _RUN_STRIDE)
-                    kept[0][at] = j0 + step * np.arange(count)
-                    kept[1][at] = t
-            out.append(kept)
+    def logw(self) -> list[np.ndarray]:
+        """Per branch, beta A at the branch image of every cell."""
+        out = [np.empty(self.n_grid) for _ in self._logw]
+        for w, classes in zip(out, self._logw):
+            for r, c in enumerate(classes):
+                w[r::len(classes)] = c
         return out
 
+    def _reads(self, k: int, i):
+        """(j, th) of the reads of cells i on affine branch k (see stencil)."""
+        s, c = _affine_branch(self.sys, k)
+        q = s * (2 * i + 1) + 2 * c * self.n_grid - 2
+        j = np.clip(q // 4, 0, self.n_grid - 2)
+        return j, np.clip((q - 4 * j) / 4, 0.0, 1.0)
+
+    @property
+    def stencil(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per branch, the left index j and weight th of every cell's read.
+
+        A cell whose branch image is p reads at t = p n - 1/2: j is floor(t)
+        clipped to 0..n_grid - 2, and th is t - j clipped to [0, 1].  Reads
+        stay inside the value hull, which keeps the operator positivity-
+        preserving and monotone (the O(h) edge cost is absorbed by grid
+        resolution where it matters), and the kernel's unchecked reads at j
+        and j + 1 stay inside u.  On 2x and -2x the branch x -> (s x + c)/2
+        sends the center (2i + 1)/(2n) to p with 4t = s (2i + 1) + 2 c n - 2,
+        an odd integer, and _reads computes (j, th) from it exactly.
+        """
+        if self._gauss is not None:
+            return self._gauss
+        return [self._reads(k, np.arange(self.n_grid)) for k in range(2)]
+
     def _plan_blocks(self) -> list:
-        """Per block: its slice of the grid, its scratch rows, and per branch
-        either the products of u to form and the runs' pieces, or the
-        stencil to gather, all as views of the logw arrays and of scratch
-        shared by every block."""
-        n, q = self.n_grid, _RUN_STRIDE
+        """Per block: its slice of the grid and, per branch, its scratch row,
+        the products of u it forms, its strided pieces, its gathers and its
+        clipped read, as views of logw and of scratch shared by every block."""
+        n = self.n_grid
         size = min(_BLOCK, n)
         cand, a, b, w = (np.empty(size) for _ in range(4))
-        plans, width = [], 0
+        # the reads of size cells at slope 1/2 span at most size // 2 + 2 cells of u
+        quarter, three = np.empty(size // 2 + 2), np.empty(size // 2 + 2)
+        blocks = []
         for s in range(0, n, _BLOCK):
             e = min(s + _BLOCK, n)
-            branches = []
-            for logw, (runs, kept) in zip(self.logw, self._branches):
-                # spans: each weight's range [lo, hi) of u it multiplies
-                pieces, spans = [], {}
-                for c0, count, j0, step, t in runs:
-                    # the run's cells c0 + q m in the block: m0 <= m < m1
-                    m0, m1 = max(0, -((c0 - s) // q)), min(count, -((c0 - e) // q))
-                    if m0 >= m1:
-                        continue
-                    c, first, count = c0 + q * m0, j0 + step * m0, m1 - m0
-                    c1 = c + q * (count - 1) + 1
-                    for wt, jj in ((1.0 - t, first), (t, first + 1)):
-                        ends = (jj, jj + step * (count - 1))
-                        lo, hi = spans.get(wt, (n, 0))
-                        spans[wt] = (min(lo, *ends), max(hi, max(ends) + 1))
-                    pieces.append((slice(c - s, c1 - s, q), logw[c:c1:q],
-                                   1.0 - t, t, first, step, count))
-                offsets, total = {}, 0  # u[j] times wt sits at prod[offsets[wt] + j]
-                for wt, (lo, hi) in spans.items():
-                    offsets[wt], total = total - lo, total + hi - lo
-                width = max(width, total)
-                gather = None if kept is None else (logw[s:e], kept[0][s:e], kept[1][s:e])
-                branches.append((spans, offsets, pieces, gather))
-            plans.append((s, e, branches))
-        prod = np.empty(width)
-        blocks = []
-        for s, e, branches in plans:
             rows = []
-            for k, (spans, offsets, pieces, gather) in enumerate(branches):
-                runs = None
-                if gather is None:
-                    runs = ([(wt, slice(lo, hi), prod[offsets[wt] + lo:offsets[wt] + hi])
-                             for wt, (lo, hi) in spans.items()],
-                            [(at, lw, prod[_steps(offsets[wl] + first, step, count)],
-                              prod[_steps(offsets[wr] + first + 1, step, count)])
-                             for at, lw, wl, wr, first, step, count in pieces])
-                # the first branch forms its terms in the output; a gathered
-                # one after it forms them in place in a
-                row = (a if runs is None else cand)[:e - s] if k else None
-                rows.append((row, runs, gather))
-            blocks.append((slice(s, e), (a[:e - s], b[:e - s], w[:e - s]), rows))
+            for k, logw in enumerate(self._logw):
+                products, pieces, gathers, clipped = [], [], [], []
+                if self._gauss is not None:
+                    j, th = self._gauss[k]
+                    gathers.append((logw[0][s:e], j[s:e], th[s:e],
+                                    a[:e - s], b[:e - s], w[:e - s]))
+                else:
+                    step = _affine_branch(self.sys, k)[0]
+                    # j is monotone in the cell, so the block's first and last
+                    # cells bound its reads; th is 0 or 1 only at the branch's
+                    # one clipped read, at an outer cell
+                    j, th = self._reads(k, np.array([s, e - 1]))
+                    lo, hi = int(j.min()), int(j.max()) + 2
+                    edge = s if th[0] in (0.0, 1.0) else e - 1 if th[1] in (0.0, 1.0) else -1
+                    products = [(0.25, slice(lo, hi), quarter[:hi - lo]),
+                                (0.75, slice(lo, hi), three[:hi - lo])]
+                    for r in (0, 1):
+                        # the block's cells of parity r but the edge: first, first + 2, ..., last
+                        first, last = s + (r - s) % 2, e - 1 - (e - 1 - r) % 2
+                        first, last = first + 2 * (first == edge), last - 2 * (last == edge)
+                        if first > last:
+                            continue
+                        count = (last - first) // 2 + 1
+                        j, th = self._reads(k, np.array([first, last]))
+                        # th is 1/4 or 3/4: the left term is 0.75 u[j] or 0.25 u[j]
+                        left, right = (three, quarter) if th[0] == 0.25 else (quarter, three)
+                        v = int(j.min()) - lo
+                        pieces.append((slice(first - s, last + 1 - s, 2),
+                                       logw[r][first // 2:first // 2 + count],
+                                       left[v:v + count][::step],
+                                       right[v + 1:v + 1 + count][::step]))
+                    if edge >= 0:
+                        j, th = self._reads(k, edge)
+                        clipped.append((edge - s, float(logw[edge % 2][edge // 2]),
+                                        int(j), float(th)))
+                # the first branch forms its terms in the output; a Gauss
+                # branch after it forms them in place in a
+                row = (cand if self._gauss is None else a)[:e - s] if k else None
+                rows.append((row, products, pieces, gathers, clipped))
+            blocks.append((slice(s, e), rows))
         return blocks
 
     def _apply(self, u: np.ndarray, merge, sum_reads_first: bool,
@@ -288,7 +242,7 @@ class _Operator:
 
         merge (np.maximum or np.logaddexp) folds each branch into the
         first, in branch order.  The rounding order of the plain
-        expressions is kept on runs and gathered cells alike, so results
+        expressions is kept on strided and gathered cells alike, so results
         are bit-for-bit the same: logw + ((1 - th) u[j] + th u[j+1]) when
         sum_reads_first, else (logw + (1 - th) u[j]) + th u[j+1].  The
         result is written into out when given (a float array of n_grid
@@ -303,24 +257,21 @@ class _Operator:
         elif out.shape != (self.n_grid,) or np.may_share_memory(out, u):
             raise ThermoError("out must be a separate array of the operator's grid size")
         u_next = u[1:]  # u_next[j] is u[j + 1]
-        for cells, (a, b, w), rows in self._blocks:
+        for cells, rows in self._blocks:
             dst = out[cells]
-            for row, runs, gather in rows:
+            for row, products, pieces, gathers, clipped in rows:
                 cand = dst if row is None else row
-                if gather is None:
-                    products, pieces = runs
-                    for wt, src, prod in products:
-                        np.multiply(wt, u[src], out=prod)
-                    for at, logw, left, right in pieces:
-                        seg = cand[at]
-                        if sum_reads_first:
-                            np.add(left, right, out=seg)
-                            np.add(logw, seg, out=seg)
-                        else:
-                            np.add(logw, left, out=seg)
-                            np.add(seg, right, out=seg)
-                else:
-                    logw, j, th = gather
+                for wt, src, prod in products:
+                    np.multiply(wt, u[src], out=prod)
+                for at, logw, left, right in pieces:
+                    seg = cand[at]
+                    if sum_reads_first:
+                        np.add(left, right, out=seg)
+                        np.add(logw, seg, out=seg)
+                    else:
+                        np.add(logw, left, out=seg)
+                        np.add(seg, right, out=seg)
+                for logw, j, th, a, b, w in gathers:
                     # mode="clip" gathers straight into the buffer (the
                     # default mode copies through a temporary); j is in
                     # range for both
@@ -335,6 +286,10 @@ class _Operator:
                     else:
                         np.add(logw, a, out=a)
                         np.add(a, b, out=cand)
+                for at, logw, j, th in clipped:
+                    # the clipped read, in Python floats: the same IEEE double operations
+                    left, right = (1.0 - th) * u.item(j), th * u.item(j + 1)
+                    cand[at] = logw + (left + right) if sum_reads_first else logw + left + right
                 if row is not None:
                     merge(dst, cand, out=dst)
         return out
@@ -438,7 +393,7 @@ def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float) -> float:
     A_star = dual_potential(sys, A, W)
     nu = eigen_measure(sys, A, beta, n_grid=n_grid)
     nu_star = eigen_measure(sys, A_star, beta, n_grid=n_grid)
-    centers = (np.arange(n_grid) + 0.5) / n_grid
+    centers = _centers(n_grid)
     logW = beta * W.grid(centers, centers)
     # cells of zero mass (e.g. the Gauss grid below 1/(branch_cap+1)) carry
     # log 0 = -inf, which drops out of the log-sum-exp exactly

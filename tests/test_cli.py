@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ergotrans.accept import MAX_PERIOD, transport_instance
-from ergotrans.cli import EXIT_OK, EXIT_USAGE, main
+from ergotrans.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 from ergotrans.ergopt import calibrated_subaction
 from ergotrans.involution import dual_potential
 from ergotrans.presets import GOLDEN_MEAN, get_preset
@@ -97,6 +97,29 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist", "--n-grid", "8"],
+    ["twist", "--max-period", "1"],
+    ["transport", "--max-period", "1"],
+    ["kernel", "--n-grid", "8"],
+    ["dual", "--max-period", "1"],
+    ["subaction", "--kernel-grid", "8"],
+    ["verify", "--preset", "linear"],
+    ["verify", "--seed", "1"],
+    ["verify", "--kernel-grid", "8"],
+])
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("cmd", ["subaction", "kernel", "dual", "twist", "transport"])
+def test_every_preset_command_accepts_a_seed(cmd):
+    args = build_parser().parse_args([cmd, "--seed", "3"])
+    assert (args.preset, args.seed) == ("quad-dirac", 3)
 
 
 def test_depth_flag_removed(tmp_path):

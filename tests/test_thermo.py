@@ -1,12 +1,14 @@
 """Transfer-operator eigendata and the finite-temperature estimates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ergotrans import thermo
-from ergotrans.dynamics import DOUBLING, MINUS_DOUBLING, gauss_system
+from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, branch_point, gauss_system,
+                                inverse_branches)
 from ergotrans.involution import quadratic_kernel, KernelForm, KernelSpec
 from ergotrans.potentials import (GAUSS_LOG, LINEAR, QUAD_CONVEX, QUAD_DIRAC, QUAD_PERIOD2,
                                   polynomial_potential)
@@ -104,6 +106,15 @@ class TestBlockedOperator:
         with pytest.raises(ThermoError, match="n_grid >= 2"):
             eigen_measure(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=n)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("fn", [eigenpair, eigen_measure, v_beta])
+    def test_non_finite_or_negative_beta_rejected(self, monkeypatch, fn, beta):
+        # a NaN or infinite beta used to run every power step before
+        # "did not converge", warning of invalid values on the way
+        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 50)
+        with pytest.raises(ThermoError, match="beta must be finite and >= 0|beta > 0"):
+            fn(MINUS_DOUBLING, QUAD_DIRAC, beta, n_grid=256)
+
     def test_input_of_other_size_rejected(self):
         op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 64)
         with pytest.raises(ThermoError, match="64 cells"):
@@ -122,91 +133,126 @@ class TestBlockedOperator:
                 op.max_apply(u, out=out)
 
 
-def _plain_stencil(sys, n):
-    """Reference: every cell's (j, th), as first written."""
+def _exact_stencil(sys, n, cells):
+    """Reference: the (j, th) of the given cells from their branch images in Fractions."""
     out = []
-    for p in thermo._branch_images(sys, (np.arange(n) + 0.5) / n):
+    for k in range(2):
+        j, th = [], []
+        for i in cells:
+            t = branch_point(sys, k, Fraction(2 * i + 1, 2 * n)) * n - Fraction(1, 2)
+            j.append(min(max(math.floor(t), 0), n - 2))
+            th.append(min(max(t - j[-1], 0), 1))
+        out.append((j, th))
+    return out
+
+
+def _float_stencil(sys, n):
+    """Reference: every cell's (j, th) from its float branch image, as first written."""
+    out = []
+    for _, p in inverse_branches(sys, (np.arange(n) + 0.5) / n):
         t = p * n - 0.5
         j = np.clip(np.floor(t).astype(int), 0, n - 2)
         out.append((j, np.clip(t - j, 0.0, 1.0)))
     return out
 
 
-def _split_runs(runs):
-    """A branch's runs of several cells, and its runs of one cell."""
-    return [r for r in runs if r[1] > 1], [r for r in runs if r[1] == 1]
+def _held_bytes(op):
+    """Bytes of the arrays an operator holds, each buffer once."""
+    seen, todo, total = set(), list(vars(op).values()), 0
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, np.ndarray):
+            while x.base is not None:
+                x = x.base
+            if id(x) not in seen:
+                seen.add(id(x))
+                total += x.nbytes
+    return total
 
 
-class TestStridedRuns:
-    # (n, minimum run length): the default, then shorter minimums so that
-    # small grids take runs too, and the rounding noise of grids that are
-    # not powers of two breaks runs inside and across blocks
-    @pytest.mark.parametrize("n, min_run", [(n, thermo._MIN_RUN) for n in (
-        2, 3, 15, 16, 17, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5)] + [
-        (2, 2), (3, 2), (15, 2), (16, 2), (17, 2), (_BLOCK - 1, 3), (_BLOCK + 1, 3)])
+EXACT_SIZES = sorted({2, 3, 15, 16, 17, 1000, 4099, 16383, _BLOCK - 1, _BLOCK + 1,
+                      3 * _BLOCK + 5})
+
+
+def _checked_cells(n):
+    """Every cell up to 4099 cells; above, a Fraction reference of every cell
+    takes seconds, so the outer cells, both sides of every block boundary and
+    2000 random cells."""
+    if n <= 4099:
+        return np.arange(n)
+    edges = [c for s in range(0, n + 1, _BLOCK) for c in range(s - 2, s + 2)]
+    rng = np.random.default_rng(n)
+    return np.unique(np.clip(np.concatenate([edges, rng.integers(0, n, 2000)]), 0, n - 1))
+
+
+class TestAffineStencil:
+    @pytest.mark.parametrize("n", EXACT_SIZES)
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
+    def test_stencil_is_exact(self, sys, n):
+        op, cells = _Operator(sys, QUAD_DIRAC, 1.0, n), _checked_cells(n)
+        for (j, th), (exact_j, exact_th) in zip(op.stencil, _exact_stencil(sys, n, cells)):
+            assert j[cells].tolist() == exact_j
+            # th is a multiple of 1/4, so the float must equal it exactly
+            assert [Fraction(t) for t in th[cells].tolist()] == exact_th
+            # one read per branch is clipped, at an outer cell, and every
+            # other th is 1/4 or 3/4
+            clipped = np.flatnonzero((th == 0.0) | (th == 1.0)).tolist()
+            assert clipped in ([0], [n - 1])
+            assert np.all((th == 0.25) | (th == 0.75) | (th == 0.0) | (th == 1.0))
+        # every block reads both branches by strided slices, with no gather
+        assert not any(gathers for _, rows in op._blocks for *_, gathers, _ in rows)
+
+    @pytest.mark.parametrize("n", [1 << k for k in range(1, 17)])
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
+    def test_power_of_two_grid_equals_float_stencil(self, sys, n):
+        # on a power-of-two grid every float branch image is exact, so the
+        # stencil, and with it every output byte, is the one first written
+        op = _Operator(sys, QUAD_DIRAC, 1.0, n)
+        for (j, th), (float_j, float_th) in zip(op.stencil, _float_stencil(sys, n)):
+            assert np.array_equal(j, float_j) and np.array_equal(th, float_th)
+
+    @pytest.mark.parametrize("n", [n for n in EXACT_SIZES if n & (n - 1)])
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
+    def test_other_grid_differs_from_float_stencil_by_rounding_only(self, sys, n):
+        # elsewhere the float images round: j is the same, and th is off by
+        # at most the rounding of the image, scaled by n
+        op = _Operator(sys, QUAD_DIRAC, 1.0, n)
+        for (j, th), (float_j, float_th) in zip(op.stencil, _float_stencil(sys, n)):
+            assert np.array_equal(j, float_j)
+            assert np.max(np.abs(th - float_th)) <= n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 2048, 4099, 1 << 16])
+    def test_gauss_keeps_float_stencil(self, n):
+        op = _Operator(gauss_system(30), GAUSS_LOG, 1.0, n)
+        assert op.stencil is op._gauss
+        for (j, th), (float_j, float_th) in zip(op.stencil, _float_stencil(gauss_system(30), n)):
+            assert np.array_equal(j, float_j) and np.array_equal(th, float_th)
+
+    @pytest.mark.parametrize("n", EXACT_SIZES)
     @pytest.mark.parametrize("beta", [1.0, 3.0])
     @pytest.mark.parametrize("A", [QUAD_DIRAC, QUAD_PERIOD2, QUAD_CONVEX, LINEAR],
                              ids=lambda A: A.name)
     @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
-    def test_affine_applies_equal_plain_expressions(self, monkeypatch, sys, A, beta, n, min_run):
-        monkeypatch.setattr(thermo, "_MIN_RUN", min_run)
+    def test_applies_equal_plain_expressions(self, sys, A, beta, n):
         op = _Operator(sys, A, beta, n)
-        for (j, th), (plain_j, plain_th) in zip(op.stencil, _plain_stencil(sys, n)):
-            assert np.array_equal(j, plain_j) and np.array_equal(th, plain_th)
-        u = np.random.default_rng(n).uniform(-2.0, 1.0, size=n)
-        best, log = _plain_applies(op, u)
-        assert np.array_equal(op.max_apply(u), best)
-        assert np.array_equal(op.log_apply(u), log)
-
-    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
-    def test_power_of_two_grid_is_runs_but_the_clipped_edge(self, sys):
-        # each parity class has th exactly 1/4 or 3/4 and j stepping by
-        # +-1, but for one clipped edge cell per branch (th 0 or 1)
-        n = 1 << 16
-        op = _Operator(sys, QUAD_DIRAC, 1.0, n)
-        for runs, kept in op._branches:
-            long, single = _split_runs(runs)
-            assert kept is None
-            assert sorted(count for _, count, *_ in long) == [n // 2 - 1, n // 2]
-            assert {t for *_, t in long} == {0.25, 0.75}
-            assert [t for *_, t in single] in ([0.0], [1.0])
-
-    @pytest.mark.parametrize("n", [2048, 1 << 16])
-    def test_gauss_has_no_runs(self, n):
-        op = _Operator(gauss_system(30), GAUSS_LOG, 1.0, n)
-        assert all(runs == [] and kept is not None for runs, kept in op._branches)
-
-    def test_grid_of_other_size_keeps_its_stencil(self):
-        # rounding moves th off 1/4 and 3/4 on scattered cells: too many
-        # cells are left over, and the branches gather
-        n = 4099
-        op = _Operator(MINUS_DOUBLING, QUAD_PERIOD2, 1.0, n)
-        for (runs, kept), (plain_j, plain_th) in zip(op._branches, _plain_stencil(MINUS_DOUBLING, n)):
-            assert runs == []
-            assert np.array_equal(kept[0], plain_j) and np.array_equal(kept[1], plain_th)
-
-    def test_irregular_cell_inside_a_run(self, monkeypatch):
-        # nudge one branch image in the middle of a block: the run splits
-        # around its cell, which is read as a run of its own
-        n, cell = 1 << 16, _BLOCK + 1001
-        plain = thermo._branch_images
-
-        def nudged(sys, centers):
-            points = plain(sys, centers)
-            points[1][cell] += 0.3 / n
-            return points
-
-        monkeypatch.setattr(thermo, "_branch_images", nudged)
-        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 3.0, n)
-        long, single = _split_runs(op._branches[1][0])
-        assert len(long) == 3 and cell in [c for c, *_ in single] and len(single) == 2
-        for (j, th), (plain_j, plain_th) in zip(op.stencil, _plain_stencil(MINUS_DOUBLING, n)):
-            assert np.array_equal(j, plain_j) and np.array_equal(th, plain_th)
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(n)
         for u in (rng.uniform(-2.0, 1.0, size=n), rng.uniform(-50.0, 0.0, size=n)):
             best, log = _plain_applies(op, u)
             assert np.array_equal(op.max_apply(u), best)
             assert np.array_equal(op.log_apply(u), log)
+
+    def test_no_per_cell_arrays_besides_logw(self):
+        # besides the weights of each branch (n floats), an affine operator
+        # holds scratch of about five blocks; a Gauss one also keeps the
+        # float (j, th) of every branch
+        n = 1 << 16
+        for sys in (DOUBLING, MINUS_DOUBLING):
+            assert _held_bytes(_Operator(sys, QUAD_DIRAC, 1.0, n)) - 2 * n * 8 < 6 * _BLOCK * 8
+        op = _Operator(gauss_system(4), GAUSS_LOG, 1.0, n)
+        assert _held_bytes(op) - 4 * n * 8 >= 4 * 2 * n * 8
+        assert all(j.size == th.size == n for j, th in op._gauss)
 
 
 def _plain_adjoint(op, v):
