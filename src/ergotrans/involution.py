@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _check_interval,
-                       backward_step, branch_point, probe_floor)
+from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _affine_branch,
+                       _check_interval, backward_step, branch_point, probe_floor)
 from .potentials import PotentialSpec, perturbed_potential, polynomial_potential
 
 __all__ = [
@@ -164,14 +164,19 @@ def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) 
     On 2x and -2x mod 1, with a potential that has coefficients and x, x'
     and y all Fractions, the sum is computed in integers over one common
     denominator (`_affine_cocycle`); the Fraction returned is the same as
-    the step-by-step loop's.  Every other input takes that loop, which
-    broadcasts over arrays; a Fraction x' beside an array y stays exact.
+    the step-by-step loop's.  When any of x, x', y is an array the sum is a
+    float array (`_array_cocycle`): a Fraction x or x' is walked exactly and
+    each of its values rounded once.  Every other input takes the scalar
+    step-by-step loop.
     """
     if depth < 1:
         raise InvolutionError("cocycle depth must be >= 1")
     if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
             and all(isinstance(p, Fraction) for p in (x, x_prime, y))):
         return CocycleValue(_affine_cocycle(sys, A, x, x_prime, y, depth),
+                            series_tail_bound(A, depth))
+    if any(isinstance(p, np.ndarray) for p in (x, x_prime, y)):
+        return CocycleValue(_array_cocycle(sys, A, x, x_prime, y, depth),
                             series_tail_bound(A, depth))
     cur_x, cur_xp, cur_y = x, x_prime, y
     total = 0
@@ -181,6 +186,64 @@ def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) 
         cur_xp = branch_point(sys, s, cur_xp)
         total = total + (A(cur_x) - A(cur_xp))
     return CocycleValue(total, series_tail_bound(A, depth))
+
+
+def _array_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int):
+    """The cocycle loop of `cocycle_delta` when x, x' or y is an array.
+
+    A float point steps by `branch_point` and A is evaluated on it.  A
+    Fraction point P / Q is walked exactly as the integer pair (N, D) of
+    its Moebius images: N / (Q 2^n) on 2x and -2x, the continued-fraction
+    pair on Gauss.  Each of its steps yields the float of its exact value
+    under A, as the Fraction arithmetic would round it: a polynomial A is
+    valued in integers and divided once, any other A is evaluated on the
+    point rounded once.  The pair is held as Python ints, in object arrays
+    once the branch word is an array, so no step can overflow.
+    """
+    gauss = sys.kind is SystemKind.GAUSS
+    exact = [isinstance(p, Fraction) for p in (x, x_prime)]
+    points = []
+    for p, is_exact in zip((x, x_prime), exact):
+        if is_exact:
+            _check_interval(p)
+            p = (p.numerator, p.denominator)
+        points.append(p)
+    if A.coeffs is not None:
+        lcd = math.lcm(*(q.denominator for q in A.coeffs))
+        a, b, c = (int(q * lcd) for q in A.coeffs)
+    cur_y, total = y, 0
+    for _ in range(depth):
+        s, cur_y = backward_step(sys, cur_y)
+        values = []
+        for i, is_exact in enumerate(exact):
+            if not is_exact:
+                points[i] = branch_point(sys, s, points[i])
+                values.append(A(points[i]))
+                continue
+            N, D = points[i]
+            k = s.astype(object) if isinstance(s, np.ndarray) else s
+            if gauss:
+                N, D = D, k * D + N
+            else:
+                sign, shift = _affine_branch(sys, k)
+                N, D = sign * N + shift * D, 2 * D
+            points[i] = N, D
+            if A.coeffs is not None:
+                DD = D * D
+                values.append(_rounded((c * N + b * D) * N + a * DD, lcd * DD))
+            else:
+                t = _rounded(N, D)
+                values.append(np.reshape([float(A(v)) for v in np.ravel(t).tolist()],
+                                         np.shape(t)))
+        total = total + (values[0] - values[1])
+    return total
+
+
+def _rounded(num, den):
+    """num / den by int true division, elementwise over arrays: one correct
+    rounding, as `float(Fraction(num, den))` gives it."""
+    q = num / den
+    return q.astype(float) if isinstance(q, np.ndarray) and q.dtype == object else q
 
 
 def _affine_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fraction,

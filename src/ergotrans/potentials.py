@@ -46,10 +46,6 @@ class PotentialSpec:
     coeffs: tuple[Fraction, Fraction, Fraction] | None = None
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray) and x.dtype == object:
-            # exact points, e.g. a rational base point carried back along an
-            # array of branch words: each is valued as a scalar, rounded once
-            return np.array([float(self(p)) for p in x.flat]).reshape(x.shape)
         if isinstance(x, Fraction):
             if self.coeffs is not None:
                 a, b, c = self.coeffs

@@ -13,9 +13,12 @@ potential with its twist-ordered closed form.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -241,8 +244,10 @@ class TransportPlan:
     method: str
 
     def support(self, tol: float = SUPPORT_TOL) -> list[tuple]:
-        return [(x, y, float(self.coupling[i, j])) for i, x in enumerate(self.row_points)
-                for j, y in enumerate(self.col_points) if self.coupling[i, j] > tol]
+        """(x, y, weight) for every coupling entry above tol, in row-major order."""
+        rows, cols = np.nonzero(self.coupling > tol)
+        return [(self.row_points[i], self.col_points[j], w) for i, j, w in
+                zip(rows.tolist(), cols.tolist(), self.coupling[rows, cols].tolist())]
 
     def support_pairs(self) -> list[tuple]:
         return [(x, y) for x, y, _ in self.support()]
@@ -259,12 +264,15 @@ class TransportPlan:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def _permutations(n: int) -> np.ndarray:
-    """Every permutation of range(n), one per row, in itertools.permutations order."""
+    """Every permutation of range(n), one per row, in itertools.permutations
+    order; built once per n and returned read-only."""
     P = np.zeros((1, 0), dtype=np.intp)
     for k in range(1, n + 1):
         # first entry i, then the permutations of range(k) without i, in order
         P = np.vstack([np.column_stack([np.full(len(P), i), P + (P >= i)]) for i in range(k)])
+    P.flags.writeable = False
     return P
 
 
@@ -551,6 +559,52 @@ class RochetMode(enum.Enum):
     TWIST_ORDERED = "twist_ordered"
 
 
+# The one twist-ordered table kept: [cost, support pairs, base, table].
+_TWIST_MEMO: list = []
+
+
+def _twist_table(pts: list, c: CostSpec, base: int) -> tuple:
+    """(xs, ys, diag, prefix) of the twist-ordered walk over the whole support:
+    the base atom, then the atoms after the leftmost one by increasing x.
+    xs are the floats x after the base, ys and diag the float y and the cost
+    c(x, y) of each walk atom, and prefix[t] the sum of c(x_(s+1), y_s) -
+    c(x_s, y_s) over the first t steps, added left to right from 0.0.  The
+    costs come from one aligned `CostSpec._costs` call.
+
+    The last table is kept for the same cost, base and pair objects,
+    compared by identity; the memo's references keep their ids from reuse.
+    Only tuple pairs are kept, as other pairs may change between calls.
+    `_twist_table.cache_clear()` empties the memo.
+    """
+    memo = _TWIST_MEMO
+    if (memo and memo[0] is c and memo[2] == base and len(memo[1]) == len(pts)
+            and all(map(operator.is_, memo[1], pts))):
+        return memo[3]
+    xr = [float(x) for x, _ in pts]
+    ordered = sorted(range(len(pts)), key=xr.__getitem__)
+    if (xr[ordered[0]], float(pts[ordered[0]][1])) != (xr[base], float(pts[base][1])):
+        raise TransportError("twist-ordered mode requires base = leftmost support atom")
+    walk = [base] + ordered[1:]
+    xw = [xr[i] for i in walk]
+    yw = [float(pts[i][1]) for i in walk]
+    given = [pts[i][0] for i in walk]
+    n = len(walk)
+    vals = c._costs(given + given[1:], np.array(xw + xw[1:]),
+                    np.array(yw + yw[:-1])).tolist()
+    diag, step = vals[:n], vals[n:]
+    prefix = [0.0]
+    for t in range(n - 1):
+        prefix.append(prefix[-1] + (step[t] - diag[t]))
+    table = (xw[1:], yw, diag, prefix)
+    memo.clear()
+    if all(type(p) is tuple for p in pts):
+        memo.extend((c, tuple(pts), base, table))
+    return table
+
+
+_twist_table.cache_clear = _TWIST_MEMO.clear
+
+
 def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
                      mode: RochetMode = RochetMode.BRUTE_FORCE,
                      chain_cap: int = CHAIN_CAP) -> float:
@@ -559,19 +613,25 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     BRUTE_FORCE takes the infimum of the telescoping sum over all chains
     of length <= chain_cap (elements of S with repetition); TWIST_ORDERED
     evaluates the closed-form chain that uses the support atoms strictly
-    left of z in increasing x order, starting from the base atom, and
-    evaluates only the costs that chain reads, each bit for bit its entry
-    of the full cost matrix.  Under a twist cost the two agree.
+    left of z in increasing x order, starting from the base atom.  That
+    chain is a prefix of one walk over the whole support, so its value is
+    prefix[k] + (c(z, y_k) - c(x_k, y_k)) from the support's table
+    (`_twist_table`), k the number of walk atoms after the base with x < z;
+    each cost is bit for bit its entry of the full cost matrix.  Under a
+    twist cost the two modes agree.  An empty support, a base that is not
+    an atom index, a chain_cap that is not an int >= 0 and a z that is not
+    finite raise TransportError.
     """
     pts = list(S)
     if not pts:
         raise TransportError("empty support")
     if not 0 <= base < len(pts):
         raise TransportError(f"base {base} is not an atom index of a support of {len(pts)}")
-    x0, y0 = pts[base]
+    if not isinstance(chain_cap, int) or chain_cap < 0:
+        raise TransportError(f"chain_cap must be an int >= 0, not {chain_cap!r}")
     zv = float(z)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
+    if not math.isfinite(zv):
+        raise TransportError(f"z must be finite, not {z!r}")
 
     if mode is RochetMode.BRUTE_FORCE:
         # C[i][j] = c(x_i, y_j) over the atoms, with z as the last row.
@@ -583,7 +643,7 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
         # With C finite on the support this equals the minimum over every
         # chain of length <= chain_cap bit for bit, in chain_cap * n^2
         # additions instead of n^chain_cap chains.
-        C = c.matrix(xs + [zv], ys).tolist()
+        C = c.matrix([x for x, _ in pts] + [zv], [y for _, y in pts]).tolist()
         n = len(pts)
         tail = [C[-1][j] - C[j][j] for j in range(n)]
         level = {base: 0.0}
@@ -594,25 +654,10 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
         return float(best)
 
     if mode is RochetMode.TWIST_ORDERED:
-        xr = [float(x) for x in xs]
-        ordered = sorted(range(len(pts)), key=xr.__getitem__)
-        if (xr[ordered[0]], float(pts[ordered[0]][1])) != (xr[base], float(y0)):
-            raise TransportError("twist-ordered mode requires base = leftmost support atom")
-        walk = [base] + [i for i in ordered[1:] if xr[i] < zv]
-        k = len(walk) - 1
-        # The chain reads only c(x_i, y_i) along the walk, c(x_t, y_{t-1})
-        # between its steps and c(z, y_last): 2k + 2 entries of the full
-        # matrix, evaluated as one aligned array.
-        xw = [xr[i] for i in walk]
-        yw = [float(ys[i]) for i in walk]
-        vals = c._costs([xs[i] for i in walk] + [xs[i] for i in walk[1:]] + [zv],
-                        np.array(xw + xw[1:] + [zv]), np.array(yw + yw[:-1] + yw[-1:])).tolist()
-        diag, step, z_cost = vals[:k + 1], vals[k + 1:2 * k + 1], vals[-1]
-        total = 0.0
-        for t in range(k):
-            total += step[t] - diag[t]
-        total += z_cost - diag[k]
-        return float(total)
+        xs, ys, diag, prefix = _twist_table(pts, c, base)
+        k = bisect.bisect_left(xs, zv)
+        z_cost = float(c._costs([zv], np.array([zv]), np.array([ys[k]]))[0])
+        return float(prefix[k] + (z_cost - diag[k]))
 
     raise TransportError(f"unknown mode {mode!r}")
 

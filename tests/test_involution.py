@@ -266,6 +266,17 @@ def scalar_cocycle(sys, A, x, xp, y, depth):
     return float(total)
 
 
+def rounded_cocycle(sys, A, x, xp, y, depth):
+    """The scalar cocycle with each value of A rounded to a float before it
+    is subtracted and summed, exact points or not."""
+    total = 0
+    for _ in range(depth):
+        s, y = backward_step(sys, y)
+        x, xp = branch_point(sys, s, x), branch_point(sys, s, xp)
+        total = total + (float(A(x)) - float(A(xp)))
+    return total
+
+
 class TestArrayPathsMatchScalarReferences:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_dual_potential(self, name):
@@ -296,9 +307,8 @@ class TestArrayPathsMatchScalarReferences:
             want = max(want, abs(float(A_star(y)) - scalar_dual_value(sysm, A, W, x, y)))
         assert cohomology_residual(sysm, A, W, A_star, probes=200, seed=seed) == want
 
-    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), 0.5])
-    @pytest.mark.parametrize("pot", ["x^2", "x^2+cos", "-(x-1)^2"])
-    def test_series_grid(self, pot, base):
+    @staticmethod
+    def check_series_grid(pot, base, depth):
         A = {"x^2": A_SQUARE, "-(x-1)^2": QUAD_DIRAC,
              "x^2+cos": perturbed_potential(A_SQUARE, custom_potential(
                  lambda x: np.cos(2 * np.pi * x), "cos", holder_constant=2 * math.pi), 1.0)}[pot]
@@ -306,19 +316,62 @@ class TestArrayPathsMatchScalarReferences:
         xs = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0, 1, 6)])
         ys = np.concatenate([[0.0, 0.25, 0.5, 0.75, 1.0], rng.uniform(0, 1, 6)])
         for sysm in (MINUS_DOUBLING, DOUBLING):
-            W0 = fundamental_kernel(sysm, A, base, depth=40)
-            want = [[scalar_cocycle(sysm, A, float(x), base, float(y), 40) for y in ys]
+            W0 = fundamental_kernel(sysm, A, base, depth=depth)
+            want = [[scalar_cocycle(sysm, A, float(x), base, float(y), depth) for y in ys]
                     for x in xs]
             assert np.array_equal(W0.grid(xs, ys), want)
 
-    def test_gauss_series_grid(self):
+    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), 0.5])
+    @pytest.mark.parametrize("pot", ["x^2", "x^2+cos", "-(x-1)^2"])
+    def test_series_grid(self, pot, base):
+        self.check_series_grid(pot, base, 40)
+
+    # at depth 48, Fraction(5, 2**12) walks numerators and denominators
+    # beyond 2^53, and Fraction(1, 3**30) beyond int64 as well
+    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(5, 2**12), Fraction(1, 3**30)])
+    @pytest.mark.parametrize("pot", ["x^2", "x^2+cos", "-(x-1)^2"])
+    def test_series_grid_at_depth_48(self, pot, base):
+        self.check_series_grid(pot, base, 48)
+
+    @pytest.mark.parametrize("sysm", [MINUS_DOUBLING, DOUBLING], ids=["minus", "doubling"])
+    @pytest.mark.parametrize("A", [A_SQUARE, QUAD_PERIOD2, perturbed_potential(
+        QUAD_DIRAC, custom_potential(np.sin, "sin", holder_constant=1.0), 0.3)],
+        ids=lambda A: A.name)
+    def test_fraction_x_beside_an_array_y(self, sysm, A):
+        ys = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(4).uniform(0, 1, 8)])
+        for x, xp in ((Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 7), 0.5),
+                      (Fraction(5, 9), Fraction(1, 3**30))):
+            got = cocycle_delta(sysm, A, x, xp, ys, 48).value
+            assert got.dtype == np.float64
+            assert np.array_equal(got, [rounded_cocycle(sysm, A, x, xp, float(y), 48)
+                                        for y in ys])
+
+    def test_exact_base_beside_a_scalar_y_gives_floats(self):
+        W0 = fundamental_kernel(MINUS_DOUBLING, A_SQUARE, Fraction(1, 2))
+        got = W0(np.array([0.1, 0.3]), 0.4)
+        assert got.dtype == np.float64
+        assert got.tolist() == [scalar_cocycle(MINUS_DOUBLING, A_SQUARE, x, Fraction(1, 2),
+                                               0.4, involution.SERIES_DEPTH) for x in (0.1, 0.3)]
+        # Fraction x and x' with a scalar y stay exact
+        assert type(W0(Fraction(1, 3), 0.4)) is Fraction
+
+    @staticmethod
+    def check_gauss_series_grid(A, base):
         g = gauss_system(30)
         ys = np.array([GOLDEN_MEAN, GOLDEN_MEAN ** 2, math.sqrt(2) - 1, (math.sqrt(13) - 3) / 2])
         xs = np.linspace(0.1, 0.9, 5)
-        W0 = fundamental_kernel(g, GAUSS_LOG, 0.5, depth=6)
-        want = [[scalar_cocycle(g, GAUSS_LOG, float(x), 0.5, float(y), 6) for y in ys]
+        W0 = fundamental_kernel(g, A, base, depth=6)
+        want = [[scalar_cocycle(g, A, float(x), base, float(y), 6) for y in ys]
                 for x in xs]
         assert np.array_equal(W0.grid(xs, ys), want)
+
+    def test_gauss_series_grid(self):
+        self.check_gauss_series_grid(GAUSS_LOG, 0.5)
+
+    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(3, 7)])
+    @pytest.mark.parametrize("A", [GAUSS_LOG, A_SQUARE], ids=["2log(x)", "x^2"])
+    def test_gauss_series_grid_exact_base(self, A, base):
+        self.check_gauss_series_grid(A, base)
 
     def test_gauss_series_grid_beyond_branch_cap_raises(self):
         W0 = fundamental_kernel(gauss_system(30), GAUSS_LOG, 0.5, depth=6)

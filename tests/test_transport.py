@@ -940,6 +940,146 @@ class TestChainOnlyRochet:
             assert got.reshape(C.shape).tobytes() == C.tobytes()
 
 
+# ------------------------------------------- Rochet table and input checks
+
+
+def chain_walk_rochet(S, c, base, z):
+    """TWIST_ORDERED as one chain walk per z: the atoms left of z, and the
+    2k + 2 costs the chain reads from one aligned array."""
+    pts = list(S)
+    zv = float(z)
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    xr = [float(x) for x in xs]
+    ordered = sorted(range(len(pts)), key=xr.__getitem__)
+    walk = [base] + [i for i in ordered[1:] if xr[i] < zv]
+    k = len(walk) - 1
+    xw = [xr[i] for i in walk]
+    yw = [float(ys[i]) for i in walk]
+    vals = c._costs([xs[i] for i in walk] + [xs[i] for i in walk[1:]] + [zv],
+                    np.array(xw + xw[1:] + [zv]), np.array(yw + yw[:-1] + yw[-1:])).tolist()
+    diag, step, z_cost = vals[:k + 1], vals[k + 1:2 * k + 1], vals[-1]
+    total = 0.0
+    for t in range(k):
+        total += step[t] - diag[t]
+    total += z_cost - diag[k]
+    return float(total)
+
+
+class TestRochetTable:
+    SUPPORTS = {
+        "float": [(0.12, 0.93), (0.3, 0.71), (0.45, 0.5), (0.61, 0.33), (0.86, 0.07)],
+        "fraction": [(Fraction(1, 7), Fraction(6, 7)), (THIRD, TWO_THIRDS),
+                     (Fraction(4, 7), Fraction(3, 7)), (TWO_THIRDS, THIRD)],
+        "ties": [(0.2, 0.9), (0.5, 0.6), (0.5, 0.4), (0.5, 0.3), (0.8, 0.1), (0.8, 0.05)],
+        "leftmost tie": [(0.2, 0.9), (0.2, 0.8), (0.6, 0.4)],
+    }
+
+    def costs(self):
+        def I(x):
+            # +inf on every atom right of 0.7, as for a non-maximizing cycle
+            return math.inf if float(x) > 0.7 else float(x) ** 2
+
+        return [tr.CostSpec(w=example6_kernel()),
+                tr.CostSpec(w=quadratic_kernel(0.1, -0.7, 0.4), gamma=-0.3),
+                tr.CostSpec(w=example5_kernel(), gamma=0.2, i_eval=I)]
+
+    def zs(self, S):
+        # every atom's x as given and as a float, and points between and outside
+        return ([x for x, _ in S] + [float(x) for x, _ in S]
+                + [0.0, 0.01, 0.25, THIRD, 0.5, 0.7, 0.99, 1.0])
+
+    def check(self, S, cost, base=0):
+        for z in self.zs(S):
+            got = tr.rochet_potential(S, cost, base, z, tr.RochetMode.TWIST_ORDERED)
+            assert got.hex() == chain_walk_rochet(S, cost, base, z).hex()
+
+    @pytest.mark.parametrize("name", sorted(SUPPORTS))
+    def test_equals_chain_walk(self, name):
+        for cost in self.costs():
+            self.check(self.SUPPORTS[name], cost)
+
+    def test_infinite_rows_give_nan_and_inf_as_the_walk(self):
+        cost = self.costs()[2]
+        S = self.SUPPORTS["float"]
+        got = [tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
+               for z in (0.9, 0.75, 0.5)]
+        assert math.isnan(got[0]) and got[1] == math.inf and math.isfinite(got[2])
+        self.check(S, cost)
+
+    def test_alternating_supports_and_costs(self):
+        cost_a, cost_b, _ = self.costs()
+        S1, S2 = self.SUPPORTS["float"], self.SUPPORTS["fraction"]
+        # the same length as S1, with other points
+        S3 = [(x + 0.01, y) for x, y in S1]
+        for _ in range(2):
+            for S, cost in ((S1, cost_a), (S2, cost_a), (S1, cost_b), (S3, cost_b),
+                            (S1, cost_b), (S3, cost_a)):
+                self.check(S, cost)
+
+    def test_mutated_list_is_read_again(self):
+        cost = self.costs()[0]
+        S = list(self.SUPPORTS["float"])
+        self.check(S, cost)
+        S[2] = (0.47, 0.52)
+        self.check(S, cost)
+        S.reverse()
+        S.insert(0, S.pop())
+        self.check(S, cost)
+
+    def test_list_pairs_mutated_in_place(self):
+        cost = self.costs()[1]
+        S = [list(p) for p in self.SUPPORTS["float"]]
+        self.check(S, cost)
+        S[1][1] = 0.75
+        S[3][0] = 0.62
+        self.check(S, cost)
+
+    def test_cache_clear_empties_the_memo(self):
+        S, cost = self.SUPPORTS["float"], self.costs()[0]
+        tr.rochet_potential(S, cost, 0, 0.5, tr.RochetMode.TWIST_ORDERED)
+        assert tr._TWIST_MEMO and tr._TWIST_MEMO[0] is cost
+        tr._twist_table.cache_clear()
+        assert tr._TWIST_MEMO == []
+        self.check(S, cost)
+
+    @pytest.mark.parametrize("mode", list(tr.RochetMode))
+    @pytest.mark.parametrize("chain_cap", [-3, -1, 1.5, 2.0, "2", None])
+    def test_chain_cap_must_be_a_nonnegative_int(self, mode, chain_cap):
+        with pytest.raises(tr.TransportError, match="chain_cap"):
+            tr.rochet_potential(self.SUPPORTS["float"], self.costs()[0], 0, 0.5, mode,
+                                chain_cap=chain_cap)
+
+    @pytest.mark.parametrize("mode", list(tr.RochetMode))
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_z_must_be_finite(self, mode, z):
+        with pytest.raises(tr.TransportError, match="finite"):
+            tr.rochet_potential(self.SUPPORTS["float"], self.costs()[0], 0, z, mode)
+
+
+def test_support_equals_entry_loop():
+    rng = np.random.default_rng(5)
+    rows, cols = (THIRD, 0.4, Fraction(5, 7)), (0.1, TWO_THIRDS, 0.9, Fraction(1, 5))
+    for P in (rng.uniform(0, 1, (3, 4)) * (rng.uniform(0, 1, (3, 4)) > 0.5),
+              np.eye(3, 4) * 1e-12, np.zeros((3, 4))):
+        plan = tr.TransportPlan(P, 0.0, rows, cols, "constructed")
+        for tol in (tr.SUPPORT_TOL, 0.3):
+            want = [(x, y, float(P[i, j])) for i, x in enumerate(rows)
+                    for j, y in enumerate(cols) if P[i, j] > tol]
+            got = plan.support(tol)
+            assert got == want
+            assert all(type(a) is type(b) for g, w in zip(got, want) for a, b in zip(g, w))
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_permutations_are_built_once_and_read_only(n):
+    P = tr._permutations(n)
+    assert P is tr._permutations(n)
+    assert P.tolist() == [list(p) for p in itertools.permutations(range(n))]
+    with pytest.raises(ValueError):
+        P[0, 0] = 1
+
+
 # ------------------------------------------------ cyclical monotonicity arrays
 
 
