@@ -5,15 +5,21 @@ setting is a flag with a default, and each command takes only the flags
 it reads (build_parser); an unknown flag or an out-of-range value is a
 usage error reported before anything is written.  CSV files hold one
 row per point, every value to 17 significant digits; JSON files are
-indented with sorted keys.  Exit codes: 0 success, 1 check failure, 2
-usage error.
+indented with sorted keys, and their shape is decided here alone: a
+result dataclass is written as its fields, an enum as its value and a
+Fraction as a float (_json_default), and the plan, the graph report and
+the subaction header are built by their commands.  Exit codes: 0
+success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +47,20 @@ def _outdir(args: argparse.Namespace) -> Path:
     return p
 
 
+def _json_default(obj):
+    """A result dataclass as its fields, an enum as its value, a Fraction as a float."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, Fraction):
+        return float(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -62,7 +79,10 @@ def cmd_subaction(args: argparse.Namespace) -> int:
                                max_period=args.max_period)
     out = _outdir(args)
     _write_csv(out / f"{pre.name}-V.csv", "cell_center,value", res.V.centers, res.V.values)
-    _write_json(out / f"{pre.name}-subaction.json", res.header_dict())
+    orbit = [float(p) for p in res.orbit.points] if res.orbit else None
+    _write_json(out / f"{pre.name}-subaction.json",
+                {"m": res.m, "residual": res.residual, "calibrated": res.calibrated,
+                 "orbit": orbit})
     print(f"{pre.name}: m = {res.m:.12g}, residual {res.residual:.3g}, "
           f"calibrated = {res.calibrated}")
     print(f"note: m is the maximum over periodic orbits of period <= "
@@ -100,7 +120,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
     pre = get_preset(args.preset)
     rep = inv.twist_check(pre.twist_kernel)
     out = _outdir(args)
-    _write_json(out / f"{pre.name}-twist.json", rep.to_json_dict())
+    _write_json(out / f"{pre.name}-twist.json", rep)
     print(f"{pre.name}: kernel {pre.twist_kernel.name} is_twist = {rep.is_twist} "
           f"(margin {rep.margin:.6g})")
     return EXIT_OK
@@ -111,16 +131,25 @@ def cmd_transport(args: argparse.Namespace) -> int:
     certificates = {}
     grid = _frac_grid(B_GRID)
     if atoms is not None:
-        rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
-                                     grid, grid, mu, mu_star)
-        certificates["duality"] = rep.to_json_dict()
-    certificates["cyclical"] = tr.cyclical_monotonicity_check(
-        plan.support_pairs(), cost, n_max=5).to_json_dict()
-    certificates["graph"] = tr.graph_check(plan).to_json_dict()
+        certificates["duality"] = tr.duality_certificate(pre.closed_V, pre.closed_V, cost,
+                                                         plan, grid, grid, mu, mu_star)
+    certificates["cyclical"] = tr.cyclical_monotonicity_check(plan.support_pairs(), cost,
+                                                              n_max=5)
+    graph = tr.graph_check(plan)
+    certificates["graph"] = {
+        "is_graph": graph.is_graph,
+        "bad_clusters": [{"x": x, "ys": ys} for x, ys in graph.bad_clusters],
+        "monotone_nonincreasing": graph.monotone_nonincreasing,
+    }
     out = _outdir(args)
-    _write_json(out / f"{pre.name}-transport.json", plan.to_json_dict(certificates))
+    _write_json(out / f"{pre.name}-transport.json", {
+        "atoms": [{"x": float(x), "y": float(y), "w": w} for x, y, w in plan.support()],
+        "value": plan.value,
+        "method": plan.method,
+        "certificates": certificates,
+    })
     print(f"{pre.name}: plan value {plan.value:.12g} via {plan.method}; "
-          f"graph = {certificates['graph']['is_graph']}")
+          f"graph = {graph.is_graph}")
     return EXIT_OK
 
 
@@ -132,8 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(res.line())
     n_fail = sum(not r.passed for r in results)
     out = _outdir(args)
-    _write_json(out / "verify.json",
-                [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results])
+    _write_json(out / "verify.json", results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 

@@ -155,7 +155,7 @@ class SubactionResult:
     """Converged subaction with its critical value and calibration data.
 
     iterations counts the Lax-Oleinik steps of the converging loop (not
-    the final calibration step); it is not part of header_dict.
+    the final calibration step); the CLI's subaction header leaves it out.
     """
 
     V: GridFunction
@@ -164,14 +164,6 @@ class SubactionResult:
     calibrated: bool
     orbit: PeriodicOrbit | None = None
     iterations: int = 0
-
-    def header_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "residual": self.residual,
-            "calibrated": self.calibrated,
-            "orbit": [float(p) for p in self.orbit.points] if self.orbit else None,
-        }
 
 
 def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = DEFAULT_N_GRID,
@@ -268,8 +260,8 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     summing n_terms fresh evaluations one by one.  An orbit that never
     repeats is walked to the end.  Nothing is kept between calls.
     """
-    if n_terms < 1:
-        raise ErgOptError("n_terms must be >= 1")
+    if not isinstance(n_terms, int) or n_terms < 1:
+        raise ErgOptError(f"n_terms must be an int >= 1, not {n_terms!r}")
     first: dict = {}  # orbit point -> index of its term
     terms: list[float] = []
     z, vz = x, float(V(float(x)))

@@ -33,7 +33,6 @@ from .potentials import PotentialSpec, perturbed_potential, polynomial_potential
 
 __all__ = [
     "InvolutionError",
-    "KernelForm",
     "KernelSpec",
     "TwistMethod",
     "TwistReport",
@@ -70,13 +69,6 @@ def w2(x, y):
     return (x * x + y * y) / 3 - 4 * x * y / 3
 
 
-class KernelForm(enum.Enum):
-    CLOSED_QUADRATIC = "closed_quadratic"
-    GAUSS_LOG = "gauss_log"
-    COCYCLE_SERIES = "cocycle_series"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """An evaluable kernel W(x, y) plus provenance and error metadata.
@@ -86,7 +78,6 @@ class KernelSpec:
     forms carry 0.
     """
 
-    form: KernelForm
     fn: Callable
     name: str
     tail_bound: float = 0.0
@@ -111,8 +102,7 @@ def quadratic_kernel(a, b, c, name: str | None = None) -> KernelSpec:
             return ar + br * w1(x, y) + cr * w2(x, y)
         return af + bf * w1(x, y) + cf * w2(x, y)
 
-    return KernelSpec(KernelForm.CLOSED_QUADRATIC, fn,
-                      name or f"{af:g}+{bf:g}*W1+{cf:g}*W2")
+    return KernelSpec(fn, name or f"{af:g}+{bf:g}*W1+{cf:g}*W2")
 
 
 def gauss_log_kernel() -> KernelSpec:
@@ -121,7 +111,7 @@ def gauss_log_kernel() -> KernelSpec:
     def fn(x, y):
         return -2.0 * np.log(1.0 + np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
 
-    return KernelSpec(KernelForm.GAUSS_LOG, fn, "-2*log(1+x*y)")
+    return KernelSpec(fn, "-2*log(1+x*y)")
 
 
 def example5_kernel() -> KernelSpec:
@@ -134,7 +124,7 @@ def example5_kernel() -> KernelSpec:
     def fn(x, y):
         return -(x * x) / 3 - (y * y) / 3 + 4 * x * y / 3 - 2 * x / 3 - y / 3
 
-    return KernelSpec(KernelForm.EXPLICIT, fn, "example5")
+    return KernelSpec(fn, "example5")
 
 
 def example6_kernel() -> KernelSpec:
@@ -143,7 +133,7 @@ def example6_kernel() -> KernelSpec:
     def fn(x, y):
         return (x * x) / 3 + (y * y) / 3 - 4 * x * y / 3 + 2 * x / 3 + y / 3
 
-    return KernelSpec(KernelForm.EXPLICIT, fn, "example6")
+    return KernelSpec(fn, "example6")
 
 
 class CocycleValue(NamedTuple):
@@ -293,8 +283,7 @@ def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime,
     def fn(x, y):
         return cocycle_delta(sys, A, x, base_x_prime, y, depth).value
 
-    return KernelSpec(KernelForm.COCYCLE_SERIES, fn,
-                      f"Delta[{A.name}; base={float(base_x_prime):g}]",
+    return KernelSpec(fn, f"Delta[{A.name}; base={float(base_x_prime):g}]",
                       tail_bound=series_tail_bound(A, depth), depth=depth)
 
 
@@ -373,16 +362,6 @@ class TwistReport:
     method: TwistMethod
     mixed_partial_min: float | None = None
     mixed_partial_max: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_twist": self.is_twist,
-            "margin": self.margin,
-            "witness": list(self.witness),
-            "method": self.method.value,
-            "mixed_partial_min": self.mixed_partial_min,
-            "mixed_partial_max": self.mixed_partial_max,
-        }
 
 
 def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,

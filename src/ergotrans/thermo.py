@@ -388,7 +388,10 @@ def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float) -> float:
     c_beta = integral of e^(beta W(x, y)) against the eigen-probabilities
     of A (in x) and of the dual potential of (A, W) (in y), evaluated by
     log-sum-exp over the GAMMA_N_GRID x GAMMA_N_GRID product grid.
+    beta must be finite and > 0.
     """
+    if not (math.isfinite(beta) and beta > 0):
+        raise ThermoError(f"gamma_estimate needs a finite beta > 0, got {beta}")
     n_grid = GAMMA_N_GRID
     A_star = dual_potential(sys, A, W)
     nu = eigen_measure(sys, A, beta, n_grid=n_grid)

@@ -184,28 +184,27 @@ class CostSpec:
         """
         return self._costs(xs, _reals(xs)[:, None], _reals(ys)[None, :])
 
-    def _costs(self, xs: Sequence, xf: np.ndarray, yf: np.ndarray) -> np.ndarray:
-        """The one cost evaluation: gamma - W(xf, yf) on the float arrays
-        xf, yf as they broadcast, then I(xs[i]) added along the first axis,
-        xs[i] being the point of xf[i] as given.
+    def _costs(self, xs: Sequence, xf, yf):
+        """The one cost evaluation: gamma - W(xf, yf) on the floats xf, yf
+        (arrays or scalars) as they broadcast, then I(xs[i]) added along
+        the first axis, xs[i] being the point of xf[i] as given; an
+        infinite I gives +inf.
 
         Aligned 1-D arrays give the cost of each pair (xs[k], ys[k]), bit
-        for bit the `matrix` entry of that pair.  The kernel's `fn` is
-        called on the arrays, not the scalar `KernelSpec.__call__`.
+        for bit the `matrix` entry of that pair, and two scalars the cost
+        of one pair (`cost`).  The kernel's `fn` is called, not
+        `KernelSpec.__call__`.
         """
         C = self.gamma - self.w.fn(xf, yf)
-        if self.i_eval is not None:
-            for i, x in enumerate(xs):
-                iv = float(self.i_eval(x))
-                C[i] = math.inf if math.isinf(iv) else C[i] + iv
-        return C
+        if self.i_eval is None:
+            return C
+        iv = np.reshape([float(self.i_eval(x)) for x in xs], np.shape(xf))
+        with np.errstate(invalid="ignore"):  # -inf + inf, replaced by +inf
+            return np.where(np.isinf(iv), math.inf, C + iv)
 
     def cost(self, x, y) -> float:
-        base = self.gamma - float(self.w(float(x), float(y)))
-        if self.i_eval is None:
-            return base
-        i = float(self.i_eval(x))
-        return math.inf if math.isinf(i) else base + i
+        """c(x, y) for one pair: the scalar case of `_costs`."""
+        return float(self._costs([x], float(x), float(y)))
 
 
 @dataclass(frozen=True)
@@ -251,17 +250,6 @@ class TransportPlan:
 
     def support_pairs(self) -> list[tuple]:
         return [(x, y) for x, y, _ in self.support()]
-
-    def to_json_dict(self, certificates: dict | None = None) -> dict:
-        return {
-            "atoms": [
-                {"x": float(x), "y": float(y), "w": w}
-                for x, y, w in self.support()
-            ],
-            "value": self.value,
-            "method": self.method,
-            "certificates": certificates or {},
-        }
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,11 +398,6 @@ class DualityReport:
     dual_value: float
     duality_gap: float
 
-    def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "admissible", "worst_violation", "slackness_ok", "worst_atom_residual",
-            "constant_shift", "primal_value", "dual_value", "duality_gap")}
-
 
 def duality_certificate(V, V_star, c: CostSpec, plan: TransportPlan,
                         probe_x: np.ndarray, probe_y: np.ndarray,
@@ -454,16 +437,6 @@ class CyclicalReport:
     witness_subset: tuple | None
     witness_permutation: tuple | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passes": self.passes,
-            "worst_slack": self.worst_slack,
-            "witness_subset": [(float(x), float(y)) for x, y in self.witness_subset]
-            if self.witness_subset else None,
-            "witness_permutation": list(self.witness_permutation)
-            if self.witness_permutation else None,
-        }
-
 
 def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
                                 n_max: int = 5) -> CyclicalReport:
@@ -476,8 +449,10 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
     identity in itertools.permutations order.  The costs come from one
     matrix over the support; each subset size is scored as arrays of
     subsets x permutations, in blocks of about CYCLICAL_BLOCK slacks.
-    n_max outside 2..7 raises TransportError.
+    n_max that is not an int in 2..7 raises TransportError.
     """
+    if not isinstance(n_max, int):
+        raise TransportError(f"n_max must be an int, not {n_max!r}")
     if not 2 <= n_max <= 7:
         raise TransportError(f"n_max {n_max} outside 2..7: below 2 no cycle is checked, "
                              "above 7 the permutations blow up")
@@ -522,15 +497,6 @@ class GraphReport:
     is_graph: bool
     bad_clusters: tuple
     monotone_nonincreasing: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_graph": self.is_graph,
-            "bad_clusters": [
-                {"x": x, "ys": list(ys)} for x, ys in self.bad_clusters
-            ],
-            "monotone_nonincreasing": self.monotone_nonincreasing,
-        }
 
 
 def graph_check(plan: TransportPlan) -> GraphReport:

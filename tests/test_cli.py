@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ergotrans.accept import MAX_PERIOD, transport_instance
+from ergotrans import transport as tr
+from ergotrans.accept import CRITERIA, MAX_PERIOD, transport_instance
 from ergotrans.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 from ergotrans.ergopt import calibrated_subaction
 from ergotrans.involution import dual_potential
@@ -160,3 +161,67 @@ def test_subaction_csv_formats_every_value_to_17_digits(tmp_path):
     assert lines == ["cell_center,value"] + [f"{c:.17g},{v:.17g}"
                                              for c, v in zip(V.centers, V.values)]
     assert [float(v) for v in (line.split(",")[1] for line in lines[1:])] == V.values.tolist()
+
+
+# The exact key sets of every JSON document; a field added to a report
+# changes the files only when it is added here as well.
+SUBACTION_KEYS = {"m", "residual", "calibrated", "orbit"}
+DUAL_KEYS = {"cohomology_residual_vs_self", "involutive"}
+TWIST_KEYS = {"is_twist", "margin", "witness", "method", "mixed_partial_min",
+              "mixed_partial_max"}
+PLAN_KEYS = {"atoms", "value", "method", "certificates"}
+ATOM_KEYS = {"x", "y", "w"}
+CERTIFICATE_KEYS = {
+    "duality": {"admissible", "worst_violation", "slackness_ok", "worst_atom_residual",
+                "constant_shift", "primal_value", "dual_value", "duality_gap"},
+    "cyclical": {"passes", "worst_slack", "witness_subset", "witness_permutation"},
+    "graph": {"is_graph", "bad_clusters", "monotone_nonincreasing"},
+}
+
+
+@pytest.mark.parametrize("name, certificates", [
+    ("quad-period2", {"duality", "cyclical", "graph"}),  # transports its maximizing measure
+    ("quad-convex", {"cyclical", "graph"}),  # no duality certificate
+])
+def test_preset_commands_json_key_sets(tmp_path, name, certificates):
+    for argv in (["subaction", "--n-grid", "256"], ["kernel", "--kernel-grid", "4"],
+                 ["dual", "--kernel-grid", "4"], ["twist"], ["transport"]):
+        assert run(argv + ["--preset", name, "--out", str(tmp_path)]) == EXIT_OK
+    assert {p.name for p in tmp_path.iterdir()} == {
+        f"{name}-{suffix}" for suffix in ("V.csv", "subaction.json", "kernel.csv", "dual.csv",
+                                          "dual.json", "twist.json", "transport.json")}
+
+    def read(suffix):
+        return json.loads((tmp_path / f"{name}-{suffix}.json").read_text())
+
+    assert set(read("subaction")) == SUBACTION_KEYS
+    assert set(read("dual")) == DUAL_KEYS
+    twist = read("twist")
+    assert set(twist) == TWIST_KEYS and twist["method"] == "mixed_partial"
+    plan = read("transport")
+    assert set(plan) == PLAN_KEYS
+    assert plan["atoms"] and all(set(a) == ATOM_KEYS for a in plan["atoms"])
+    assert set(plan["certificates"]) == certificates
+    for key, cert in plan["certificates"].items():
+        assert set(cert) == CERTIFICATE_KEYS[key]
+    assert plan["certificates"]["graph"]["bad_clusters"] == []
+
+
+def test_transport_json_writes_bad_clusters_as_objects(tmp_path, monkeypatch):
+    def two_ys(plan):
+        return tr.GraphReport(False, ((0.25, (0.5, 0.75)),), True)
+
+    monkeypatch.setattr(tr, "graph_check", two_ys)
+    assert run(["transport", "--preset", "quad-convex", "--out", str(tmp_path)]) == EXIT_OK
+    graph = json.loads((tmp_path / "quad-convex-transport.json").read_text())[
+        "certificates"]["graph"]
+    assert set(graph) == CERTIFICATE_KEYS["graph"]
+    assert graph["bad_clusters"] == [{"x": 0.25, "ys": [0.5, 0.75]}]
+
+
+def test_verify_json_key_sets(tmp_path):
+    assert run(["verify", "--out", str(tmp_path)]) == EXIT_OK
+    assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]
+    results = json.loads((tmp_path / "verify.json").read_text())
+    assert len(results) == len(CRITERIA)
+    assert all(set(r) == {"name", "passed", "detail"} for r in results)

@@ -255,7 +255,6 @@ class TestCalibratedSubaction:
         # the last call is the calibration step after the loop
         assert res.iterations == len(steps) - 1
         assert res.iterations > 1
-        assert "iterations" not in res.header_dict()
 
     def test_values_pinned_at_n_grid_2_16(self):
         # sha256 of V's little-endian float64 bytes, computed with the
@@ -499,6 +498,16 @@ class TestDeviation:
         d = deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, Fraction(0), n_terms=500)
         assert math.isinf(d.value)
         assert d.n_used <= 150
+
+    @pytest.mark.parametrize("x", [0.1234, Fraction(1, 6)])
+    @pytest.mark.parametrize("n_terms", [2.5, 3.0, "3"])
+    def test_non_int_n_terms_rejected(self, x, n_terms):
+        # n_terms 2.5 used to return n_used = 2.5 on an orbit that never
+        # repeats, and to fail inside numpy on one that does
+        V = lambda x: -x * x / 3 + 2 * x / 9
+        with pytest.raises(ErgOptError, match="n_terms must be an int"):
+            deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, x, n_terms=n_terms,
+                        early_exit=False)
 
     def test_partial_sums_nondecreasing(self):
         V = lambda x: -x * x / 3 + 2 * x / 9

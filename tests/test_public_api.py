@@ -123,3 +123,28 @@ def test_no_package_import_inside_a_function():
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if _imports_the_package(node)]
     assert not found, f"package imports inside functions: {found}"
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Top-level names of the absolute modules an import statement reads."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
+def test_cli_alone_shapes_json():
+    # The JSON format is decided in cli: only it imports json, and no
+    # library class carries its own serializer.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(ergotrans.__file__).parent.glob("*.py"))}
+    json_importers = sorted(name for name, tree in trees.items()
+                            for node in ast.walk(tree) if "json" in _imported_modules(node))
+    assert json_importers == ["cli"]
+    serializers = [f"{name}.{cls.name}.{fn.name}"
+                   for name, tree in trees.items()
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                   and fn.name in ("to_json_dict", "header_dict")]
+    assert not serializers, f"per-type serializers outside cli: {serializers}"

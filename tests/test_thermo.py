@@ -9,7 +9,7 @@ import pytest
 from ergotrans import thermo
 from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, branch_point, gauss_system,
                                 inverse_branches)
-from ergotrans.involution import quadratic_kernel, KernelForm, KernelSpec
+from ergotrans.involution import quadratic_kernel, KernelSpec
 from ergotrans.potentials import (GAUSS_LOG, LINEAR, QUAD_CONVEX, QUAD_DIRAC, QUAD_PERIOD2,
                                   polynomial_potential)
 from ergotrans.presets import get_preset
@@ -395,16 +395,26 @@ class TestVBeta:
 
 
 class TestGammaEstimate:
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_beta_not_finite_positive_rejected_before_any_work(self, monkeypatch, beta):
+        # beta 0 used to build A* and both eigen-measures, then divide by zero
+        def no_work(*args):
+            raise AssertionError("gamma_estimate worked before checking beta")
+
+        monkeypatch.setattr(thermo, "dual_potential", no_work)
+        with pytest.raises(ThermoError, match="finite beta > 0"):
+            gamma_estimate(MINUS_DOUBLING, QUAD_DIRAC, quadratic_kernel(0, 2, -1), beta)
+
     def test_zero_kernel(self, monkeypatch):
         monkeypatch.setattr(thermo, "GAMMA_N_GRID", 128)
-        W0 = KernelSpec(KernelForm.EXPLICIT, lambda x, y: 0.0 * (np.asarray(x) + np.asarray(y)), "0")
+        W0 = KernelSpec(lambda x, y: 0.0 * (np.asarray(x) + np.asarray(y)), "0")
         g = gamma_estimate(MINUS_DOUBLING, A_ZERO, W0, 8.0)
         assert abs(g) < 1e-12
 
     def test_constant_kernel(self, monkeypatch):
         monkeypatch.setattr(thermo, "GAMMA_N_GRID", 128)
         k = -0.7
-        Wk = KernelSpec(KernelForm.EXPLICIT, lambda x, y: k + 0.0 * (np.asarray(x) + np.asarray(y)), "k")
+        Wk = KernelSpec(lambda x, y: k + 0.0 * (np.asarray(x) + np.asarray(y)), "k")
         g = gamma_estimate(MINUS_DOUBLING, A_ZERO, Wk, 8.0)
         assert abs(g - k) < 1e-12
 

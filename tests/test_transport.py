@@ -27,7 +27,6 @@ from ergotrans.dynamics import (
 )
 from ergotrans.ergopt import critical_value, deviation_I
 from ergotrans.involution import (
-    KernelForm,
     KernelSpec,
     example5_kernel,
     example6_kernel,
@@ -268,16 +267,16 @@ class TestSolveKantorovich:
 
 
 KERNELS_BY_FORM = {
-    KernelForm.CLOSED_QUADRATIC: quadratic_kernel(0.5, -1, 2),
-    KernelForm.GAUSS_LOG: gauss_log_kernel(),
-    KernelForm.COCYCLE_SERIES: fundamental_kernel(
+    "closed_quadratic": quadratic_kernel(0.5, -1, 2),
+    "gauss_log": gauss_log_kernel(),
+    "cocycle_series": fundamental_kernel(
         MINUS_DOUBLING, polynomial_potential(0, 1, -1), Fraction(1, 2), depth=20),
-    KernelForm.EXPLICIT: example5_kernel(),
+    "explicit": example5_kernel(),
 }
 
 
 class TestCostMatrix:
-    @pytest.mark.parametrize("form", list(KernelForm))
+    @pytest.mark.parametrize("form", list(KERNELS_BY_FORM))
     def test_equals_scalar_cost(self, form):
         W = KERNELS_BY_FORM[form]
         xs = [THIRD, Fraction(1, 7), TWO_THIRDS, 0.0, 0.3, 0.91, 1.0]
@@ -301,6 +300,15 @@ class TestCostMatrix:
         seen.clear()
         dev.matrix(xs, ys)
         assert seen == xs and [type(x) for x in seen] == [type(x) for x in xs]
+
+    def test_infinite_deviation_wins_over_an_infinite_kernel(self):
+        # W = +inf makes gamma - W = -inf; an infinite I still gives +inf,
+        # in the matrix and for one pair, without an invalid-value warning
+        W = KernelSpec(lambda x, y: np.where(np.asarray(x) > 0.5, np.inf, x * y), "inf")
+        cost = tr.CostSpec(w=W, i_eval=lambda x: math.inf if x > 0.8 else 1.0)
+        xs, ys = [0.25, 0.75, 0.9], [0.5]
+        assert cost.matrix(xs, ys).tolist() == [[-0.125 + 1.0], [-math.inf], [math.inf]]
+        assert [cost.cost(x, 0.5) for x in xs] == [-0.125 + 1.0, -math.inf, math.inf]
 
 
 def scalar_permutation_solve(C, w):
@@ -605,6 +613,14 @@ class TestCyclicalMonotonicity:
             with pytest.raises(tr.TransportError, match="n_max"):
                 tr.cyclical_monotonicity_check(swapped, cost, n_max)
 
+    @pytest.mark.parametrize("n_max", [3.0, 2.5, "3"])
+    def test_non_int_n_max_rejected(self, n_max):
+        # a float n_max used to run as the int it equals
+        cost = tr.CostSpec(w=example5_kernel())
+        swapped = [(THIRD, TWO_THIRDS), (TWO_THIRDS, THIRD)]
+        with pytest.raises(tr.TransportError, match="n_max must be an int"):
+            tr.cyclical_monotonicity_check(swapped, cost, n_max=n_max)
+
 
 class TestTwistOrder:
     def test_anti_monotone_passes(self):
@@ -730,14 +746,6 @@ class TestBFunction:
                              pre.closed_V, -16 / 27, I_inf) == math.inf
 
 
-def test_plan_json_export():
-    mu, mu_star, _ = quad_period2_measures()
-    plan = tr.solve_kantorovich(mu, mu_star, tr.CostSpec(w=example5_kernel()))
-    d = plan.to_json_dict({"graph": tr.graph_check(plan).to_json_dict()})
-    assert sorted(a["x"] for a in d["atoms"]) == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
-    assert d["certificates"]["graph"]["is_graph"] is True
-
-
 # ---------------------------------------------------------------- assignment
 
 
@@ -845,7 +853,7 @@ def test_infinite_cost_square_uniform_takes_highs():
         return np.where(x + y > 1.6, -np.inf, x * y)
 
     mu, mu_star = uniform_instance(9, 1)
-    plan = tr.solve_kantorovich(mu, mu_star, tr.CostSpec(w=KernelSpec(KernelForm.EXPLICIT, fn, "cut")))
+    plan = tr.solve_kantorovich(mu, mu_star, tr.CostSpec(w=KernelSpec(fn, "cut")))
     assert plan.method == "highs"
 
 
