@@ -35,6 +35,8 @@ __all__ = [
     "periodic_orbits",
     "periodic_point",
     "gauss_orbit_blocks",
+    "gauss_rotation_points",
+    "gauss_walk_gap",
     "sorted_orbits",
     "DOUBLING",
     "MINUS_DOUBLING",
@@ -53,6 +55,11 @@ GAUSS_BRANCH_CAP = 30
 
 # Largest forward-closure gap |T x_i - x_(i+1)| accepted on a Gauss orbit.
 CLOSURE_TOL = 1e-9
+
+# A Gauss fold on int64 arrays stays exact while every digit and matrix entry
+# is below _GAUSS_ENTRY_LIMIT and the discriminant below _GAUSS_EXACT_LIMIT.
+_GAUSS_ENTRY_LIMIT = 2 ** 27
+_GAUSS_EXACT_LIMIT = 2 ** 53
 
 
 class DynamicsError(ValueError):
@@ -257,29 +264,56 @@ def periodic_point(sys: SystemSpec, digits):
     b / (d - a).  On Gauss (continued fraction [0; k_1, ..., k_p, k_1, ...])
     digits may also be p equal-length int64 arrays, one word per entry; the
     product [[a, b], [c, d]] has b, c >= 1, so c x^2 + (d - a) x - b = 0 has
-    one positive root, returned as a float or float array.  Within the
-    enumeration budget the entries stay below 2^25 and the discriminant
-    below 2^50 (digits 2 at period 19), so the int64 products and the float
-    conversion of the discriminant are exact.  An empty word, or a digit
+    one positive root, returned as a float or float array.
+
+    The root is (-(d - a) + sqrt(D)) / (2c) with D = (d - a)^2 + 4bc, taken
+    in floats while D is below 2^53, where its float conversion is exact.
+    A longer word of Python ints takes the root as 2b / ((d - a) + sqrt(D))
+    in integers, with 64 more bits than isqrt(D) and one final rounding (d
+    is the largest entry of every Gauss product, so nothing cancels).  An
+    array fold raises DynamicsError instead once some entry reaches 2^27,
+    before an int64 product can overflow, or D reaches 2^53: every digit is
+    at most d, and D = (a + d)^2 -+ 4 >= d^2 - 4.  Those checks are skipped
+    when the entries' bound (branch_cap + 1)^p keeps D below 2^53, as it
+    does on gauss_system(30) up to period 5.  An empty word, or a digit
     that is not a branch index of the system, raises DynamicsError.
     """
     ks = _branch_indices(sys)
-    if isinstance(digits, np.ndarray):
+    array = isinstance(digits, np.ndarray)
+    if array:
         bad = digits.dtype.kind not in "iu" or _outside(digits, ks[0], ks[-1])
     else:
         bad = any(not isinstance(k, (int, np.integer)) or k not in ks for k in digits)
     if len(digits) == 0 or bad:
         raise DynamicsError(f"{sys.kind.value} periodic word needs at least one digit, "
                             f"each in {ks[0]}..{ks[-1]}: got {digits!r}")
+    if not array:
+        digits = [int(k) for k in digits]  # numpy integers would overflow
     a, b, c, d = 1, 0, 0, 1
-    if sys.kind is SystemKind.GAUSS:
+    if sys.kind is not SystemKind.GAUSS:
         for k in reversed(digits):
-            a, b, c, d = c, d, a + k * c, b + k * d
-        return (-(d - a) + np.sqrt((d - a) ** 2 + 4 * b * c)) / (2 * c)
+            s, c = _affine_branch(sys, k)
+            a, b, d = s * a, s * b + c * d, 2 * d
+        return Fraction(b, d - a)
+    # no entry exceeds (branch_cap + 1)^p, so D <= 4 (branch_cap + 1)^(2p) + 4
+    checked = array and 4 * (ks[-1] + 1) ** (2 * len(digits)) + 4 >= _GAUSS_EXACT_LIMIT
+    if checked and digits.max() >= _GAUSS_ENTRY_LIMIT:
+        raise _inexact_fold(digits)
     for k in reversed(digits):
-        s, c = _affine_branch(sys, k)
-        a, b, d = s * a, s * b + c * d, 2 * d
-    return Fraction(b, d - a)
+        a, b, c, d = c, d, a + k * c, b + k * d
+        if checked and d.max() >= _GAUSS_ENTRY_LIMIT:
+            raise _inexact_fold(digits)
+    disc = (d - a) ** 2 + 4 * b * c
+    if np.max(disc) < _GAUSS_EXACT_LIMIT:
+        return (-(d - a) + np.sqrt(disc)) / (2 * c)
+    if array:
+        raise _inexact_fold(digits)
+    return np.float64(Fraction(b << 65, ((d - a) << 64) + math.isqrt(disc << 128)))
+
+
+def _inexact_fold(digits: np.ndarray) -> DynamicsError:
+    return DynamicsError(f"gauss periodic word arrays of period {len(digits)} leave exact "
+                         "int64 arithmetic: an entry reaches 2^27 or a discriminant 2^53")
 
 
 def _check_enumeration(sys: SystemSpec, max_period: int) -> None:
@@ -300,29 +334,74 @@ def gauss_orbit_blocks(sys: SystemSpec,
     """Every Gauss periodic orbit of minimal period <= max_period, in blocks.
 
     Yields (p, digits, points) by increasing p.  Each row of digits is one
-    necklace over the retained digits 1..branch_cap, so each orbit appears
-    exactly once; points[:, i] is the point whose itinerary is the row
-    rotated left by i, from one array fold of periodic_point over all the
-    rotations of the block.  Every row is checked to close under the
-    forward map within CLOSURE_TOL.  Blocks are small, so a consumer that
-    only scores orbits never holds them all (ergopt.critical_value).  Raises
-    DynamicsError before the first block when the itineraries up to
-    max_period exceed MAX_ITINERARIES.
+    necklace (k_0, ..., k_(p-1)) over the retained digits 1..branch_cap, so
+    each orbit appears exactly once.  points[:, 0] is the periodic_point of
+    the row, from one array fold per block; the other points are walked
+    back down the inverse branches, x_i = 1 / (k_i + x_(i+1 mod p)) for
+    i = p-1, ..., 1.  Each walked point lies within gauss_walk_gap of the
+    periodic_point of its rotation, which gauss_rotation_points folds.
+    Every link of every row is checked to close under the forward map
+    within CLOSURE_TOL; the link from x_0 to x_1 checks the fold.  Blocks
+    are small, so a consumer that only scores orbits never holds them all
+    (ergopt.critical_value).  Raises DynamicsError before the first block
+    when the itineraries up to max_period exceed MAX_ITINERARIES.
     """
     _check_enumeration(sys, max_period)
     for p in range(1, max_period + 1):
-        # rotations[r, i] = (r + i) mod p: the letters of the rotation by r
-        rotations = np.add.outer(np.arange(p), np.arange(p)) % p
         for words in _necklace_blocks(sys.branch_cap, p):
             digits = words + 1
-            points = periodic_point(sys, digits[:, rotations].reshape(-1, p).T).reshape(-1, p)
-            inv = 1.0 / points
-            gap = np.abs(inv - np.floor(inv) - np.roll(points, -1, axis=1)).max(axis=1)
-            if gap.max() > CLOSURE_TOL:
-                row = int(np.argmax(gap))
-                raise DynamicsError(f"Gauss orbit of digits {tuple(digits[row].tolist())} "
-                                    f"does not close: gap {gap[row]:.3e} > {CLOSURE_TOL}")
-            yield p, digits, points
+            # one contiguous row of x per orbit position
+            k, x = digits.T, np.empty((p, len(digits)))
+            x[0] = periodic_point(sys, k)
+            for i in range(p - 1, 0, -1):
+                np.divide(1.0, np.add(k[i], x[(i + 1) % p], out=x[i]), out=x[i])
+            _check_closure(digits, x.T)
+            yield p, digits, x.T
+
+
+def gauss_rotation_points(sys: SystemSpec, digits: np.ndarray) -> np.ndarray:
+    """points[:, i] = periodic_point of each row of digits rotated left by i,
+    from one array fold over every rotation, checked to close like
+    gauss_orbit_blocks' points."""
+    p = digits.shape[1]
+    # rotations[r, i] = (r + i) mod p: the letters of the rotation by r
+    rotations = np.add.outer(np.arange(p), np.arange(p)) % p
+    points = periodic_point(sys, digits[:, rotations].reshape(-1, p).T).reshape(-1, p)
+    _check_closure(digits, points)
+    return points
+
+
+def gauss_walk_gap(sys: SystemSpec, p: int) -> float:
+    """Bound on |walked - folded| for a Gauss point of period at most p:
+    (branch_cap + 2p + 5) 2^-53.
+
+    With u = 2^-53 and K = branch_cap, the fold's root (-b' + sqrt(D))/(2c)
+    of c x^2 + b' x - b = 0 has exact b', D and 2c as floats and three
+    roundings, so to first order in u it is off by at most
+    2u x + u sqrt(D)/(2c).  sqrt(D)/c is x minus the other root, and the
+    other root of a purely periodic continued fraction is
+    -[k_p; k_(p-1), ...] (Galois), inside (-(K + 1), 0), so the fold is
+    off by at most u (K/2 + 3).  One walk step 1/(k + x) rounds twice,
+    adding at most 2u, and has slope at most 1 for k >= 1, x >= 0, so it
+    never grows an error; after p - 1 steps a walked point is off by at
+    most u (K/2 + 3) + 2u (p - 1).  The two errors add to u (K + 2p + 4);
+    the extra u covers the terms of order u^2.
+    """
+    return (sys.branch_cap + 2 * p + 5) * 2.0 ** -53
+
+
+def _check_closure(digits: np.ndarray, points: np.ndarray) -> None:
+    """Raise unless T points[:, i] is within CLOSURE_TOL of points[:, i + 1 mod p] on every row."""
+    gap = 1.0 / points
+    gap -= np.floor(gap)
+    gap[:, :-1] -= points[:, 1:]
+    gap[:, -1] -= points[:, 0]
+    np.abs(gap, out=gap)
+    if gap.max() > CLOSURE_TOL:
+        gap = gap.max(axis=1)
+        row = int(np.argmax(gap))
+        raise DynamicsError(f"Gauss orbit of digits {tuple(digits[row].tolist())} "
+                            f"does not close: gap {gap[row]:.3e} > {CLOSURE_TOL}")
 
 
 def sorted_orbits(rows: Iterable[tuple[int, Sequence[int], Sequence]]) -> list[PeriodicOrbit]:
@@ -336,25 +415,26 @@ def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     """All periodic orbits of minimal period <= max_period.
 
     Every orbit is listed once per necklace (_necklace_blocks), each point
-    the periodic_point of a rotation of it: on 2x and -2x an exact
-    Fraction, on Gauss a float from one array fold per block
-    (gauss_orbit_blocks).  On the circle the branch points 0 and 1 are the
-    single fixed point 0, so the words whose fold touches them (the 2x
-    words (0) and (1), the -2x boundary cycle (0 1)) are skipped and {0} is
-    listed by hand.  An affine orbit starts at its least point and must
-    close exactly under apply_map; a Gauss orbit must close within
-    CLOSURE_TOL.  Either failure raises DynamicsError.  On gauss_system(30)
-    up to period 4 that is 211,730 orbits, about half a second and 117 MB
-    of objects: callers that only score orbits consume gauss_orbit_blocks
-    instead, as ergopt.critical_value does.  Every system raises
-    DynamicsError before listing anything when the itineraries up to
-    max_period exceed MAX_ITINERARIES.
+    the periodic_point of a rotation of it: on 2x and -2x an exact Fraction,
+    on Gauss a float from one array fold over every rotation of each of
+    gauss_orbit_blocks' blocks (gauss_rotation_points).  On the circle the
+    branch points 0 and 1 are the single fixed point 0, so the words whose
+    fold touches them (the 2x words (0) and (1), the -2x boundary cycle
+    (0 1)) are skipped and {0} is listed by hand.  An affine orbit starts at
+    its least point and must close exactly under apply_map; a Gauss orbit
+    must close within CLOSURE_TOL.  Either failure raises DynamicsError.  On
+    gauss_system(30) up to period 4 that is 211,730 orbits, 1.0-1.2 s and a
+    100 MB rise in peak RSS on a 2-core Xeon: callers that only score orbits
+    consume gauss_orbit_blocks instead, as ergopt.critical_value does.
+    Every system raises DynamicsError before listing anything when the
+    itineraries up to max_period exceed MAX_ITINERARIES.
     """
     _check_enumeration(sys, max_period)
     if sys.kind is SystemKind.GAUSS:
         return sorted_orbits((p, k, x)
-                             for p, digits, points in gauss_orbit_blocks(sys, max_period)
-                             for k, x in zip(digits.tolist(), points.tolist()))
+                             for p, digits, _ in gauss_orbit_blocks(sys, max_period)
+                             for k, x in zip(digits.tolist(),
+                                             gauss_rotation_points(sys, digits).tolist()))
     rows = [(1, (0,), (Fraction(0),))]
     for p in range(1, max_period + 1):
         for word in (w for words in _necklace_blocks(2, p) for w in words.tolist()):

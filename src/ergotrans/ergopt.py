@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map,
-                       gauss_orbit_blocks, periodic_orbits, sorted_orbits)
+from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map, gauss_orbit_blocks,
+                       gauss_rotation_points, gauss_walk_gap, periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
 from .thermo import _BLOCK, DEFAULT_N_GRID, GridFunction, _Operator
 
@@ -96,13 +96,26 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
     """Gauss orbits whose average may attain or tie the maximum, and the
     number of orbits scored.
 
-    Averages are summed on each block's array of points in the scalar
-    order.  A row is kept while it is within TIE_TOL + slack of the running
-    maximum, and the final maximum drops the rows a later block pushed
-    out.  The slack, SCREEN_SLACK times the largest |A| seen, covers the
-    last-bit differences between A on an array (numpy's vectorized log)
-    and A on a float, so no orbit that the scalar scores would tie is lost.
+    Each block's averages are summed on gauss_orbit_blocks' points (one
+    fold and a walk per orbit) in the scalar order.  The orbits that pass
+    are folded again at every rotation (gauss_rotation_points), which gives
+    the points periodic_orbits lists, and critical_value scores them as
+    the scalar pass does.
+
+    Let s be an orbit's scalar score and w its screen score.  A walked
+    point is within g = gauss_walk_gap(sys, max_period) of the folded one,
+    so A moves by at most H g there, H = A.holder_constant.  Past that,
+    numpy's vectorized A on arrays and A on a float, and the roundings of
+    the two p-term sums, differ in the last bits only, far below
+    SCREEN_SLACK times the largest |A| seen (scale).  So
+    |s - w| <= e with e = H g + SCREEN_SLACK * scale.  With W the largest
+    w and M the largest s, M >= W - e, so an orbit with s >= M - TIE_TOL
+    (the argmax included) has w >= W - TIE_TOL - 2e.  A row is kept while
+    it is within TIE_TOL + 2e of the running maximum, which never exceeds
+    W, and the final maximum drops the rows a later block pushed out; no
+    orbit that the scalar scores would tie is lost.
     """
+    walk = A.holder_constant * gauss_walk_gap(sys, max_period)
     best, scale, n_orbits, kept = -math.inf, 1.0, 0, []
     for p, digits, points in gauss_orbit_blocks(sys, max_period):
         vals = np.broadcast_to(np.asarray(A(points), dtype=float), points.shape)
@@ -113,13 +126,17 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
         n_orbits += len(avg)
         scale = max(scale, float(np.abs(vals).max()))
         best = max(best, float(avg.max()))
-        keep = avg >= best - TIE_TOL - SCREEN_SLACK * scale
+        keep = avg >= best - TIE_TOL - 2 * (walk + SCREEN_SLACK * scale)
         if keep.any():
-            kept.append((avg[keep], p, digits[keep], points[keep]))
-    floor = best - TIE_TOL - SCREEN_SLACK * scale
-    return sorted_orbits((p, k, x) for avg, p, digits, points in kept
-                         for a, k, x in zip(avg.tolist(), digits.tolist(), points.tolist())
-                         if a >= floor), n_orbits
+            kept.append((avg[keep], p, digits[keep]))
+    floor = best - TIE_TOL - 2 * (walk + SCREEN_SLACK * scale)
+    rows = []
+    for avg, p, digits in kept:
+        digits = digits[avg >= floor]
+        if len(digits):
+            points = gauss_rotation_points(sys, digits)
+            rows += [(p, k, x) for k, x in zip(digits.tolist(), points.tolist())]
+    return sorted_orbits(rows), n_orbits
 
 
 def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,

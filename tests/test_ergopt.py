@@ -34,6 +34,16 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 A_ZERO = polynomial_potential(0, 0, 0, name="0")
 
 
+def scalar_pass(sys, A, max_period):
+    """Reference: (m, orbit, tied, n_orbits) scored one float at a time over periodic_orbits."""
+    orbits = periodic_orbits(sys, max_period)
+    scored = [o.with_average(float(sum(float(A(p)) for p in o.points) / o.period))
+              for o in orbits]
+    m = max(o.birkhoff_average for o in scored)
+    tied = tuple(o for o in scored if m - o.birkhoff_average <= 1e-9)
+    return m, tied[0], tied, len(orbits)
+
+
 class TestCriticalValue:
     def test_quad_dirac(self):
         cv = critical_value(MINUS_DOUBLING, QUAD_DIRAC, 4)
@@ -51,21 +61,28 @@ class TestCriticalValue:
         cv = critical_value(gauss_system(8), GAUSS_LOG, 4)
         assert cv.m == pytest.approx(2.0 * math.log(GOLDEN), abs=1e-12)
 
-    # "flat" ties all 55 orbits through TIE_TOL, not through equal averages
+    # "flat" ties all 55 orbits through TIE_TOL, not through equal averages;
+    # blocks of 7 candidate words split inside one first letter
+    @pytest.mark.parametrize("block", [dynamics.NECKLACE_BLOCK, 7])
     @pytest.mark.parametrize("A", [GAUSS_LOG, perturbed_potential(GAUSS_LOG, LINEAR, 0.3),
                                    polynomial_potential(Fraction(1, 10), 0, 0, name="const"),
                                    polynomial_potential(0, Fraction(1, 10 ** 10), 0, name="flat")],
                              ids=["log", "perturbed", "constant", "flat"])
-    def test_gauss_equals_scalar_pass(self, A):
+    def test_gauss_equals_scalar_pass(self, monkeypatch, A, block):
+        monkeypatch.setattr(dynamics, "NECKLACE_BLOCK", block)
         sys = gauss_system(5)
-        scored = [(float(sum(float(A(p)) for p in o.points) / o.period), o)
-                  for o in periodic_orbits(sys, 3)]
-        m = max(avg for avg, _ in scored)
-        tied = tuple(o.with_average(avg) for avg, o in scored if m - avg <= 1e-9)
         cv = critical_value(sys, A, 3)
-        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == (m, tied[0], tied, 55)
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == scalar_pass(sys, A, 3)
+        assert cv.n_orbits == 55
         if A.name in ("const", "flat"):
             assert len(cv.tied) == 55
+
+    def test_gauss_period_two_maximizer_equals_scalar_pass(self):
+        A = custom_potential(lambda x: np.cos(2 * np.pi * x), "cos(2 pi x)", 2 * np.pi)
+        sys = gauss_system(30)
+        cv = critical_value(sys, A, 4)
+        assert cv.orbit.period == 2
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == scalar_pass(sys, A, 4)
 
     def test_gauss_builds_only_candidate_orbits(self, monkeypatch):
         built = []

@@ -10,6 +10,7 @@ import pytest
 
 from ergotrans import dynamics
 from ergotrans import transport as tr
+from ergotrans.ergopt import critical_value
 from ergotrans.dynamics import (
     DOUBLING,
     MINUS_DOUBLING,
@@ -20,6 +21,7 @@ from ergotrans.dynamics import (
     periodic_orbits,
     periodic_point,
 )
+from ergotrans.potentials import GAUSS_LOG
 
 BINARY_SYSTEMS = [DOUBLING, MINUS_DOUBLING]
 BINARY_WORDS = [w for n in range(1, 9) for w in itertools.product((0, 1), repeat=n)]
@@ -76,7 +78,7 @@ def numerator_scan_orbits(sys, max_period):
 
 
 def rotation_digits(digits):
-    """The p digit arrays of every rotation of every row, as gauss_orbit_blocks folds them."""
+    """The p digit arrays of every rotation of every row, as gauss_rotation_points folds them."""
     p = digits.shape[1]
     rotations = np.add.outer(np.arange(p), np.arange(p)) % p
     return digits[:, rotations].reshape(-1, p).T
@@ -98,15 +100,32 @@ class TestPeriodicPoint:
             assert y == x
 
     def test_gauss_blocks_equal_reference(self):
+        # column 0 is the fold of the row, the others the walk down the branches
         sys = gauss_system(30)
         n_rows = 0
         for p, digits, points in gauss_orbit_blocks(sys, 4):
+            want = np.empty(points.shape)
+            want[:, 0] = gauss_fold(digits.T)
+            for i in range(p - 1, 0, -1):
+                want[:, i] = 1 / (digits[:, i] + want[:, (i + 1) % p])
+            assert np.array_equal(points, want)
+            folded = gauss_fold(rotation_digits(digits)).reshape(-1, p)
+            assert np.abs(points - folded).max() <= dynamics.gauss_walk_gap(sys, p)
+            n_rows += len(digits)
+        assert n_rows == 211_730
+
+    @pytest.mark.parametrize("n, max_period", [(30, 3), (8, 4)])
+    def test_gauss_orbits_fold_every_rotation(self, n, max_period):
+        sys = gauss_system(n)
+        orbits = periodic_orbits(sys, max_period)
+        for p in range(1, max_period + 1):
+            digits = np.array([o.itinerary for o in orbits if o.period == p])
             rows = rotation_digits(digits)
             ref = gauss_fold(rows)
             assert np.array_equal(periodic_point(sys, rows), ref)
-            assert np.array_equal(points, ref.reshape(-1, p))
-            n_rows += len(digits)
-        assert n_rows == 211_730
+            assert np.array_equal([o.points for o in orbits if o.period == p],
+                                  ref.reshape(-1, p))
+            assert np.array_equal(dynamics.gauss_rotation_points(sys, digits), ref.reshape(-1, p))
 
     @pytest.mark.parametrize("sys, max_period", [
         (DOUBLING, 8), (MINUS_DOUBLING, 8), (gauss_system(6), 4),
@@ -142,6 +161,70 @@ class TestBadWords:
     def test_gauss_array_rejected(self, rows):
         with pytest.raises(DynamicsError, match="periodic word"):
             periodic_point(gauss_system(3), rows)
+
+
+class TestGaussExactRange:
+    # An int64 fold used to overflow silently (digit 30 at period 7 gave
+    # -13.306, digit 2 at period 25 nan with a RuntimeWarning), and a word of
+    # 47 ones given as a list raised numpy's TypeError.
+    @pytest.mark.parametrize("cap, rows", [
+        (30, np.full((7, 3), 30)), (30, np.full((25, 2), 2)), (30, np.full((39, 1), 1)),
+        (2 ** 40, np.array([[2 ** 40], [3]])), (2 ** 28, np.array([[2 ** 27 + 1]])),
+    ], ids=["30x7", "2x25", "1x39", "2^40-3", "2^27+1"])
+    def test_array_leaving_exact_range_rejected(self, cap, rows):
+        with pytest.raises(DynamicsError, match="periodic word arrays .* exact int64"):
+            periodic_point(gauss_system(cap), rows)
+
+    @pytest.mark.parametrize("word", [
+        (30,) * 7, (2,) * 25, (1,) * 39, (1,) * 47, (1,) * 1000, (3, 1, 4, 1, 5, 9, 2, 6) * 30,
+        (np.int64(30),) * 7, (2 ** 40, 3),
+    ], ids=["30x7", "2x25", "1x39", "1x47", "1x1000", "pi-digits", "int64-30x7", "2^40-3"])
+    def test_long_word_is_its_continued_fraction(self, word):
+        ref = Fraction(0)
+        for k in reversed(word * (200 // len(word) + 1)):
+            ref = 1 / (int(k) + ref)
+        y = periodic_point(gauss_system(max(map(int, word))), list(word))
+        assert type(y) is np.float64
+        assert abs(y - float(ref)) <= np.spacing(float(ref))
+
+    @pytest.mark.parametrize("word", [(1,) * 38, (30,) * 5, (2,) * 20, (1, 30) * 5])
+    def test_fold_below_2_53_keeps_its_bits(self, word):
+        sys = gauss_system(30)
+        assert periodic_point(sys, list(word)) == gauss_fold(list(word))
+        assert periodic_point(sys, np.array(word)[:, None])[0] == gauss_fold(list(word))
+
+
+class TestGaussClosure:
+    @staticmethod
+    def perturb_fold(monkeypatch, word):
+        """Make periodic_point miss by 1e-6 on every array entry that folds word."""
+        fold = dynamics.periodic_point
+
+        def wrong_for_one_word(sys_, digits):
+            x = fold(sys_, digits)
+            if isinstance(digits, np.ndarray) and len(digits) == len(word):
+                x = np.where((digits.T == word).all(axis=1), x + 1e-6, x)
+            return x
+
+        monkeypatch.setattr(dynamics, "periodic_point", wrong_for_one_word)
+
+    @pytest.mark.parametrize("run", [
+        lambda sys: list(gauss_orbit_blocks(sys, 3)),
+        lambda sys: periodic_orbits(sys, 3),
+        lambda sys: critical_value(sys, GAUSS_LOG, 3),
+    ], ids=["gauss_orbit_blocks", "periodic_orbits", "critical_value"])
+    def test_perturbed_row_fold_does_not_close(self, monkeypatch, run):
+        self.perturb_fold(monkeypatch, (1, 2))
+        with pytest.raises(DynamicsError, match=r"digits \(1, 2\) does not close"):
+            run(gauss_system(3))
+
+    def test_every_rotation_fold_is_checked(self, monkeypatch):
+        # (2, 1) is a rotation of the necklace (1, 2): only the every-rotation fold meets it
+        sys = gauss_system(3)
+        self.perturb_fold(monkeypatch, (2, 1))
+        assert sum(len(digits) for _, digits, _ in gauss_orbit_blocks(sys, 3)) == 14
+        with pytest.raises(DynamicsError, match=r"digits \(1, 2\) does not close"):
+            periodic_orbits(sys, 3)
 
 
 class TestAffineOrbits:
