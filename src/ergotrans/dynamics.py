@@ -66,6 +66,14 @@ class DynamicsError(ValueError):
     """Raised on invalid points or systems, or enumeration overflow."""
 
 
+def _as_count(value, lo: int, error: type[Exception], message: str) -> int:
+    """value as an int, for a count option: an int or a numpy integer >= lo,
+    not a bool; anything else raises error(message)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= lo:
+        return int(value)
+    raise error(message)
+
+
 class SystemKind(enum.Enum):
     DOUBLING = "doubling"
     MINUS_DOUBLING = "minus_doubling"
@@ -85,8 +93,9 @@ class SystemSpec:
 
     def __post_init__(self):
         cap = self.branch_cap
-        if self.kind is SystemKind.GAUSS and (not isinstance(cap, int) or cap < 1):
-            raise DynamicsError(f"GaussMap needs an int branch_cap >= 1, not {cap!r}")
+        if self.kind is SystemKind.GAUSS:
+            object.__setattr__(self, "branch_cap", _as_count(
+                cap, 1, DynamicsError, f"GaussMap needs an int branch_cap >= 1, not {cap!r}"))
 
 
 DOUBLING = SystemSpec(SystemKind.DOUBLING)
@@ -316,17 +325,19 @@ def _inexact_fold(digits: np.ndarray) -> DynamicsError:
                          "int64 arithmetic: an entry reaches 2^27 or a discriminant 2^53")
 
 
-def _check_enumeration(sys: SystemSpec, max_period: int) -> None:
-    """Raise unless 1 <= max_period and the itineraries of every length up
-    to max_period, over the retained branches, fit in MAX_ITINERARIES."""
-    if max_period < 1:
-        raise DynamicsError("max_period must be >= 1")
+def _check_enumeration(sys: SystemSpec, max_period: int) -> int:
+    """max_period as an int; raise unless it is an int >= 1 and the
+    itineraries of every length up to it, over the retained branches, fit
+    in MAX_ITINERARIES."""
+    max_period = _as_count(max_period, 1, DynamicsError,
+                           f"max_period must be an int >= 1, not {max_period!r}")
     n_pieces = len(_branch_indices(sys))
     total = sum(n_pieces ** p for p in range(1, max_period + 1))
     if total > MAX_ITINERARIES:
         raise DynamicsError(
             f"periodic enumeration budget exceeded: {total} itineraries > {MAX_ITINERARIES}"
         )
+    return max_period
 
 
 def gauss_orbit_blocks(sys: SystemSpec,
@@ -346,7 +357,7 @@ def gauss_orbit_blocks(sys: SystemSpec,
     (ergopt.critical_value).  Raises DynamicsError before the first block
     when the itineraries up to max_period exceed MAX_ITINERARIES.
     """
-    _check_enumeration(sys, max_period)
+    max_period = _check_enumeration(sys, max_period)
     for p in range(1, max_period + 1):
         for words in _necklace_blocks(sys.branch_cap, p):
             digits = words + 1
@@ -416,23 +427,25 @@ def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
 
     Every orbit is listed once per necklace (_necklace_blocks), each point
     the periodic_point of a rotation of it: on 2x and -2x an exact Fraction,
-    on Gauss a float from one array fold over every rotation of each of
-    gauss_orbit_blocks' blocks (gauss_rotation_points).  On the circle the
+    on Gauss a float from one array fold over every rotation of each
+    necklace block (gauss_rotation_points).  On the circle the
     branch points 0 and 1 are the single fixed point 0, so the words whose
     fold touches them (the 2x words (0) and (1), the -2x boundary cycle
     (0 1)) are skipped and {0} is listed by hand.  An affine orbit starts at
     its least point and must close exactly under apply_map; a Gauss orbit
     must close within CLOSURE_TOL.  Either failure raises DynamicsError.  On
-    gauss_system(30) up to period 4 that is 211,730 orbits, 1.0-1.2 s and a
-    100 MB rise in peak RSS on a 2-core Xeon: callers that only score orbits
-    consume gauss_orbit_blocks instead, as ergopt.critical_value does.
+    gauss_system(30) up to period 4 that is 211,730 orbits, 1.4-1.8 s and a
+    100 MB rise in peak RSS on one core of a shared 2-core Xeon: callers
+    that only score orbits consume gauss_orbit_blocks instead, as
+    ergopt.critical_value does.
     Every system raises DynamicsError before listing anything when the
     itineraries up to max_period exceed MAX_ITINERARIES.
     """
-    _check_enumeration(sys, max_period)
+    max_period = _check_enumeration(sys, max_period)
     if sys.kind is SystemKind.GAUSS:
-        return sorted_orbits((p, k, x)
-                             for p, digits, _ in gauss_orbit_blocks(sys, max_period)
+        blocks = ((p, words + 1) for p in range(1, max_period + 1)
+                  for words in _necklace_blocks(sys.branch_cap, p))
+        return sorted_orbits((p, k, x) for p, digits in blocks
                              for k, x in zip(digits.tolist(),
                                              gauss_rotation_points(sys, digits).tolist()))
     rows = [(1, (0,), (Fraction(0),))]

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, apply_map, gauss_orbit_blocks,
-                       gauss_rotation_points, gauss_walk_gap, periodic_orbits, sorted_orbits)
+from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, _as_count, _check_enumeration,
+                       apply_map, gauss_orbit_blocks, gauss_rotation_points, gauss_walk_gap,
+                       periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
 from .thermo import _BLOCK, DEFAULT_N_GRID, GridFunction, _Operator
 
@@ -115,6 +116,7 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
     W, and the final maximum drops the rows a later block pushed out; no
     orbit that the scalar scores would tie is lost.
     """
+    max_period = _check_enumeration(sys, max_period)  # gauss_walk_gap reads it first
     walk = A.holder_constant * gauss_walk_gap(sys, max_period)
     best, scale, n_orbits, kept = -math.inf, 1.0, 0, []
     for p, digits, points in gauss_orbit_blocks(sys, max_period):
@@ -277,8 +279,7 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     summing n_terms fresh evaluations one by one.  An orbit that never
     repeats is walked to the end.  Nothing is kept between calls.
     """
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise ErgOptError(f"n_terms must be an int >= 1, not {n_terms!r}")
+    n_terms = _as_count(n_terms, 1, ErgOptError, f"n_terms must be an int >= 1, not {n_terms!r}")
     first: dict = {}  # orbit point -> index of its term
     terms: list[float] = []
     z, vz = x, float(V(float(x)))

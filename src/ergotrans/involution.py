@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _affine_branch,
+from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _affine_branch, _as_count,
                        _check_interval, backward_step, branch_point, probe_floor)
 from .potentials import PotentialSpec, perturbed_potential, polynomial_potential
 
@@ -159,8 +159,7 @@ def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) 
     each of its values rounded once.  Every other input takes the scalar
     step-by-step loop.
     """
-    if depth < 1:
-        raise InvolutionError("cocycle depth must be >= 1")
+    depth = _as_count(depth, 1, InvolutionError, f"cocycle depth must be an int >= 1, not {depth!r}")
     if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
             and all(isinstance(p, Fraction) for p in (x, x_prime, y))):
         return CocycleValue(_affine_cocycle(sys, A, x, x_prime, y, depth),
@@ -279,6 +278,7 @@ def _affine_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fra
 def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime,
                        depth: int = SERIES_DEPTH) -> KernelSpec:
     """W0(x, y) = Delta_A(x, base, y), lazily evaluated at the given depth."""
+    depth = _as_count(depth, 1, InvolutionError, f"cocycle depth must be an int >= 1, not {depth!r}")
 
     def fn(x, y):
         return cocycle_delta(sys, A, x, base_x_prime, y, depth).value
@@ -333,8 +333,7 @@ def cohomology_residual(sys: SystemSpec, A: PotentialSpec, W: KernelSpec,
                         seed: int = 0) -> float:
     """max over probe pairs of |A*(y) - A(tau_y x) - W(tau_y x, T* y) + W(x, y)|;
     the pairs are drawn in turn, x on [0, 1) and then y on [probe_floor, 1)."""
-    if probes < 1:
-        raise InvolutionError("probes must be >= 1")
+    probes = _as_count(probes, 1, InvolutionError, f"probes must be an int >= 1, not {probes!r}")
     rng = np.random.default_rng(seed)
     x, y = rng.uniform((0.0, probe_floor(sys, 1e-9)), 1.0, size=(probes, 2)).T
     return float(np.max(np.abs(A_star(y) - _dual_values(sys, A, W, x, y))))
@@ -371,8 +370,8 @@ def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,
     Every kernel value comes from `KernelSpec.grid` on an n_grid-point grid
     of [0, 1], n_grid >= 2; the verdict is margin > TWIST_MARGIN.
     """
-    if n_grid < 2:
-        raise InvolutionError(f"twist_check needs n_grid >= 2, got {n_grid}")
+    n_grid = _as_count(n_grid, 2, InvolutionError,
+                       f"twist_check needs an int n_grid >= 2, got {n_grid!r}")
     if method is TwistMethod.MIXED_PARTIAL:
         h = TWIST_STEP
         g = np.linspace(2 * h, 1.0 - 2 * h, n_grid)

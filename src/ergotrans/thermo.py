@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemKind, SystemSpec, _affine_branch, inverse_branches
+from .dynamics import SystemKind, SystemSpec, _affine_branch, _as_count, inverse_branches
 from .involution import dual_potential
 from .potentials import PotentialSpec
 
@@ -129,8 +129,8 @@ class _Operator:
     def __init__(self, sys: SystemSpec, A: PotentialSpec, beta: float, n_grid: int):
         if not (math.isfinite(beta) and beta >= 0):
             raise ThermoError(f"beta must be finite and >= 0, got {beta}")
-        if n_grid < 2:
-            raise ThermoError(f"the operator needs n_grid >= 2, got {n_grid}")
+        n_grid = _as_count(n_grid, 2, ThermoError,
+                           f"the operator needs an int n_grid >= 2, got {n_grid!r}")
         self.sys, self.A, self.beta, self.n_grid = sys, A, beta, n_grid
         gauss = sys.kind is SystemKind.GAUSS
         # per branch, its weights as one class of cells (Gauss) or two

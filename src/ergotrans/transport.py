@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import SystemSpec, PeriodicOrbit, _branch_indices, periodic_point
+from .dynamics import SystemSpec, PeriodicOrbit, _as_count, _branch_indices, periodic_point
 from .involution import KernelSpec
 
 __all__ = [
@@ -451,11 +451,11 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
     subsets x permutations, in blocks of about CYCLICAL_BLOCK slacks.
     n_max that is not an int in 2..7 raises TransportError.
     """
-    if not isinstance(n_max, int):
-        raise TransportError(f"n_max must be an int, not {n_max!r}")
-    if not 2 <= n_max <= 7:
-        raise TransportError(f"n_max {n_max} outside 2..7: below 2 no cycle is checked, "
-                             "above 7 the permutations blow up")
+    bad = (f"n_max must be an int in 2..7, not {n_max!r}: below 2 no cycle is checked, "
+           "above 7 the permutations blow up")
+    n_max = _as_count(n_max, 2, TransportError, bad)
+    if n_max > 7:
+        raise TransportError(bad)
     pts = list(S)
     C = c.matrix([x for x, _ in pts], [y for _, y in pts])
     diag = np.diagonal(C)
@@ -525,50 +525,62 @@ class RochetMode(enum.Enum):
     TWIST_ORDERED = "twist_ordered"
 
 
-# The one twist-ordered table kept: [cost, support pairs, base, table].
-_TWIST_MEMO: list = []
+# The last table of each mode: {mode: (cost, support pairs, base, chain_cap, table)}.
+_ROCHET_MEMO: dict = {}
 
 
-def _twist_table(pts: list, c: CostSpec, base: int) -> tuple:
-    """(xs, ys, diag, prefix) of the twist-ordered walk over the whole support:
-    the base atom, then the atoms after the leftmost one by increasing x.
-    xs are the floats x after the base, ys and diag the float y and the cost
-    c(x, y) of each walk atom, and prefix[t] the sum of c(x_(s+1), y_s) -
-    c(x_s, y_s) over the first t steps, added left to right from 0.0.  The
-    costs come from one aligned `CostSpec._costs` call.
-
-    The last table is kept for the same cost, base and pair objects,
-    compared by identity; the memo's references keep their ids from reuse.
-    Only tuple pairs are kept, as other pairs may change between calls.
-    `_twist_table.cache_clear()` empties the memo.
+def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
+                  chain_cap: int) -> tuple:
+    """(xs, ys, diag, d) over the candidate atoms j of `rochet_potential`:
+    the float x and y of j, c(x_j, y_j) and the chain distance d_j from the
+    base atom.  TWIST_ORDERED walks the base atom, then the atoms after the
+    leftmost one by increasing x; xs leave the base out, d is the walk's
+    sums of c(x_(s+1), y_s) - c(x_s, y_s) added left to right from 0.0,
+    and the costs come from one aligned `CostSpec._costs` call.
+    BRUTE_FORCE reads the support's cost matrix C once: a step from atom i
+    to j adds C[j][i] - C[i][i], level[j] is the least partial sum of the
+    chains of one length ending at j, from {base: 0.0} through chain_cap
+    min-plus rounds, and d_j the least level[j] over the lengths; the
+    candidates are every atom, or the base alone at chain_cap 0.  Each
+    mode keeps its last table for the same cost, base, chain_cap and pair
+    objects, compared by identity (the memo's references keep their ids),
+    and only for tuple pairs, as others may change between calls;
+    `_rochet_table.cache_clear()` empties the memo.
     """
-    memo = _TWIST_MEMO
-    if (memo and memo[0] is c and memo[2] == base and len(memo[1]) == len(pts)
-            and all(map(operator.is_, memo[1], pts))):
-        return memo[3]
+    hit = _ROCHET_MEMO.get(mode)
+    if (hit and hit[0] is c and hit[2] == base and hit[3] == chain_cap
+            and len(hit[1]) == len(pts) and all(map(operator.is_, hit[1], pts))):
+        return hit[4]
     xr = [float(x) for x, _ in pts]
-    ordered = sorted(range(len(pts)), key=xr.__getitem__)
-    if (xr[ordered[0]], float(pts[ordered[0]][1])) != (xr[base], float(pts[base][1])):
-        raise TransportError("twist-ordered mode requires base = leftmost support atom")
-    walk = [base] + ordered[1:]
-    xw = [xr[i] for i in walk]
-    yw = [float(pts[i][1]) for i in walk]
-    given = [pts[i][0] for i in walk]
-    n = len(walk)
-    vals = c._costs(given + given[1:], np.array(xw + xw[1:]),
-                    np.array(yw + yw[:-1])).tolist()
-    diag, step = vals[:n], vals[n:]
-    prefix = [0.0]
-    for t in range(n - 1):
-        prefix.append(prefix[-1] + (step[t] - diag[t]))
-    table = (xw[1:], yw, diag, prefix)
-    memo.clear()
+    yr = [float(y) for _, y in pts]
+    if mode is RochetMode.TWIST_ORDERED:
+        ordered = sorted(range(len(pts)), key=xr.__getitem__)
+        if (xr[ordered[0]], yr[ordered[0]]) != (xr[base], yr[base]):
+            raise TransportError("twist-ordered mode requires base = leftmost support atom")
+        walk = [base] + ordered[1:]
+        xw, yw = [xr[i] for i in walk], [yr[i] for i in walk]
+        given = [pts[i][0] for i in walk]
+        vals = c._costs(given + given[1:], np.array(xw + xw[1:]),
+                        np.array(yw + yw[:-1])).tolist()
+        diag, step = vals[:len(walk)], vals[len(walk):]
+        table = (xw[1:], yw, diag,
+                 list(itertools.accumulate(map(operator.sub, step, diag), initial=0.0)))
+    else:
+        C = c.matrix([x for x, _ in pts], [y for _, y in pts]).tolist()
+        level = dist = {base: 0.0}
+        for _ in range(chain_cap):
+            level = {j: min(s + (C[j][i] - C[i][i]) for i, s in level.items())
+                     for j in range(len(pts))}
+            dist = {j: min(dist.get(j, s), s) for j, s in level.items()}
+        table = ([xr[j] for j in dist], [yr[j] for j in dist], [C[j][j] for j in dist],
+                 list(dist.values()))
+    _ROCHET_MEMO.pop(mode, None)
     if all(type(p) is tuple for p in pts):
-        memo.extend((c, tuple(pts), base, table))
+        _ROCHET_MEMO[mode] = (c, tuple(pts), base, chain_cap, table)
     return table
 
 
-_twist_table.cache_clear = _TWIST_MEMO.clear
+_rochet_table.cache_clear = _ROCHET_MEMO.clear
 
 
 def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
@@ -579,53 +591,40 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     BRUTE_FORCE takes the infimum of the telescoping sum over all chains
     of length <= chain_cap (elements of S with repetition); TWIST_ORDERED
     evaluates the closed-form chain that uses the support atoms strictly
-    left of z in increasing x order, starting from the base atom.  That
-    chain is a prefix of one walk over the whole support, so its value is
-    prefix[k] + (c(z, y_k) - c(x_k, y_k)) from the support's table
-    (`_twist_table`), k the number of walk atoms after the base with x < z;
-    each cost is bit for bit its entry of the full cost matrix.  Under a
-    twist cost the two modes agree.  An empty support, a base that is not
-    an atom index, a chain_cap that is not an int >= 0 and a z that is not
-    finite raise TransportError.
+    left of z in increasing x order, starting from the base atom.  Both
+    take f(z) = min over candidate atoms j of d_j + (c(z, y_j) - c(x_j, y_j))
+    from the support's table (`_rochet_table`): TWIST_ORDERED the walk
+    atom k, k the number of walk atoms after the base with x < z, priced
+    by `CostSpec.cost`; BRUTE_FORCE all, priced by one `CostSpec.matrix`
+    row.  A chain adds its terms left to right from 0.0, and rounded
+    addition is monotone, so the least fl(s + t) over partial sums s is
+    fl(min s + t): with C finite on the support this is the least value
+    over every chain bit for bit, in chain_cap * n^2 additions instead of
+    n^chain_cap chains.  Each cost is bit for bit its entry of the full
+    cost matrix, and under a twist cost the two modes agree.  An empty
+    support, a non-index base, a chain_cap that is not an int >= 0 and a
+    z that is not finite raise TransportError.
     """
     pts = list(S)
     if not pts:
         raise TransportError("empty support")
     if not 0 <= base < len(pts):
         raise TransportError(f"base {base} is not an atom index of a support of {len(pts)}")
-    if not isinstance(chain_cap, int) or chain_cap < 0:
-        raise TransportError(f"chain_cap must be an int >= 0, not {chain_cap!r}")
+    chain_cap = _as_count(chain_cap, 0, TransportError,
+                          f"chain_cap must be an int >= 0, not {chain_cap!r}")
     zv = float(z)
     if not math.isfinite(zv):
         raise TransportError(f"z must be finite, not {z!r}")
+    if not isinstance(mode, RochetMode):
+        raise TransportError(f"unknown mode {mode!r}")
 
-    if mode is RochetMode.BRUTE_FORCE:
-        # C[i][j] = c(x_i, y_j) over the atoms, with z as the last row.
-        # Min-plus recursion over the chain's last atom: level[j] is the
-        # least partial sum of the chains of the current length ending at j.
-        # A chain's value adds its terms left to right from 0.0, and rounded
-        # addition is monotone (a <= b gives fl(a + d) <= fl(b + d)), so the
-        # least fl(s + d) over a set of partial sums s is fl(min s + d).
-        # With C finite on the support this equals the minimum over every
-        # chain of length <= chain_cap bit for bit, in chain_cap * n^2
-        # additions instead of n^chain_cap chains.
-        C = c.matrix([x for x, _ in pts] + [zv], [y for _, y in pts]).tolist()
-        n = len(pts)
-        tail = [C[-1][j] - C[j][j] for j in range(n)]
-        level = {base: 0.0}
-        best = level[base] + tail[base]
-        for _ in range(chain_cap):
-            level = {j: min(s + (C[j][i] - C[i][i]) for i, s in level.items()) for j in range(n)}
-            best = min(best, min(s + tail[j] for j, s in level.items()))
-        return float(best)
-
+    xs, ys, diag, d = _rochet_table(pts, c, base, mode, chain_cap)
     if mode is RochetMode.TWIST_ORDERED:
-        xs, ys, diag, prefix = _twist_table(pts, c, base)
         k = bisect.bisect_left(xs, zv)
-        z_cost = float(c._costs([zv], np.array([zv]), np.array([ys[k]]))[0])
-        return float(prefix[k] + (z_cost - diag[k]))
-
-    raise TransportError(f"unknown mode {mode!r}")
+        js, z_costs = [k], [c.cost(zv, ys[k])]
+    else:
+        js, z_costs = range(len(d)), c.matrix([zv], ys)[0].tolist()
+    return float(min(d[j] + (cz - diag[j]) for j, cz in zip(js, z_costs)))
 
 
 def b_function(x, y, W, V, V_star, gamma: float, I=None) -> float:

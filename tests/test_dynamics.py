@@ -23,6 +23,13 @@ from ergotrans.dynamics import (
     periodic_orbits,
     symbol_of,
 )
+from ergotrans import transport as tr
+from ergotrans.ergopt import ErgOptError, critical_value, deviation_I
+from ergotrans.involution import (InvolutionError, cocycle_delta, cohomology_residual,
+                                  example6_kernel, fundamental_kernel, twist_check)
+from ergotrans.potentials import GAUSS_LOG, QUAD_DIRAC
+from ergotrans.presets import get_preset
+from ergotrans.thermo import ThermoError, eigenpair
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -307,3 +314,49 @@ def necklace_count(n, p):
 
     return sum(mobius(d) * n ** (p // d) for d in range(1, p + 1) if p % d == 0) // p
 
+
+
+# ------------------------------------------------------------ count options
+
+
+def _count_options():
+    """Each count option of the library: (error raised on a bad value, a
+    call with the option set to the value that returns a comparable result)."""
+    pre = get_preset("quad-dirac")
+    W = example6_kernel()
+    S = [(0.2, 0.9), (0.5, 0.5), (0.8, 0.1)]
+    cost = tr.CostSpec(w=W)
+    x, xp, y = Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)
+    return {
+        "branch_cap": (DynamicsError, lambda v: gauss_system(v).branch_cap),
+        "max_period": (DynamicsError, lambda v: [o.points for o in periodic_orbits(MINUS_DOUBLING, v)]),
+        "max_period-gauss": (DynamicsError, lambda v: critical_value(gauss_system(3), GAUSS_LOG,
+                                                                     max_period=v).m),
+        "n_terms": (ErgOptError, lambda v: deviation_I(MINUS_DOUBLING, QUAD_DIRAC, pre.closed_V,
+                                                       pre.m_exact, 0.3, n_terms=v,
+                                                       early_exit=False)),
+        "depth": (InvolutionError, lambda v: cocycle_delta(MINUS_DOUBLING, QUAD_DIRAC, x, xp, y, v)),
+        "depth-kernel": (InvolutionError, lambda v: fundamental_kernel(
+            MINUS_DOUBLING, QUAD_DIRAC, xp, depth=v)(x, y)),
+        "probes": (InvolutionError, lambda v: cohomology_residual(
+            MINUS_DOUBLING, QUAD_DIRAC, pre.kernel, QUAD_DIRAC, probes=v)),
+        "twist n_grid": (InvolutionError, lambda v: twist_check(W, n_grid=v).margin),
+        "operator n_grid": (ThermoError, lambda v: eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 1.0,
+                                                            n_grid=v).log_eigenvalue),
+        "n_max": (tr.TransportError, lambda v: tr.cyclical_monotonicity_check(S, cost, n_max=v)),
+        "chain_cap": (tr.TransportError, lambda v: tr.rochet_potential(
+            S, cost, 0, 0.7, tr.RochetMode.BRUTE_FORCE, chain_cap=v)),
+    }
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2", np.int64(2)], ids=repr)
+@pytest.mark.parametrize("option", sorted(_count_options()))
+def test_count_options_take_ints_only(option, value):
+    # a bool used to run as 0 or 1, a float or string to reach numpy or
+    # range() first, and a numpy integer to be refused by some options only
+    error, call = _count_options()[option]
+    if isinstance(value, np.integer):
+        assert call(value) == call(2)
+    else:
+        with pytest.raises(error, match="an int"):
+            call(value)

@@ -393,13 +393,19 @@ class TestSupportMatrixChecks:
 
 
 class MatrixCost:
-    """A cost given by its matrix on (support x's and z) x (support y's)."""
+    """A cost given by its matrix on (support x's and z) x (support y's):
+    C[i][j] is the cost of the i-th x and the j-th y of the support, and
+    the last row that of every x outside the support, such as z.  Asked
+    for the rows of some x's and the columns of some y's, it answers them."""
 
-    def __init__(self, C):
+    def __init__(self, C, S):
         self.C = C
+        self.rows = {x: i for i, (x, _) in enumerate(S)}
+        self.cols = {y: j for j, (_, y) in enumerate(S)}
 
     def matrix(self, xs, ys):
-        return self.C
+        rows = [self.rows.get(x, len(self.C) - 1) for x in xs]
+        return self.C[np.ix_(rows, [self.cols[y] for y in ys])]
 
 
 def enumerated_rochet(C, base, chain_cap):
@@ -417,22 +423,25 @@ def enumerated_rochet(C, base, chain_cap):
                for chain in itertools.product(range(n), repeat=k))
 
 
-@pytest.mark.parametrize("kind", ["random", "wide", "tied"])
+@pytest.mark.parametrize("kind", ["random", "wide", "tied", "split fiber"])
 def test_rochet_recursion_equals_chain_enumeration(kind):
-    rng = np.random.default_rng({"random": 1, "wide": 2, "tied": 3}[kind])
+    rng = np.random.default_rng({"random": 1, "wide": 2, "tied": 3, "split fiber": 4}[kind])
     for n in range(2, 6):
-        for chain_cap in range(1, 6):
+        for chain_cap in range(6):
             for _ in range(3):
-                if kind == "random":
-                    C = rng.normal(size=(n + 1, n))
-                elif kind == "wide":  # magnitudes far apart, so every addition rounds
+                if kind == "wide":  # magnitudes far apart, so every addition rounds
                     C = rng.normal(size=(n + 1, n)) * 10.0 ** rng.integers(-8, 9, size=(n + 1, n))
-                else:  # few distinct values, so many chains tie
+                elif kind == "tied":  # few distinct values, so many chains tie
                     C = rng.integers(-2, 3, size=(n + 1, n)) / 4
+                else:
+                    C = rng.normal(size=(n + 1, n))
                 S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(n)]
+                if kind == "split fiber":  # atoms 0 and 1 share x, so they share a row
+                    S[1] = (S[0][0], S[1][1])
+                    C[1] = C[0]
                 base = int(rng.integers(n))
-                got = tr.rochet_potential(S, MatrixCost(C), base, 0.5, tr.RochetMode.BRUTE_FORCE,
-                                          chain_cap=chain_cap)
+                got = tr.rochet_potential(S, MatrixCost(C, S), base, 0.05,
+                                          tr.RochetMode.BRUTE_FORCE, chain_cap=chain_cap)
                 assert got == enumerated_rochet(C.tolist(), base, chain_cap)
 
 
@@ -1002,6 +1011,25 @@ class TestRochetTable:
             got = tr.rochet_potential(S, cost, base, z, tr.RochetMode.TWIST_ORDERED)
             assert got.hex() == chain_walk_rochet(S, cost, base, z).hex()
 
+    def check_brute(self, S, cost, chain_cap=2):
+        for z in self.zs(S):
+            got = tr.rochet_potential(S, cost, 0, z, tr.RochetMode.BRUTE_FORCE, chain_cap=chain_cap)
+            want = min(scalar_rochet(S, cost, 0, z, chain) for k in range(chain_cap + 1)
+                       for chain in itertools.product(S, repeat=k))
+            assert got.hex() == want.hex()
+
+    @staticmethod
+    def count_costs(monkeypatch):
+        """Record the number of x's of every CostSpec.matrix and _costs call."""
+        calls = {"matrix": [], "_costs": []}
+        for name, sizes in calls.items():
+            def counted(self, xs, *rest, _f=getattr(tr.CostSpec, name), _sizes=sizes):
+                _sizes.append(len(xs))
+                return _f(self, xs, *rest)
+
+            monkeypatch.setattr(tr.CostSpec, name, counted)
+        return calls
+
     @pytest.mark.parametrize("name", sorted(SUPPORTS))
     def test_equals_chain_walk(self, name):
         for cost in self.costs():
@@ -1029,27 +1057,70 @@ class TestRochetTable:
         cost = self.costs()[0]
         S = list(self.SUPPORTS["float"])
         self.check(S, cost)
+        self.check_brute(S, cost)
         S[2] = (0.47, 0.52)
         self.check(S, cost)
+        self.check_brute(S, cost)
         S.reverse()
         S.insert(0, S.pop())
         self.check(S, cost)
+        self.check_brute(S, cost)
 
     def test_list_pairs_mutated_in_place(self):
         cost = self.costs()[1]
         S = [list(p) for p in self.SUPPORTS["float"]]
         self.check(S, cost)
+        self.check_brute(S, cost)
         S[1][1] = 0.75
         S[3][0] = 0.62
         self.check(S, cost)
+        self.check_brute(S, cost)
+
+    def test_brute_table_equals_scalar_chains(self):
+        for cost in self.costs()[:2]:
+            for S in (self.SUPPORTS["fraction"], self.SUPPORTS["ties"]):
+                for chain_cap in (0, 1, 3):
+                    self.check_brute(S, cost, chain_cap)
 
     def test_cache_clear_empties_the_memo(self):
         S, cost = self.SUPPORTS["float"], self.costs()[0]
-        tr.rochet_potential(S, cost, 0, 0.5, tr.RochetMode.TWIST_ORDERED)
-        assert tr._TWIST_MEMO and tr._TWIST_MEMO[0] is cost
-        tr._twist_table.cache_clear()
-        assert tr._TWIST_MEMO == []
+        for mode in tr.RochetMode:
+            tr.rochet_potential(S, cost, 0, 0.5, mode)
+        assert set(tr._ROCHET_MEMO) == set(tr.RochetMode)
+        assert all(entry[0] is cost for entry in tr._ROCHET_MEMO.values())
+        tr._rochet_table.cache_clear()
+        assert tr._ROCHET_MEMO == {}
         self.check(S, cost)
+        self.check_brute(S, cost)
+
+    def test_one_table_per_support_and_mode(self, monkeypatch):
+        S, cost = self.SUPPORTS["float"], self.costs()[2]
+        n, zs = len(S), np.linspace(0.01, 0.99, 50).tolist()
+        tr._rochet_table.cache_clear()
+        calls = self.count_costs(monkeypatch)
+        for z in zs:
+            tr.rochet_potential(S, cost, 0, z, tr.RochetMode.BRUTE_FORCE)
+        # the support's matrix once, then one row per z; each matrix is one _costs call
+        assert calls["matrix"] == [n] + [1] * 50 and calls["_costs"] == calls["matrix"]
+        calls["matrix"].clear(), calls["_costs"].clear()
+        for z in zs:
+            tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
+        # the walk's 2n - 1 costs once, then one cost per z
+        assert calls["matrix"] == [] and calls["_costs"] == [2 * n - 1] + [1] * 50
+
+    def test_alternating_modes_rebuild_nothing(self, monkeypatch):
+        # check 10's pattern: a brute-force and a twist-ordered call per z
+        _, _, _, cost, _, plan = transport_instance("quad-convex")
+        S = sorted(plan.support_pairs(), key=lambda p: float(p[0]))
+        n = len(S)
+        tr._rochet_table.cache_clear()
+        calls = self.count_costs(monkeypatch)
+        for z in np.linspace(0.01, 0.99, 50).tolist():
+            tr.rochet_potential(S, cost, 0, z, tr.RochetMode.BRUTE_FORCE, chain_cap=5)
+            tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
+        assert calls["matrix"] == [n] + [1] * 50
+        # the first z builds each mode's table before that mode prices z
+        assert calls["_costs"] == [n, 1, 2 * n - 1] + [1] * 99
 
     @pytest.mark.parametrize("mode", list(tr.RochetMode))
     @pytest.mark.parametrize("chain_cap", [-3, -1, 1.5, 2.0, "2", None])
