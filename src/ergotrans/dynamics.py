@@ -47,8 +47,12 @@ __all__ = [
 MAX_ITINERARIES = 2_000_000
 
 # Candidate words per necklace block; small blocks keep a Gauss enumeration's
-# working set, and the process's peak memory, flat.
-NECKLACE_BLOCK = 1024
+# working set, and the process's peak memory, flat.  On gauss_system(30) up to
+# period 4 one ergopt.critical_value call took 20.0 ms (best of 21, one core of
+# a 2-core Xeon) at 4096, against 30.5 ms at 1024, 21.3 ms at 2048 and
+# 19.8-20.5 ms at 8192 and 16384; its tracemalloc peak, 1.35 MB at 4096,
+# doubles with the block.
+NECKLACE_BLOCK = 4096
 
 # Gauss inverse branches retained by default: digits 1..GAUSS_BRANCH_CAP.
 GAUSS_BRANCH_CAP = 30
@@ -233,33 +237,68 @@ class PeriodicOrbit:
         return PeriodicOrbit(self.points, self.period, self.itinerary, avg)
 
 
+def _mixed_radix(cycle: np.ndarray, base: int, start: int, size: int, step: int) -> np.ndarray:
+    """cycle[t // step % base] for t = start, ..., start + size - 1: the
+    letters of the digit of place value step, in radix base, of size
+    consecutive numbers.  cycle[i] is the letter of digit i mod base, and
+    cycle is at least size + base long.
+
+    The digit holds each letter for step consecutive t, so cycle gives the
+    runs that t // step meets, and repeat spreads them, the first and last
+    cut to the range.  A range inside one run gives that one letter, which
+    broadcasts when assigned to the slice."""
+    q0, q1 = start // step, (start + size - 1) // step + 1
+    runs = cycle[q0 % base:q0 % base + q1 - q0]
+    if step == 1 or q1 - q0 == 1:
+        return runs
+    counts = np.full(q1 - q0, step)
+    counts[0] -= start - q0 * step
+    counts[-1] -= q1 * step - start - size
+    return runs.repeat(counts)
+
+
 def _necklace_blocks(n: int, p: int) -> Iterator[np.ndarray]:
     """Words of length p over 0..n-1 that are strictly smaller than each of
     their proper rotations: one word per cyclic class of minimal period p.
 
     Yields int64 arrays of shape (rows, p), in lexicographic order, one per
-    block of at most NECKLACE_BLOCK candidate words.  Such a word starts
-    with its least letter, so only the words with w[i] >= w[0] are examined.
+    block of at most NECKLACE_BLOCK candidate words; each is the transpose
+    of a C-contiguous (p, rows) array, so its columns are contiguous.  Such
+    a word starts with its least letter a, so only the (n - a)^(p - 1)
+    words with w[i] >= a are examined, numbered in radix n - a.  A block
+    may hold the last candidates of one first letter and the first of the
+    next.
     """
-    place = n ** np.arange(p - 1, -1, -1, dtype=np.int64)
-    for a in range(n):
-        base = n - a
-        count = base ** (p - 1)
-        for start in range(0, count, NECKLACE_BLOCK):
-            t = np.arange(start, min(start + NECKLACE_BLOCK, count), dtype=np.int64)
-            words = np.full((t.size, p), a, dtype=np.int64)
-            for i in range(p - 1, 0, -1):
-                t, digit = np.divmod(t, base)
-                words[:, i] += digit
-            # base-n codes order words lexicographically; rotating left by r
-            # moves the leading r digits of the code to its end
-            code = words @ place
-            keep = np.ones(len(words), dtype=bool)
-            for r in range(1, p):
-                head, tail = np.divmod(code, n ** (p - r))
-                keep &= code < tail * n ** r + head
-            if keep.any():
-                yield words[keep]
+    block = NECKLACE_BLOCK  # read per call: tests shrink it
+    counts = [(n - a) ** (p - 1) for a in range(n)]
+    total = sum(counts)
+    a, t = 0, 0  # next candidate: number t of first letter a
+    for done in range(0, total, block):
+        rows = min(block, total - done)
+        cols = np.empty((p, rows), dtype=np.int64)
+        j = 0
+        while j < rows:
+            base, take = n - a, min(rows - j, counts[a] - t)
+            if t == 0 and p > 1:  # a new first letter: cycle its letters a..n-1
+                cycle = np.tile(np.arange(a, n, dtype=np.int64), block // base + 2)
+            cols[0, j:j + take] = a
+            for i in range(1, p):
+                cols[i, j:j + take] = _mixed_radix(cycle, base, t, take, base ** (p - 1 - i))
+            j, t = j + take, t + take
+            if t == counts[a]:
+                a, t = a + 1, 0
+        # w is below each proper rotation iff each proper suffix w[p-L:] is
+        # above the prefix w[:L] of its length L (an equal suffix sorts
+        # first); base-n codes of equal length L compare as the words do
+        keep, prefix, suffix = np.ones(rows, dtype=bool), cols[0], cols[p - 1]
+        for length in range(1, p):
+            if length > 1:
+                prefix = prefix * n + cols[length - 1]
+                suffix = cols[p - length] * n ** (length - 1) + suffix
+            keep &= prefix < suffix
+        words = np.compress(keep, cols, axis=1)
+        if words.size:
+            yield words.T
 
 
 def periodic_point(sys: SystemSpec, digits):
@@ -285,14 +324,16 @@ def periodic_point(sys: SystemSpec, digits):
     at most d, and D = (a + d)^2 -+ 4 >= d^2 - 4.  Those checks are skipped
     when the entries' bound (branch_cap + 1)^p keeps D below 2^53, as it
     does on gauss_system(30) up to period 5.  An empty word, or a digit
-    that is not a branch index of the system, raises DynamicsError.
+    that is not a branch index of the system (a bool is none), raises
+    DynamicsError.
     """
     ks = _branch_indices(sys)
     array = isinstance(digits, np.ndarray)
     if array:
         bad = digits.dtype.kind not in "iu" or _outside(digits, ks[0], ks[-1])
     else:
-        bad = any(not isinstance(k, (int, np.integer)) or k not in ks for k in digits)
+        bad = any(not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k not in ks
+                  for k in digits)
     if len(digits) == 0 or bad:
         raise DynamicsError(f"{sys.kind.value} periodic word needs at least one digit, "
                             f"each in {ks[0]}..{ks[-1]}: got {digits!r}")
@@ -352,16 +393,18 @@ def gauss_orbit_blocks(sys: SystemSpec,
     i = p-1, ..., 1.  Each walked point lies within gauss_walk_gap of the
     periodic_point of its rotation, which gauss_rotation_points folds.
     Every link of every row is checked to close under the forward map
-    within CLOSURE_TOL; the link from x_0 to x_1 checks the fold.  Blocks
-    are small, so a consumer that only scores orbits never holds them all
-    (ergopt.critical_value).  Raises DynamicsError before the first block
-    when the itineraries up to max_period exceed MAX_ITINERARIES.
+    within CLOSURE_TOL; the link from x_0 to x_1 checks the fold.  digits
+    and points are the transposes of C-contiguous (p, rows) arrays, so the
+    fold, the walk and the check read one contiguous row per orbit
+    position.  Blocks are small, so a consumer that only scores orbits
+    never holds them all (ergopt.critical_value).  Raises DynamicsError
+    before the first block when the itineraries up to max_period exceed
+    MAX_ITINERARIES.
     """
     max_period = _check_enumeration(sys, max_period)
     for p in range(1, max_period + 1):
         for words in _necklace_blocks(sys.branch_cap, p):
-            digits = words + 1
-            # one contiguous row of x per orbit position
+            digits = words + 1  # keeps the column layout of words
             k, x = digits.T, np.empty((p, len(digits)))
             x[0] = periodic_point(sys, k)
             for i in range(p - 1, 0, -1):
@@ -434,7 +477,7 @@ def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     (0 1)) are skipped and {0} is listed by hand.  An affine orbit starts at
     its least point and must close exactly under apply_map; a Gauss orbit
     must close within CLOSURE_TOL.  Either failure raises DynamicsError.  On
-    gauss_system(30) up to period 4 that is 211,730 orbits, 1.4-1.8 s and a
+    gauss_system(30) up to period 4 that is 211,730 orbits, about 0.7 s and a
     100 MB rise in peak RSS on one core of a shared 2-core Xeon: callers
     that only score orbits consume gauss_orbit_blocks instead, as
     ergopt.critical_value does.

@@ -114,7 +114,11 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
     (the argmax included) has w >= W - TIE_TOL - 2e.  A row is kept while
     it is within TIE_TOL + 2e of the running maximum, which never exceeds
     W, and the final maximum drops the rows a later block pushed out; no
-    orbit that the scalar scores would tie is lost.
+    orbit that the scalar scores would tie is lost.  The bound holds for
+    the maximum and scale of whatever orbits were scored before, so it does
+    not depend on where the blocks split (_necklace_blocks' blocks may span
+    first letters): other boundaries may keep other non-tying rows, which
+    critical_value's scalar scores then drop, but never lose a tied one.
     """
     max_period = _check_enumeration(sys, max_period)  # gauss_walk_gap reads it first
     walk = A.holder_constant * gauss_walk_gap(sys, max_period)

@@ -1,5 +1,7 @@
 """Phase-space operations: branches, skew dynamics, orbit enumeration."""
 
+import functools
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ergotrans import dynamics
 from ergotrans.dynamics import (
     DOUBLING,
     MINUS_DOUBLING,
@@ -279,6 +282,31 @@ class TestPeriodicOrbits:
                 assert abs(Fraction(x) - ref) <= Fraction(1, 10 ** 15)
                 assert symbol_of(sys, x) == word[0]
                 assert abs(apply_map(sys, x) - o.points[(i + 1) % o.period]) < 1e-9
+
+
+class TestNecklaceBlocks:
+    # small blocks split the candidates of one first letter, large ones
+    # span several first letters
+    @pytest.mark.parametrize("block", [1, 7, 50, dynamics.NECKLACE_BLOCK])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_blocks_are_the_brute_force_necklaces(self, monkeypatch, n, block):
+        monkeypatch.setattr(dynamics, "NECKLACE_BLOCK", block)
+        for p in range(1, 7):
+            blocks = list(dynamics._necklace_blocks(n, p))
+            for words in blocks:
+                assert words.dtype == np.int64 and words.shape[1] == p
+                assert 1 <= len(words) <= block
+            words = [tuple(w) for words in blocks for w in words.tolist()]
+            assert words == brute_force_necklaces(n, p)
+            assert len(words) == necklace_count(n, p)
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_necklaces(n, p):
+    """Every word of length p over 0..n-1 strictly below each of its proper
+    rotations, in lexicographic order."""
+    return [w for w in itertools.product(range(n), repeat=p)
+            if all(w < w[r:] + w[:r] for r in range(1, p))]
 
 
 def brute_force_affine_orbits(sys, max_period):

@@ -62,8 +62,9 @@ class TestCriticalValue:
         assert cv.m == pytest.approx(2.0 * math.log(GOLDEN), abs=1e-12)
 
     # "flat" ties all 55 orbits through TIE_TOL, not through equal averages;
-    # blocks of 7 candidate words split inside one first letter
-    @pytest.mark.parametrize("block", [dynamics.NECKLACE_BLOCK, 7])
+    # blocks of 7 candidate words split inside one first letter, blocks of
+    # 50 span several
+    @pytest.mark.parametrize("block", [dynamics.NECKLACE_BLOCK, 7, 50])
     @pytest.mark.parametrize("A", [GAUSS_LOG, perturbed_potential(GAUSS_LOG, LINEAR, 0.3),
                                    polynomial_potential(Fraction(1, 10), 0, 0, name="const"),
                                    polynomial_potential(0, Fraction(1, 10 ** 10), 0, name="flat")],

@@ -144,11 +144,14 @@ class TestPeriodicPoint:
 
 class TestBadWords:
     # The empty word used to divide by zero on 2x and -2x and give nan on
-    # Gauss; a digit off the branch indices gave a point off [0, 1].
+    # Gauss; a digit off the branch indices gave a point off [0, 1]; bool
+    # digits were read as 0 and 1 (Gauss (True,) gave the golden point).
     @pytest.mark.parametrize("sys, word", [
         (DOUBLING, ()), (MINUS_DOUBLING, ()), (gauss_system(3), ()),
         (DOUBLING, (2,)), (MINUS_DOUBLING, (0, 5)), (gauss_system(3), (0, 5)),
         (gauss_system(3), (1, 4)), (DOUBLING, (1.0,)),
+        (gauss_system(3), (True,)), (MINUS_DOUBLING, (True, False)), (DOUBLING, (1, False)),
+        (gauss_system(3), (np.True_,)),
     ], ids=lambda v: getattr(getattr(v, "kind", None), "value", repr(v)))
     def test_rejected(self, sys, word):
         with pytest.raises(DynamicsError, match="periodic word"):
@@ -156,8 +159,8 @@ class TestBadWords:
 
     @pytest.mark.parametrize("rows", [
         np.array([[1, 2], [3, 4]]), np.array([[1, 0], [3, 2]]), np.array([[1.0], [2.0]]),
-        np.empty((0, 4), dtype=np.int64),
-    ], ids=["digit-4", "digit-0", "float", "empty"])
+        np.empty((0, 4), dtype=np.int64), np.array([[True], [True]]),
+    ], ids=["digit-4", "digit-0", "float", "empty", "bool"])
     def test_gauss_array_rejected(self, rows):
         with pytest.raises(DynamicsError, match="periodic word"):
             periodic_point(gauss_system(3), rows)
