@@ -167,6 +167,12 @@ def branch_point(sys: SystemSpec, k, x):
         bad = k not in ks
     if bad:
         raise DynamicsError(f"{sys.kind.value} branch index {k!r} outside {ks[0]}..{ks[-1]}")
+    return _branch(sys, k, x)
+
+
+def _branch(sys: SystemSpec, k, x):
+    """branch_point without its checks, for walks whose inputs were checked:
+    a branch index k of the system sends a point of [0, 1] into [0, 1]."""
     if sys.kind is SystemKind.DOUBLING:
         return (x + k) / 2
     if sys.kind is SystemKind.MINUS_DOUBLING:
@@ -191,6 +197,11 @@ def symbol_of(sys: SystemSpec, y):
     _check_interval(y)
     if sys.kind is SystemKind.GAUSS and np.any(y == 0):
         raise DynamicsError("Gauss symbol undefined at 0")
+    return _symbol(sys, y)
+
+
+def _symbol(sys: SystemSpec, y):
+    """symbol_of without its checks, for walks whose inputs were checked."""
     ks = _branch_indices(sys)
     v = 1 / y if sys.kind is SystemKind.GAUSS else 2 * y
     if isinstance(v, np.ndarray):
@@ -208,15 +219,20 @@ def backward_step(sys: SystemSpec, y) -> tuple:
     instead of apply_map.  Fraction inputs stay exact; arrays go elementwise.
     """
     s = symbol_of(sys, y)
-    if sys.kind is SystemKind.DOUBLING:
-        return s, 2 * y - s
-    if sys.kind is SystemKind.MINUS_DOUBLING:
-        return s, (1 + s) - 2 * y
+    if sys.kind is not SystemKind.GAUSS:
+        return s, _affine_image(sys, s, y)
     ty = 1 / y - s
     if _outside(ty, 0, 1):
         where = "an array point" if isinstance(y, np.ndarray) else f"y={y!r}"
         raise DynamicsError(f"Gauss backward step left [0,1]: {where} has digit beyond branch_cap")
     return s, ty
+
+
+def _affine_image(sys: SystemSpec, s, y):
+    """The image of y on 2x or -2x mod 1 along branch s, as backward_step
+    takes it, without checks: it stays in [0, 1] when y is in [0, 1] and s
+    is y's symbol."""
+    return 2 * y - s if sys.kind is SystemKind.DOUBLING else (1 + s) - 2 * y
 
 
 @dataclass(frozen=True)

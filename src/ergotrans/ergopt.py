@@ -40,6 +40,10 @@ N_TERMS_I = 10_000
 _TAIL_BLOCK = 1 << 16
 # Orbits whose average is within TIE_TOL of the maximum count as maximizing.
 TIE_TOL = 1e-9
+# cells per block of the Lax-Oleinik renormalization (_renormalize_change): at
+# n_grid 2^20 one pass took a median 2.0-2.2 ms at 2 and 4 _BLOCK, against
+# 2.2-2.5 ms at _BLOCK and 2.4-2.6 ms at 8 _BLOCK (one core of a 2-core Xeon)
+_RENORM_BLOCK = 4 * _BLOCK
 # Relative slack of the Gauss tie screen in critical_value.
 SCREEN_SLACK = 1e-12
 # A subaction is calibrated when one more update moves no cell by more than this.
@@ -159,7 +163,10 @@ def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
     value.
 
     _out is calibrated_subaction's scratch buffer: the update is written
-    into it instead of a new array.
+    into it instead of a new array.  The shift by m, the check that every
+    value is finite (ThermoError otherwise) and the maximum run inside the
+    operator's blocks (_Operator.max_step), so the update is not read
+    again; the maximum is left in op.top for the renormalization.
     """
     if op is None:
         op = _Operator(sys, A, 1.0, V.n_grid)
@@ -168,9 +175,7 @@ def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,
     elif (op.sys, op.A, op.beta) != (sys, A, 1.0):
         raise ErgOptError(f"operator of {op.A.name} on {op.sys.kind.name} at beta {op.beta} "
                           f"does not match {A.name} on {sys.kind.name} at beta 1")
-    out = op.max_apply(V.values, out=_out)
-    out -= m
-    return GridFunction(out)
+    return GridFunction._of_finite(op.max_step(V.values, m, out=_out))
 
 
 @dataclass(frozen=True)
@@ -198,10 +203,11 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = DEFAUL
     the final update moves no cell by more than CAL_TOL, i.e. every cell
     value is attained by some preimage.  The grid operator (branch images,
     A on them, interpolation stencil) is built once and passed to every
-    step as op=.  The steps alternate between two value buffers, and each
-    step's renormalization and sup-change are one blocked pass, so a step
-    allocates no grid-sized array; the arithmetic is that of
-    normalized_max_zero and sup_diff.
+    step as op=.  The steps alternate between two value buffers.  Each
+    step's shift by m, finiteness check and maximum run inside the
+    operator's blocks, and its renormalization and sup-change are one more
+    blocked pass, so a step allocates no grid-sized array; the arithmetic
+    is that of max_apply(V) - m, normalized_max_zero and sup_diff.
     """
     orbit = None
     if m is None:
@@ -209,11 +215,11 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = DEFAUL
         m, orbit = cv.m, cv.orbit
     V = GridFunction.constant(0.0, n_grid)
     op = _Operator(sys, A, 1.0, n_grid)
-    spare, scratch = np.empty(n_grid), np.empty(min(_BLOCK, n_grid))
+    spare, scratch = np.empty(n_grid), np.empty(min(_RENORM_BLOCK, n_grid))
     change = math.inf
     for it in range(1, MAX_ITER_LO + 1):
         Vn = lax_oleinik_step(sys, A, m, V, op=op, _out=spare)
-        change = _renormalize_change(Vn.values, V.values, scratch)
+        change = _renormalize_change(Vn.values, V.values, scratch, op.top)
         spare, V = V.values, Vn
         if change <= TOL_LO:
             break
@@ -221,18 +227,23 @@ def calibrated_subaction(sys: SystemSpec, A: PotentialSpec, n_grid: int = DEFAUL
         raise ErgOptError(f"Lax-Oleinik iteration did not converge after {MAX_ITER_LO} steps; "
                           f"last change {change:.3e}")
     final = lax_oleinik_step(sys, A, m, V, op=op, _out=spare).values
-    calibrated = _renormalize_change(final, V.values, scratch) <= CAL_TOL
+    calibrated = _renormalize_change(final, V.values, scratch, op.top) <= CAL_TOL
     return SubactionResult(V, float(m), change, calibrated, orbit, it)
 
 
-def _renormalize_change(un: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> float:
+def _renormalize_change(un: np.ndarray, u: np.ndarray, scratch: np.ndarray, *top) -> float:
     """Shift un to max 0 in place and return max |u - un|.
 
-    The shift and the difference run block by block through scratch, so
-    each block is read from memory once; the arithmetic is that of
-    normalized_max_zero and sup_diff, and a NaN difference propagates.
+    top, when given, is max(un), as the step that wrote un found it
+    (op.top); else it is taken here.  A zero maximum is taken again with
+    np.max, whose reduction order decides between 0.0 and -0.0.  The shift
+    and the difference run block by block through scratch, so each block
+    is read from memory once.  A block's peak is max(d.max(), -d.min()),
+    two reads and no write, which equals max |d| up to the sign of a zero
+    (the final abs restores it) and is NaN when d holds one; the arithmetic
+    is that of normalized_max_zero and sup_diff.
     """
-    top = np.max(un)
+    top = top[0] if top and top[0] != 0.0 else np.max(un)
     size = scratch.size
     peaks = np.empty(-(-un.size // size))
     for k, s in enumerate(range(0, un.size, size)):
@@ -240,9 +251,8 @@ def _renormalize_change(un: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> f
         block -= top
         d = scratch[:block.size]
         np.subtract(u[s:s + size], block, out=d)
-        np.abs(d, out=d)
-        peaks[k] = np.max(d)
-    return float(np.max(peaks))
+        peaks[k] = max(np.maximum.reduce(d), -np.minimum.reduce(d))
+    return abs(float(np.max(peaks)))
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _affine_branch, _as_count,
-                       _check_interval, backward_step, branch_point, probe_floor)
-from .potentials import PotentialSpec, perturbed_potential, polynomial_potential
+from .dynamics import (MINUS_DOUBLING, SystemSpec, SystemKind, _affine_branch, _affine_image,
+                       _as_count, _branch, _check_interval, _symbol, backward_step,
+                       branch_point, probe_floor)
+from .potentials import PotentialSpec, _over_lcd, perturbed_potential, polynomial_potential
 
 __all__ = [
     "InvolutionError",
@@ -93,13 +94,22 @@ class KernelSpec:
 
 
 def quadratic_kernel(a, b, c, name: str | None = None) -> KernelSpec:
-    """W = a + b*W1 + c*W2: the involution kernel of a + b x + c x^2."""
+    """W = a + b*W1 + c*W2: the involution kernel of a + b x + c x^2.
+
+    On two Fractions x = p / q and y = r / s the value is exact:
+    3 q^2 s^2 W = 3 a (qs)^2 - b (ps + rq) qs + c ((ps)^2 + (rq)^2 - 4 ps rq),
+    taken in integers over the coefficients' common denominator and built
+    as one Fraction, which equals the Fraction expression term by term.
+    """
     af, bf, cf = float(a), float(b), float(c)
-    ar, br, cr = Fraction(a), Fraction(b), Fraction(c)
+    ai, bi, ci, lcd = _over_lcd((Fraction(a), Fraction(b), Fraction(c)))
 
     def fn(x, y):
         if isinstance(x, Fraction) and isinstance(y, Fraction):
-            return ar + br * w1(x, y) + cr * w2(x, y)
+            p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
+            qs, ps, rq = q * s, p * s, r * q
+            num = (3 * ai * qs - bi * (ps + rq)) * qs + ci * (ps * ps + rq * rq - 4 * ps * rq)
+            return Fraction(num, 3 * lcd * qs * qs)
         return af + bf * w1(x, y) + cf * w2(x, y)
 
     return KernelSpec(fn, name or f"{af:g}+{bf:g}*W1+{cf:g}*W2")
@@ -188,25 +198,31 @@ def _array_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int)
     valued in integers and divided once, any other A is evaluated on the
     point rounded once.  The pair is held as Python ints, in object arrays
     once the branch word is an array, so no step can overflow.
+
+    y, x and x' are checked to lie in [0, 1] once, on entry: inverse
+    branches keep [0, 1] in [0, 1], so the walk steps unchecked, except
+    that a Gauss y steps by backward_step, whose check that a digit is
+    within branch_cap can fail mid-walk.
     """
     gauss = sys.kind is SystemKind.GAUSS
+    for p in (y, x, x_prime):
+        _check_interval(p)
     exact = [isinstance(p, Fraction) for p in (x, x_prime)]
-    points = []
-    for p, is_exact in zip((x, x_prime), exact):
-        if is_exact:
-            _check_interval(p)
-            p = (p.numerator, p.denominator)
-        points.append(p)
+    points = [(p.numerator, p.denominator) if is_exact else p
+              for p, is_exact in zip((x, x_prime), exact)]
     if A.coeffs is not None:
-        lcd = math.lcm(*(q.denominator for q in A.coeffs))
-        a, b, c = (int(q * lcd) for q in A.coeffs)
+        a, b, c, lcd = A._int_coeffs
     cur_y, total = y, 0
     for _ in range(depth):
-        s, cur_y = backward_step(sys, cur_y)
+        if gauss:
+            s, cur_y = backward_step(sys, cur_y)
+        else:
+            s = _symbol(sys, cur_y)
+            cur_y = _affine_image(sys, s, cur_y)
         values = []
         for i, is_exact in enumerate(exact):
             if not is_exact:
-                points[i] = branch_point(sys, s, points[i])
+                points[i] = _branch(sys, s, points[i])
                 values.append(A(points[i]))
                 continue
             N, D = points[i]
@@ -243,13 +259,14 @@ def _affine_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fra
     X_n / (D 2^n) and X'_n / (D 2^n), while y = Y / E keeps its own
     denominator.  The constant a cancels, and
     Delta = (b D sum dX_n 2^(2d-n) + c sum dX_n (X_n + X'_n) 4^(d-n)) / (D^2 4^d)
-    with dX_n = X_n - X'_n; both sums are accumulated by Horner steps.
-    Branch images of points of [0, 1] stay in [0, 1], so the inputs are
-    the only points that need a range check.
+    with dX_n = X_n - X'_n; both sums are accumulated by Horner steps, and
+    with b and c over their common denominator (A._int_coeffs) Delta is
+    built as one Fraction.  Branch images of points of [0, 1] stay in
+    [0, 1], so the inputs are the only points that need a range check.
     """
     for p in (y, x, x_prime):
         _check_interval(p)
-    _, b, c = A.coeffs
+    _, b, c, lcd = A._int_coeffs
     D = math.lcm(x.denominator, x_prime.denominator)
     X = x.numerator * (D // x.denominator)
     Xp = x_prime.numerator * (D // x_prime.denominator)
@@ -272,7 +289,7 @@ def _affine_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fra
         dX = X - Xp
         acc_b = 2 * acc_b + dX
         acc_c = 4 * acc_c + dX * (X + Xp)
-    return (b * ((acc_b * D) << depth) + c * acc_c) / (D * D << 2 * depth)
+    return Fraction(b * ((acc_b * D) << depth) + c * acc_c, lcd * (D * D << 2 * depth))
 
 
 def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime,
@@ -384,35 +401,36 @@ def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,
                            (wx - h, wy - h, wx + h, wy + h), method,
                            mixed_partial_min=float(np.min(mp)), mixed_partial_max=mp_max)
 
+    if method not in (TwistMethod.PAIRWISE_GRID, TwistMethod.DELTA_MONOTONE):
+        raise InvolutionError(f"unknown twist method {method!r}")
     g = np.linspace(0.0, 1.0, n_grid)
     Wg = W.grid(g, g)
-    if method is TwistMethod.PAIRWISE_GRID:
-        iu = np.triu_indices(n_grid, k=1)
-        best_gap, best_wit = math.inf, (0.0, 0.0, 0.0, 0.0)
-        for i in range(n_grid - 1):
-            for ip in range(i + 1, n_grid):
-                # gap[j, jp] = W(a', b) + W(a, b') - W(a, b) - W(a', b'), need jp > j
-                gap = Wg[ip][:, None] + Wg[i][None, :] - Wg[i][:, None] - Wg[ip][None, :]
-                gaps = gap[iu]
-                k = int(np.argmin(gaps))
-                if gaps[k] < best_gap:
-                    best_gap = float(gaps[k])
-                    best_wit = (float(g[i]), float(g[iu[0][k]]), float(g[ip]), float(g[iu[1][k]]))
-        return TwistReport(best_gap > TWIST_MARGIN, best_gap, best_wit, method)
-
-    if method is TwistMethod.DELTA_MONOTONE:
-        best_gap, best_wit = math.inf, (0.0, 0.0, 0.0, 0.0)
-        for i in range(n_grid - 1):
-            for ip in range(i + 1, n_grid):
-                d = Wg[i] - Wg[ip]
-                diffs = np.diff(d)
-                k = int(np.argmin(diffs))
-                if diffs[k] < best_gap:
-                    best_gap = float(diffs[k])
-                    best_wit = (float(g[i]), float(g[k]), float(g[ip]), float(g[k + 1]))
-        return TwistReport(best_gap > TWIST_MARGIN, best_gap, best_wit, method)
-
-    raise InvolutionError(f"unknown twist method {method!r}")
+    # the pair (a, b) < (a', b') is grid points (i, j) < (ip, jp): PAIRWISE_GRID
+    # scans every j < jp, DELTA_MONOTONE the neighbours jp = j + 1
+    j, jp = (np.triu_indices(n_grid, k=1) if method is TwistMethod.PAIRWISE_GRID
+             else (np.arange(n_grid - 1), np.arange(1, n_grid)))
+    best_gap, best_wit = math.inf, (0.0, 0.0, 0.0, 0.0)
+    for i in range(n_grid - 1):
+        # row ip - i - 1 of gaps holds every ip > i at once, each entry by
+        # the expression and rounding order of a loop over (ip, j, jp)
+        below, wi = Wg[i + 1:], Wg[i]
+        if method is TwistMethod.PAIRWISE_GRID:
+            # W(a', b) + W(a, b') - W(a, b) - W(a', b')
+            gaps = below[:, j] + wi[jp] - wi[j] - below[:, jp]
+        else:
+            # np.diff of d = W(a, .) - W(a', .)
+            d = wi - below
+            gaps = d[:, jp] - d[:, j]
+        ks = np.argmin(gaps, axis=1)
+        mins = gaps[np.arange(len(ks)), ks]
+        # rows in the loop's order, a row's first minimum, and a strict <, so
+        # ties keep the first witness; a row whose argmin is a NaN is
+        # skipped, as the loop skipped it
+        for ip, k, gap in zip(range(i + 1, n_grid), ks.tolist(), mins.tolist()):
+            if gap < best_gap:
+                best_gap = gap
+                best_wit = (float(g[i]), float(g[j[k]]), float(g[ip]), float(g[jp[k]]))
+    return TwistReport(best_gap > TWIST_MARGIN, best_gap, best_wit, method)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ everything also evaluates on numpy arrays for the grid operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -45,13 +47,34 @@ class PotentialSpec:
     contraction: float = 0.5
     coeffs: tuple[Fraction, Fraction, Fraction] | None = None
 
+    @cached_property
+    def _int_coeffs(self) -> tuple[int, int, int, int]:
+        """(a, b, c, L): coeffs as the integers a, b, c over their least
+        common denominator L."""
+        return _over_lcd(self.coeffs)
+
     def __call__(self, x):
+        """A(x); a Fraction x gives the exact Fraction when A has coeffs.
+
+        With x = p / q that value is ((c p + b q) p + a q^2) / (L q^2) in
+        the integers of _int_coeffs, built as one Fraction: a Fraction is
+        canonical, so it equals a + b x + c x^2 taken in Fractions, with
+        one gcd instead of one per operation.
+        """
         if isinstance(x, Fraction):
             if self.coeffs is not None:
-                a, b, c = self.coeffs
-                return a + b * x + c * x * x
+                a, b, c, lcd = self._int_coeffs
+                p, q = x.numerator, x.denominator
+                return Fraction((c * p + b * q) * p + a * q * q, lcd * q * q)
             x = float(x)
         return self.fn(x)
+
+
+def _over_lcd(fractions) -> tuple[int, ...]:
+    """Fractions q_1, ..., q_k as (n_1, ..., n_k, L): q_i = n_i / L, with L
+    their least common denominator."""
+    lcd = math.lcm(*(q.denominator for q in fractions))
+    return (*(q.numerator * (lcd // q.denominator) for q in fractions), lcd)
 
 
 def perturbed_potential(p: PotentialSpec, r: PotentialSpec, eps: float) -> PotentialSpec:

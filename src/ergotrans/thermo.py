@@ -62,6 +62,17 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ThermoError("GridFunction values must be finite")
 
+    @classmethod
+    def _of_finite(cls, values: np.ndarray) -> "GridFunction":
+        """A GridFunction on values as they are, without __post_init__'s
+        conversion and scans.  Safe only for a 1-d float array of at least 2
+        cells already known to be finite, as _Operator.max_step's result is:
+        it checks every block's minimum and maximum, and its grid has at
+        least 2 cells."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        return f
+
     @property
     def n_grid(self) -> int:
         return int(self.values.size)
@@ -122,8 +133,11 @@ class _Operator:
     a load then never trails a store into the strided output by a fixed
     offset, which made an apply up to 1.6 times as slow where the output
     sat a few cache lines ahead of a weight array modulo a huge page.  A
-    Gauss branch gathers u[j] and u[j + 1] from its float stencil.  sys, A
-    and beta are those the operator was built for.
+    Gauss branch gathers u[j] and u[j + 1] from its float stencil.
+    max_step, the Lax-Oleinik step, also subtracts m from each block, checks
+    it is finite and takes its maximum once the block's last branch is
+    merged, while the block is still in cache.  sys, A and beta are those
+    the operator was built for.
     """
 
     def __init__(self, sys: SystemSpec, A: PotentialSpec, beta: float, n_grid: int):
@@ -147,6 +161,7 @@ class _Operator:
                 self._gauss.append((j.astype(np.intp), th))
         self._blocks = self._plan_blocks()
         self._adjoint = None  # per-branch weights, built by adjoint_apply
+        self.top = math.nan  # the maximum of the last max_step result
 
     @property
     def logw(self) -> list[np.ndarray]:
@@ -237,7 +252,7 @@ class _Operator:
         return blocks
 
     def _apply(self, u: np.ndarray, merge, sum_reads_first: bool,
-               out: np.ndarray | None) -> np.ndarray:
+               out: np.ndarray | None, shift) -> np.ndarray:
         """Merge over branches of logw + read of u, block by block.
 
         merge (np.maximum or np.logaddexp) folds each branch into the
@@ -248,6 +263,12 @@ class _Operator:
         result is written into out when given (a float array of n_grid
         cells, not overlapping u: blocks read u after earlier blocks are
         written), else a new array.
+
+        With a shift (not None), each block has it subtracted once its last
+        branch is merged, while it is still in cache, and its maximum and
+        minimum are taken: a NaN or an infinity raises ThermoError at that
+        block, and the largest block maximum, which is the maximum of the
+        result, is left in self.top.
         """
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_grid,):
@@ -257,6 +278,7 @@ class _Operator:
         elif out.shape != (self.n_grid,) or np.may_share_memory(out, u):
             raise ThermoError("out must be a separate array of the operator's grid size")
         u_next = u[1:]  # u_next[j] is u[j + 1]
+        top = -math.inf
         for cells, rows in self._blocks:
             dst = out[cells]
             for row, products, pieces, gathers, clipped in rows:
@@ -292,15 +314,33 @@ class _Operator:
                     cand[at] = logw + (left + right) if sum_reads_first else logw + left + right
                 if row is not None:
                     merge(dst, cand, out=dst)
+            if shift is not None:
+                dst -= shift
+                hi, lo = float(np.maximum.reduce(dst)), float(np.minimum.reduce(dst))
+                # NaN propagates through both, +inf reaches hi and -inf lo
+                if not (math.isfinite(hi) and math.isfinite(lo)):
+                    raise ThermoError("GridFunction values must be finite")
+                top = max(top, hi)
+        if shift is not None:
+            self.top = top
         return out
 
     def log_apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """log of L applied to e^u, with linear interpolation of u."""
-        return self._apply(u, np.logaddexp, True, out)
+        return self._apply(u, np.logaddexp, True, out, None)
 
     def max_apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Max-plus twin of log_apply: max over branches of logw + read of u."""
-        return self._apply(u, np.maximum, False, out)
+        return self._apply(u, np.maximum, False, out, None)
+
+    def max_step(self, u: np.ndarray, m: float, out: np.ndarray | None = None) -> np.ndarray:
+        """max_apply(u) - m, bit for bit, proved finite, in one blocked pass.
+
+        The shift by m, the finiteness check (ThermoError on a NaN or an
+        infinity) and the maximum run per block inside the kernel, so the
+        result is not read again; its maximum is left in self.top.
+        """
+        return self._apply(u, np.maximum, False, out, m)
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
         """Transpose action on densities, in linear space.

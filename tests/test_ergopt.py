@@ -178,6 +178,72 @@ class TestLaxOleinikStep:
             lax_oleinik_step(MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, V, op=op)
 
 
+class TestFusedStep:
+    """lax_oleinik_step shifts, checks and takes the maximum inside the
+    operator's blocks; with the renormalization after it, each step must be
+    max_apply(V) - m, normalized_max_zero and sup_diff to the last bit."""
+
+    SIZES = [2, 3, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
+    # not Gauss at 2^20: its 30 branches of weights and stencil would hold 730 MB
+    CASES = ([pytest.param(DOUBLING, QUAD_DIRAC, n, id=f"doubling-{n}") for n in SIZES + [1 << 20]]
+             + [pytest.param(MINUS_DOUBLING, QUAD_PERIOD2, n, id=f"minus-{n}")
+                for n in SIZES + [1 << 20]]
+             + [pytest.param(gauss_system(30), GAUSS_LOG, n, id=f"gauss-{n}") for n in SIZES])
+
+    @pytest.mark.parametrize("sys, A, n", CASES)
+    def test_step_and_renormalization_equal_the_plain_passes(self, sys, A, n):
+        op = _Operator(sys, A, 1.0, n)
+        V = GridFunction(np.random.default_rng(n).uniform(-2.0, 0.0, size=n))
+        m = -0.37
+        want = op.max_apply(V.values) - m
+        step = lax_oleinik_step(sys, A, m, V, op=op, _out=np.empty(n))
+        assert step.values.tobytes() == want.tobytes()
+        assert op.top == np.max(want)
+        ref = GridFunction(want).normalized_max_zero()
+        scratch = np.empty(min(ergopt._RENORM_BLOCK, n))
+        change = ergopt._renormalize_change(step.values, V.values, scratch, op.top)
+        assert step.values.tobytes() == ref.values.tobytes()
+        assert change == V.sup_diff(ref)
+
+    def test_renormalization_takes_a_zero_maximum_from_np_max(self):
+        # 0.0 and -0.0 tie: np.max's choice decides the sign of the shifted zeros
+        un = np.tile([-0.0, -1.5, 0.0, -0.25], 3 * _BLOCK)
+        u = np.linspace(-1.0, 0.0, un.size)
+        want = un - np.max(un)
+        for top in (0.0, -0.0):
+            got = un.copy()
+            ergopt._renormalize_change(got, u, np.empty(_BLOCK), top)
+            assert got.tobytes() == want.tobytes()
+
+    def test_renormalized_change_of_equal_zeros_is_plus_zero(self):
+        un, u = np.zeros(2 * _BLOCK + 3), np.full(2 * _BLOCK + 3, -0.0)
+        change = ergopt._renormalize_change(un, u, np.empty(_BLOCK), 0.0)
+        assert change == 0.0 and math.copysign(1.0, change) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cell_in_a_late_block_raises(self, bad):
+        # only both branch images (x/2 and (1 + x)/2) of the last cells are
+        # bad, so the first blocks pass their checks and the last one raises
+        n = 3 * _BLOCK + 5
+
+        def late(x):
+            x = np.asarray(x)
+            return np.where((x > 1 - 1e-5) | ((x > 0.5 - 1e-5) & (x < 0.5)), bad, 0.0)
+
+        A = custom_potential(late, "late", holder_constant=1.0)
+        V = GridFunction.constant(0.0, n)
+        with pytest.raises(ThermoError, match="finite"):
+            lax_oleinik_step(DOUBLING, A, 0.0, V)
+
+    def test_finite_step_skips_the_checked_constructor(self, monkeypatch):
+        # the kernel proved the values finite; the step does not scan them again
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 256)
+        V = GridFunction.constant(0.0, 256)
+        monkeypatch.setattr(GridFunction, "__post_init__", lambda self: pytest.fail("scanned"))
+        out = lax_oleinik_step(MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, V, op=op)
+        assert out.n_grid == 256 and np.isfinite(out.values).all()
+
+
 class TestCalibratedSubaction:
     def test_quad_dirac_matches_closed_form(self):
         res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=1 << 18, max_period=4)

@@ -381,6 +381,103 @@ class TestArrayPathsMatchScalarReferences:
             W0(0.2, 1.0 / 45)
 
 
+class TestUncheckedAffineWalk:
+    """On 2x and -2x the array cocycle checks y, x and x' once and then
+    steps without range checks; its arrays must be the checked loop's."""
+
+    @pytest.mark.parametrize("sysm", [MINUS_DOUBLING, DOUBLING], ids=["minus", "doubling"])
+    @pytest.mark.parametrize("base", [0.5, 0.3, Fraction(1, 2), Fraction(2, 7)])
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_grid_equals_the_checked_scalar_loop(self, sysm, base, n):
+        g = np.linspace(0.0, 1.0, n)
+        W0 = fundamental_kernel(sysm, A_SQUARE, base, depth=48)
+        want = [[scalar_cocycle(sysm, A_SQUARE, float(x), base, float(y), 48) for y in g]
+                for x in g]
+        assert np.array_equal(W0.grid(g, g), want)
+
+    @pytest.mark.parametrize("sysm", [MINUS_DOUBLING, DOUBLING], ids=["minus", "doubling"])
+    def test_walk_takes_no_checked_step(self, sysm, monkeypatch):
+        W0 = fundamental_kernel(sysm, A_SQUARE, Fraction(1, 2), depth=48)
+        g = np.linspace(0.0, 1.0, 5)
+        want = W0.grid(g, g)
+        checks = []
+        monkeypatch.setattr(involution, "_check_interval", lambda p: checks.append(p))
+        for name in ("backward_step", "branch_point"):
+            monkeypatch.setattr(involution, name, lambda *a: pytest.fail("checked step"))
+        assert np.array_equal(W0.grid(g, g), want)
+        assert len(checks) == 3  # y, x and x', once each
+
+    @pytest.mark.parametrize("sysm", [MINUS_DOUBLING, DOUBLING], ids=["minus", "doubling"])
+    def test_inputs_outside_unit_interval_raise(self, sysm):
+        g = np.linspace(0.0, 1.0, 5)
+        for base in (0.5, Fraction(1, 2)):
+            W0 = fundamental_kernel(sysm, A_SQUARE, base, depth=48)
+            for xs, ys in ((g + 1e-9, g), (g, g - 1e-9), (g, np.append(g, 1.5))):
+                with pytest.raises(DynamicsError, match="outside"):
+                    W0.grid(xs, ys)
+        for base in (1.25, Fraction(-1, 8)):
+            with pytest.raises(DynamicsError, match="outside"):
+                fundamental_kernel(sysm, A_SQUARE, base, depth=48).grid(g, g)
+
+
+def fraction_potential(coeffs, x):
+    """a + b x + c x^2 taken in Fractions, one operation at a time."""
+    a, b, c = (Fraction(v) for v in coeffs)
+    return a + b * x + c * x * x
+
+
+def fraction_kernel(coeffs, x, y):
+    """a + b W1 + c W2 taken in Fractions, one operation at a time."""
+    a, b, c = (Fraction(v) for v in coeffs)
+    return a + b * w1(x, y) + c * w2(x, y)
+
+
+class TestIntegerFractions:
+    """Exact quadratic values are built as one Fraction from integers; each
+    must equal the Fraction expression, with the same type."""
+
+    COEFFS = [(0, 0, 1), (-1, 2, -1), (Fraction(-1, 4), 1, -1), (Fraction(2, 7), Fraction(-3, 5),
+              Fraction(11, 13)), (0.1, -2.5, 1 / 3), (0, 0, 0), (7, 0, Fraction(-9, 10**12))]
+
+    @staticmethod
+    def random_fractions(rng, n):
+        # negative, above 1, zero and one
+        out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 2)]
+        for _ in range(n):
+            den = int(rng.choice([1, 2, 3, 7, 4096, 10**9 + 7, 3**30]))
+            out.append(Fraction(int(rng.integers(-3 * den, 3 * den + 1)), den))
+        return out
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+    def test_potential_equals_fraction_expression(self, coeffs):
+        A = polynomial_potential(*coeffs)
+        for x in self.random_fractions(np.random.default_rng(1), 60):
+            got, want = A(x), fraction_potential(coeffs, x)
+            assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+    def test_kernel_equals_fraction_expression(self, coeffs):
+        W = quadratic_kernel(*coeffs)
+        xs = self.random_fractions(np.random.default_rng(2), 20)
+        for x in xs:
+            for y in xs:
+                got, want = W(x, y), fraction_kernel(coeffs, x, y)
+                assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING], ids=["doubling", "minus"])
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+    def test_cocycle_equals_fraction_loop(self, sysm, coeffs):
+        A = polynomial_potential(*coeffs)
+        rng = np.random.default_rng(3)
+        points = [p for p in self.random_fractions(rng, 30) if 0 <= p <= 1]
+        for _ in range(20):
+            x, xp, y = (points[int(i)] for i in rng.integers(0, len(points), 3))
+            for depth in (1, 7, 48):
+                got = cocycle_delta(sysm, A, x, xp, y, depth).value
+                assert type(got) is Fraction
+                assert got == reference_cocycle(sysm, A, x, xp, y, depth)
+
+
 class TestKernelLinearity:
     def test_combination_matches_pointwise(self):
         a, b, c = -0.25, 1.5, 2.0
@@ -448,6 +545,61 @@ class TestTwist:
         }[kernel]
         n_grid = 5 if kernel == "series" else 9
         assert twist_check(W, method, n_grid=n_grid) == scalar_twist_check(W, method, n_grid)
+
+
+def loop_twist_check(W, method, n_grid, margin_tol=1e-9):
+    """PAIRWISE_GRID and DELTA_MONOTONE as a Python loop over grid pairs
+    (i, i'), one array expression per pair."""
+    g = np.linspace(0.0, 1.0, n_grid)
+    Wg = W.grid(g, g)
+    iu = np.triu_indices(n_grid, k=1)
+    best_gap, best_wit = math.inf, (0.0, 0.0, 0.0, 0.0)
+    for i in range(n_grid - 1):
+        for ip in range(i + 1, n_grid):
+            if method is TwistMethod.PAIRWISE_GRID:
+                gap = Wg[ip][:, None] + Wg[i][None, :] - Wg[i][:, None] - Wg[ip][None, :]
+                gaps = gap[iu]
+                k = int(np.argmin(gaps))
+                wit = (float(g[i]), float(g[iu[0][k]]), float(g[ip]), float(g[iu[1][k]]))
+            else:
+                gaps = np.diff(Wg[i] - Wg[ip])
+                k = int(np.argmin(gaps))
+                wit = (float(g[i]), float(g[k]), float(g[ip]), float(g[k + 1]))
+            if gaps[k] < best_gap:
+                best_gap, best_wit = float(gaps[k]), wit
+    return involution.TwistReport(best_gap > margin_tol, best_gap, best_wit, method)
+
+
+class TestTwistBroadcast:
+    KERNELS = {
+        "W2": W2K,
+        "W1": quadratic_kernel(0, 1, 0),
+        "example5": example5_kernel(),
+        "example6": example6_kernel(),
+        "series x^2": fundamental_kernel(MINUS_DOUBLING, A_SQUARE, Fraction(1, 2)),
+    }
+
+    @pytest.mark.parametrize("n_grid", [2, 5, 9, 21])
+    @pytest.mark.parametrize("method", [TwistMethod.PAIRWISE_GRID, TwistMethod.DELTA_MONOTONE],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_report_equals_the_pair_loop(self, kernel, method, n_grid):
+        W = self.KERNELS[kernel]
+        got = twist_check(W, method, n_grid=n_grid)
+        assert got == loop_twist_check(W, method, n_grid)
+        assert type(got.margin) is float
+
+    @pytest.mark.parametrize("method", [TwistMethod.PAIRWISE_GRID, TwistMethod.DELTA_MONOTONE],
+                             ids=lambda m: m.value)
+    def test_nan_pairs_are_skipped_as_the_loop_skips_them(self, method):
+        def fn(x, y):
+            v = np.asarray(w2(x, y), dtype=float)
+            return np.where((np.asarray(x) == 0.5) & (np.asarray(y) > 0.6), np.nan, v)
+
+        W = involution.KernelSpec(fn, "w2 with NaNs")
+        got = twist_check(W, method, n_grid=9)
+        assert got == loop_twist_check(W, method, 9)
+        assert math.isfinite(got.margin)
 
 
 def scalar_twist_check(W, method, n_grid, h=1e-4, margin_tol=1e-9):
