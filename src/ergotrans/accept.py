@@ -1,10 +1,11 @@
 """The verification suite: one named check per acceptance criterion.
 
 Each check pins its tolerances here; the CLI `verify` command and the
-test-suite both run these.  Probe grids for the deviation-function
-sweeps are exact rationals so that forward orbits do not drift (floats
-escape a repelling fixed point after ~54 doubling steps and poison the
-partial sums).
+test-suite both run these.  The probe points of the slack checks, which
+`ergotrans transport` shares (_slack_probes), are exact rationals: a
+rational orbit ends exactly on a cycle, where deviation_I gives I
+exactly (+inf off the maximizing cycles), while a float orbit drifts
+off the cycle it should stay on.
 """
 
 from __future__ import annotations
@@ -47,27 +48,21 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-def _frac_grid(n: int) -> list[Fraction]:
-    return [Fraction(2 * i + 1, 2 * n) for i in range(n)]
-
-
-def _support_preimages(sys, atoms_x) -> list[Fraction]:
-    """Exact backward-orbit points of the support atoms, PREIMAGE_DEPTH steps deep.
-
-    The uniform rational grid never approaches the maximizing set (its
-    orbits cannot reach denominator-3 atoms), so the slack-function checks
-    are only tight on these points, where the deviation term is a short
-    finite sum.
+def _slack_probes(sys, atoms) -> tuple[list[Fraction], list[Fraction]]:
+    """(probe x's, probe y's) of checks 7 and 8 and of `ergotrans transport`'s
+    duality certificate: the B_GRID cell centres, and for x also the exact
+    preimages of the support atoms that are Fractions, PREIMAGE_DEPTH steps
+    deep.  On +-2x the grid's orbits end on the non-maximizing fixed point
+    0, so I is +inf there; the preimages have finite I and are where the
+    checks bind.  Float (Gauss) atoms get none: 30^4 float preimages would
+    be too many, and each would drift like the atom.
     """
-    out, layer = [], list(dict.fromkeys(atoms_x))
+    grid = [Fraction(2 * i + 1, 2 * B_GRID) for i in range(B_GRID)]
+    layer, out = list(dict.fromkeys(x for x, _ in atoms if isinstance(x, Fraction))), []
     for _ in range(PREIMAGE_DEPTH):
-        nxt = []
-        for x in layer:
-            for _, z in inverse_branches(sys, x):
-                nxt.append(z)
-        out.extend(nxt)
-        layer = nxt
-    return list(dict.fromkeys(out))
+        layer = [z for x in layer for _, z in inverse_branches(sys, x)]
+        out.extend(layer)
+    return grid + list(dict.fromkeys(out)), grid
 
 
 @lru_cache(maxsize=None)
@@ -78,11 +73,12 @@ def transport_instance(name: str):
     example-6 cost, with atoms None (its own maximizing measure sits on
     the circle corner 0 = 1, where the skew coding degenerates).  Every
     other preset transports its maximizing measure to its dual under
-    c = I - W + gamma, with gamma fitted on the extension atoms and I the
-    2000-term partial sum of deviation_I: the orbit is walked to its first
-    repeated point, and the periodic tail after it is added on arrays in
-    the same order, so the value is that of adding the 2000 terms one by
-    one.
+    c = I - W + gamma, with gamma fitted on the extension atoms and I from
+    deviation_I with n_terms 2000 and no early exit.  A rational point's
+    orbit ends on a cycle within a few steps, and I is exact there: +inf
+    off the maximizing cycles, the preperiod sum on them.  n_terms bounds
+    only a float atom's walk: the golden-mean Gauss atom does not repeat,
+    and its I is a 2000-term partial sum (ROADMAP item 2).
     """
     pre = get_preset(name)
     if name == "quad-convex":
@@ -211,13 +207,12 @@ def check_transport_plan() -> CheckResult:
 
 def check_duality() -> CheckResult:
     tol = tr.DUALITY_TOL
-    grid = _frac_grid(B_GRID)
     details, ok = [], True
     for name in ("quad-dirac", "quad-period2"):
         pre, mu, mu_star, cost, atoms, plan = transport_instance(name)
-        probe_x = grid + _support_preimages(pre.system, [x for x, _ in atoms])
+        probe_x, probe_y = _slack_probes(pre.system, atoms)
         rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
-                                     probe_x, grid, mu, mu_star)
+                                     probe_x, probe_y, mu, mu_star)
         ok = ok and rep.admissible and rep.slackness_ok and abs(rep.duality_gap) <= tol
         details.append(
             f"{name}: viol {rep.worst_violation:+.2e}, atom {rep.worst_atom_residual:.2e}, "
@@ -228,13 +223,12 @@ def check_duality() -> CheckResult:
 
 def check_b_function() -> CheckResult:
     tol = 1e-8
-    grid = _frac_grid(B_GRID)
     details, ok = [], True
-    ys = np.array([float(y) for y in grid])
     for name in ("quad-dirac", "quad-period2"):
         pre, _, _, cost, atoms, _ = transport_instance(name)
         gamma, I = cost.gamma, cost.i_eval
-        probe_x = grid + _support_preimages(pre.system, [x for x, _ in atoms])
+        probe_x, probe_y = _slack_probes(pre.system, atoms)
+        ys = np.array([float(y) for y in probe_y])
         ix = np.array([float(I(x)) for x in probe_x])
         keep = ~np.isinf(ix)
         xs = np.array([float(x) for x in probe_x])[keep]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import involution as inv
 from . import transport as tr
-from .accept import B_GRID, CRITERIA, MAX_PERIOD, _frac_grid, transport_instance
+from .accept import CRITERIA, MAX_PERIOD, _slack_probes, transport_instance
 from .dynamics import probe_floor
 from .ergopt import calibrated_subaction
 from .ergopt import deviation_I  # noqa: F401 -- perfbench's tracer test reads cli.deviation_I
@@ -129,10 +129,10 @@ def cmd_twist(args: argparse.Namespace) -> int:
 def cmd_transport(args: argparse.Namespace) -> int:
     pre, mu, mu_star, cost, atoms, plan = transport_instance(args.preset)
     certificates = {}
-    grid = _frac_grid(B_GRID)
     if atoms is not None:
+        probe_x, probe_y = _slack_probes(pre.system, atoms)
         certificates["duality"] = tr.duality_certificate(pre.closed_V, pre.closed_V, cost,
-                                                         plan, grid, grid, mu, mu_star)
+                                                         plan, probe_x, probe_y, mu, mu_star)
     certificates["cyclical"] = tr.cyclical_monotonicity_check(plan.support_pairs(), cost,
                                                               n_max=5)
     graph = tr.graph_check(plan)

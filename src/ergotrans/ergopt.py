@@ -36,8 +36,6 @@ MAX_ITER_LO = 20_000
 CAP_I = 1e6
 TOL_I = 1e-10
 N_TERMS_I = 10_000
-# terms per array block of deviation_I's periodic tail (whole cycles)
-_TAIL_BLOCK = 1 << 16
 # Orbits whose average is within TIE_TOL of the maximum count as maximizing.
 TIE_TOL = 1e-9
 # cells per block of the Lax-Oleinik renormalization (_renormalize_change): at
@@ -257,14 +255,14 @@ def _renormalize_change(un: np.ndarray, u: np.ndarray, scratch: np.ndarray, *top
 
 @dataclass(frozen=True)
 class DeviationValue:
-    """Partial sum of the one-sided rate function I at a point.
+    """The one-sided rate function I at a point, or a partial sum of it.
 
-    value is +inf when the partial sum exceeded CAP_I; converged is True
-    when the early-exit rule (last term below TOL_I) fired.  When n_terms is
-    exhausted with neither, value holds the partial sum and converged is
-    False -- callers needing certainty must raise n_terms.  All three
-    fields are those of adding the n_terms terms one by one, whether the
-    orbit repeated (and its periodic tail was summed on an array) or not.
+    converged is True when value is the series' value: +inf (the orbit
+    ends on a cycle that is not maximizing, or a partial sum exceeded
+    CAP_I), the preperiod sum of an orbit that ends on a maximizing cycle
+    (n_used is then n_terms), or a sum cut by the early exit (last term
+    below TOL_I).  Otherwise the orbit did not repeat within n_terms and
+    value is the partial sum -- callers needing certainty must raise n_terms.
     """
 
     value: float
@@ -284,61 +282,47 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     but can underestimate on orbits that merely pass through the zero set
     of R; sweeps that must bound b from below run with early_exit=False.
 
-    The orbit is walked one point at a time until a point repeats
-    (rational orbits are eventually periodic): each new point pays T z,
+    The orbit is walked one point at a time: each new point pays T z,
     V(T z) and A(z) once (its V(z) is the V(T z) of the step before), and
-    its term is added, capped and tested in order.  From the first repeat
-    on, the remaining terms are the cycle's terms tiled, and they are added
-    on arrays, in order, by _periodic_tail.  The result is the same as
-    summing n_terms fresh evaluations one by one.  An orbit that never
-    repeats is walked to the end.  Nothing is kept between calls.
+    its term is added, capped and tested in order.  At the first repeated
+    point, after k preperiod points and a cycle of p, each turn of the
+    cycle adds p (m - avg), avg being A's average over the cycle as
+    critical_value takes it.  If m - avg > TIE_TOL, the value is +inf
+    (n_used k + p); if avg - m > TIE_TOL, m is not the critical value and
+    ErgOptError is raised.  Otherwise the cycle is maximizing: for a
+    calibrated V its terms are >= 0 and sum to 0, so every later partial
+    sum, and the value, is the sum of the k preperiod terms added in order
+    from 0.0 (n_used n_terms).  A walk that does not repeat within n_terms
+    returns its partial sum.  A float start is walked in floats: it ends
+    on the fixed point 0 of +-2x after about 54 steps, but a float Gauss
+    orbit does not repeat.
     """
     n_terms = _as_count(n_terms, 1, ErgOptError, f"n_terms must be an int >= 1, not {n_terms!r}")
-    first: dict = {}  # orbit point -> index of its term
-    terms: list[float] = []
+    first: dict = {}  # orbit point -> (index of its term, sum of the terms before it)
+    a_vals: list[float] = []  # A at each point walked
     z, vz = x, float(V(float(x)))
     total = 0.0
-    while len(terms) < n_terms:
-        k = first.get(z)
-        if k is not None:
-            return _periodic_tail(terms[k:], total, len(terms), n_terms)
+    while len(a_vals) < n_terms:
+        seen = first.get(z)
+        if seen is not None:
+            k, before = seen
+            avg = float(sum(a_vals[k:]) / (len(a_vals) - k))
+            if m - avg > TIE_TOL:
+                return DeviationValue(math.inf, True, len(a_vals))
+            if avg - m > TIE_TOL:
+                raise ErgOptError(f"the cycle through {z!r} averages {avg!r}, above m = {m!r}: "
+                                  f"m is not the critical value")
+            return DeviationValue(before, True, n_terms)
         zn = apply_map(sys, z)
         vzn = float(V(float(zn)))
-        r = vzn - vz - float(A(z)) + m
-        first[z] = len(terms)
-        terms.append(r)
+        az = float(A(z))
+        first[z] = (len(a_vals), total)
+        a_vals.append(az)
+        r = vzn - vz - az + m
         total += r
         if total > CAP_I:
-            return DeviationValue(math.inf, True, len(terms))
+            return DeviationValue(math.inf, True, len(a_vals))
         if early_exit and abs(r) < TOL_I:
-            return DeviationValue(total, True, len(terms))
+            return DeviationValue(total, True, len(a_vals))
         z, vz = zn, vzn
-    return DeviationValue(total, False, n_terms)
-
-
-def _periodic_tail(cycle: list[float], total: float, n: int, n_terms: int) -> DeviationValue:
-    """Add terms n .. n_terms - 1, the cycle tiled, to the running total.
-
-    Every cycle term was tested against TOL_I on its first visit, so the
-    early exit cannot fire here; only CAP_I can.  The tail is added in
-    blocks of whole cycles (at most about _TAIL_BLOCK terms), so memory
-    stays bounded however large n_terms is.
-    """
-    p = len(cycle)
-    # np.tile, not np.resize: resize concatenates one copy per repeat
-    tile = np.tile(cycle, min(max(1, _TAIL_BLOCK // p), -(-(n_terms - n) // p)))
-    sums = np.empty(tile.size + 1)
-    while n < n_terms:
-        s = sums[:min(tile.size, n_terms - n) + 1]
-        s[0] = total
-        s[1:] = tile[:s.size - 1]
-        # np.cumsum (np.add.accumulate) adds strictly left to right, each
-        # partial sum rounded once: the same IEEE additions, in the same
-        # order, as `total += r` term by term.  A pairwise np.sum would not be.
-        np.cumsum(s, out=s)
-        over = s[1:] > CAP_I
-        if over.any():
-            return DeviationValue(math.inf, True, n + int(np.argmax(over)) + 1)
-        total = float(s[-1])
-        n += s.size - 1
     return DeviationValue(total, False, n_terms)

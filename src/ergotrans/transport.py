@@ -408,7 +408,9 @@ def duality_certificate(V, V_star, c: CostSpec, plan: TransportPlan,
     before checking, since V* is only pinned up to a constant relative to
     V; the shift is recorded.  Checks: admissibility on the probe grid,
     equality on every support atom, and dual value = plan value; the
-    first two pass within DUALITY_TOL.
+    first two pass within DUALITY_TOL.  Probe rows of infinite cost bound
+    nothing; when no row is finite, worst_violation is -inf and the
+    certificate, having checked nothing, is not admissible.
     """
     atoms = plan.support()
     residuals = [c.cost(x, y) - (-float(V(float(x))) - float(V_star(float(y))))
@@ -426,8 +428,9 @@ def duality_certificate(V, V_star, c: CostSpec, plan: TransportPlan,
             - np.sum([float(V_star(float(p))) * w for p, w in zip(mu_star.points, mu_star.weights)])
             + shift)
     gap = float(primal - dual)
-    return DualityReport(worst <= DUALITY_TOL, float(worst), worst_atom <= DUALITY_TOL,
-                         worst_atom, shift, float(primal), float(dual), gap)
+    return DualityReport(-math.inf < worst <= DUALITY_TOL, float(worst),
+                         worst_atom <= DUALITY_TOL, worst_atom, shift, float(primal),
+                         float(dual), gap)
 
 
 @dataclass(frozen=True)
@@ -541,8 +544,10 @@ def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
     to j adds C[j][i] - C[i][i], level[j] is the least partial sum of the
     chains of one length ending at j, from {base: 0.0} through chain_cap
     min-plus rounds, and d_j the least level[j] over the lengths; the
-    candidates are every atom, or the base alone at chain_cap 0.  Each
-    mode keeps its last table for the same cost, base, chain_cap and pair
+    candidates are every atom, or the base alone at chain_cap 0.  An atom
+    whose own cost c(x_j, y_j) is infinite raises TransportError in both
+    modes: a plan puts no mass on it, and a step out of it reads inf - inf.
+    Each mode keeps its last table for the same cost, base, chain_cap and pair
     objects, compared by identity (the memo's references keep their ids),
     and only for tuple pairs, as others may change between calls;
     `_rochet_table.cache_clear()` empties the memo.
@@ -563,10 +568,12 @@ def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
         vals = c._costs(given + given[1:], np.array(xw + xw[1:]),
                         np.array(yw + yw[:-1])).tolist()
         diag, step = vals[:len(walk)], vals[len(walk):]
+        own = zip(walk, diag)
         table = (xw[1:], yw, diag,
                  list(itertools.accumulate(map(operator.sub, step, diag), initial=0.0)))
     else:
         C = c.matrix([x for x, _ in pts], [y for _, y in pts]).tolist()
+        own = ((j, C[j][j]) for j in range(len(pts)))
         level = dist = {base: 0.0}
         for _ in range(chain_cap):
             level = {j: min(s + (C[j][i] - C[i][i]) for i, s in level.items())
@@ -574,6 +581,10 @@ def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
             dist = {j: min(dist.get(j, s), s) for j, s in level.items()}
         table = ([xr[j] for j in dist], [yr[j] for j in dist], [C[j][j] for j in dist],
                  list(dist.values()))
+    for j, v in own:
+        if math.isinf(v):
+            raise TransportError(f"support atom ({xr[j]:g}, {yr[j]:g}) has infinite own "
+                                 f"cost {v}: a plan puts no mass on it")
     _ROCHET_MEMO.pop(mode, None)
     if all(type(p) is tuple for p in pts):
         _ROCHET_MEMO[mode] = (c, tuple(pts), base, chain_cap, table)
@@ -599,7 +610,8 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     row.  A chain adds its terms left to right from 0.0, and rounded
     addition is monotone, so the least fl(s + t) over partial sums s is
     fl(min s + t): with C finite on the support this is the least value
-    over every chain bit for bit, in chain_cap * n^2 additions instead of
+    over every chain bit for bit (an atom of infinite own cost raises,
+    see `_rochet_table`), in chain_cap * n^2 additions instead of
     n^chain_cap chains.  Each cost is bit for bit its entry of the full
     cost matrix, and under a twist cost the two modes agree.  An empty
     support, a non-index base, a chain_cap that is not an int >= 0 and a

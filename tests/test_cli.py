@@ -64,6 +64,17 @@ def test_transport_command(tmp_path):
     assert plan["certificates"]["cyclical"]["passes"] is True
 
 
+@pytest.mark.parametrize("preset", ["quad-dirac", "quad-period2", "linear"])
+def test_transport_duality_certificate_checks_finite_rows(tmp_path, preset):
+    # the preimages of the support atoms have finite I, and they bind
+    assert run(["transport", "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+    duality = json.loads((tmp_path / f"{preset}-transport.json").read_text())[
+        "certificates"]["duality"]
+    assert duality["admissible"] is True
+    assert np.isfinite(duality["worst_violation"])
+    assert duality["worst_violation"] <= tr.DUALITY_TOL
+
+
 def test_gauss_transport_warns_nothing(tmp_path, capsys):
     # its probes reach x = 0, where A = 2 log x is -inf by design; the
     # suite turns any numpy warning into an error
@@ -71,6 +82,10 @@ def test_gauss_transport_warns_nothing(tmp_path, capsys):
     code = run(["transport", "--preset", "gauss-golden", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert capsys.readouterr().err == ""
+    # every probe row is +inf, so the duality certificate checked nothing
+    duality = json.loads((tmp_path / "gauss-golden-transport.json").read_text())[
+        "certificates"]["duality"]
+    assert duality["admissible"] is False and duality["worst_violation"] == -np.inf
 
 
 def test_kernel_command_reproducible(tmp_path):

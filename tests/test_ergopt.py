@@ -28,6 +28,7 @@ from ergotrans.potentials import (
     perturbed_potential,
     polynomial_potential,
 )
+from ergotrans.presets import get_preset
 from ergotrans.thermo import _BLOCK, GridFunction, ThermoError, _Operator
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -400,30 +401,47 @@ class TestCalibratedSubaction:
             calibrated_subaction(MINUS_DOUBLING, A, n_grid=64, m=0.0)
 
 
-def _plain_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_I,
-                     early_exit=True, memo=None):
-    """Reference: terms added, capped and tested one at a time.
+def _rule_deviation(sys, A, V, m, x, n_terms, tol=ergopt.TOL_I, cap=ergopt.CAP_I,
+                    early_exit=True):
+    """Reference: deviation_I's rule, stated on the orbit as a list.
 
-    Every term is evaluated afresh, or, given a memo dict, once per
-    distinct point (a term is a function of its point alone), which keeps
-    sums of 10**6 terms affordable.
+    Every term is evaluated afresh and added, capped and tested one at a
+    time.  At the first point that repeats, after k preperiod points and
+    a cycle of p, A's average over the cycle decides: +inf when it is
+    below m by more than TIE_TOL (n_used k + p), ErgOptError when it is
+    above m by more than TIE_TOL, and otherwise the sum of the k
+    preperiod terms with n_used n_terms.
     """
-    z, total = x, 0.0
+    orbit, sums = [x], [0.0]  # sums[n]: terms 0 .. n - 1 added in order from 0.0
     for n in range(n_terms):
-        step = None if memo is None else memo.get(z)
-        if step is None:
-            zn = apply_map(sys, z)
-            step = zn, float(V(float(zn))) - float(V(float(z))) - float(A(z)) + m
-            if memo is not None:
-                memo[z] = step
-        zn, r = step
-        total += r
-        if total > cap:
+        z = orbit[n]
+        if z in orbit[:n]:
+            k = orbit.index(z)
+            cycle = orbit[k:n]
+            avg = float(sum(float(A(c)) for c in cycle) / len(cycle))
+            if m - avg > ergopt.TIE_TOL:
+                return math.inf, True, n
+            if avg - m > ergopt.TIE_TOL:
+                raise ErgOptError("m is below a cycle's average")
+            return sums[k], True, n_terms
+        zn = apply_map(sys, z)
+        r = float(V(float(zn))) - float(V(float(z))) - float(A(z)) + m
+        sums.append(sums[-1] + r)
+        if sums[-1] > cap:
             return math.inf, True, n + 1
         if early_exit and abs(r) < tol:
-            return total, True, n + 1
-        z = zn
-    return total, False, n_terms
+            return sums[-1], True, n + 1
+        orbit.append(zn)
+    return sums[-1], False, n_terms
+
+
+def _outcome(f, *args, **kw):
+    """f's (value, converged, n_used), or ErgOptError when it raises one."""
+    try:
+        d = f(*args, **kw)
+    except ErgOptError:
+        return ErgOptError
+    return d if isinstance(d, tuple) else (d.value, d.converged, d.n_used)
 
 
 def _deviation(monkeypatch, *args, cap=None, **kw):
@@ -461,14 +479,15 @@ class TestDeviationReuse:
         # early exit: R(5/6) = 0 stops the sum at the third term
         (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(11, 3 * 2 ** 3),
          dict(n_terms=500)),
-        # Gauss orbit of a rational ends on the fixed point 0
+        # Gauss orbit of a rational ends on the fixed point 0, where A(0) = 0 > m:
+        # m is below a cycle's average, and deviation_I raises ErgOptError
         (gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2, Fraction(5, 13),
          dict(n_terms=300, early_exit=False)),
-        # cap crossed in the periodic tail: 7 preperiod terms, then R(0) = 8/9
+        # a cap the walk does not reach: 7 preperiod terms, then R(0) = 8/9 forever
         (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(5, 128),
          dict(n_terms=500, cap=100.0, early_exit=False)),
-        # 5/192 under 2x: 6 preperiod terms, then the 2-cycle {1/3, 2/3};
-        # n_terms before, at and just past the first repeat, and an odd tail
+        # 5/192 under 2x: 6 preperiod terms, then the maximizing 2-cycle
+        # {1/3, 2/3}; n_terms before, at and just past the first repeat, and far past
         *[(DOUBLING, QUAD_PERIOD2, lambda x: 0.1 * x, -1 / 36, Fraction(5, 192),
            dict(n_terms=k, early_exit=False)) for k in (5, 7, 8, 9, 2001)],
         # 3/97 under -2x is purely periodic, of period 48
@@ -479,37 +498,26 @@ class TestDeviationReuse:
          dict(n_terms=300, early_exit=False)),
     ])
     def test_matches_plain_loop(self, monkeypatch, sys, A, V, m, x, kw):
-        d = _deviation(monkeypatch, sys, A, V, m, x, **kw)
-        assert (d.value, d.converged, d.n_used) == _plain_deviation(sys, A, V, m, x, **kw)
+        want = _outcome(_rule_deviation, sys, A, V, m, x, **kw)
+        assert _outcome(_deviation, monkeypatch, sys, A, V, m, x, **kw) == want
 
-    @pytest.mark.parametrize("sys, A, V, m, x, n_terms", [
-        (DOUBLING, QUAD_PERIOD2, lambda x: 0.1 * x, -1 / 36, Fraction(5, 192), 10 ** 6),
-        (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(3, 97),
-         2 * ergopt._TAIL_BLOCK + 3),
-    ])
-    def test_long_tail_matches_sequential_sum(self, sys, A, V, m, x, n_terms):
-        # tails of more than one accumulation block; a pairwise or
-        # reordered sum of the tail differs from this in the last bits
-        d = deviation_I(sys, A, V, m, x, n_terms=n_terms, early_exit=False)
-        assert (d.value, d.converged, d.n_used) == _plain_deviation(
-            sys, A, V, m, x, n_terms, early_exit=False, memo={})
+    def test_m_below_a_cycle_average_raises(self):
+        # the Gauss orbit of 5/13 ends on 0, and A(0) = 0 is above m = -0.2
+        with pytest.raises(ErgOptError, match="not the critical value"):
+            deviation_I(gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2,
+                        Fraction(5, 13), n_terms=300, early_exit=False)
 
-    @pytest.mark.parametrize("block", [1, 3, 50])
-    @pytest.mark.parametrize("x, kw", [
-        (Fraction(5, 128), dict(n_terms=500, cap=100.0, early_exit=False)),
-        (Fraction(3, 97), dict(n_terms=1001, early_exit=False)),
-        (Fraction(1, 96), dict(n_terms=1001, early_exit=False)),
-    ])
-    def test_tail_blocks_of_whole_cycles(self, monkeypatch, block, x, kw):
-        # blocks shorter than the cycle, of a few cycles, and of many
-        monkeypatch.setattr(ergopt, "_TAIL_BLOCK", block)
-        args = (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x)
-        d = _deviation(monkeypatch, *args, **kw)
-        assert (d.value, d.converged, d.n_used) == _plain_deviation(*args, **kw)
+    def test_long_sum_is_the_preperiod_sum(self):
+        # 10**6 terms cost 8 walked points: 6 preperiod terms, then the
+        # maximizing 2-cycle {1/3, 2/3} of 2x
+        args = (DOUBLING, QUAD_PERIOD2, lambda x: 0.1 * x, -1 / 36, Fraction(5, 192))
+        d = deviation_I(*args, n_terms=10 ** 6, early_exit=False)
+        assert d.converged and d.n_used == 10 ** 6
+        assert d.value == _rule_deviation(*args, n_terms=6, early_exit=False)[0]
 
-    def test_walk_stops_at_first_repeat(self, monkeypatch):
+    def test_walk_stops_at_first_repeat(self):
         # 5/128 reaches the fixed point 0 after 7 steps: 8 distinct points
-        # are evaluated, and the cap is crossed in the tail, well after them
+        # are evaluated, and 0 is not maximizing, so I is +inf at once
         seen = []
 
         def fn(x):
@@ -517,11 +525,10 @@ class TestDeviationReuse:
             return QUAD_DIRAC(x)
 
         A = custom_potential(fn, "counting", holder_constant=2.0)
-        monkeypatch.setattr(ergopt, "CAP_I", 100.0)
         d = deviation_I(MINUS_DOUBLING, A, _closed_V_dirac, -1 / 9, Fraction(5, 128),
                         n_terms=500, early_exit=False)
         assert len(seen) == 8
-        assert math.isinf(d.value) and d.converged and d.n_used > 100
+        assert (d.value, d.converged, d.n_used) == (math.inf, True, 8)
 
     def test_potential_evaluated_once_per_distinct_point(self):
         seen = []
@@ -559,8 +566,43 @@ class TestDeviationReuse:
         args = (MINUS_DOUBLING, A, V, -1 / 9, x)
         d = _deviation(monkeypatch, *args, **kw)
         assert len(v_args) == len(set(walked)) + 1 == len(walked) + 1
-        assert (d.value, d.converged, d.n_used) == _plain_deviation(
+        assert (d.value, d.converged, d.n_used) == _rule_deviation(
             MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x, **kw)
+
+
+class TestExactDeviation:
+    """I on quad-dirac with its closed-form V: the maximizing orbit is the
+    fixed point 2/3 of -2x, and the fixed points 0 and 1/3 are not maximizing."""
+
+    @staticmethod
+    def I(x):
+        pre = get_preset("quad-dirac")
+        return deviation_I(pre.system, pre.potential, pre.closed_V, pre.m_exact, x,
+                           n_terms=2000, early_exit=False)
+
+    @pytest.mark.parametrize("x, exact", [(Fraction(1, 6), Fraction(5, 9)),
+                                          (Fraction(5, 12), Fraction(7, 9))])
+    def test_preperiod_values(self, x, exact):
+        # 1/6 -> 2/3, and 5/12 -> 1/6 -> 2/3
+        d = self.I(x)
+        assert d.converged and d.n_used == 2000
+        assert abs(d.value - float(exact)) <= math.ulp(float(exact))
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 128)])
+    def test_plus_infinity_off_the_maximizing_cycle(self, x):
+        # 1/3 is fixed, and 5/128 reaches the fixed point 0 after 7 steps
+        d = self.I(x)
+        assert d.value == math.inf and d.converged
+
+    def test_one_step_of_the_series(self):
+        # I(x) = R(x) + I(T x) at the preperiod point 5/12, whose image is 1/6
+        pre = get_preset("quad-dirac")
+        x = Fraction(5, 12)
+        tx = apply_map(pre.system, x)
+        r = (float(pre.closed_V(float(tx))) - float(pre.closed_V(float(x)))
+             - float(pre.potential(x)) + pre.m_exact)
+        assert tx == Fraction(1, 6) and r > 0
+        assert self.I(x).value == r + self.I(tx).value
 
 
 class TestDeviation:
@@ -568,20 +610,18 @@ class TestDeviation:
         V = lambda x: -x * x / 3 + 2 * x / 9
         d = deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, Fraction(2, 3),
                         n_terms=500, early_exit=False)
-        assert abs(d.value) < 1e-12
+        assert (d.value, d.converged, d.n_used) == (0.0, True, 500)
 
     def test_zero_potential_zero_everywhere(self):
         d = deviation_I(MINUS_DOUBLING, A_ZERO, lambda x: 0.0, 0.0, Fraction(3, 7),
                         n_terms=200, early_exit=False)
         assert d.value == 0.0
 
-    def test_infinite_at_origin_for_quad_dirac(self, monkeypatch):
-        # R(0) = A(2/3) - A(0) = 8/9 summed forever; small cap makes it explicit
+    def test_infinite_at_origin_for_quad_dirac(self):
+        # R(0) = A(2/3) - A(0) = 8/9 on the fixed point 0: +inf at the first repeat
         V = lambda x: -x * x / 3 + 2 * x / 9
-        monkeypatch.setattr(ergopt, "CAP_I", 100.0)
         d = deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, Fraction(0), n_terms=500)
-        assert math.isinf(d.value)
-        assert d.n_used <= 150
+        assert (d.value, d.converged, d.n_used) == (math.inf, True, 1)
 
     @pytest.mark.parametrize("x", [0.1234, Fraction(1, 6)])
     @pytest.mark.parametrize("n_terms", [2.5, 3.0, "3"])
@@ -594,11 +634,13 @@ class TestDeviation:
                         early_exit=False)
 
     def test_partial_sums_nondecreasing(self):
+        # 5/128 walks 7 preperiod terms to the fixed point 0: partial sums
+        # before the repeat, +inf after it
         V = lambda x: -x * x / 3 + 2 * x / 9
         x = Fraction(5, 128)
         vals = [deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, x, n_terms=n,
-                            early_exit=False).value for n in (10, 50, 200)]
-        assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
+                            early_exit=False).value for n in (2, 4, 7, 10)]
+        assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12 < vals[3] == math.inf
 
     def test_terms_nonnegative_along_orbit(self):
         V = lambda x: -x * x / 3 + 2 * x / 9

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ergotrans import transport as tr
-from ergotrans.accept import transport_instance
+from ergotrans.accept import _slack_probes, transport_instance
 from ergotrans.dynamics import (
     DOUBLING,
     MINUS_DOUBLING,
@@ -381,15 +381,32 @@ class TestSupportMatrixChecks:
                     (worst, wit_s, wit_p)
 
     def test_rochet_equals_scalar_chains(self):
-        for cost in self.costs():
+        # S's own costs are finite without I; the Fraction support's atoms
+        # end on the maximizing 2-cycle {1/3, 2/3}, so its I-costs are finite too
+        cost_w, cost_i = self.costs()
+        S2 = [(Fraction(1, 12), Fraction(5, 6)), (Fraction(1, 6), Fraction(3, 4)),
+              (THIRD, TWO_THIRDS), (Fraction(5, 12), Fraction(1, 2)), (TWO_THIRDS, THIRD)]
+        for S, cost in ((self.S, cost_w), (S2, cost_w), (S2, cost_i)):
             for z in (0.05, THIRD, 0.5, 0.95):
-                brute = min(scalar_rochet(self.S, cost, 0, z, chain)
-                            for n in range(4) for chain in itertools.product(self.S, repeat=n))
-                assert tr.rochet_potential(self.S, cost, 0, z, tr.RochetMode.BRUTE_FORCE,
+                brute = min(scalar_rochet(S, cost, 0, z, chain)
+                            for n in range(4) for chain in itertools.product(S, repeat=n))
+                assert tr.rochet_potential(S, cost, 0, z, tr.RochetMode.BRUTE_FORCE,
                                            chain_cap=3) == brute
-                chain = [p for p in self.S[1:] if float(p[0]) < float(z)]
-                assert tr.rochet_potential(self.S, cost, 0, z, tr.RochetMode.TWIST_ORDERED) \
-                    == scalar_rochet(self.S, cost, 0, z, chain)
+                chain = [p for p in S[1:] if float(p[0]) < float(z)]
+                assert tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED) \
+                    == scalar_rochet(S, cost, 0, z, chain)
+
+    @pytest.mark.parametrize("mode", list(tr.RochetMode))
+    def test_rochet_refuses_an_atom_of_infinite_own_cost(self, mode):
+        # the base atom 1/5 lies on the 4-cycle {1/5, 3/5, 4/5, 2/5} of -2x,
+        # which is not maximizing, so its I is +inf; the dyadic floats 0.45
+        # and 0.9 would end on the fixed point 0 too, but after about 54
+        # steps, past this I's 50 terms
+        cost = self.costs()[1]
+        assert [math.isinf(cost.cost(x, y)) for x, y in self.S] == \
+            [True, False, False, False, False]
+        with pytest.raises(tr.TransportError, match=r"atom \(0.2, 0.8\) has infinite own cost"):
+            tr.rochet_potential(self.S, cost, 0, 0.5, mode)
 
 
 class MatrixCost:
@@ -502,33 +519,52 @@ class TestConjugateTransform:
 
 
 class TestDuality:
+    @staticmethod
+    def quad_dirac_I(x):
+        pre = get_preset("quad-dirac")
+        return deviation_I(MINUS_DOUBLING, QUAD_DIRAC, pre.closed_V, pre.m_exact,
+                           x, n_terms=600, early_exit=False).value
+
     def test_certificate_on_quad_dirac(self):
         pre = get_preset("quad-dirac")
         mu = tr.AtomicMeasure.dirac(TWO_THIRDS)
         gamma = tr.gamma_from_support(pre.kernel, pre.closed_V, pre.closed_V,
                                       [(TWO_THIRDS, TWO_THIRDS)]).gamma
-
-        def I(x):
-            return deviation_I(MINUS_DOUBLING, QUAD_DIRAC, pre.closed_V, pre.m_exact,
-                               x, n_terms=600, early_exit=False).value
-
-        cost = tr.CostSpec(w=pre.kernel, gamma=gamma, i_eval=I)
+        cost = tr.CostSpec(w=pre.kernel, gamma=gamma, i_eval=self.quad_dirac_I)
         plan = tr.solve_kantorovich(mu, mu, cost)
-        grid = [Fraction(2 * i + 1, 64) for i in range(32)]
+        probe_x, probe_y = _slack_probes(MINUS_DOUBLING, [(TWO_THIRDS, TWO_THIRDS)])
         rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
-                                     grid, grid, mu, mu)
+                                     probe_x, probe_y, mu, mu)
         assert rep.admissible and rep.slackness_ok
+        assert math.isfinite(rep.worst_violation)
         assert rep.worst_atom_residual < 1e-12
         assert abs(rep.duality_gap) < 1e-12
 
+    def test_no_finite_probe_row_is_not_admissible(self):
+        # dyadic probes end on the fixed point 0 of -2x, which is not
+        # maximizing: every row costs +inf, and a certificate that checks
+        # nothing does not pass
+        pre = get_preset("quad-dirac")
+        mu = tr.AtomicMeasure.dirac(TWO_THIRDS)
+        cost = tr.CostSpec(w=pre.kernel, gamma=-16.0 / 27.0, i_eval=self.quad_dirac_I)
+        plan = tr.solve_kantorovich(mu, mu, cost)
+        grid = [Fraction(2 * i + 1, 64) for i in range(32)]
+        assert np.isinf(cost.matrix(grid, grid)).all()
+        rep = tr.duality_certificate(pre.closed_V, pre.closed_V, cost, plan,
+                                     grid, grid, mu, mu)
+        assert rep.worst_violation == -math.inf
+        assert not rep.admissible
+        assert rep.slackness_ok and abs(rep.duality_gap) < 1e-12
+
     def test_tolerance_read_at_call_time(self, monkeypatch):
         # the quad-period2 instance of `ergotrans transport` passes at
-        # DUALITY_TOL; below its worst violation both checks fail
-        pre, mu, mu_star, cost, _, plan = transport_instance("quad-period2")
-        grid = [Fraction(2 * i + 1, 64) for i in range(32)]
-        args = (pre.closed_V, pre.closed_V, cost, plan, grid, grid, mu, mu_star)
+        # DUALITY_TOL on its probes; below its worst violation both checks fail
+        pre, mu, mu_star, cost, atoms, plan = transport_instance("quad-period2")
+        probe_x, probe_y = _slack_probes(pre.system, atoms)
+        args = (pre.closed_V, pre.closed_V, cost, plan, probe_x, probe_y, mu, mu_star)
         rep = tr.duality_certificate(*args)
         assert rep.admissible and rep.slackness_ok
+        assert math.isfinite(rep.worst_violation)
         monkeypatch.setattr(tr, "DUALITY_TOL", rep.worst_violation - 1.0)
         rep = tr.duality_certificate(*args)
         assert not rep.admissible and not rep.slackness_ok
@@ -538,18 +574,13 @@ class TestDuality:
         mu = tr.AtomicMeasure.dirac(TWO_THIRDS)
         gamma = -16.0 / 27.0
         k = 0.37
-        grid = [Fraction(2 * i + 1, 64) for i in range(32)]
-
-        def I(x):
-            return deviation_I(MINUS_DOUBLING, QUAD_DIRAC, pre.closed_V, pre.m_exact,
-                               x, n_terms=600, early_exit=False).value
-
+        probe_x, probe_y = _slack_probes(MINUS_DOUBLING, [(TWO_THIRDS, TWO_THIRDS)])
         reports = []
         for g in (gamma, gamma + k):
-            cost = tr.CostSpec(w=pre.kernel, gamma=g, i_eval=I)
+            cost = tr.CostSpec(w=pre.kernel, gamma=g, i_eval=self.quad_dirac_I)
             plan = tr.solve_kantorovich(mu, mu, cost)
             reports.append(tr.duality_certificate(pre.closed_V, pre.closed_V, cost,
-                                                  plan, grid, grid, mu, mu))
+                                                  plan, probe_x, probe_y, mu, mu))
         assert reports[0].admissible and reports[1].admissible
         assert reports[1].constant_shift - reports[0].constant_shift == pytest.approx(k)
         assert abs(reports[1].duality_gap) < 1e-12
@@ -890,6 +921,11 @@ def anti_monotone_support(rng, n):
     return pts
 
 
+def refuses_an_atom(S, cost):
+    """Whether an atom of S has infinite own cost, which rochet_potential refuses."""
+    return any(math.isinf(cost.cost(x, y)) for x, y in S)
+
+
 class TestChainOnlyRochet:
     def costs(self):
         def I(x):
@@ -905,25 +941,35 @@ class TestChainOnlyRochet:
         for cost in self.costs():
             for n in range(1, 12):
                 S = anti_monotone_support(rng, n)
-                for z in [*rng.uniform(0, 1, 6), float(S[0][0]) / 2, 0.999, THIRD]:
+                zs = [*rng.uniform(0, 1, 6), float(S[0][0]) / 2, 0.999, THIRD]
+                if refuses_an_atom(S, cost):
+                    with pytest.raises(tr.TransportError, match="infinite own cost"):
+                        tr.rochet_potential(S, cost, 0, zs[0], tr.RochetMode.TWIST_ORDERED)
+                    # the atoms of finite own cost, the leftmost first still
+                    S = [(x, y) for x, y in S if math.isfinite(cost.cost(x, y))]
+                for z in zs if S else ():
                     got = tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
                     assert got.hex() == full_matrix_twist_rochet(S, cost, 0, z).hex()
 
     def test_empty_chain(self):
-        # z left of every atom but the base: only c(x0, y0) and c(z, y0) are read
+        # z left of every atom but the base: only c(x0, y0) and c(z, y0) are
+        # read; every atom is left of 0.7, where the third cost's I is finite
         for cost in self.costs():
-            S = [(0.2, 0.9), (0.5, 0.5), (0.8, 0.1)]
+            S = [(0.2, 0.9), (0.5, 0.5), (0.65, 0.1)]
             got = tr.rochet_potential(S, cost, 0, 0.3, tr.RochetMode.TWIST_ORDERED)
             assert got.hex() == (cost.cost(0.3, 0.9) - cost.cost(0.2, 0.9)).hex()
             assert got.hex() == full_matrix_twist_rochet(S, cost, 0, 0.3).hex()
 
-    def test_infinite_rows_propagate(self):
+    def test_infinite_atom_refused_infinite_z_row_propagates(self):
         cost = self.costs()[2]
+        # an atom with I = +inf carries no mass in a plan, and a chain through
+        # it would read inf - inf: both modes refuse the support
         S = [(0.2, 0.9), (0.5, 0.5), (0.8, 0.1)]
-        # the chain passes an atom with I = +inf: inf - inf is NaN, as in the full matrix
-        got = tr.rochet_potential(S, cost, 0, 0.9, tr.RochetMode.TWIST_ORDERED)
-        assert math.isnan(got) and math.isnan(full_matrix_twist_rochet(S, cost, 0, 0.9))
-        # z itself has I = +inf
+        for mode in tr.RochetMode:
+            with pytest.raises(tr.TransportError, match=r"atom \(0.8, 0.1\) has infinite own"):
+                tr.rochet_potential(S, cost, 0, 0.3, mode)
+        # z itself has I = +inf: the potential is +inf, as in the full matrix
+        S = [(0.2, 0.9), (0.5, 0.5), (0.65, 0.1)]
         got = tr.rochet_potential(S, cost, 0, 0.75, tr.RochetMode.TWIST_ORDERED)
         assert got == math.inf == full_matrix_twist_rochet(S, cost, 0, 0.75)
 
@@ -1007,6 +1053,10 @@ class TestRochetTable:
                 + [0.0, 0.01, 0.25, THIRD, 0.5, 0.7, 0.99, 1.0])
 
     def check(self, S, cost, base=0):
+        if refuses_an_atom(S, cost):
+            with pytest.raises(tr.TransportError, match="infinite own cost"):
+                tr.rochet_potential(S, cost, base, 0.5, tr.RochetMode.TWIST_ORDERED)
+            return
         for z in self.zs(S):
             got = tr.rochet_potential(S, cost, base, z, tr.RochetMode.TWIST_ORDERED)
             assert got.hex() == chain_walk_rochet(S, cost, base, z).hex()
@@ -1035,13 +1085,18 @@ class TestRochetTable:
         for cost in self.costs():
             self.check(self.SUPPORTS[name], cost)
 
-    def test_infinite_rows_give_nan_and_inf_as_the_walk(self):
+    def test_infinite_atom_refused_infinite_z_gives_inf(self):
         cost = self.costs()[2]
-        S = self.SUPPORTS["float"]
+        S = self.SUPPORTS["float"]  # its last atom, x = 0.86, has I = +inf
+        for mode in tr.RochetMode:
+            with pytest.raises(tr.TransportError, match=r"atom \(0.86, 0.07\)"):
+                tr.rochet_potential(S, cost, 0, 0.5, mode)
+        S = S[:-1]
         got = [tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
                for z in (0.9, 0.75, 0.5)]
-        assert math.isnan(got[0]) and got[1] == math.inf and math.isfinite(got[2])
+        assert got[0] == got[1] == math.inf and math.isfinite(got[2])
         self.check(S, cost)
+        self.check_brute(S, cost)
 
     def test_alternating_supports_and_costs(self):
         cost_a, cost_b, _ = self.costs()
@@ -1094,7 +1149,8 @@ class TestRochetTable:
         self.check_brute(S, cost)
 
     def test_one_table_per_support_and_mode(self, monkeypatch):
-        S, cost = self.SUPPORTS["float"], self.costs()[2]
+        # the float support without its atom of infinite I
+        S, cost = self.SUPPORTS["float"][:-1], self.costs()[2]
         n, zs = len(S), np.linspace(0.01, 0.99, 50).tolist()
         tr._rochet_table.cache_clear()
         calls = self.count_costs(monkeypatch)
