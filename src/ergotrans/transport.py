@@ -1,14 +1,14 @@
 """Kantorovich transport between maximizing measures, with certification.
 
-Costs are c = -W + gamma or c = I - W + gamma for an involution kernel W,
-evaluated on point sets as one matrix (`CostSpec.matrix`).  Plans on
+Costs are c = -W + gamma or c = I - W + gamma for an involution kernel
+W, evaluated on point sets as one matrix (`CostSpec.matrix`).  Plans on
 finitely supported marginals are solved exactly: square uniform
 marginals by permutation enumeration up to 8 atoms and by scipy's
 assignment solver above, everything else by scipy's HiGHS LP.  The
-certification operations implement the structural checks: duality /
-complementary slackness, c-cyclical monotonicity, the graph property
-with the twist order (anti-monotone support), and the Rockafellar-type
-potential with its twist-ordered closed form.
+certificates: duality / complementary slackness, the graph property with
+the twist order (anti-monotone support), and, from one exchange matrix
+of the support (`_exchange`), c-cyclical monotonicity and the
+Rockafellar-type potential with its twist-ordered closed form.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ CLUSTER_TOL = 1e-9
 # Bounds on gamma_from_support's atom spread and on a passing cyclical slack.
 GAMMA_TOL = 1e-8
 CYCLICAL_TOL = 1e-10
-# Slacks scored per array block by cyclical_monotonicity_check.
-CYCLICAL_BLOCK = 1 << 16
 # Largest violation and atom residual a duality certificate passes.
 DUALITY_TOL = 1e-8
 # Smallest coupling weight a plan's support keeps by default.
@@ -185,16 +183,10 @@ class CostSpec:
         return self._costs(xs, _reals(xs)[:, None], _reals(ys)[None, :])
 
     def _costs(self, xs: Sequence, xf, yf):
-        """The one cost evaluation: gamma - W(xf, yf) on the floats xf, yf
-        (arrays or scalars) as they broadcast, then I(xs[i]) added along
-        the first axis, xs[i] being the point of xf[i] as given; an
-        infinite I gives +inf.
-
-        Aligned 1-D arrays give the cost of each pair (xs[k], ys[k]), bit
-        for bit the `matrix` entry of that pair, and two scalars the cost
-        of one pair (`cost`).  The kernel's `fn` is called, not
-        `KernelSpec.__call__`.
-        """
+        """The one cost evaluation, of `matrix` and `cost`: gamma - W(xf, yf)
+        by the kernel's `fn` on the floats xf, yf (arrays or scalars) as
+        they broadcast, then I(xs[i]) added along the first axis, xs[i]
+        being the point of xf[i] as given; an infinite I gives +inf."""
         C = self.gamma - self.w.fn(xf, yf)
         if self.i_eval is None:
             return C
@@ -441,58 +433,81 @@ class CyclicalReport:
     witness_permutation: tuple | None
 
 
-def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
-                                n_max: int = 5) -> CyclicalReport:
-    """Exhaustive c-cyclical-monotonicity check over subsets of size <= n_max.
-
-    slack = sum c(x_j, y_j) - sum c(x_sigma(j), y_j); a slack above
-    CYCLICAL_TOL is a violation and its subset/permutation are returned as
-    witness: the first largest slack over subset sizes k = 2..n_max, the
-    subsets in itertools.combinations order and the permutations but the
-    identity in itertools.permutations order.  The costs come from one
-    matrix over the support; each subset size is scored as arrays of
-    subsets x permutations, in blocks of about CYCLICAL_BLOCK slacks.
-    n_max that is not an int in 2..7 raises TransportError.
-    """
-    bad = (f"n_max must be an int in 2..7, not {n_max!r}: below 2 no cycle is checked, "
-           "above 7 the permutations blow up")
-    n_max = _as_count(n_max, 2, TransportError, bad)
-    if n_max > 7:
-        raise TransportError(bad)
-    pts = list(S)
+def _exchange(pts: list, c: CostSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(C, E): C = c.matrix of the atoms' x (as given) against their y, and
+    E[i, j] = C[j, i] - C[i, i], a step from atom i to j, x_j taking y_i,
+    with E[i, i] = +inf.  An atom of infinite own cost raises."""
     C = c.matrix([x for x, _ in pts], [y for _, y in pts])
     diag = np.diagonal(C)
-    worst = -math.inf
-    wit_s, wit_p = None, None
-    for k in range(2, min(n_max, len(pts)) + 1):
-        perms = _permutations(k)[1:]  # all but the identity, in itertools order
-        block = max(1, CYCLICAL_BLOCK // len(perms))
-        combos = itertools.combinations(range(len(pts)), k)
-        while True:
-            idx = np.array(list(itertools.islice(combos, block)), dtype=np.intp)
-            if not idx.size:
-                break
-            # slack[s, q] for subset s and permutation q, each sum added
-            # term by term from 0.0 as the scalar loop adds it
-            base = np.zeros(len(idx))
-            permuted = np.zeros((len(idx), len(perms)))
-            rows = idx[:, perms]
-            for j in range(k):
-                base += diag[idx[:, j]]
-                permuted += C[rows[:, :, j], idx[:, j, None]]
-            with np.errstate(invalid="ignore"):
-                slack = base[:, None] - permuted
-            # first maximum in loop order; a NaN slack (inf - inf) never wins
-            slack[np.isnan(slack)] = -math.inf
-            best = int(np.argmax(slack))
-            if slack.flat[best] > worst:
-                s_i, q_i = divmod(best, len(perms))
-                worst = float(slack.flat[best])
-                wit_s = tuple(pts[i] for i in idx[s_i].tolist())
-                wit_p = tuple(perms[q_i].tolist())
-    if worst == -math.inf:
-        return CyclicalReport(True, 0.0, None, None)
-    return CyclicalReport(worst <= CYCLICAL_TOL, float(worst), wit_s, wit_p)
+    for j in np.flatnonzero(np.isinf(diag)).tolist()[:1]:
+        raise TransportError(f"support atom ({float(pts[j][0]):g}, {float(pts[j][1]):g}) has "
+                             f"infinite own cost {float(diag[j])}: a plan puts no mass on it")
+    E = C.T - diag[:, None]
+    np.fill_diagonal(E, math.inf)
+    return C, E
+
+
+def _min_plus(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row and the value of each column's least entry of T, a
+    min-plus sum whose NaNs (-inf + inf) are read as +inf, in place."""
+    T[np.isnan(T)] = math.inf
+    k = T.argmin(axis=0)
+    return k, T[k, np.arange(T.shape[1])]
+
+
+def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
+                                n_max: int = 5) -> CyclicalReport:
+    """c-cyclical-monotonicity check over the cycles of <= n_max atoms.
+
+    A turn round a cycle sigma of the exchange graph (`_exchange`) costs
+    minus its slack sum c(x_j, y_j) - sum c(x_sigma(j), y_j).  Min-plus
+    rounds on E give, for each L = 2..min(n_max, |S|), the least closed
+    walk of L steps (first source on ties), split into simple cycles
+    where an atom repeats.  A negative closed walk holds a negative cycle,
+    so in exact arithmetic the verdict is that of every cycle of <= n_max
+    atoms, but worst_slack is only sure to reach 1 / (L // 2) of the
+    largest L-cycle slack.  The witness is the cycle found of largest
+    slack, first in length order: its atoms in index order, sigma over
+    their positions, its slack's sums added in that order from 0.0.
+    passes is worst_slack <= CYCLICAL_TOL; fewer than 2 atoms or no finite
+    closed walk give (True, 0.0, None, None); n_max must be an int >= 2.
+    """
+    n_max = _as_count(n_max, 2, TransportError,
+                      f"n_max must be an int >= 2, not {n_max!r}: below 2 no cycle is checked")
+    pts = list(S)
+    n, rounds, worst, wit_s, wit_p = len(pts), min(n_max, len(pts)), -math.inf, None, None
+    C, E = _exchange(pts, c) if n >= 2 else (None, None)
+    D, preds = E, []  # D[s, j]: the least walk of L - 1 steps from s to j
+    with np.errstate(invalid="ignore"):
+        for L in range(2, rounds + 1):
+            if L < rounds:  # one source row at a time; predecessors in the narrowest type
+                P, D = np.empty((n, n), np.min_scalar_type(n)), D.copy()
+                for s in range(n):  # row s of D is read before it is overwritten
+                    P[s], D[s] = _min_plus(D[s][:, None] + E)
+                closed = np.diagonal(D)
+            else:  # the diagonal only: L - 1 steps from s to k, then k -> s
+                p, closed = _min_plus(D.T + E)
+                P = np.diag(p)
+            preds.append(P)
+            s = int(np.argmin(closed))
+            if closed[s] == math.inf:
+                continue
+            walk, stack = [s], [s]  # the walk backwards from its end, the cycle so far
+            for P in reversed(preds):
+                walk.append(int(P[s, walk[-1]]))
+            for v in walk[:0:-1] + [s]:
+                k = stack.index(v) if v in stack else len(stack)
+                cyc, stack = stack[k:], stack[:k] + [v]
+                if not cyc:
+                    continue
+                atoms, nxt = sorted(cyc), dict(zip(cyc, cyc[1:] + cyc[:1]))
+                own = permuted = 0.0
+                for a in atoms:
+                    own, permuted = own + float(C[a, a]), permuted + float(C[nxt[a], a])
+                if own - permuted > worst:
+                    worst, wit_s = own - permuted, tuple(pts[a] for a in atoms)
+                    wit_p = tuple(atoms.index(nxt[a]) for a in atoms)
+    return CyclicalReport(worst <= CYCLICAL_TOL, worst if wit_s else 0.0, wit_s, wit_p)
 
 
 @dataclass(frozen=True)
@@ -536,17 +551,12 @@ def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
                   chain_cap: int) -> tuple:
     """(xs, ys, diag, d) over the candidate atoms j of `rochet_potential`:
     the float x and y of j, c(x_j, y_j) and the chain distance d_j from the
-    base atom.  TWIST_ORDERED walks the base atom, then the atoms after the
-    leftmost one by increasing x; xs leave the base out, d is the walk's
-    sums of c(x_(s+1), y_s) - c(x_s, y_s) added left to right from 0.0,
-    and the costs come from one aligned `CostSpec._costs` call.
-    BRUTE_FORCE reads the support's cost matrix C once: a step from atom i
-    to j adds C[j][i] - C[i][i], level[j] is the least partial sum of the
-    chains of one length ending at j, from {base: 0.0} through chain_cap
-    min-plus rounds, and d_j the least level[j] over the lengths; the
-    candidates are every atom, or the base alone at chain_cap 0.  An atom
-    whose own cost c(x_j, y_j) is infinite raises TransportError in both
-    modes: a plan puts no mass on it, and a step out of it reads inf - inf.
+    base atom, where a chain step from atom i to j adds E[i, j]
+    (`_exchange`).  TWIST_ORDERED walks the base atom, then the others by
+    increasing x, d the walk's prefix sums from 0.0.  BRUTE_FORCE runs
+    chain_cap min-plus rounds from the base row, d_j the least chain sum
+    ending at j over the lengths; its candidates are every atom, or the
+    base alone at chain_cap 0.
     Each mode keeps its last table for the same cost, base, chain_cap and pair
     objects, compared by identity (the memo's references keep their ids),
     and only for tuple pairs, as others may change between calls;
@@ -556,35 +566,27 @@ def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
     if (hit and hit[0] is c and hit[2] == base and hit[3] == chain_cap
             and len(hit[1]) == len(pts) and all(map(operator.is_, hit[1], pts))):
         return hit[4]
-    xr = [float(x) for x, _ in pts]
-    yr = [float(y) for _, y in pts]
+    xr, yr, js = [float(x) for x, _ in pts], [float(y) for _, y in pts], range(len(pts))
     if mode is RochetMode.TWIST_ORDERED:
-        ordered = sorted(range(len(pts)), key=xr.__getitem__)
+        ordered = sorted(js, key=xr.__getitem__)
         if (xr[ordered[0]], yr[ordered[0]]) != (xr[base], yr[base]):
             raise TransportError("twist-ordered mode requires base = leftmost support atom")
-        walk = [base] + ordered[1:]
-        xw, yw = [xr[i] for i in walk], [yr[i] for i in walk]
-        given = [pts[i][0] for i in walk]
-        vals = c._costs(given + given[1:], np.array(xw + xw[1:]),
-                        np.array(yw + yw[:-1])).tolist()
-        diag, step = vals[:len(walk)], vals[len(walk):]
-        own = zip(walk, diag)
-        table = (xw[1:], yw, diag,
-                 list(itertools.accumulate(map(operator.sub, step, diag), initial=0.0)))
+        js = [base] + [i for i in ordered if i != base]
+    C, E = _exchange(pts, c)
+    if mode is RochetMode.TWIST_ORDERED:
+        d = list(itertools.accumulate(E[js[:-1], js[1:]].tolist(), initial=0.0))
+    elif chain_cap:
+        dist = level = 0.0 + E[base]  # chains add from 0.0, which turns a -0.0 step into 0.0
+        dist[base] = 0.0  # the empty chain; level, the same array, repeats no new sum
+        with np.errstate(invalid="ignore"):
+            for _ in range(chain_cap - 1):  # a step that stays put would add 0.0: no new sum
+                level = _min_plus(level[:, None] + E)[1]
+                np.minimum(dist, level, out=dist)
+        d = dist.tolist()
     else:
-        C = c.matrix([x for x, _ in pts], [y for _, y in pts]).tolist()
-        own = ((j, C[j][j]) for j in range(len(pts)))
-        level = dist = {base: 0.0}
-        for _ in range(chain_cap):
-            level = {j: min(s + (C[j][i] - C[i][i]) for i, s in level.items())
-                     for j in range(len(pts))}
-            dist = {j: min(dist.get(j, s), s) for j, s in level.items()}
-        table = ([xr[j] for j in dist], [yr[j] for j in dist], [C[j][j] for j in dist],
-                 list(dist.values()))
-    for j, v in own:
-        if math.isinf(v):
-            raise TransportError(f"support atom ({xr[j]:g}, {yr[j]:g}) has infinite own "
-                                 f"cost {v}: a plan puts no mass on it")
+        js, d = [base], [0.0]
+    diag = np.diagonal(C).tolist()
+    table = ([xr[j] for j in js], [yr[j] for j in js], [diag[j] for j in js], d)
     _ROCHET_MEMO.pop(mode, None)
     if all(type(p) is tuple for p in pts):
         _ROCHET_MEMO[mode] = (c, tuple(pts), base, chain_cap, table)
@@ -604,18 +606,15 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     evaluates the closed-form chain that uses the support atoms strictly
     left of z in increasing x order, starting from the base atom.  Both
     take f(z) = min over candidate atoms j of d_j + (c(z, y_j) - c(x_j, y_j))
-    from the support's table (`_rochet_table`): TWIST_ORDERED the walk
-    atom k, k the number of walk atoms after the base with x < z, priced
-    by `CostSpec.cost`; BRUTE_FORCE all, priced by one `CostSpec.matrix`
-    row.  A chain adds its terms left to right from 0.0, and rounded
-    addition is monotone, so the least fl(s + t) over partial sums s is
-    fl(min s + t): with C finite on the support this is the least value
-    over every chain bit for bit (an atom of infinite own cost raises,
-    see `_rochet_table`), in chain_cap * n^2 additions instead of
-    n^chain_cap chains.  Each cost is bit for bit its entry of the full
-    cost matrix, and under a twist cost the two modes agree.  An empty
-    support, a non-index base, a chain_cap that is not an int >= 0 and a
-    z that is not finite raise TransportError.
+    from the support's table (`_rochet_table`): TWIST_ORDERED the last
+    walk atom left of z (or the base), priced by `CostSpec.cost`;
+    BRUTE_FORCE all, priced by one `CostSpec.matrix` row; z is priced as
+    given, so a rational z keeps I(z) exact.  Chains add left to right
+    from 0.0, and rounded addition is monotone, so fl(min s + t) is the
+    least fl(s + t): the table gives the least chain value bit for bit.
+    Under a twist cost the two modes agree.  An empty support, a
+    non-index base, an atom of infinite own cost, a chain_cap that is not
+    an int >= 0 and a z that is not finite raise TransportError.
     """
     pts = list(S)
     if not pts:
@@ -632,10 +631,10 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
 
     xs, ys, diag, d = _rochet_table(pts, c, base, mode, chain_cap)
     if mode is RochetMode.TWIST_ORDERED:
-        k = bisect.bisect_left(xs, zv)
-        js, z_costs = [k], [c.cost(zv, ys[k])]
+        k = bisect.bisect_left(xs, zv, 1) - 1  # walk atoms after the base with x < z
+        js, z_costs = [k], [c.cost(z, ys[k])]
     else:
-        js, z_costs = range(len(d)), c.matrix([zv], ys)[0].tolist()
+        js, z_costs = range(len(d)), c.matrix([z], ys)[0].tolist()
     return float(min(d[j] + (cz - diag[j]) for j, cz in zip(js, z_costs)))
 
 

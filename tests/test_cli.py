@@ -88,6 +88,30 @@ def test_gauss_transport_warns_nothing(tmp_path, capsys):
     assert duality["admissible"] is False and duality["worst_violation"] == -np.inf
 
 
+THIRD, TWO_THIRDS = 1 / 3, 2 / 3
+NO_CYCLE = {"passes": True, "worst_slack": 0.0, "witness_subset": None,
+            "witness_permutation": None}
+
+
+@pytest.mark.parametrize("preset, cyclical", [
+    ("quad-period2", {"passes": True, "worst_slack": -0.1481481481481482,
+                      "witness_subset": [[THIRD, THIRD], [TWO_THIRDS, TWO_THIRDS]],
+                      "witness_permutation": [1, 0]}),
+    ("quad-convex", {"passes": True, "worst_slack": -0.14814814814814814,
+                     "witness_subset": [[THIRD, TWO_THIRDS], [TWO_THIRDS, THIRD]],
+                     "witness_permutation": [1, 0]}),
+    ("quad-dirac", NO_CYCLE),  # one atom each
+    ("linear", NO_CYCLE),
+    ("gauss-golden", NO_CYCLE),
+])
+def test_transport_cyclical_block_is_pinned(tmp_path, preset, cyclical):
+    # each support has at most 2 atoms: its one cycle is the 2-cycle, whose
+    # slack adds the own and the swapped costs in index order
+    assert run(["transport", "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+    plan = json.loads((tmp_path / f"{preset}-transport.json").read_text())
+    assert plan["certificates"]["cyclical"] == cyclical
+
+
 def test_kernel_command_reproducible(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -355,7 +355,7 @@ def scalar_rochet(S, c, base, z, chain):
     for xi, yi in chain:
         total += c.cost(xi, prev_y) - c.cost(prev_x, prev_y)
         prev_x, prev_y = xi, yi
-    return total + (c.cost(float(z), prev_y) - c.cost(prev_x, prev_y))
+    return total + (c.cost(z, prev_y) - c.cost(prev_x, prev_y))
 
 
 class TestSupportMatrixChecks:
@@ -372,13 +372,19 @@ class TestSupportMatrixChecks:
 
         return [tr.CostSpec(w=example5_kernel()), tr.CostSpec(w=pre.kernel, gamma=0.1, i_eval=I)]
 
-    def test_cyclical_equals_scalar_loop(self):
-        for cost in self.costs():
-            for n_max in (2, 3, 5):
-                rep = tr.cyclical_monotonicity_check(self.S, cost, n_max=n_max)
-                worst, wit_s, wit_p = scalar_cyclical(self.S, cost, n_max)
-                assert (rep.worst_slack, rep.witness_subset, rep.witness_permutation) == \
-                    (worst, wit_s, wit_p)
+    def test_cyclical_witness_is_the_two_cycle(self):
+        # at n_max 3 the enumeration's witness was the permutation (2, 1, 0)
+        # of three atoms, which fixes the middle one, with slack
+        # 0.7000000000000002; at n_max 5, two disjoint 2-cycles with slack
+        # 0.8481481481481479 in all.  The rounds report the one 2-cycle
+        cost = self.costs()[0]
+        for n_max in (2, 3, 5):
+            rep = tr.cyclical_monotonicity_check(self.S, cost, n_max=n_max)
+            assert (rep.passes, rep.worst_slack, rep.witness_permutation) == (False, 0.7, (1, 0))
+            assert rep.witness_subset == (self.S[0], self.S[4])
+        assert scalar_cyclical(self.S, cost, 3) == \
+            (0.7000000000000002, (self.S[0], self.S[1], self.S[4]), (2, 1, 0))
+        assert scalar_cyclical(self.S, cost, 5)[0] == 0.8481481481481479
 
     def test_rochet_equals_scalar_chains(self):
         # S's own costs are finite without I; the Fraction support's atoms
@@ -413,7 +419,8 @@ class MatrixCost:
     """A cost given by its matrix on (support x's and z) x (support y's):
     C[i][j] is the cost of the i-th x and the j-th y of the support, and
     the last row that of every x outside the support, such as z.  Asked
-    for the rows of some x's and the columns of some y's, it answers them."""
+    for the rows of some x's and the columns of some y's, it answers them,
+    and `cost` answers one pair."""
 
     def __init__(self, C, S):
         self.C = C
@@ -423,6 +430,9 @@ class MatrixCost:
     def matrix(self, xs, ys):
         rows = [self.rows.get(x, len(self.C) - 1) for x in xs]
         return self.C[np.ix_(rows, [self.cols[y] for y in ys])]
+
+    def cost(self, x, y):
+        return float(self.matrix([x], [y])[0, 0])
 
 
 def enumerated_rochet(C, base, chain_cap):
@@ -460,6 +470,18 @@ def test_rochet_recursion_equals_chain_enumeration(kind):
                 got = tr.rochet_potential(S, MatrixCost(C, S), base, 0.05,
                                           tr.RochetMode.BRUTE_FORCE, chain_cap=chain_cap)
                 assert got == enumerated_rochet(C.tolist(), base, chain_cap)
+
+
+def test_rochet_chain_through_minus_inf():
+    # c(x_1, y_0) = -inf, so the chain 0 -> 1 reaches -inf; chains that also
+    # step through c(x_0, y_1) = +inf read -inf + inf, which is no chain
+    inf = math.inf
+    C = np.array([[0.0, inf, 1.0], [-inf, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    S = [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3)]
+    for chain_cap in (1, 2, 3):
+        got = tr.rochet_potential(S, MatrixCost(C, S), 0, 0.05, tr.RochetMode.BRUTE_FORCE,
+                                  chain_cap=chain_cap)
+        assert got == -inf
 
 
 class TestConjugateTransform:
@@ -637,10 +659,20 @@ class TestCyclicalMonotonicity:
             rep = tr.cyclical_monotonicity_check(plan.support_pairs(), cost, 5)
             assert rep.passes
 
-    def test_n_max_guard(self):
-        with pytest.raises(tr.TransportError):
-            tr.cyclical_monotonicity_check([(0.1, 0.2)], tr.CostSpec(w=example5_kernel()),
-                                           n_max=8)
+    def test_eight_cycle_needs_n_max_eight(self):
+        # C[i][i] = 0, C[i + 1 mod 8][i] = -1 and 10 elsewhere: the one negative
+        # cycle of the exchange graph steps i -> i + 1 round all 8 atoms
+        n = 8
+        C = np.full((n + 1, n), 10.0)
+        C[np.arange(n), np.arange(n)] = 0.0
+        C[(np.arange(n) + 1) % n, np.arange(n)] = -1.0
+        S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(n)]
+        rep = tr.cyclical_monotonicity_check(S, MatrixCost(C, S), n_max=7)
+        assert rep.passes and rep.worst_slack < 0
+        for n_max in (8, 9, 100):
+            rep = tr.cyclical_monotonicity_check(S, MatrixCost(C, S), n_max=n_max)
+            assert (rep.passes, rep.worst_slack, rep.witness_subset) == (False, 8.0, tuple(S))
+            assert rep.witness_permutation == (1, 2, 3, 4, 5, 6, 7, 0)
 
     def test_n_max_below_two_rejected(self):
         # n_max 2 finds the swapped pair's violation; below 2 no cycle is
@@ -1161,8 +1193,8 @@ class TestRochetTable:
         calls["matrix"].clear(), calls["_costs"].clear()
         for z in zs:
             tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
-        # the walk's 2n - 1 costs once, then one cost per z
-        assert calls["matrix"] == [] and calls["_costs"] == [2 * n - 1] + [1] * 50
+        # the support's matrix once, then one scalar cost per z
+        assert calls["matrix"] == [n] and calls["_costs"] == [n] + [1] * 50
 
     def test_alternating_modes_rebuild_nothing(self, monkeypatch):
         # check 10's pattern: a brute-force and a twist-ordered call per z
@@ -1174,9 +1206,19 @@ class TestRochetTable:
         for z in np.linspace(0.01, 0.99, 50).tolist():
             tr.rochet_potential(S, cost, 0, z, tr.RochetMode.BRUTE_FORCE, chain_cap=5)
             tr.rochet_potential(S, cost, 0, z, tr.RochetMode.TWIST_ORDERED)
-        assert calls["matrix"] == [n] + [1] * 50
-        # the first z builds each mode's table before that mode prices z
-        assert calls["_costs"] == [n, 1, 2 * n - 1] + [1] * 99
+        # the first z builds each mode's table, one support matrix each, before
+        # that mode prices z: a matrix row for brute force, a scalar cost twist-ordered
+        assert calls["matrix"] == [n, 1, n] + [1] * 49
+        assert calls["_costs"] == [n, 1, n, 1] + [1] * 98
+
+    @pytest.mark.parametrize("mode", list(tr.RochetMode))
+    def test_z_is_priced_as_given(self, mode):
+        # a float z would walk -2x onto the fixed point 0, whose I is +inf
+        _, _, _, cost, _, plan = transport_instance("quad-period2")
+        S = sorted(plan.support_pairs(), key=lambda p: float(p[0]))
+        got = [tr.rochet_potential(S, cost, 0, z, mode)
+               for z in (Fraction(1, 6), Fraction(5, 6), THIRD)]
+        assert got == [0.06481481481481483, 0.13888888888888878, 0.0]
 
     @pytest.mark.parametrize("mode", list(tr.RochetMode))
     @pytest.mark.parametrize("chain_cap", [-3, -1, 1.5, 2.0, "2", None])
@@ -1215,42 +1257,171 @@ def test_permutations_are_built_once_and_read_only(n):
         P[0, 0] = 1
 
 
-# ------------------------------------------------ cyclical monotonicity arrays
+# ------------------------------------------------ cyclical monotonicity rounds
 
 
-class TestCyclicalArrays:
-    def test_random_supports_equal_scalar_loop(self, monkeypatch):
+class CachedCost:
+    """A cost whose scalar calls are memoized, for the enumerations."""
+
+    def __init__(self, c):
+        self.cost = functools.lru_cache(maxsize=None)(c.cost)
+
+
+def simple_cycles(n, k_max):
+    """Every simple cycle of 2..k_max of n atoms, once, its least atom first."""
+    for k in range(2, k_max + 1):
+        for sub in itertools.combinations(range(n), k):
+            for rest in itertools.permutations(sub[1:]):
+                yield (sub[0],) + rest
+
+
+def cycle_slack(S, c, cycle):
+    """Slack of the cycle in which the x of cycle[t + 1] takes the y of
+    cycle[t]: the own costs in index order from 0.0, minus the permuted
+    costs in the same order."""
+    nxt = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    own = permuted = 0.0
+    for a in sorted(cycle):
+        own += c.cost(*S[a])
+        permuted += c.cost(S[nxt[a]][0], S[a][1])
+    return own - permuted
+
+
+def witness_cycle(S, rep):
+    """The report's witness as one cycle of atom indices, or None if its
+    permutation is not a single cycle through every atom of its subset."""
+    idx = [S.index(p) for p in rep.witness_subset]
+    assert idx == sorted(idx)
+    cycle, pos = [], 0
+    while pos not in cycle:
+        cycle.append(pos)
+        pos = rep.witness_permutation[pos]
+    if len(cycle) < 2 or pos != 0 or sorted(cycle) != list(range(len(idx))):
+        return None
+    return tuple(idx[p] for p in cycle)
+
+
+class TestCyclicalRounds:
+    def costs(self):
         def I(x):
-            return math.inf if float(x) > 0.8 else 0.5 * float(x)
+            return 0.5 * float(x)
 
+        return [tr.CostSpec(w=example5_kernel()), tr.CostSpec(w=example6_kernel(), i_eval=I),
+                tr.CostSpec(w=quadratic_kernel(0.3, -1.2, 0.5), gamma=0.1)]
+
+    def supports(self, rng):
+        # for each size a random support, and an x-sorted one paired with
+        # decreasing y, which passes under the twist kernel example6
+        for n in range(2, 8):
+            yield [(float(x), float(y)) for x, y in rng.uniform(0, 1, (n, 2))]
+            xs, ys = np.sort(rng.uniform(0, 1, n)), np.sort(rng.uniform(0, 1, n))[::-1]
+            yield list(zip(xs.tolist(), ys.tolist()))
+
+    def test_verdict_equals_the_enumeration(self):
         rng = np.random.default_rng(17)
-        costs = [tr.CostSpec(w=example5_kernel()), tr.CostSpec(w=example6_kernel(), i_eval=I)]
-        for block in (tr.CYCLICAL_BLOCK, 5):  # one block per size, and many small ones
-            monkeypatch.setattr(tr, "CYCLICAL_BLOCK", block)
-            for cost in costs:
-                for n in (2, 4, 7):
-                    S = [(float(x), float(y)) for x, y in rng.uniform(0, 1, (n, 2))]
-                    rep = tr.cyclical_monotonicity_check(S, cost, n_max=4)
-                    worst, wit_s, wit_p = scalar_cyclical(S, cost, 4)
-                    if worst == -math.inf:
-                        assert (rep.passes, rep.worst_slack, rep.witness_subset) == (True, 0.0, None)
-                        continue
-                    assert rep.worst_slack.hex() == worst.hex()
-                    assert (rep.witness_subset, rep.witness_permutation) == (wit_s, wit_p)
-                    assert all(type(p) is int for p in rep.witness_permutation)
+        verdicts = set()
+        for cost in self.costs():
+            scalar = CachedCost(cost)
+            for S in self.supports(rng):
+                for n_max in range(2, len(S) + 1):
+                    rep = tr.cyclical_monotonicity_check(S, cost, n_max=n_max)
+                    worst = scalar_cyclical(S, scalar, n_max)[0]
+                    assert rep.passes == (worst <= tr.CYCLICAL_TOL)
+                    verdicts.add(rep.passes)
+        assert verdicts == {True, False}
 
-    def test_nan_slack_is_never_the_witness(self):
+    def test_witness_is_a_simple_cycle_of_its_slack(self):
+        rng = np.random.default_rng(23)
+        for cost in self.costs():
+            scalar = CachedCost(cost)
+            for S in self.supports(rng):
+                slacks = {}
+                for cycle in simple_cycles(len(S), len(S)):
+                    L = len(cycle)
+                    slacks[L] = max(slacks.get(L, -math.inf), cycle_slack(S, scalar, cycle))
+                for n_max in range(2, len(S) + 1):
+                    rep = tr.cyclical_monotonicity_check(S, cost, n_max=n_max)
+                    cycle = witness_cycle(S, rep)
+                    assert cycle is not None and len(cycle) <= n_max
+                    assert cycle_slack(S, scalar, cycle).hex() == rep.worst_slack.hex()
+                    assert all(type(p) is int for p in rep.witness_permutation)
+                    # a least closed walk of L steps holds at most L // 2 cycles,
+                    # so one of them has at least 1 / (L // 2) of its slack: up
+                    # to 3 atoms the worst slack is the largest
+                    for L in range(2, n_max + 1):
+                        s = slacks[L]
+                        assert rep.worst_slack >= min(s, s / (L // 2)) - 1e-12
+
+    def test_a_longer_cycle_can_hide_behind_shorter_ones(self):
+        # E[i, j] = C[j, i] with a zero diagonal.  The 2-cycles (0, 1) and
+        # (0, 2) cost -2 each, the 4-cycle 0 -> 1 -> 3 -> 2 -> 0 costs -3, but
+        # the least closed walk of 4 steps runs both 2-cycles, at -4: the
+        # verdict holds, and the witness is a 2-cycle of slack 2, not 3
+        E = np.ones((4, 4))
+        E[0, 1] = E[1, 0] = E[0, 2] = E[2, 0] = -1.0
+        E[1, 3] = E[3, 2] = -0.5
+        np.fill_diagonal(E, 0.0)
+        C = np.vstack([E.T, np.zeros(4)])
+        S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(4)]
+        cost = MatrixCost(C, S)
+        assert max(cycle_slack(S, cost, cycle) for cycle in simple_cycles(4, 4)) == \
+            cycle_slack(S, cost, (0, 1, 3, 2)) == scalar_cyclical(S, cost, 4)[0] == 3.0
+        rep = tr.cyclical_monotonicity_check(S, cost, n_max=4)
+        assert (rep.passes, rep.worst_slack, rep.witness_subset) == (False, 2.0, (S[0], S[1]))
+
+    def test_ties_keep_the_first_cycle_found(self):
+        # the 3-cycle 1 -> 2 -> 3 -> 1 and the 4-cycle 0 -> 2 -> 3 -> 1 -> 0
+        # both have slack 2; lengths are taken in order, so the 3-cycle wins
+        C = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(4)]
+        cost = MatrixCost(C, S)
+        assert cycle_slack(S, cost, (1, 2, 3)) == cycle_slack(S, cost, (0, 2, 3, 1)) == 2.0
+        rep = tr.cyclical_monotonicity_check(S, cost, n_max=4)
+        assert (rep.worst_slack, rep.witness_subset, rep.witness_permutation) == \
+            (2.0, tuple(S[1:]), (1, 2, 0))
+
+    def test_infinite_own_cost_is_refused(self):
+        # every cost of these three atoms is +inf (dyadic x, I = +inf); the
+        # check used to pass them with slack 0.0 having checked nothing
+        S = [(Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
+             (Fraction(1, 8), Fraction(5, 8))]
+        cost = transport_instance("quad-dirac")[3]
+        assert all(math.isinf(v) for v in cost.matrix([x for x, _ in S], [y for _, y in S]).flat)
+        with pytest.raises(tr.TransportError, match=r"atom \(0.25, 0.25\) has infinite own cost"):
+            tr.cyclical_monotonicity_check(S, cost, n_max=3)
+
         def I(x):
             return math.inf if float(x) > 0.5 else 0.0
 
-        S = [(0.6, 0.3), (0.9, 0.1)]  # both rows infinite: every slack is inf - inf
-        rep = tr.cyclical_monotonicity_check(S, tr.CostSpec(w=example5_kernel(), i_eval=I))
-        assert (rep.passes, rep.worst_slack, rep.witness_subset, rep.witness_permutation) == \
-            (True, 0.0, None, None)
-        S = [(0.1, 0.2), (0.3, 0.4), (0.6, 0.3)]  # only subsets avoiding 0.6 count
-        rep = tr.cyclical_monotonicity_check(S, tr.CostSpec(w=example5_kernel(), i_eval=I))
-        assert not math.isnan(rep.worst_slack)
-        assert rep.witness_subset == ((0.1, 0.2), (0.3, 0.4))
+        S = [(0.1, 0.2), (0.3, 0.4), (0.6, 0.3)]
+        with pytest.raises(tr.TransportError, match=r"atom \(0.6, 0.3\) has infinite own cost"):
+            tr.cyclical_monotonicity_check(S, tr.CostSpec(w=example5_kernel(), i_eval=I))
+        # one atom is no cycle: nothing is evaluated
+        assert tr.cyclical_monotonicity_check(S[2:], tr.CostSpec(w=example5_kernel(), i_eval=I)) \
+            == tr.CyclicalReport(True, 0.0, None, None)
+
+    def test_minus_inf_and_inf_in_one_walk_is_no_cycle(self):
+        # C[1][0] = -inf and C[0][1] = +inf: the 2-cycle (0, 1) reads
+        # -inf + inf, which counts as +inf, not as a NaN that hides the rest
+        C = np.array([[0.0, math.inf, 1.0], [-math.inf, 0.0, 1.0], [1.0, 0.5, 0.0],
+                      [0.0, 0.0, 0.0]])
+        S = [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3)]
+        rep = tr.cyclical_monotonicity_check(S, MatrixCost(C, S), n_max=2)
+        assert (rep.passes, rep.worst_slack, rep.witness_subset) == (True, -1.5, (S[1], S[2]))
+        # the 3-cycle 0 -> 1 -> 2 -> 0 steps through -inf only
+        rep = tr.cyclical_monotonicity_check(S, MatrixCost(C, S), n_max=3)
+        assert (rep.passes, rep.worst_slack, rep.witness_permutation) == (False, math.inf, (1, 2, 0))
+        assert scalar_cyclical(S, MatrixCost(C, S), 3)[0] == math.inf
+        # here a NaN would win the first of three rounds' minima and hide
+        # the 2-cycle (0, 2), whose -inf step gives it slack +inf
+        inf = math.inf
+        C = np.array([[0.0, inf, -1.0, inf], [2.0, 0.0, -inf, inf], [-inf, inf, 0.0, 0.0],
+                      [-inf, 0.0, -2.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(4)]
+        rep = tr.cyclical_monotonicity_check(S, MatrixCost(C, S), n_max=4)
+        assert (rep.passes, rep.worst_slack, rep.witness_subset) == (False, inf, (S[0], S[2]))
+        assert scalar_cyclical(S, MatrixCost(C, S), 4)[0] == inf
 
 
 # Runs in a fresh interpreter, so no earlier test has imported scipy.optimize.
