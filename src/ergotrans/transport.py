@@ -1,14 +1,15 @@
 """Kantorovich transport between maximizing measures, with certification.
 
-Costs are c = -W + gamma or c = I - W + gamma for an involution kernel
-W, evaluated on point sets as one matrix (`CostSpec.matrix`).  Plans on
+Costs are c = -W + gamma or c = I - W + gamma for an involution kernel W,
+evaluated on point sets as one matrix (`CostSpec.matrix`).  Plans on
 finitely supported marginals are solved exactly: square uniform
 marginals by permutation enumeration up to 8 atoms and by scipy's
 assignment solver above, everything else by scipy's HiGHS LP.  The
-certificates: duality / complementary slackness, the graph property with
-the twist order (anti-monotone support), and, from one exchange matrix
-of the support (`_exchange`), c-cyclical monotonicity and the
-Rockafellar-type potential with its twist-ordered closed form.
+certification operations implement the structural checks: duality /
+complementary slackness, c-cyclical monotonicity, the graph property
+with the twist order (anti-monotone support), and the Rockafellar-type
+potential with its twist-ordered closed form.  The cyclical check and
+the potential read one exchange matrix of the support (`_exchange`).
 """
 
 from __future__ import annotations
@@ -183,10 +184,15 @@ class CostSpec:
         return self._costs(xs, _reals(xs)[:, None], _reals(ys)[None, :])
 
     def _costs(self, xs: Sequence, xf, yf):
-        """The one cost evaluation, of `matrix` and `cost`: gamma - W(xf, yf)
-        by the kernel's `fn` on the floats xf, yf (arrays or scalars) as
-        they broadcast, then I(xs[i]) added along the first axis, xs[i]
-        being the point of xf[i] as given; an infinite I gives +inf."""
+        """The one cost evaluation: gamma - W(xf, yf) on the floats xf, yf
+        (arrays or scalars) as they broadcast, then I(xs[i]) added along
+        the first axis, xs[i] being the point of xf[i] as given; an
+        infinite I gives +inf.
+
+        A column and a row give the `matrix`, and two scalars the cost of
+        one pair (`cost`).  The kernel's `fn` is called, not
+        `KernelSpec.__call__`.
+        """
         C = self.gamma - self.w.fn(xf, yf)
         if self.i_eval is None:
             return C
@@ -439,7 +445,9 @@ def _exchange(pts: list, c: CostSpec) -> tuple[np.ndarray, np.ndarray]:
     with E[i, i] = +inf.  An atom of infinite own cost raises."""
     C = c.matrix([x for x, _ in pts], [y for _, y in pts])
     diag = np.diagonal(C)
-    for j in np.flatnonzero(np.isinf(diag)).tolist()[:1]:
+    bad = np.flatnonzero(np.isinf(diag))
+    if bad.size:
+        j = int(bad[0])
         raise TransportError(f"support atom ({float(pts[j][0]):g}, {float(pts[j][1]):g}) has "
                              f"infinite own cost {float(diag[j])}: a plan puts no mass on it")
     E = C.T - diag[:, None]
@@ -457,31 +465,43 @@ def _min_plus(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
                                 n_max: int = 5) -> CyclicalReport:
-    """c-cyclical-monotonicity check over the cycles of <= n_max atoms.
+    """c-cyclical-monotonicity check over the chains of <= n_max atoms.
 
-    A turn round a cycle sigma of the exchange graph (`_exchange`) costs
-    minus its slack sum c(x_j, y_j) - sum c(x_sigma(j), y_j).  Min-plus
-    rounds on E give, for each L = 2..min(n_max, |S|), the least closed
-    walk of L steps (first source on ties), split into simple cycles
-    where an atom repeats.  A negative closed walk holds a negative cycle,
-    so in exact arithmetic the verdict is that of every cycle of <= n_max
-    atoms, but worst_slack is only sure to reach 1 / (L // 2) of the
-    largest L-cycle slack.  The witness is the cycle found of largest
-    slack, first in length order: its atoms in index order, sigma over
-    their positions, its slack's sums added in that order from 0.0.
-    passes is worst_slack <= CYCLICAL_TOL; fewer than 2 atoms or no finite
-    closed walk give (True, 0.0, None, None); n_max must be an int >= 2.
+    A chain (x_1, y_1), ..., (x_L, y_L) of support atoms, repeats allowed,
+    has slack sum c(x_t, y_t) - sum c(x_(t+1), y_t), indices mod L; it is
+    a closed walk of L steps of the exchange graph (`_exchange`), costing
+    minus its slack.  Min-plus rounds on E find the least closed walk of
+    each length L = 2..min(n_max, |S|) (first source on ties), split into
+    simple cycles where an atom repeats.  worst_slack is the largest walk
+    slack, its cycles' slacks added in the order split off, so at least
+    every simple cycle's slack; passes is worst_slack <= CYCLICAL_TOL.
+    The witness is the split cycle of largest slack, first in length
+    order: its atoms in index order and sigma over their positions; its
+    slack, own costs in that order from 0.0 minus the permuted ones, is
+    worst_slack when the worst walk is one cycle, as walks of 2 or 3 steps
+    are.  A walk of several cycles is worst only if their slacks add to
+    >= 0, since each cycle is a walk of its own length: a negative
+    worst_slack is the witness's.  Fewer than 2 atoms or no finite closed
+    walk give (True, 0.0, None, None); n_max must be an int >= 2.
     """
     n_max = _as_count(n_max, 2, TransportError,
                       f"n_max must be an int >= 2, not {n_max!r}: below 2 no cycle is checked")
     pts = list(S)
-    n, rounds, worst, wit_s, wit_p = len(pts), min(n_max, len(pts)), -math.inf, None, None
-    C, E = _exchange(pts, c) if n >= 2 else (None, None)
-    D, preds = E, []  # D[s, j]: the least walk of L - 1 steps from s to j
+    n = len(pts)
+    rounds = min(n_max, n)
+    worst = -math.inf
+    best = -math.inf
+    wit_s = None
+    wit_p = None
+    if n >= 2:
+        C, E = _exchange(pts, c)
+        D = E  # D[s, j]: the least walk of L - 1 steps from s to j
+    preds = []
     with np.errstate(invalid="ignore"):
         for L in range(2, rounds + 1):
             if L < rounds:  # one source row at a time; predecessors in the narrowest type
-                P, D = np.empty((n, n), np.min_scalar_type(n)), D.copy()
+                P = np.empty((n, n), np.min_scalar_type(n))
+                D = D.copy()
                 for s in range(n):  # row s of D is read before it is overwritten
                     P[s], D[s] = _min_plus(D[s][:, None] + E)
                 closed = np.diagonal(D)
@@ -492,22 +512,33 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
             s = int(np.argmin(closed))
             if closed[s] == math.inf:
                 continue
-            walk, stack = [s], [s]  # the walk backwards from its end, the cycle so far
+            walk = [s]  # the walk backwards from its end
             for P in reversed(preds):
                 walk.append(int(P[s, walk[-1]]))
+            stack = [s]  # the walk forwards, less the cycles split off
+            slack = 0.0  # the walk's, its cycles' slacks added as split off
             for v in walk[:0:-1] + [s]:
                 k = stack.index(v) if v in stack else len(stack)
-                cyc, stack = stack[k:], stack[:k] + [v]
+                cyc = stack[k:]
+                stack = stack[:k] + [v]
                 if not cyc:
                     continue
-                atoms, nxt = sorted(cyc), dict(zip(cyc, cyc[1:] + cyc[:1]))
-                own = permuted = 0.0
+                atoms = sorted(cyc)
+                nxt = dict(zip(cyc, cyc[1:] + cyc[:1]))
+                own = 0.0
+                permuted = 0.0
                 for a in atoms:
-                    own, permuted = own + float(C[a, a]), permuted + float(C[nxt[a], a])
-                if own - permuted > worst:
-                    worst, wit_s = own - permuted, tuple(pts[a] for a in atoms)
+                    own += float(C[a, a])
+                    permuted += float(C[nxt[a], a])
+                slack += own - permuted
+                if own - permuted > best:
+                    best = own - permuted
+                    wit_s = tuple(pts[a] for a in atoms)
                     wit_p = tuple(atoms.index(nxt[a]) for a in atoms)
-    return CyclicalReport(worst <= CYCLICAL_TOL, worst if wit_s else 0.0, wit_s, wit_p)
+            worst = max(worst, slack)
+    if wit_s is None:
+        return CyclicalReport(True, 0.0, None, None)
+    return CyclicalReport(worst <= CYCLICAL_TOL, worst, wit_s, wit_p)
 
 
 @dataclass(frozen=True)
@@ -566,7 +597,9 @@ def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
     if (hit and hit[0] is c and hit[2] == base and hit[3] == chain_cap
             and len(hit[1]) == len(pts) and all(map(operator.is_, hit[1], pts))):
         return hit[4]
-    xr, yr, js = [float(x) for x, _ in pts], [float(y) for _, y in pts], range(len(pts))
+    xr = [float(x) for x, _ in pts]
+    yr = [float(y) for _, y in pts]
+    js = range(len(pts))
     if mode is RochetMode.TWIST_ORDERED:
         ordered = sorted(js, key=xr.__getitem__)
         if (xr[ordered[0]], yr[ordered[0]]) != (xr[base], yr[base]):
@@ -584,7 +617,8 @@ def _rochet_table(pts: list, c: CostSpec, base: int, mode: RochetMode,
                 np.minimum(dist, level, out=dist)
         d = dist.tolist()
     else:
-        js, d = [base], [0.0]
+        js = [base]
+        d = [0.0]
     diag = np.diagonal(C).tolist()
     table = ([xr[j] for j in js], [yr[j] for j in js], [diag[j] for j in js], d)
     _ROCHET_MEMO.pop(mode, None)
@@ -606,15 +640,19 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     evaluates the closed-form chain that uses the support atoms strictly
     left of z in increasing x order, starting from the base atom.  Both
     take f(z) = min over candidate atoms j of d_j + (c(z, y_j) - c(x_j, y_j))
-    from the support's table (`_rochet_table`): TWIST_ORDERED the last
-    walk atom left of z (or the base), priced by `CostSpec.cost`;
-    BRUTE_FORCE all, priced by one `CostSpec.matrix` row; z is priced as
-    given, so a rational z keeps I(z) exact.  Chains add left to right
-    from 0.0, and rounded addition is monotone, so fl(min s + t) is the
-    least fl(s + t): the table gives the least chain value bit for bit.
-    Under a twist cost the two modes agree.  An empty support, a
-    non-index base, an atom of infinite own cost, a chain_cap that is not
-    an int >= 0 and a z that is not finite raise TransportError.
+    from the support's table (`_rochet_table`): TWIST_ORDERED the walk
+    atom k, k the number of walk atoms after the base with x < z, priced
+    by `CostSpec.cost`; BRUTE_FORCE all, priced by one `CostSpec.matrix`
+    row; z is priced as given, so a rational z keeps I(z) exact.  A chain
+    adds its terms left to right from 0.0, and rounded addition is
+    monotone, so the least fl(s + t) over partial sums s is fl(min s + t):
+    with C finite on the support this is the least value over every chain
+    bit for bit (an atom of infinite own cost raises, see `_exchange`), in
+    chain_cap * n^2 additions instead of n^chain_cap chains.  Each cost is
+    bit for bit its entry of the full cost matrix, and under a twist cost
+    the two modes agree.  An empty support, a non-index base, a chain_cap
+    that is not an int >= 0 and a z that is not finite raise
+    TransportError.
     """
     pts = list(S)
     if not pts:

@@ -376,11 +376,13 @@ class TestSupportMatrixChecks:
         # at n_max 3 the enumeration's witness was the permutation (2, 1, 0)
         # of three atoms, which fixes the middle one, with slack
         # 0.7000000000000002; at n_max 5, two disjoint 2-cycles with slack
-        # 0.8481481481481479 in all.  The rounds report the one 2-cycle
+        # 0.8481481481481479 in all.  The rounds report the one 2-cycle; from
+        # 4 atoms on the worst chain runs it twice, with twice its slack
         cost = self.costs()[0]
-        for n_max in (2, 3, 5):
+        for n_max, worst in ((2, 0.7), (3, 0.7), (5, 1.4)):
             rep = tr.cyclical_monotonicity_check(self.S, cost, n_max=n_max)
-            assert (rep.passes, rep.worst_slack, rep.witness_permutation) == (False, 0.7, (1, 0))
+            assert (rep.passes, rep.worst_slack, rep.witness_permutation) == \
+                (False, worst, (1, 0))
             assert rep.witness_subset == (self.S[0], self.S[4])
         assert scalar_cyclical(self.S, cost, 3) == \
             (0.7000000000000002, (self.S[0], self.S[1], self.S[4]), (2, 1, 0))
@@ -1287,6 +1289,32 @@ def cycle_slack(S, c, cycle):
     return own - permuted
 
 
+def closed_walks(n, L):
+    """Every closed walk of L exchange steps on n atoms, as its atom
+    sequence: no atom follows itself, the first after the last included."""
+    for walk in itertools.product(range(n), repeat=L):
+        if all(walk[t] != walk[t - 1] for t in range(L)):
+            yield walk
+
+
+def walk_slack(S, c, walk):
+    """Slack of the chain of the walk's atoms, with repeats: the x of
+    walk[t + 1] takes the y of walk[t]."""
+    return sum(c.cost(*S[a]) - c.cost(S[b][0], S[a][1])
+               for a, b in zip(walk, walk[1:] + walk[:1]))
+
+
+def cycle_cost(n, steps, other):
+    """A `MatrixCost` matrix on n atoms with a zero diagonal, E[i, j] =
+    steps[(i, j)] for the listed steps and `other` for the rest; the last
+    row, of every x outside the support, is zero."""
+    E = np.full((n, n), other)
+    for (i, j), v in steps.items():
+        E[i, j] = v
+    np.fill_diagonal(E, 0.0)
+    return np.vstack([E.T, np.zeros(n)])
+
+
 def witness_cycle(S, rep):
     """The report's witness as one cycle of atom indices, or None if its
     permutation is not a single cycle through every atom of its subset."""
@@ -1317,57 +1345,107 @@ class TestCyclicalRounds:
             xs, ys = np.sort(rng.uniform(0, 1, n)), np.sort(rng.uniform(0, 1, n))[::-1]
             yield list(zip(xs.tolist(), ys.tolist()))
 
+    def near_tolerance(self):
+        """Supports of 4 atoms whose cycles' slacks lie near CYCLICAL_TOL."""
+        tol = tr.CYCLICAL_TOL
+        S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(4)]
+        ring = [(i, (i + 1) % 4) for i in range(4)]
+        for k in (0.2, 0.45):
+            # 2-cycles (0, 1) and (0, 2) of slack 2k, the 4-cycle 0 -> 1 -> 3
+            # -> 2 -> 0 of slack 3k, in units of tol
+            steps = {(0, 1): -k, (1, 0): -k, (0, 2): -k, (2, 0): -k,
+                     (1, 3): -k / 2, (3, 2): -k / 2}
+            yield S, MatrixCost(cycle_cost(4, {e: v * tol for e, v in steps.items()}, 1.0), S)
+        for slack in (0.5, 1.5):
+            # the one negative cycle is the 4-cycle 0 -> 1 -> 2 -> 3 -> 0
+            steps = {e: -slack * tol / 4 for e in ring}
+            yield S, MatrixCost(cycle_cost(4, steps, 10.0), S)
+
     def test_verdict_equals_the_enumeration(self):
         rng = np.random.default_rng(17)
         verdicts = set()
-        for cost in self.costs():
-            scalar = CachedCost(cost)
-            for S in self.supports(rng):
-                for n_max in range(2, len(S) + 1):
-                    rep = tr.cyclical_monotonicity_check(S, cost, n_max=n_max)
-                    worst = scalar_cyclical(S, scalar, n_max)[0]
-                    assert rep.passes == (worst <= tr.CYCLICAL_TOL)
-                    verdicts.add(rep.passes)
+        cases = [(S, cost, CachedCost(cost)) for cost in self.costs() for S in self.supports(rng)]
+        for S, cost, scalar in cases + [(S, cost, cost) for S, cost in self.near_tolerance()]:
+            for n_max in range(2, len(S) + 1):
+                rep = tr.cyclical_monotonicity_check(S, cost, n_max=n_max)
+                worst = scalar_cyclical(S, scalar, n_max)[0]
+                assert rep.passes == (worst <= tr.CYCLICAL_TOL)
+                verdicts.add(rep.passes)
         assert verdicts == {True, False}
 
-    def test_witness_is_a_simple_cycle_of_its_slack(self):
+    def test_witness_and_worst_slack(self):
         rng = np.random.default_rng(23)
+        negative = 0  # checks of n_max >= 4 with a negative worst slack
         for cost in self.costs():
             scalar = CachedCost(cost)
             for S in self.supports(rng):
-                slacks = {}
-                for cycle in simple_cycles(len(S), len(S)):
-                    L = len(cycle)
-                    slacks[L] = max(slacks.get(L, -math.inf), cycle_slack(S, scalar, cycle))
-                for n_max in range(2, len(S) + 1):
+                n = len(S)
+                cycles = [-math.inf] * (n + 1)  # the largest simple-cycle slack of <= L atoms
+                chains = [-math.inf] * (n + 1)  # the largest chain slack of <= L atoms
+                for cycle in simple_cycles(n, n):
+                    cycles[len(cycle)] = max(cycles[len(cycle)], cycle_slack(S, scalar, cycle))
+                for L in range(2, min(n, 5) + 1):
+                    chains[L] = max(walk_slack(S, scalar, w) for w in closed_walks(n, L))
+                cycles = list(itertools.accumulate(cycles, max))
+                chains = list(itertools.accumulate(chains, max))
+                for n_max in range(2, n + 1):
                     rep = tr.cyclical_monotonicity_check(S, cost, n_max=n_max)
                     cycle = witness_cycle(S, rep)
                     assert cycle is not None and len(cycle) <= n_max
-                    assert cycle_slack(S, scalar, cycle).hex() == rep.worst_slack.hex()
                     assert all(type(p) is int for p in rep.witness_permutation)
-                    # a least closed walk of L steps holds at most L // 2 cycles,
-                    # so one of them has at least 1 / (L // 2) of its slack: up
-                    # to 3 atoms the worst slack is the largest
-                    for L in range(2, n_max + 1):
-                        s = slacks[L]
-                        assert rep.worst_slack >= min(s, s / (L // 2)) - 1e-12
+                    slack = cycle_slack(S, scalar, cycle)
+                    assert slack <= rep.worst_slack + 1e-12
+                    # every closed walk of 2 or 3 steps is a simple cycle, and a
+                    # walk of several cycles is worst only at a slack >= 0
+                    if n_max <= 3 or rep.worst_slack < 0:
+                        assert slack.hex() == rep.worst_slack.hex()
+                        negative += n_max > 3 and rep.worst_slack < 0
+                    # every simple cycle is a chain, and the worst chain is found
+                    assert rep.worst_slack >= cycles[n_max] - 1e-12
+                    if n <= 5:
+                        assert rep.worst_slack == pytest.approx(chains[n_max], rel=0, abs=1e-12)
+        assert negative
 
-    def test_a_longer_cycle_can_hide_behind_shorter_ones(self):
-        # E[i, j] = C[j, i] with a zero diagonal.  The 2-cycles (0, 1) and
-        # (0, 2) cost -2 each, the 4-cycle 0 -> 1 -> 3 -> 2 -> 0 costs -3, but
-        # the least closed walk of 4 steps runs both 2-cycles, at -4: the
-        # verdict holds, and the witness is a 2-cycle of slack 2, not 3
-        E = np.ones((4, 4))
-        E[0, 1] = E[1, 0] = E[0, 2] = E[2, 0] = -1.0
-        E[1, 3] = E[3, 2] = -0.5
-        np.fill_diagonal(E, 0.0)
-        C = np.vstack([E.T, np.zeros(4)])
+    def test_a_longer_cycle_behind_shorter_ones_still_counts(self):
+        # The 2-cycles (0, 1) and (0, 2) have slack 2 each and the 4-cycle
+        # 0 -> 1 -> 3 -> 2 -> 0 slack 3, but the least closed walk of 4 steps
+        # runs both 2-cycles: the worst chain has slack 4, and the witness
+        # is the first of its cycles, of slack 2
         S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(4)]
-        cost = MatrixCost(C, S)
+        steps = {(0, 1): -1.0, (1, 0): -1.0, (0, 2): -1.0, (2, 0): -1.0,
+                 (1, 3): -0.5, (3, 2): -0.5}
+        cost = MatrixCost(cycle_cost(4, steps, 1.0), S)
         assert max(cycle_slack(S, cost, cycle) for cycle in simple_cycles(4, 4)) == \
             cycle_slack(S, cost, (0, 1, 3, 2)) == scalar_cyclical(S, cost, 4)[0] == 3.0
         rep = tr.cyclical_monotonicity_check(S, cost, n_max=4)
-        assert (rep.passes, rep.worst_slack, rep.witness_subset) == (False, 2.0, (S[0], S[1]))
+        assert (rep.passes, rep.worst_slack, rep.witness_subset) == (False, 4.0, (S[0], S[1]))
+        # scaled so that the 2-cycles pass and the 4-cycle does not: the
+        # support fails, as the enumeration failed it
+        tol = tr.CYCLICAL_TOL
+        cost = MatrixCost(cycle_cost(4, {e: 0.45 * tol * v for e, v in steps.items()}, 1.0), S)
+        assert cycle_slack(S, cost, (0, 1)) <= tol < cycle_slack(S, cost, (0, 1, 3, 2))
+        rep = tr.cyclical_monotonicity_check(S, cost, n_max=4)
+        assert not rep.passes and rep.worst_slack > tol
+        assert rep.worst_slack == 2 * cycle_slack(S, cost, (0, 1))
+        assert tr.cyclical_monotonicity_check(S, cost, n_max=3).passes
+
+    def test_a_chain_may_repeat_atoms(self):
+        # One 2-cycle of slack 0.6 tol, every other step costs 1.  A chain
+        # of 4 atoms that runs the 2-cycle twice has slack 1.2 tol: c-cyclical
+        # monotonicity is asked of every chain, repeats allowed, so from
+        # n_max 4 the support fails.  The enumeration, which never repeats
+        # an atom, passed it
+        tol = tr.CYCLICAL_TOL
+        S = [(0.1 * (i + 1), 0.1 * (i + 1)) for i in range(4)]
+        cost = MatrixCost(cycle_cost(4, {(0, 1): -0.3 * tol, (1, 0): -0.3 * tol}, 1.0), S)
+        pair = cycle_slack(S, cost, (0, 1))
+        assert pair == 0.6 * tol
+        for n_max in (2, 3):
+            rep = tr.cyclical_monotonicity_check(S, cost, n_max=n_max)
+            assert (rep.passes, rep.worst_slack, rep.witness_permutation) == (True, pair, (1, 0))
+        rep = tr.cyclical_monotonicity_check(S, cost, n_max=4)
+        assert (rep.passes, rep.worst_slack, rep.witness_permutation) == (False, 2 * pair, (1, 0))
+        assert scalar_cyclical(S, cost, 4)[0] == pair
 
     def test_ties_keep_the_first_cycle_found(self):
         # the 3-cycle 1 -> 2 -> 3 -> 1 and the 4-cycle 0 -> 2 -> 3 -> 1 -> 0
