@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -277,10 +278,13 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
                 n_terms: int = N_TERMS_I, early_exit: bool = True) -> DeviationValue:
     """Sum of R(T^n x) with R = V(T .) - V(.) - A(.) + m along the forward orbit.
 
-    V may be a GridFunction or any callable.  With early_exit the sum stops
-    at the first term below TOL_I, which is correct near the maximizing set
-    but can underestimate on orbits that merely pass through the zero set
-    of R; sweeps that must bound b from below run with early_exit=False.
+    V may be a GridFunction or any callable that acts elementwise: a
+    Fraction start on 2x or -2x with a polynomial A calls it on float64
+    arrays of orbit points, and a scalar result broadcasts over them.
+    With early_exit the sum stops at the first term below TOL_I, which is
+    correct near the maximizing set but can underestimate on orbits that
+    merely pass through the zero set of R; sweeps that must bound b from
+    below run with early_exit=False.
 
     The orbit is walked one point at a time: each new point pays T z,
     V(T z) and A(z) once (its V(z) is the V(T z) of the step before), and
@@ -295,9 +299,14 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     from 0.0 (n_used n_terms).  A walk that does not repeat within n_terms
     returns its partial sum.  A float start is walked in floats: it ends
     on the fixed point 0 of +-2x after about 54 steps, but a float Gauss
-    orbit does not repeat.
+    orbit does not repeat.  A Fraction start in [0, 1] on 2x or -2x with a
+    polynomial A is walked in integers (_affine_deviation), with the same
+    values bit for bit.
     """
     n_terms = _as_count(n_terms, 1, ErgOptError, f"n_terms must be an int >= 1, not {n_terms!r}")
+    if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
+            and isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator):
+        return _affine_deviation(sys, A, V, m, x, n_terms, early_exit)
     first: dict = {}  # orbit point -> (index of its term, sum of the terms before it)
     a_vals: list[float] = []  # A at each point walked
     z, vz = x, float(V(float(x)))
@@ -325,4 +334,67 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
         if early_exit and abs(r) < TOL_I:
             return DeviationValue(total, True, len(a_vals))
         z, vz = zn, vzn
+    return DeviationValue(total, False, n_terms)
+
+
+def _affine_deviation(sys: SystemSpec, A: PotentialSpec, V, m: float, x: Fraction,
+                      n_terms: int, early_exit: bool) -> DeviationValue:
+    """deviation_I's loop for x = p / q in [0, 1] on 2x or -2x, A = a + b z + c z^2.
+
+    The orbit is walked as the integers P_n, z_n = P_n / q, with
+    P_(n+1) = +-2 P_n mod q.  A(z_n) is the int true division of
+    (c P_n + b q) P_n + a q^2 by L q^2 in the integers of A._int_coeffs,
+    and the float of z_n is P_n / q: both are the correctly rounded values
+    of the exact rationals, as float(A(z)) and float(z) of the Fractions
+    are.  The walk runs ahead of the terms in stretches of 8, 16, 32, ...
+    points, and stops at its first repeated point and at point n_terms; V
+    is called once per stretch, on its float64 array, so the values it
+    returns number less than twice the points the terms read, plus 8.  The
+    terms are added, capped, tested and put through the cycle rule in
+    deviation_I's order, on the same values.
+    """
+    a, b, c, lcd = A._int_coeffs
+    P, q = x.numerator, x.denominator
+    bq, aqq, den = b * q, a * q * q, lcd * q * q
+    factor = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
+    walk, first = [P], {P: 0}  # the numerators walked, and the index of each one's first visit
+    repeat = None  # the index of the first repeated point, once walked
+    v: list[float] = []  # V at walk[0], walk[1], ...
+    sums, a_vals = [], []  # per term: the sum of the terms before it, and A at its point
+    total, size = 0.0, 8
+    for i in range(n_terms):
+        if i == repeat:
+            k = first[walk[i]]
+            avg = float(sum(a_vals[k:]) / (i - k))
+            if m - avg > TIE_TOL:
+                return DeviationValue(math.inf, True, i)
+            if avg - m > TIE_TOL:
+                raise ErgOptError(f"the cycle through {Fraction(walk[i], q)!r} averages "
+                                  f"{avg!r}, above m = {m!r}: m is not the critical value")
+            return DeviationValue(sums[k], True, n_terms)
+        if i + 1 >= len(v):
+            stop = min(len(v) + size, n_terms + 1)
+            while len(walk) < stop and repeat is None:
+                P = factor * P % q
+                if P in first:
+                    repeat = len(walk)
+                else:
+                    first[P] = len(walk)
+                walk.append(P)
+            pts = np.array([w / q for w in walk[len(v):]])
+            vals = np.asarray(V(pts), dtype=float)
+            if vals.shape != pts.shape:  # a scalar V broadcasts
+                vals = np.broadcast_to(vals, pts.shape)
+            v += vals.tolist()
+            size *= 2
+        z = walk[i]
+        az = ((c * z + bq) * z + aqq) / den
+        sums.append(total)
+        a_vals.append(az)
+        r = v[i + 1] - v[i] - az + m
+        total += r
+        if total > CAP_I:
+            return DeviationValue(math.inf, True, i + 1)
+        if early_exit and abs(r) < TOL_I:
+            return DeviationValue(total, True, i + 1)
     return DeviationValue(total, False, n_terms)

@@ -205,9 +205,24 @@ class _Operator:
         cand, a, b, w = (np.empty(size) for _ in range(4))
         # the reads of size cells at slope 1/2 span at most size // 2 + 2 cells of u
         quarter, three = np.empty(size // 2 + 2), np.empty(size // 2 + 2)
+        if self._gauss is None:
+            # every cell whose read the plan takes is among its block's first
+            # four and last four: each branch reads them all in one call
+            starts = np.arange(0, n, _BLOCK)[:, None]
+            stops = np.minimum(starts + _BLOCK, n)
+            near = np.concatenate((np.minimum(starts + np.arange(4), stops - 1),
+                                   np.maximum(stops - 4 + np.arange(4), starts)), axis=1)
+            near_reads = [[r.tolist() for r in self._reads(k, near)] for k in range(2)]
         blocks = []
-        for s in range(0, n, _BLOCK):
+        for block, s in enumerate(range(0, n, _BLOCK)):
             e = min(s + _BLOCK, n)
+
+            def read(k, i):
+                """(j, th) of cell i of the block on affine branch k."""
+                j, th = near_reads[k]
+                at = i - s if i - s < 4 else i - e + 8
+                return j[block][at], th[block][at]
+
             rows = []
             for k, logw in enumerate(self._logw):
                 products, pieces, gathers, clipped = [], [], [], []
@@ -220,9 +235,9 @@ class _Operator:
                     # j is monotone in the cell, so the block's first and last
                     # cells bound its reads; th is 0 or 1 only at the branch's
                     # one clipped read, at an outer cell
-                    j, th = self._reads(k, np.array([s, e - 1]))
-                    lo, hi = int(j.min()), int(j.max()) + 2
-                    edge = s if th[0] in (0.0, 1.0) else e - 1 if th[1] in (0.0, 1.0) else -1
+                    (j_first, th_first), (j_last, th_last) = read(k, s), read(k, e - 1)
+                    lo, hi = min(j_first, j_last), max(j_first, j_last) + 2
+                    edge = s if th_first in (0.0, 1.0) else e - 1 if th_last in (0.0, 1.0) else -1
                     products = [(0.25, slice(lo, hi), quarter[:hi - lo]),
                                 (0.75, slice(lo, hi), three[:hi - lo])]
                     for r in (0, 1):
@@ -232,18 +247,17 @@ class _Operator:
                         if first > last:
                             continue
                         count = (last - first) // 2 + 1
-                        j, th = self._reads(k, np.array([first, last]))
+                        (j_first, th_first), (j_last, _) = read(k, first), read(k, last)
                         # th is 1/4 or 3/4: the left term is 0.75 u[j] or 0.25 u[j]
-                        left, right = (three, quarter) if th[0] == 0.25 else (quarter, three)
-                        v = int(j.min()) - lo
+                        left, right = (three, quarter) if th_first == 0.25 else (quarter, three)
+                        v = min(j_first, j_last) - lo
                         pieces.append((slice(first - s, last + 1 - s, 2),
                                        logw[r][first // 2:first // 2 + count],
                                        left[v:v + count][::step],
                                        right[v + 1:v + 1 + count][::step]))
                     if edge >= 0:
-                        j, th = self._reads(k, edge)
-                        clipped.append((edge - s, float(logw[edge % 2][edge // 2]),
-                                        int(j), float(th)))
+                        j, th = read(k, edge)
+                        clipped.append((edge - s, float(logw[edge % 2][edge // 2]), j, th))
                 # the first branch forms its terms in the output; a Gauss
                 # branch after it forms them in place in a
                 row = (cand if self._gauss is None else a)[:e - s] if k else None

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ergotrans import cli
 from ergotrans import transport as tr
 from ergotrans.accept import CRITERIA, MAX_PERIOD, transport_instance
 from ergotrans.cli import EXIT_OK, EXIT_USAGE, build_parser, main
@@ -189,6 +190,24 @@ def test_kernel_and_dual_csv_format_every_value_to_17_digits(tmp_path):
     A_star = dual_potential(pre.system, pre.potential, pre.kernel)(ys)
     want = ["y,A_star"] + [f"{y:.17g},{a:.17g}" for y, a in zip(ys, A_star)]
     assert (tmp_path / f"{pre.name}-dual.csv").read_text().splitlines() == want
+
+
+@pytest.mark.parametrize("rows_per_block", [3, cli._CSV_ROWS])
+def test_csv_formats_repeated_values_as_each_row_would(tmp_path, monkeypatch, rows_per_block):
+    # a column of few distinct values is formatted once per value, told
+    # apart by bits (0.0 and -0.0); a mostly distinct one row by row; the
+    # rows come out the same across block boundaries
+    monkeypatch.setattr(cli, "_CSV_ROWS", rows_per_block)
+    rng = np.random.default_rng(3)
+    repeated = rng.choice([0.0, -0.0, 0.1, np.nan, -np.inf, 1 / 3], size=40)
+    distinct = rng.uniform(-1.0, 1.0, size=80)[::2]  # not contiguous
+    ints = np.arange(40) % 7
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, "a,b,c", repeated, distinct, ints)
+    want = ["a,b,c"] + [f"{a:.17g},{b:.17g},{c:.17g}"
+                        for a, b, c in zip(repeated, distinct, ints.astype(float))]
+    assert path.read_text().splitlines() == want
+    assert {line.split(",")[0] for line in want[1:]} >= {"0", "-0", "nan"}
 
 
 def test_subaction_csv_formats_every_value_to_17_digits(tmp_path):

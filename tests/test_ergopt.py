@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from ergotrans import dynamics, ergopt
-from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, apply_map, gauss_system,
+from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, DynamicsError, apply_map, gauss_system,
                                 periodic_orbits)
 from ergotrans.ergopt import (
     ErgOptError,
@@ -456,6 +457,47 @@ def _closed_V_dirac(x):
 
 
 A_GAUSS_SMOOTH = custom_potential(lambda x: -float(x) ** 2, "-x^2", holder_constant=2.0)
+GRID_V = GridFunction(np.random.default_rng(27).uniform(-1.0, 0.0, size=257))
+
+
+def _zero_V(x):
+    return 0.0
+
+
+def _orbit_size(sys, x):
+    """preperiod + period of a rational x: the number of distinct points of its orbit."""
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        x = apply_map(sys, x)
+    return len(seen)
+
+
+def _sweep_cases(count=1000):
+    """count rationals on 2x and -2x: dyadic denominators, 3 * 2^k, and odd
+    q with long 2-orbits.  The i-th is walked under one combination of the
+    system, V, early_exit and n_terms (1, 2, and one below, at and one past
+    preperiod + period, and 2000); the 72 combinations cycle, each cycle
+    over one kind of denominator, so every combination meets every kind."""
+    rng = np.random.default_rng(27)
+    dirac, period2 = get_preset("quad-dirac"), get_preset("quad-period2")
+    setups = [(MINUS_DOUBLING, QUAD_DIRAC, dirac.closed_V, dirac.m_exact),
+              # -1/36 is also the critical value of -(x-1/2)^2 under 2x
+              (DOUBLING, QUAD_PERIOD2, period2.closed_V, -1 / 36)]
+    denominators = ([2 ** k for k in range(1, 11)], [3 * 2 ** k for k in range(9)],
+                    [97, 101, 107, 131, 139, 149, 163, 173])
+    cases = []
+    for i in range(count):
+        sys, A, closed_V, m = setups[i % 2]
+        V = (closed_V, GRID_V, _zero_V)[i // 2 % 3]
+        early_exit = i // 6 % 2 == 0
+        qs = denominators[i // 72 % 3]
+        q = int(qs[rng.integers(len(qs))])
+        x = Fraction(int(rng.integers(q + 1)), q)
+        size = _orbit_size(sys, x)
+        n_terms = (1, 2, max(1, size - 1), size, size + 1, 2000)[i // 12 % 6]
+        cases.append((sys, A, V, m, x, dict(n_terms=n_terms, early_exit=early_exit)))
+    return cases
 
 
 class TestDeviationReuse:
@@ -496,16 +538,87 @@ class TestDeviationReuse:
         # a float Gauss orbit that does not repeat within n_terms
         (gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2, 0.5772156649015329,
          dict(n_terms=300, early_exit=False)),
+        # the integer walk of Fractions on 2x and -2x, against the Fraction reference
+        *_sweep_cases(),
     ])
     def test_matches_plain_loop(self, monkeypatch, sys, A, V, m, x, kw):
         want = _outcome(_rule_deviation, sys, A, V, m, x, **kw)
-        assert _outcome(_deviation, monkeypatch, sys, A, V, m, x, **kw) == want
+        got = _outcome(_deviation, monkeypatch, sys, A, V, m, x, **kw)
+        # bit for bit: the value's sign of zero, and a float, not a numpy scalar
+        assert got == want and repr(got) == repr(want)
 
-    def test_m_below_a_cycle_average_raises(self):
+    def test_boundary_partial_sum(self):
+        # 5/128 under -2x has 8 distinct points, and the 9th is a repeat of the
+        # fixed point 0, which is not maximizing.  With n_terms 8 the walk
+        # stops before the repeat: the 8-term partial sum, not converged.
+        # With 9 the cycle rule gives +inf.
+        args = (MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, Fraction(5, 128))
+        at = deviation_I(*args, n_terms=8, early_exit=False)
+        assert (at.converged, at.n_used) == (False, 8)
+        assert at.value == _rule_deviation(*args, n_terms=8, early_exit=False)[0] < math.inf
+        past = deviation_I(*args, n_terms=9, early_exit=False)
+        assert (past.value, past.converged, past.n_used) == (math.inf, True, 8)
+
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING])
+    @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(-1, 3)])
+    def test_fraction_outside_interval_raises(self, sys, x):
+        with pytest.raises(DynamicsError, match=rf"point {re.escape(repr(x))} outside \[0, 1\]"):
+            deviation_I(sys, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x)
+
+    @pytest.mark.parametrize("sys, A, x", [
+        (gauss_system(30), polynomial_potential(0, 0, -1, name="-x^2"), Fraction(5, 13)),
+        (MINUS_DOUBLING, QUAD_DIRAC, 0.3),
+        (MINUS_DOUBLING, QUAD_DIRAC, 1),
+        (MINUS_DOUBLING, custom_potential(QUAD_DIRAC, "no coeffs", 2.0), Fraction(3, 97)),
+    ], ids=["gauss", "float", "int", "no-coeffs"])
+    def test_other_inputs_keep_the_point_loop(self, monkeypatch, sys, A, x):
+        def refuse(*args):
+            raise AssertionError("walked in integers")
+
+        monkeypatch.setattr(ergopt, "_affine_deviation", refuse)
+        args = (sys, A, _closed_V_dirac, -1 / 9, x)
+        kw = dict(n_terms=300, early_exit=False)
+        assert _outcome(deviation_I, *args, **kw) == _outcome(_rule_deviation, *args, **kw)
+
+    @pytest.mark.parametrize("x, kw", [
+        (Fraction(3, 173), dict(n_terms=2000, early_exit=False)),
+        (Fraction(3, 173), dict(n_terms=40, early_exit=False)),
+        (Fraction(3, 173), dict(n_terms=9, early_exit=False)),
+        (Fraction(5, 3 * 2 ** 6), dict(n_terms=3000, early_exit=False)),
+        (Fraction(11, 3 * 2 ** 3), dict(n_terms=500)),
+        (Fraction(0), dict(n_terms=500)),
+    ])
+    def test_value_function_called_per_stretch(self, x, kw):
+        # V gets float64 arrays whose lengths sum to at most twice the
+        # points the point loop reads, plus 8; the point loop is the one a
+        # potential without coeffs takes
+        lengths, reads = [], []
+
+        def V(z):
+            assert isinstance(z, np.ndarray) and z.dtype == np.float64
+            lengths.append(z.size)
+            return _closed_V_dirac(z)
+
+        def V_scalar(z):
+            reads.append(z)
+            return _closed_V_dirac(z)
+
+        d = deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, x, **kw)
+        plain = custom_potential(QUAD_DIRAC, "no coeffs", 2.0)
+        want = deviation_I(MINUS_DOUBLING, plain, V_scalar, -1 / 9, x, **kw)
+        assert (d.value, d.converged, d.n_used) == (want.value, want.converged, want.n_used)
+        assert len(reads) <= sum(lengths) <= 2 * len(reads) + 8
+
+    @pytest.mark.parametrize("sys, A, m, x, cycle", [
         # the Gauss orbit of 5/13 ends on 0, and A(0) = 0 is above m = -0.2
-        with pytest.raises(ErgOptError, match="not the critical value"):
-            deviation_I(gauss_system(30), A_GAUSS_SMOOTH, lambda x: 0.5 * x, -0.2,
-                        Fraction(5, 13), n_terms=300, early_exit=False)
+        (gauss_system(30), A_GAUSS_SMOOTH, -0.2, Fraction(5, 13), "Fraction(0, 1)"),
+        # 5/6 -> 1/3 under -2x, a fixed point with A(1/3) = -4/9 above m = -1/2
+        (MINUS_DOUBLING, QUAD_DIRAC, -0.5, Fraction(5, 6), "Fraction(1, 3)"),
+    ], ids=["gauss", "minus-doubling"])
+    def test_m_below_a_cycle_average_raises(self, sys, A, m, x, cycle):
+        with pytest.raises(ErgOptError, match=rf"cycle through {re.escape(cycle)} .*"
+                                              "not the critical value"):
+            deviation_I(sys, A, lambda x: 0.5 * x, m, x, n_terms=300, early_exit=False)
 
     def test_long_sum_is_the_preperiod_sum(self):
         # 10**6 terms cost 8 walked points: 6 preperiod terms, then the
