@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import itertools
 import json
 import sys
@@ -203,12 +204,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per command, each with only the flags it reads: --out
     on all six, --preset and --seed on the five preset commands (dual reads
     the seed; the others accept it so that one seed can go to every
     command), --n-grid and --max-period on subaction, --kernel-grid on
-    kernel and dual."""
+    kernel and dual.  Built once per process: a parse leaves the parser
+    as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="ergotrans",
         description="Subactions, involution kernels, and transport between maximizing measures",
@@ -234,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

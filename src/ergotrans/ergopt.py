@@ -278,120 +278,97 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
                 n_terms: int = N_TERMS_I, early_exit: bool = True) -> DeviationValue:
     """Sum of R(T^n x) with R = V(T .) - V(.) - A(.) + m along the forward orbit.
 
-    V may be a GridFunction or any callable that acts elementwise: a
-    Fraction start on 2x or -2x with a polynomial A calls it on float64
-    arrays of orbit points, and a scalar result broadcasts over them.
-    With early_exit the sum stops at the first term below TOL_I, which is
-    correct near the maximizing set but can underestimate on orbits that
-    merely pass through the zero set of R; sweeps that must bound b from
-    below run with early_exit=False.
+    V may be a GridFunction or any callable that acts elementwise: it is
+    called on float64 arrays of orbit points, whatever the start, and a
+    scalar result broadcasts over them.  With early_exit the sum stops at
+    the first term below TOL_I, which is correct near the maximizing set
+    but can underestimate on orbits that merely pass through the zero set
+    of R; sweeps that must bound b from below run with early_exit=False.
 
-    The orbit is walked one point at a time: each new point pays T z,
-    V(T z) and A(z) once (its V(z) is the V(T z) of the step before), and
-    its term is added, capped and tested in order.  At the first repeated
-    point, after k preperiod points and a cycle of p, each turn of the
-    cycle adds p (m - avg), avg being A's average over the cycle as
-    critical_value takes it.  If m - avg > TIE_TOL, the value is +inf
-    (n_used k + p); if avg - m > TIE_TOL, m is not the critical value and
-    ErgOptError is raised.  Otherwise the cycle is maximizing: for a
-    calibrated V its terms are >= 0 and sum to 0, so every later partial
-    sum, and the value, is the sum of the k preperiod terms added in order
-    from 0.0 (n_used n_terms).  A walk that does not repeat within n_terms
-    returns its partial sum.  A float start is walked in floats: it ends
-    on the fixed point 0 of +-2x after about 54 steps, but a float Gauss
-    orbit does not repeat.  A Fraction start in [0, 1] on 2x or -2x with a
-    polynomial A is walked in integers (_affine_deviation), with the same
-    values bit for bit.
+    One walk serves every start.  It runs ahead of the terms in stretches
+    of 8, 16, 32, ... points and stops at its first repeated point and at
+    point n_terms.  A is read once at each point the walk steps from,
+    which are the points that have a term, and V once per stretch, so the
+    values V returns number less than twice the points the terms read,
+    plus 8.  Only the step depends on the start.  A Fraction p / q in
+    [0, 1] on 2x or -2x with a polynomial A steps as the integer
+    p -> +-2p mod q: A there is one int true division of
+    (c p + b q) p + a q^2 by L q^2 in the integers of A._int_coeffs, and
+    the point's float is p / q.  Every other start (a float, an int, a
+    Gauss point, or an A without coeffs) steps by apply_map, with float(z)
+    and float(A(z)).  Both give the correctly rounded values of the exact
+    points, so a Fraction's value does not depend on its stepper.  A float
+    start is walked in floats: it ends on the fixed point 0 of +-2x after
+    about 54 steps, but a float Gauss orbit does not repeat.
+
+    The terms are added in order from 0.0, and each partial sum is capped
+    at CAP_I (+inf) and each term tested against TOL_I as it is added.  At
+    the first repeated point, after k preperiod points and a cycle of p,
+    each turn of the cycle adds p (m - avg), avg being A's average over
+    the cycle as critical_value takes it.  If m - avg > TIE_TOL, the value
+    is +inf (n_used k + p); if avg - m > TIE_TOL, m is not the critical
+    value and ErgOptError is raised.  Otherwise the cycle is maximizing:
+    for a calibrated V its terms are >= 0 and sum to 0, so every later
+    partial sum, and the value, is the sum of the k preperiod terms
+    (n_used n_terms).  A walk that does not repeat within n_terms returns
+    its partial sum.
     """
     n_terms = _as_count(n_terms, 1, ErgOptError, f"n_terms must be an int >= 1, not {n_terms!r}")
+    q = 0  # the denominator of an integer walk; 0 when the walk steps by apply_map
     if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
             and isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator):
-        return _affine_deviation(sys, A, V, m, x, n_terms, early_exit)
-    first: dict = {}  # orbit point -> (index of its term, sum of the terms before it)
-    a_vals: list[float] = []  # A at each point walked
-    z, vz = x, float(V(float(x)))
-    total = 0.0
-    while len(a_vals) < n_terms:
-        seen = first.get(z)
-        if seen is not None:
-            k, before = seen
-            avg = float(sum(a_vals[k:]) / (len(a_vals) - k))
-            if m - avg > TIE_TOL:
-                return DeviationValue(math.inf, True, len(a_vals))
-            if avg - m > TIE_TOL:
-                raise ErgOptError(f"the cycle through {z!r} averages {avg!r}, above m = {m!r}: "
-                                  f"m is not the critical value")
-            return DeviationValue(before, True, n_terms)
-        zn = apply_map(sys, z)
-        vzn = float(V(float(zn)))
-        az = float(A(z))
-        first[z] = (len(a_vals), total)
-        a_vals.append(az)
-        r = vzn - vz - az + m
-        total += r
-        if total > CAP_I:
-            return DeviationValue(math.inf, True, len(a_vals))
-        if early_exit and abs(r) < TOL_I:
-            return DeviationValue(total, True, len(a_vals))
-        z, vz = zn, vzn
-    return DeviationValue(total, False, n_terms)
-
-
-def _affine_deviation(sys: SystemSpec, A: PotentialSpec, V, m: float, x: Fraction,
-                      n_terms: int, early_exit: bool) -> DeviationValue:
-    """deviation_I's loop for x = p / q in [0, 1] on 2x or -2x, A = a + b z + c z^2.
-
-    The orbit is walked as the integers P_n, z_n = P_n / q, with
-    P_(n+1) = +-2 P_n mod q.  A(z_n) is the int true division of
-    (c P_n + b q) P_n + a q^2 by L q^2 in the integers of A._int_coeffs,
-    and the float of z_n is P_n / q: both are the correctly rounded values
-    of the exact rationals, as float(A(z)) and float(z) of the Fractions
-    are.  The walk runs ahead of the terms in stretches of 8, 16, 32, ...
-    points, and stops at its first repeated point and at point n_terms; V
-    is called once per stretch, on its float64 array, so the values it
-    returns number less than twice the points the terms read, plus 8.  The
-    terms are added, capped, tested and put through the cycle rule in
-    deviation_I's order, on the same values.
-    """
-    a, b, c, lcd = A._int_coeffs
-    P, q = x.numerator, x.denominator
-    bq, aqq, den = b * q, a * q * q, lcd * q * q
-    factor = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
-    walk, first = [P], {P: 0}  # the numerators walked, and the index of each one's first visit
+        a, b, c, lcd = A._int_coeffs
+        z, q = x.numerator, x.denominator
+        bq, aqq, den = b * q, a * q * q, lcd * q * q
+        factor = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
+    else:
+        z = x
+    walk, first = [z], {z: 0}  # the points walked (numerators, if q), and each one's first index
     repeat = None  # the index of the first repeated point, once walked
     v: list[float] = []  # V at walk[0], walk[1], ...
-    sums, a_vals = [], []  # per term: the sum of the terms before it, and A at its point
+    a_vals: list[float] = []  # A at each walked point that has a term
+    sums: list[float] = []  # per term: the sum of the terms before it
     total, size = 0.0, 8
     for i in range(n_terms):
-        if i == repeat:
-            k = first[walk[i]]
-            avg = float(sum(a_vals[k:]) / (i - k))
-            if m - avg > TIE_TOL:
-                return DeviationValue(math.inf, True, i)
-            if avg - m > TIE_TOL:
-                raise ErgOptError(f"the cycle through {Fraction(walk[i], q)!r} averages "
-                                  f"{avg!r}, above m = {m!r}: m is not the critical value")
-            return DeviationValue(sums[k], True, n_terms)
-        if i + 1 >= len(v):
+        if i + 1 >= len(v):  # V at walk[i + 1] is not known yet, or walk[i] is the repeat
+            if i == repeat:
+                k = first[walk[i]]
+                avg = float(sum(a_vals[k:]) / (i - k))
+                if m - avg > TIE_TOL:
+                    return DeviationValue(math.inf, True, i)
+                if avg - m > TIE_TOL:
+                    point = Fraction(walk[i], q) if q else walk[i]
+                    raise ErgOptError(f"the cycle through {point!r} averages {avg!r}, above "
+                                      f"m = {m!r}: m is not the critical value")
+                return DeviationValue(sums[k], True, n_terms)
             stop = min(len(v) + size, n_terms + 1)
-            while len(walk) < stop and repeat is None:
-                P = factor * P % q
-                if P in first:
-                    repeat = len(walk)
-                else:
-                    first[P] = len(walk)
-                walk.append(P)
-            pts = np.array([w / q for w in walk[len(v):]])
+            if q:
+                while len(walk) < stop and repeat is None:
+                    a_vals.append(((c * z + bq) * z + aqq) / den)
+                    z = factor * z % q
+                    if z in first:
+                        repeat = len(walk)
+                    else:
+                        first[z] = len(walk)
+                    walk.append(z)
+                pts = np.array([w / q for w in walk[len(v):]])
+            else:
+                while len(walk) < stop and repeat is None:
+                    z = apply_map(sys, z)  # a start outside [0, 1] raises before A reads it
+                    a_vals.append(float(A(walk[-1])))
+                    if z in first:
+                        repeat = len(walk)
+                    else:
+                        first[z] = len(walk)
+                    walk.append(z)
+                pts = np.array([float(w) for w in walk[len(v):]])
             vals = np.asarray(V(pts), dtype=float)
             if vals.shape != pts.shape:  # a scalar V broadcasts
                 vals = np.broadcast_to(vals, pts.shape)
             v += vals.tolist()
             size *= 2
-        z = walk[i]
-        az = ((c * z + bq) * z + aqq) / den
         sums.append(total)
-        a_vals.append(az)
-        r = v[i + 1] - v[i] - az + m
+        r = v[i + 1] - v[i] - a_vals[i] + m
         total += r
         if total > CAP_I:
             return DeviationValue(math.inf, True, i + 1)

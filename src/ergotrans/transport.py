@@ -657,8 +657,10 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     pts = list(S)
     if not pts:
         raise TransportError("empty support")
-    if not 0 <= base < len(pts):
-        raise TransportError(f"base {base} is not an atom index of a support of {len(pts)}")
+    not_index = f"base {base!r} is not an atom index of a support of {len(pts)}"
+    base = _as_count(base, 0, TransportError, not_index)
+    if base >= len(pts):
+        raise TransportError(not_index)
     chain_cap = _as_count(chain_cap, 0, TransportError,
                           f"chain_cap must be an int >= 0, not {chain_cap!r}")
     zv = float(z)

@@ -163,6 +163,30 @@ def test_every_preset_command_accepts_a_seed(cmd):
     assert (args.preset, args.seed) == ("quad-dirac", 3)
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # two calls in one process, on different commands and flags, write and
+    # print what each writes with a parser built for it alone; a usage
+    # error after them still returns 2, and the parser is built once
+    calls = [["subaction", "--preset", "linear", "--n-grid", "64", "--max-period", "4"],
+             ["kernel", "--preset", "quad-dirac", "--kernel-grid", "8", "--seed", "3"]]
+    build_parser.cache_clear()
+    for argv in calls:
+        assert run(argv + ["--out", str(tmp_path / "shared")]) == EXIT_OK
+    shared_out = capsys.readouterr().out
+    assert run(["kernel", "--n-grid", "8", "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    assert build_parser.cache_info().misses == 1 and build_parser() is build_parser()
+    for argv in calls:
+        build_parser.cache_clear()
+        assert run(argv + ["--out", str(tmp_path / "own")]) == EXIT_OK
+    assert capsys.readouterr().out == shared_out.replace("shared", "own")
+    files = sorted(f.name for f in (tmp_path / "shared").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "own").iterdir()) and len(files) == 3
+    for name in files:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
+
+
 def test_depth_flag_removed(tmp_path):
     assert run(["subaction", "--depth", "48", "--out", str(tmp_path)]) == EXIT_USAGE
 

@@ -565,49 +565,78 @@ class TestDeviationReuse:
         with pytest.raises(DynamicsError, match=rf"point {re.escape(repr(x))} outside \[0, 1\]"):
             deviation_I(sys, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x)
 
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING, gauss_system(30)])
+    @pytest.mark.parametrize("x", [1.5, -0.25])
+    def test_float_outside_interval_raises(self, sys, x):
+        # the walk steps before A reads the start: 2 log(-0.25) would warn first
+        with pytest.raises(DynamicsError, match=rf"point {re.escape(repr(x))} outside \[0, 1\]"):
+            deviation_I(sys, GAUSS_LOG, _closed_V_dirac, -1 / 9, x)
+
     @pytest.mark.parametrize("sys, A, x", [
         (gauss_system(30), polynomial_potential(0, 0, -1, name="-x^2"), Fraction(5, 13)),
+        (gauss_system(30), A_GAUSS_SMOOTH, 0.5772156649015329),
         (MINUS_DOUBLING, QUAD_DIRAC, 0.3),
         (MINUS_DOUBLING, QUAD_DIRAC, 1),
         (MINUS_DOUBLING, custom_potential(QUAD_DIRAC, "no coeffs", 2.0), Fraction(3, 97)),
-    ], ids=["gauss", "float", "int", "no-coeffs"])
-    def test_other_inputs_keep_the_point_loop(self, monkeypatch, sys, A, x):
-        def refuse(*args):
-            raise AssertionError("walked in integers")
-
-        monkeypatch.setattr(ergopt, "_affine_deviation", refuse)
+    ], ids=["gauss", "gauss-float", "float", "int", "no-coeffs"])
+    def test_other_inputs_match_the_rule(self, sys, A, x):
+        # the starts that step by apply_map, against the reference walk
         args = (sys, A, _closed_V_dirac, -1 / 9, x)
-        kw = dict(n_terms=300, early_exit=False)
-        assert _outcome(deviation_I, *args, **kw) == _outcome(_rule_deviation, *args, **kw)
+        for n_terms in (1, 7, 300):
+            kw = dict(n_terms=n_terms, early_exit=False)
+            got = _outcome(deviation_I, *args, **kw)
+            want = _outcome(_rule_deviation, *args, **kw)
+            assert got == want and repr(got) == repr(want)
 
-    @pytest.mark.parametrize("x, kw", [
-        (Fraction(3, 173), dict(n_terms=2000, early_exit=False)),
-        (Fraction(3, 173), dict(n_terms=40, early_exit=False)),
-        (Fraction(3, 173), dict(n_terms=9, early_exit=False)),
-        (Fraction(5, 3 * 2 ** 6), dict(n_terms=3000, early_exit=False)),
-        (Fraction(11, 3 * 2 ** 3), dict(n_terms=500)),
-        (Fraction(0), dict(n_terms=500)),
-    ])
-    def test_value_function_called_per_stretch(self, x, kw):
-        # V gets float64 arrays whose lengths sum to at most twice the
-        # points the point loop reads, plus 8; the point loop is the one a
-        # potential without coeffs takes
-        lengths, reads = [], []
+    @pytest.mark.parametrize("sys, A, m, x, kw", [
+        # a Fraction on +-2x with a polynomial A: the integer walk
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(3, 173), dict(n_terms=2000, early_exit=False)),
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(3, 173), dict(n_terms=40, early_exit=False)),
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(3, 173), dict(n_terms=9, early_exit=False)),
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(5, 3 * 2 ** 6),
+         dict(n_terms=3000, early_exit=False)),
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(11, 3 * 2 ** 3), dict(n_terms=500)),
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(0), dict(n_terms=500)),
+        # every other start steps by apply_map
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, 0.3, dict(n_terms=500, early_exit=False)),
+        (DOUBLING, QUAD_PERIOD2, -1 / 36, 0.7, dict(n_terms=500, early_exit=False)),
+        (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, 1, dict(n_terms=500, early_exit=False)),
+        # on Gauss, -x^2 and -x^2 without coeffs tie at the fixed point 0 with m = 0
+        (gauss_system(30), polynomial_potential(0, 0, -1, name="-x^2"), 0.0, Fraction(5, 13),
+         dict(n_terms=300, early_exit=False)),
+        (gauss_system(30), A_GAUSS_SMOOTH, 0.0, 0.5772156649015329,
+         dict(n_terms=300, early_exit=False)),
+        (gauss_system(30), A_GAUSS_SMOOTH, 0.0, 0.5772156649015329, dict(n_terms=20)),
+        (MINUS_DOUBLING, custom_potential(QUAD_DIRAC, "no coeffs", 2.0), -1 / 9, Fraction(3, 97),
+         dict(n_terms=2000, early_exit=False)),
+    ], ids=[*(f"x{i}-kw{i}" for i in range(6)), "float", "float-doubling", "int", "gauss",
+            "gauss-float", "gauss-float-20", "no-coeffs"])
+    def test_value_function_called_per_stretch(self, sys, A, m, x, kw):
+        # whatever the start, V gets float64 arrays of the walked points in
+        # order, each point once (only the repeat that ends the walk comes
+        # again), in stretches of 8, 16, 32, ... points, and their lengths
+        # sum to at most twice the points the reference reads V at, plus 8
+        valued, lengths, reads = [], [], set()
 
         def V(z):
-            assert isinstance(z, np.ndarray) and z.dtype == np.float64
+            assert isinstance(z, np.ndarray) and z.dtype == np.float64 and z.ndim == 1
+            valued.extend(z.tolist())
             lengths.append(z.size)
             return _closed_V_dirac(z)
 
         def V_scalar(z):
-            reads.append(z)
+            reads.add(z)
             return _closed_V_dirac(z)
 
-        d = deviation_I(MINUS_DOUBLING, QUAD_DIRAC, V, -1 / 9, x, **kw)
-        plain = custom_potential(QUAD_DIRAC, "no coeffs", 2.0)
-        want = deviation_I(MINUS_DOUBLING, plain, V_scalar, -1 / 9, x, **kw)
-        assert (d.value, d.converged, d.n_used) == (want.value, want.converged, want.n_used)
-        assert len(reads) <= sum(lengths) <= 2 * len(reads) + 8
+        got = _outcome(deviation_I, sys, A, V, m, x, **kw)
+        assert got == _outcome(_rule_deviation, sys, A, V_scalar, m, x, **kw)
+        walk = [x]
+        while len(walk) < len(valued):
+            walk.append(apply_map(sys, walk[-1]))
+        assert valued == [float(z) for z in walk]
+        assert len(set(valued[:-1])) == len(valued) - 1
+        assert lengths[:-1] == [8 << k for k in range(len(lengths) - 1)]
+        assert len(reads) <= len(valued) <= 2 * len(reads) + 8
 
     @pytest.mark.parametrize("sys, A, m, x, cycle", [
         # the Gauss orbit of 5/13 ends on 0, and A(0) = 0 is above m = -0.2
@@ -663,24 +692,32 @@ class TestDeviationReuse:
         (Fraction(3, 97), dict(n_terms=20, early_exit=False)),
     ])
     def test_value_function_evaluated_once_per_point(self, monkeypatch, x, kw):
-        # V(T z) of one step is V(z) of the next: V is read at the start
-        # and at the image of each distinct point walked, and nowhere else
-        walked, v_args = [], []
+        # V(T z) of one step is V(z) of the next: A is read at each point
+        # the walk steps from, and V at those points and the last one
+        # walked, once each, on float64 arrays whose lengths sum to at most
+        # twice the points the reference reads V at, plus 8
+        walked, valued, reads = [], [], set()
 
         def fn(z):
             walked.append(z)
             return QUAD_DIRAC(z)
 
         def V(z):
-            v_args.append(z)
+            assert isinstance(z, np.ndarray) and z.dtype == np.float64
+            valued.extend(z.tolist())
+            return _closed_V_dirac(z)
+
+        def V_scalar(z):
+            reads.add(z)
             return _closed_V_dirac(z)
 
         A = custom_potential(fn, "counting", holder_constant=2.0)
-        args = (MINUS_DOUBLING, A, V, -1 / 9, x)
-        d = _deviation(monkeypatch, *args, **kw)
-        assert len(v_args) == len(set(walked)) + 1 == len(walked) + 1
+        d = _deviation(monkeypatch, MINUS_DOUBLING, A, V, -1 / 9, x, **kw)
         assert (d.value, d.converged, d.n_used) == _rule_deviation(
-            MINUS_DOUBLING, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x, **kw)
+            MINUS_DOUBLING, QUAD_DIRAC, V_scalar, -1 / 9, x, **kw)
+        assert len(valued) == len(set(walked)) + 1 == len(walked) + 1
+        assert valued[:-1] == walked
+        assert len(reads) <= len(valued) <= 2 * len(reads) + 8
 
 
 class TestExactDeviation:

@@ -781,11 +781,18 @@ class TestRochet:
                                 0.5, tr.RochetMode.TWIST_ORDERED)
 
     @pytest.mark.parametrize("mode", list(tr.RochetMode))
-    @pytest.mark.parametrize("base", [-2, -1, 2, 5])
+    @pytest.mark.parametrize("base", [-2, -1, 2, 5, 0.0, 1.5, True, "0"])
     def test_base_outside_the_support_rejected(self, mode, base):
-        # a negative index would silently pick an atom from the end
+        # a negative index would silently pick an atom from the end; a
+        # float, a bool or a string is not an index at all
         with pytest.raises(tr.TransportError, match="atom index"):
             tr.rochet_potential(self.anti_support(), self.cost6(), base, 0.5, mode)
+
+    @pytest.mark.parametrize("mode", list(tr.RochetMode))
+    def test_numpy_integer_base_is_its_int(self, mode):
+        want = tr.rochet_potential(self.anti_support(), self.cost6(), 0, 0.5, mode)
+        got = tr.rochet_potential(self.anti_support(), self.cost6(), np.int64(0), 0.5, mode)
+        assert got == want and isinstance(got, float)
 
 
 class TestBFunction:
