@@ -33,7 +33,7 @@ from .dynamics import probe_floor
 from .ergopt import calibrated_subaction
 from .ergopt import deviation_I  # noqa: F401 -- perfbench's tracer test reads cli.deviation_I
 from .presets import PRESETS, get_preset
-from .thermo import DEFAULT_N_GRID
+from .thermo import DEFAULT_N_GRID, _centers
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -122,7 +122,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     pre = get_preset(args.preset)
     out = _outdir(args)
     n = args.kernel_grid
-    xs = (np.arange(n) + 0.5) / n
+    xs = _centers(n)
     path = out / f"{pre.name}-kernel.csv"
     _write_csv(path, "x,y,W", np.repeat(xs, n), np.tile(xs, n), pre.kernel.grid(xs, xs).ravel())
     print(f"wrote {path} ({n}x{n} grid of {pre.kernel.name})")

@@ -72,10 +72,11 @@ class DynamicsError(ValueError):
 
 def _as_count(value, lo: int, error: type[Exception], message: str) -> int:
     """value as an int, for a count option: an int or a numpy integer >= lo,
-    not a bool; anything else raises error(message)."""
+    not a bool; anything else raises error(message.format(value)), so the
+    template's {!r} is filled with repr(value) only on failure."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= lo:
         return int(value)
-    raise error(message)
+    raise error(message.format(value))
 
 
 class SystemKind(enum.Enum):
@@ -99,7 +100,7 @@ class SystemSpec:
         cap = self.branch_cap
         if self.kind is SystemKind.GAUSS:
             object.__setattr__(self, "branch_cap", _as_count(
-                cap, 1, DynamicsError, f"GaussMap needs an int branch_cap >= 1, not {cap!r}"))
+                cap, 1, DynamicsError, "GaussMap needs an int branch_cap >= 1, not {!r}"))
 
 
 DOUBLING = SystemSpec(SystemKind.DOUBLING)
@@ -387,7 +388,7 @@ def _check_enumeration(sys: SystemSpec, max_period: int) -> int:
     itineraries of every length up to it, over the retained branches, fit
     in MAX_ITINERARIES."""
     max_period = _as_count(max_period, 1, DynamicsError,
-                           f"max_period must be an int >= 1, not {max_period!r}")
+                           "max_period must be an int >= 1, not {!r}")
     n_pieces = len(_branch_indices(sys))
     total = sum(n_pieces ** p for p in range(1, max_period + 1))
     if total > MAX_ITINERARIES:

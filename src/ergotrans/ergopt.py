@@ -313,7 +313,7 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     (n_used n_terms).  A walk that does not repeat within n_terms returns
     its partial sum.
     """
-    n_terms = _as_count(n_terms, 1, ErgOptError, f"n_terms must be an int >= 1, not {n_terms!r}")
+    n_terms = _as_count(n_terms, 1, ErgOptError, "n_terms must be an int >= 1, not {!r}")
     q = 0  # the denominator of an integer walk; 0 when the walk steps by apply_map
     if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
             and isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator):

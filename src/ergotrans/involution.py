@@ -54,6 +54,7 @@ __all__ = [
 
 # Terms of every cocycle series the pipeline sums (kernels, probes, check 4).
 SERIES_DEPTH = 48
+_DEPTH_MESSAGE = "cocycle depth must be an int >= 1, not {!r}"
 
 
 class InvolutionError(ValueError):
@@ -158,51 +159,69 @@ def series_tail_bound(A: PotentialSpec, depth: int) -> float:
 def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) -> CocycleValue:
     """Backward-orbit cocycle sum_{n=1..depth} [A(tau_{n,y} x) - A(tau_{n,y} x')].
 
-    The branch at step n is selected by the symbol of T*^(n-1) y.  Exact
-    Fraction inputs stay exact for polynomial potentials on the affine
-    systems, in which case the returned value carries no rounding at all.
-    On 2x and -2x mod 1, with a potential that has coefficients and x, x'
-    and y all Fractions, the sum is computed in integers over one common
-    denominator (`_affine_cocycle`); the Fraction returned is the same as
-    the step-by-step loop's.  When any of x, x', y is an array the sum is a
-    float array (`_array_cocycle`): a Fraction x or x' is walked exactly and
-    each of its values rounded once.  Every other input takes the scalar
-    step-by-step loop.
+    The branch at step n is selected by the symbol of T*^(n-1) y.  On 2x
+    and -2x mod 1, with A = a + b x + c x^2 given by its coeffs and x, x'
+    and y all Fractions, the sum is read off y's digits as one exact
+    Fraction, and neither x nor x' is walked (`_digit_cocycle`): with
+    sigma = +-1 and c_n the offset of y's n-th branch
+    u -> (sigma u + c_n) / 2, tau_n x = (sigma^n x + E_n) / 2^n,
+    E_n = sigma E_(n-1) + c_n 2^(n-1), so
+    Delta = (x - x') [b S1 + c (x + x') S2 + 2 c S3] with S1 = sum sigma^n 2^-n,
+    S2 = sum 4^-n and S3 = sum sigma^n E_n 4^-n.  On -2x, S1 -> -1/3 and
+    S3 -> -2y/3, the W1 and W2 differences of `quadratic_kernel`.  Every
+    other input takes one walk (`_walk_cocycle`), arrays elementwise, whose
+    scalar sums are those of the checked scalar steps; when x, x' or y is
+    an array, A acts elementwise on float64 arrays, and a scalar value at
+    a Fraction point is broadcast over that point's entries.  Both check
+    y, then x, then x' to lie in [0, 1], once, on entry.
     """
-    depth = _as_count(depth, 1, InvolutionError, f"cocycle depth must be an int >= 1, not {depth!r}")
-    if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
+    depth = _as_count(depth, 1, InvolutionError, _DEPTH_MESSAGE)
+    if (sys.kind is not SystemKind.GAUSS and A.coeffs is not None
             and all(isinstance(p, Fraction) for p in (x, x_prime, y))):
-        return CocycleValue(_affine_cocycle(sys, A, x, x_prime, y, depth),
-                            series_tail_bound(A, depth))
-    if any(isinstance(p, np.ndarray) for p in (x, x_prime, y)):
-        return CocycleValue(_array_cocycle(sys, A, x, x_prime, y, depth),
-                            series_tail_bound(A, depth))
-    cur_x, cur_xp, cur_y = x, x_prime, y
-    total = 0
+        value = _digit_cocycle(sys, A, x, x_prime, y, depth)
+    else:
+        value = _walk_cocycle(sys, A, x, x_prime, y, depth)
+    return CocycleValue(value, series_tail_bound(A, depth))
+
+
+def _digit_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fraction,
+                   y: Fraction, depth: int) -> Fraction:
+    """The digit formula of `cocycle_delta` in integers: 2^d S1 in closed
+    form, 4^d S3 = sum F_n 4^(d-n) with F_n = sigma^n E_n by Horner steps,
+    and Delta one Fraction over 3 L 4^d (q q')^2 for x = p / q, x' = p' / q'
+    and b, c over their common denominator L."""
+    for p in (y, x, x_prime):
+        _check_interval(p)
+    _, b, c, lcd = A._int_coeffs
+    minus = sys.kind is SystemKind.MINUS_DOUBLING
+    sigma = -1 if minus else 1
+    Y, E = y.numerator, y.denominator
+    h, F, P3 = sigma, 0, 0  # h = sigma^n 2^(n-1) at step n
     for _ in range(depth):
-        s, cur_y = backward_step(sys, cur_y)
-        cur_x = branch_point(sys, s, cur_x)
-        cur_xp = branch_point(sys, s, cur_xp)
-        total = total + (A(cur_x) - A(cur_xp))
-    return CocycleValue(total, series_tail_bound(A, depth))
+        offset = (2 * Y >= E) + minus
+        Y = sigma * (2 * Y - offset * E)
+        F += offset * h
+        h *= 2 * sigma
+        P3 = 4 * P3 + F
+    P1 = sigma * (((1 << depth) - sigma ** depth) // (2 - sigma))
+    p, q, pp, qp = x.numerator, x.denominator, x_prime.numerator, x_prime.denominator
+    qq, four = q * qp, 1 << 2 * depth
+    bracket = ((3 * b * P1 << depth) + 6 * c * P3) * qq + c * (p * qp + pp * q) * (four - 1)
+    return Fraction((p * qp - pp * q) * bracket, 3 * lcd * four * qq * qq)
 
 
-def _array_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int):
-    """The cocycle loop of `cocycle_delta` when x, x' or y is an array.
+def _walk_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int):
+    """The step-by-step sum of `cocycle_delta`, on scalars and arrays.
 
-    A float point steps by `branch_point` and A is evaluated on it.  A
+    A float point steps by the branch and A is evaluated on it.  A
     Fraction point P / Q is walked exactly as the integer pair (N, D) of
-    its Moebius images: N / (Q 2^n) on 2x and -2x, the continued-fraction
-    pair on Gauss.  Each of its steps yields the float of its exact value
-    under A, as the Fraction arithmetic would round it: a polynomial A is
-    valued in integers and divided once, any other A is evaluated on the
-    point rounded once.  The pair is held as Python ints, in object arrays
-    once the branch word is an array, so no step can overflow.
-
-    y, x and x' are checked to lie in [0, 1] once, on entry: inverse
-    branches keep [0, 1] in [0, 1], so the walk steps unchecked, except
-    that a Gauss y steps by backward_step, whose check that a digit is
-    within branch_cap can fail mid-walk.
+    its Moebius images, Python ints (in object arrays beside an array
+    branch word), so no step can overflow.  A polynomial A is valued on it
+    in integers, as one Fraction, or divided once when an input is an
+    array; any other A is evaluated on the point rounded once.  Inverse
+    branches keep [0, 1] in [0, 1], so after the entry checks the walk
+    steps unchecked, except that a Gauss y steps by backward_step, whose
+    digit check can fail mid-walk.
     """
     gauss = sys.kind is SystemKind.GAUSS
     for p in (y, x, x_prime):
@@ -212,6 +231,8 @@ def _array_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int)
               for p, is_exact in zip((x, x_prime), exact)]
     if A.coeffs is not None:
         a, b, c, lcd = A._int_coeffs
+    arrays = any(isinstance(p, np.ndarray) for p in (x, x_prime, y))
+    quotient = _rounded if arrays else Fraction
     cur_y, total = y, 0
     for _ in range(depth):
         if gauss:
@@ -235,11 +256,11 @@ def _array_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int)
             points[i] = N, D
             if A.coeffs is not None:
                 DD = D * D
-                values.append(_rounded((c * N + b * D) * N + a * DD, lcd * DD))
+                values.append(quotient((c * N + b * D) * N + a * DD, lcd * DD))
             else:
                 t = _rounded(N, D)
-                values.append(np.reshape([float(A(v)) for v in np.ravel(t).tolist()],
-                                         np.shape(t)))
+                values.append(np.broadcast_to(np.asarray(A(t), float), np.shape(t)) if arrays
+                              else A(t))
         total = total + (values[0] - values[1])
     return total
 
@@ -251,51 +272,10 @@ def _rounded(num, den):
     return q.astype(float) if isinstance(q, np.ndarray) and q.dtype == object else q
 
 
-def _affine_cocycle(sys: SystemSpec, A: PotentialSpec, x: Fraction, x_prime: Fraction,
-                    y: Fraction, depth: int) -> Fraction:
-    """Exact cocycle of a + b x + c x^2 under 2x or -2x mod 1, in integers.
-
-    With D = lcm of the x denominators, the n-th backward points are
-    X_n / (D 2^n) and X'_n / (D 2^n), while y = Y / E keeps its own
-    denominator.  The constant a cancels, and
-    Delta = (b D sum dX_n 2^(2d-n) + c sum dX_n (X_n + X'_n) 4^(d-n)) / (D^2 4^d)
-    with dX_n = X_n - X'_n; both sums are accumulated by Horner steps, and
-    with b and c over their common denominator (A._int_coeffs) Delta is
-    built as one Fraction.  Branch images of points of [0, 1] stay in
-    [0, 1], so the inputs are the only points that need a range check.
-    """
-    for p in (y, x, x_prime):
-        _check_interval(p)
-    _, b, c, lcd = A._int_coeffs
-    D = math.lcm(x.denominator, x_prime.denominator)
-    X = x.numerator * (D // x.denominator)
-    Xp = x_prime.numerator * (D // x_prime.denominator)
-    Y, E = y.numerator, y.denominator
-    minus = sys.kind is SystemKind.MINUS_DOUBLING
-    half = D  # D 2^(n-1) at step n
-    acc_b = acc_c = 0
-    for _ in range(depth):
-        s = 0 if 2 * Y < E else 1
-        if minus:
-            Y = (1 + s) * E - 2 * Y
-            X = (1 + s) * half - X
-            Xp = (1 + s) * half - Xp
-        else:
-            Y = 2 * Y - s * E
-            if s:
-                X += half
-                Xp += half
-        half <<= 1
-        dX = X - Xp
-        acc_b = 2 * acc_b + dX
-        acc_c = 4 * acc_c + dX * (X + Xp)
-    return Fraction(b * ((acc_b * D) << depth) + c * acc_c, lcd * (D * D << 2 * depth))
-
-
 def fundamental_kernel(sys: SystemSpec, A: PotentialSpec, base_x_prime,
                        depth: int = SERIES_DEPTH) -> KernelSpec:
     """W0(x, y) = Delta_A(x, base, y), lazily evaluated at the given depth."""
-    depth = _as_count(depth, 1, InvolutionError, f"cocycle depth must be an int >= 1, not {depth!r}")
+    depth = _as_count(depth, 1, InvolutionError, _DEPTH_MESSAGE)
 
     def fn(x, y):
         return cocycle_delta(sys, A, x, base_x_prime, y, depth).value
@@ -350,7 +330,7 @@ def cohomology_residual(sys: SystemSpec, A: PotentialSpec, W: KernelSpec,
                         seed: int = 0) -> float:
     """max over probe pairs of |A*(y) - A(tau_y x) - W(tau_y x, T* y) + W(x, y)|;
     the pairs are drawn in turn, x on [0, 1) and then y on [probe_floor, 1)."""
-    probes = _as_count(probes, 1, InvolutionError, f"probes must be an int >= 1, not {probes!r}")
+    probes = _as_count(probes, 1, InvolutionError, "probes must be an int >= 1, not {!r}")
     rng = np.random.default_rng(seed)
     x, y = rng.uniform((0.0, probe_floor(sys, 1e-9)), 1.0, size=(probes, 2)).T
     return float(np.max(np.abs(A_star(y) - _dual_values(sys, A, W, x, y))))
@@ -388,7 +368,7 @@ def twist_check(W: KernelSpec, method: TwistMethod = TwistMethod.MIXED_PARTIAL,
     of [0, 1], n_grid >= 2; the verdict is margin > TWIST_MARGIN.
     """
     n_grid = _as_count(n_grid, 2, InvolutionError,
-                       f"twist_check needs an int n_grid >= 2, got {n_grid!r}")
+                       "twist_check needs an int n_grid >= 2, got {!r}")
     if method is TwistMethod.MIXED_PARTIAL:
         h = TWIST_STEP
         g = np.linspace(2 * h, 1.0 - 2 * h, n_grid)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import involution as inv
-from .dynamics import MINUS_DOUBLING, SystemSpec, gauss_system
+from .dynamics import MINUS_DOUBLING, SystemSpec, gauss_system, periodic_point
 from .potentials import (
     GAUSS_LOG,
     LINEAR,
@@ -27,7 +27,8 @@ from .potentials import (
 
 __all__ = ["Preset", "PRESETS", "get_preset", "GOLDEN_MEAN"]
 
-GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
+# (sqrt 5 - 1) / 2, the fixed point of the Gauss map's first branch
+GOLDEN_MEAN = float(periodic_point(gauss_system(), (1,)))
 
 
 @dataclass(frozen=True)

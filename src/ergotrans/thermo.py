@@ -144,7 +144,7 @@ class _Operator:
         if not (math.isfinite(beta) and beta >= 0):
             raise ThermoError(f"beta must be finite and >= 0, got {beta}")
         n_grid = _as_count(n_grid, 2, ThermoError,
-                           f"the operator needs an int n_grid >= 2, got {n_grid!r}")
+                           "the operator needs an int n_grid >= 2, got {!r}")
         self.sys, self.A, self.beta, self.n_grid = sys, A, beta, n_grid
         gauss = sys.kind is SystemKind.GAUSS
         # per branch, its weights as one class of cells (Gauss) or two

@@ -305,16 +305,28 @@ def _marginal_matrix(n: int, m: int):
 
 
 def _solve_highs(C: np.ndarray, wr: np.ndarray, wc: np.ndarray) -> tuple[np.ndarray, float]:
-    """The Kantorovich LP by scipy's HiGHS; +inf costs become 1e12."""
+    """The Kantorovich LP by scipy's HiGHS, +inf costs priced at 1e12.  A
+    -inf cost raises before the solve, and a solution with mass on a +inf
+    cost after it: neither value is a multiple of 1e12."""
     from scipy.optimize import linprog
 
     n, m = C.shape
+    neg = np.argwhere(C == -np.inf)
+    if neg.size:
+        i, j = neg[0].tolist()
+        raise TransportError(f"cost entry ({i}, {j}) is -inf: the plan value is unbounded below")
     Cw = np.where(np.isinf(C), 1e12, C)
     res = linprog(Cw.ravel(), A_eq=_marginal_matrix(n, m), b_eq=np.concatenate([wr, wc]),
                   bounds=(0, None), method="highs")
     if not res.success:
         raise TransportError(f"LP failed: {res.message}")
-    return res.x.reshape(n, m), float(res.fun)
+    P = res.x.reshape(n, m)
+    used = np.argwhere((C == np.inf) & (P > 0))
+    if used.size:
+        i, j = used[0].tolist()
+        raise TransportError(f"the solution puts mass {P[i, j]:g} on the +inf cost entry "
+                             f"({i}, {j}): the plan value is +inf")
+    return P, float(res.fun)
 
 
 def solve_kantorovich(mu: AtomicMeasure, mu_star: AtomicMeasure, c: CostSpec) -> TransportPlan:
@@ -485,7 +497,7 @@ def cyclical_monotonicity_check(S: Sequence[tuple], c: CostSpec,
     walk give (True, 0.0, None, None); n_max must be an int >= 2.
     """
     n_max = _as_count(n_max, 2, TransportError,
-                      f"n_max must be an int >= 2, not {n_max!r}: below 2 no cycle is checked")
+                      "n_max must be an int >= 2, not {!r}: below 2 no cycle is checked")
     pts = list(S)
     n = len(pts)
     rounds = min(n_max, n)
@@ -657,12 +669,12 @@ def rochet_potential(S: Sequence[tuple], c: CostSpec, base: int, z,
     pts = list(S)
     if not pts:
         raise TransportError("empty support")
-    not_index = f"base {base!r} is not an atom index of a support of {len(pts)}"
-    base = _as_count(base, 0, TransportError, not_index)
-    if base >= len(pts):
-        raise TransportError(not_index)
+    not_index = "base {!r} is not an atom index of a support of " + str(len(pts))
+    if _as_count(base, 0, TransportError, not_index) >= len(pts):
+        raise TransportError(not_index.format(base))
+    base = int(base)
     chain_cap = _as_count(chain_cap, 0, TransportError,
-                          f"chain_cap must be an int >= 0, not {chain_cap!r}")
+                          "chain_cap must be an int >= 0, not {!r}")
     zv = float(z)
     if not math.isfinite(zv):
         raise TransportError(f"z must be finite, not {z!r}")

@@ -388,3 +388,42 @@ def test_count_options_take_ints_only(option, value):
     else:
         with pytest.raises(error, match="an int"):
             call(value)
+
+
+# each count option's message for one bad value, as it read when every call
+# formatted it up front: the template is now filled only when the check fails
+COUNT_MESSAGES = {
+    "branch_cap": (0.5, "GaussMap needs an int branch_cap >= 1, not 0.5"),
+    "max_period": (0.5, "max_period must be an int >= 1, not 0.5"),
+    "max_period-gauss": (0, "max_period must be an int >= 1, not 0"),
+    "n_terms": (True, "n_terms must be an int >= 1, not True"),
+    "depth": (0, "cocycle depth must be an int >= 1, not 0"),
+    "depth-kernel": (2.0, "cocycle depth must be an int >= 1, not 2.0"),
+    "probes": ("9", "probes must be an int >= 1, not '9'"),
+    "twist n_grid": (1, "twist_check needs an int n_grid >= 2, got 1"),
+    "operator n_grid": (np.float64(64), "the operator needs an int n_grid >= 2, got np.float64(64.0)"),
+    "n_max": (1, "n_max must be an int >= 2, not 1: below 2 no cycle is checked"),
+    "chain_cap": (None, "chain_cap must be an int >= 0, not None"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(COUNT_MESSAGES))
+def test_count_option_message_text(option):
+    error, call = _count_options()[option]
+    value, message = COUNT_MESSAGES[option]
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("base,message", [
+    (-1, "base -1 is not an atom index of a support of 3"),
+    (3, "base 3 is not an atom index of a support of 3"),
+    (0.0, "base 0.0 is not an atom index of a support of 3"),
+    (np.int64(3), "base np.int64(3) is not an atom index of a support of 3"),
+])
+def test_rochet_base_message_text(base, message):
+    S = [(0.2, 0.9), (0.5, 0.5), (0.8, 0.1)]
+    with pytest.raises(tr.TransportError) as info:
+        tr.rochet_potential(S, tr.CostSpec(w=example6_kernel()), base, 0.7)
+    assert str(info.value) == message

@@ -11,6 +11,7 @@ from ergotrans.dynamics import (
     DOUBLING,
     MINUS_DOUBLING,
     DynamicsError,
+    SystemKind,
     backward_step,
     branch_point,
     gauss_system,
@@ -147,33 +148,106 @@ class TestExactAffineCocycle:
             cocycle_delta(sysm, QUAD_DIRAC, inside, inside, inside, 0)
 
     def test_exact_call_takes_no_branch_steps(self, monkeypatch):
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args):
-                calls.append(fn.__name__)
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(involution, "branch_point", counted(involution.branch_point))
-        monkeypatch.setattr(involution, "backward_step", counted(involution.backward_step))
-        cocycle_delta(MINUS_DOUBLING, QUAD_PERIOD2, Fraction(1, 3), Fraction(2, 5),
-                      Fraction(3, 7), 48)
-        assert calls == []
-        cocycle_delta(MINUS_DOUBLING, QUAD_PERIOD2, Fraction(1, 3), 0.4, Fraction(3, 7), 2)
-        assert calls == ["backward_step", "branch_point", "branch_point"] * 2
+        # the digit formula walks y alone: x and x' take no branch step
+        calls = [(sysm, y) for sysm in (DOUBLING, MINUS_DOUBLING)
+                 for y in (Fraction(3, 7), Fraction(0), Fraction(1), Fraction(5, 2**60))]
+        want = [cocycle_delta(sysm, QUAD_PERIOD2, Fraction(1, 3), Fraction(2, 5), y, 48)
+                for sysm, y in calls]
+        for name in ("_branch", "_affine_branch", "branch_point", "backward_step"):
+            monkeypatch.setattr(involution, name, lambda *a: pytest.fail("branch step"))
+        for (sysm, y), w in zip(calls, want):
+            got = cocycle_delta(sysm, QUAD_PERIOD2, Fraction(1, 3), Fraction(2, 5), y, 48)
+            assert type(got.value) is Fraction and got == w
 
     @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING], ids=["doubling", "minus"])
-    def test_mixed_inputs_keep_the_float_loop(self, sysm):
+    def test_mixed_inputs_match_the_float_loop(self, sysm):
         x, xp, y = Fraction(1, 3), 0.4, Fraction(3, 7)
         got = cocycle_delta(sysm, QUAD_DIRAC, x, xp, y, 48).value
-        cur_x, cur_xp, cur_y, want = x, xp, y, 0
-        for _ in range(48):
-            s, cur_y = backward_step(sysm, cur_y)
-            cur_x, cur_xp = branch_point(sysm, s, cur_x), branch_point(sysm, s, cur_xp)
-            want = want + (QUAD_DIRAC(cur_x) - QUAD_DIRAC(cur_xp))
-        assert type(got) is float
+        want = checked_loop(sysm, QUAD_DIRAC, x, xp, y, 48)
+        assert type(got) is float and type(want) is float
         assert got == want
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING], ids=["doubling", "minus"])
+    @pytest.mark.parametrize("depth", [1, 7, 48])
+    def test_fraction_points_beside_a_float_y(self, sysm, depth):
+        # the digits of a float y are the float walk's, and the sum is exact
+        rng = np.random.default_rng(depth)
+        ys = [0.0, 0.5, 1.0, 1 / 3, 0.1, 2.0 ** -60] + rng.uniform(0, 1, 10).tolist()
+        for A in self.POTENTIALS:
+            for y in ys:
+                x, xp = (self.POINTS[int(i)] for i in rng.integers(0, len(self.POINTS), 2))
+                got = cocycle_delta(sysm, A, x, xp, y, depth).value
+                assert type(got) is Fraction
+                assert got == reference_cocycle(sysm, A, x, xp, y, depth)
+
+
+GAUSS_YS = [GOLDEN_MEAN, math.sqrt(2) - 1, (math.sqrt(13) - 3) / 2, math.sqrt(3) - 1]
+
+
+class TestScalarWalk:
+    """Scalar inputs off the digit formula take the walk and give what the
+    checked scalar loop gives: the same value and the same type."""
+
+    SIN = perturbed_potential(QUAD_DIRAC, custom_potential(np.sin, "sin", holder_constant=1.0), 0.3)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        assert got == want or (got != got and want != want)
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING, gauss_system(30)],
+                             ids=["doubling", "minus", "gauss"])
+    @pytest.mark.parametrize("A", [QUAD_DIRAC, GAUSS_LOG, SIN], ids=lambda A: A.name)
+    def test_float_inputs(self, sysm, A):
+        rng = np.random.default_rng(8)
+        gauss = sysm.kind is SystemKind.GAUSS
+        for depth in (1, 6) if gauss else (1, 7, 48):
+            for _ in range(10):
+                x, xp = rng.uniform(0, 1, 2).tolist()
+                # a quadratic surd's float keeps at least 6 Gauss digits within the cap
+                y = float(rng.choice(GAUSS_YS)) if gauss else float(rng.uniform(0, 1))
+                for args in ((x, xp, y), (x, xp, np.float64(y)), (np.float64(x), 0, y)):
+                    got = cocycle_delta(sysm, A, *args, depth).value
+                    self.assert_same(got, checked_loop(sysm, A, *args, depth))
+
+    @pytest.mark.parametrize("y", [Fraction(55, 89), Fraction(70, 169), GOLDEN_MEAN,
+                                   np.float64(math.sqrt(2) - 1)], ids=repr)
+    def test_gauss_fraction_points_stay_exact(self, y):
+        g = gauss_system(30)
+        for A in (QUAD_DIRAC, QUAD_PERIOD2, A_SQUARE):
+            for x, xp in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(0), Fraction(5, 7))):
+                got = cocycle_delta(g, A, x, xp, y, 6).value
+                assert type(got) is Fraction
+                assert got == checked_loop(g, A, x, xp, y, 6)
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING, gauss_system(30)],
+                             ids=["doubling", "minus", "gauss"])
+    @pytest.mark.parametrize("A", [GAUSS_LOG, SIN], ids=lambda A: A.name)
+    def test_fraction_points_under_an_a_without_coeffs(self, sysm, A):
+        # A of the once-rounded float of each exact point, as A(Fraction) gives it
+        depth = 6 if sysm.kind is SystemKind.GAUSS else 48
+        for x, xp, y in ((Fraction(1, 3), Fraction(2, 5), Fraction(55, 89)),
+                         (Fraction(1, 3), 0.4, GAUSS_YS[1]),
+                         (Fraction(5, 9), Fraction(1, 3**30), GAUSS_YS[2])):
+            got = cocycle_delta(sysm, A, x, xp, y, depth).value
+            self.assert_same(got, checked_loop(sysm, A, x, xp, y, depth))
+        ys = np.array(GAUSS_YS)
+        got = cocycle_delta(sysm, A, Fraction(1, 3), Fraction(2, 5), ys, depth).value
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [rounded_cocycle(sysm, A, Fraction(1, 3), Fraction(2, 5),
+                                                    float(y), depth) for y in ys])
+
+    @pytest.mark.parametrize("sysm", [DOUBLING, MINUS_DOUBLING, gauss_system(30)],
+                             ids=["doubling", "minus", "gauss"])
+    @pytest.mark.parametrize("value", [0.25, 3], ids=["float", "int"])
+    def test_scalar_valued_a_beside_an_array_y(self, sysm, value):
+        # a scalar A(t) broadcasts over the points, as A of each point would
+        A = custom_potential(lambda t: value, "const", holder_constant=1.0)
+        ys = np.array(GAUSS_YS)
+        for x, xp in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(1, 3), 0.4)):
+            got = cocycle_delta(sysm, A, x, xp, ys, 6).value
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == ys.shape and not got.any()
 
 
 class TestFundamentalKernel:
@@ -256,14 +330,20 @@ def scalar_dual_value(sys, A, W, x, y):
     return float(A(tx)) + float(W(tx, ty)) - float(W(x, y))
 
 
-def scalar_cocycle(sys, A, x, xp, y, depth):
-    """The backward-orbit cocycle summed one scalar step at a time."""
+def checked_loop(sys, A, x, xp, y, depth):
+    """The backward-orbit cocycle summed one checked scalar step at a time,
+    in whatever arithmetic the inputs and A give."""
     total = 0
     for _ in range(depth):
         s, y = backward_step(sys, y)
         x, xp = branch_point(sys, s, x), branch_point(sys, s, xp)
         total = total + (A(x) - A(xp))
-    return float(total)
+    return total
+
+
+def scalar_cocycle(sys, A, x, xp, y, depth):
+    """The checked scalar loop's sum as a float."""
+    return float(checked_loop(sys, A, x, xp, y, depth))
 
 
 def rounded_cocycle(sys, A, x, xp, y, depth):

@@ -275,3 +275,13 @@ class TestEnumerationBudget:
     def test_period_below_one_rejected(self, sys):
         with pytest.raises(DynamicsError, match="max_period"):
             periodic_orbits(sys, 0)
+
+
+def test_golden_mean_is_the_gauss_fixed_point():
+    # the preset constant is the float of the Moebius routine's fixed point
+    # of the first Gauss branch, with the bits of (sqrt 5 - 1) / 2
+    from ergotrans.presets import GOLDEN_MEAN
+
+    assert type(GOLDEN_MEAN) is float
+    assert GOLDEN_MEAN.hex() == "0x1.3c6ef372fe950p-1"
+    assert GOLDEN_MEAN == float(dynamics.periodic_point(gauss_system(), (1,)))

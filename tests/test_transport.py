@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import subprocess
 from fractions import Fraction
 from pathlib import Path
@@ -243,6 +244,40 @@ class TestSolveKantorovich:
         with pytest.raises(tr.TransportError, match="cannot carry mass"):
             tr.solve_kantorovich(tr.AtomicMeasure.dirac(0.3),
                                  tr.AtomicMeasure.dirac(0.6), cost)
+
+    @staticmethod
+    def two_by_two(entry, w_value):
+        """mu = (1/2, 1/2) on 0.2, 0.7 and nu at 0.3, 0.6 with weights w_nu;
+        the cost is -x y except C[entry] = -w_value."""
+        xs, ys = (0.2, 0.7), (0.3, 0.6)
+
+        def fn(x, y):
+            x, y = np.asarray(x), np.asarray(y)
+            hit = (x == xs[entry[0]]) & (y == ys[entry[1]])
+            return np.where(hit, w_value, x * y)
+
+        mu = tr.AtomicMeasure(((xs[0], 0.5), (xs[1], 0.5)))
+        return mu, xs, ys, tr.CostSpec(w=KernelSpec(fn, "entry"))
+
+    @pytest.mark.parametrize("w_value,sign", [(-math.inf, "+inf"), (math.inf, "-inf")])
+    def test_highs_refuses_an_infinite_entry_every_coupling_uses(self, w_value, sign):
+        # column 0 holds 1/4 and row 0 holds 1/2, so every coupling puts at
+        # least 1/4 on C[0, 1]; priced at 1e12 it read 2.5e11 for +inf and -inf
+        mu, _, ys, cost = self.two_by_two((0, 1), w_value)
+        nu = tr.AtomicMeasure(((ys[0], 0.25), (ys[1], 0.75)))
+        assert cost.matrix(mu.points, nu.points)[0, 1] == float(sign)
+        with pytest.raises(tr.TransportError, match=rf"\(0, 1\).* {re.escape(sign)}"):
+            tr.solve_kantorovich(mu, nu, cost)
+
+    def test_highs_plan_that_avoids_a_plus_inf_entry(self):
+        # row 0's mass 1/2 fits in column 1 (3/4), so C[0, 0] = +inf is avoided
+        mu, xs, ys, cost = self.two_by_two((0, 0), -math.inf)
+        nu = tr.AtomicMeasure(((ys[0], 0.25), (ys[1], 0.75)))
+        plan = tr.solve_kantorovich(mu, nu, cost)
+        assert plan.method == "highs"
+        assert plan.coupling.tolist() == [[0.0, 0.5], [0.25, 0.25]]
+        assert plan.value == -(0.5 * (xs[0] * ys[1]) + 0.25 * (xs[1] * ys[0])
+                               + 0.25 * (xs[1] * ys[1]))
 
     def test_mass_mismatch_rejected(self):
         cost = tr.CostSpec(w=quadratic_kernel(0, 0, 1))
@@ -908,10 +943,12 @@ def test_marginal_matrix_is_the_sparse_kron(n, m):
 def test_highs_on_sparse_matrix_equals_dense_build():
     # the LP with the sparse equality matrix gives the dense build's
     # coupling and value bit for bit, on instances up to 11 x 11 with
-    # random and uniform weights, ties and a capped +inf cost
+    # random and uniform weights, ties and a +inf cost priced at 1e12; a
+    # solution that puts mass on the +inf entry is refused
     from scipy.optimize import linprog
 
     rng = np.random.default_rng(15)
+    outcomes = []
     for t in range(40):
         n, m = (int(k) for k in rng.integers(1, 12, 2))
         C = rng.normal(size=(n, m))
@@ -922,10 +959,18 @@ def test_highs_on_sparse_matrix_equals_dense_build():
         wr = np.full(n, 1.0 / n) if t % 4 == 0 else rng.random(n)
         wc = rng.random(m)
         wr, wc = wr / wr.sum(), wc / wc.sum()
-        P, val = tr._solve_highs(C, wr, wc)
         ref = linprog(np.where(np.isinf(C), 1e12, C).ravel(), A_eq=dense_marginal_matrix(n, m),
                       b_eq=np.concatenate([wr, wc]), bounds=(0, None), method="highs")
-        assert np.array_equal(P, ref.x.reshape(n, m)) and val == float(ref.fun)
+        P_ref = ref.x.reshape(n, m)
+        if np.any(np.isinf(C) & (P_ref > 0)):
+            outcomes.append("refused")
+            with pytest.raises(tr.TransportError, match=r"\+inf cost entry"):
+                tr._solve_highs(C, wr, wc)
+            continue
+        outcomes.append("avoided" if np.isinf(C).any() else "finite")
+        P, val = tr._solve_highs(C, wr, wc)
+        assert np.array_equal(P, P_ref) and val == float(ref.fun)
+    assert {"refused", "avoided", "finite"} <= set(outcomes)
 
 
 def test_infinite_cost_square_uniform_takes_highs():
