@@ -117,18 +117,24 @@ def check_critical_values() -> CheckResult:
     )
 
 
+def _subaction_error(name: str, n_grid: int) -> tuple[float, bool]:
+    """(sup-error against the closed form, calibrated) of a preset's
+    subaction at n_grid cells.  Its grid-sized arrays are released on
+    return, so the next solve does not hold them."""
+    pre = get_preset(name)
+    res = calibrated_subaction(pre.system, pre.potential, n_grid=n_grid, max_period=MAX_PERIOD)
+    target = np.asarray(pre.closed_V(res.V.centers), dtype=float)
+    target -= target.max()
+    return float(np.max(np.abs(res.V.values - target))), res.calibrated
+
+
 def check_subactions() -> CheckResult:
     tol = 1e-6
     details = []
     ok = True
     for name, n_grid in (("quad-dirac", 1 << 20), ("quad-period2", 1 << 20)):
-        pre = get_preset(name)
-        res = calibrated_subaction(pre.system, pre.potential, n_grid=n_grid, max_period=MAX_PERIOD)
-        c = res.V.centers
-        target = np.asarray(pre.closed_V(c), dtype=float)
-        target -= target.max()
-        err = float(np.max(np.abs(res.V.values - target)))
-        ok = ok and err < tol and res.calibrated
+        err, calibrated = _subaction_error(name, n_grid)
+        ok = ok and err < tol and calibrated
         details.append(f"{name}: sup-err {err:.2e}")
     return CheckResult("calibrated-subactions", ok, "; ".join(details))
 

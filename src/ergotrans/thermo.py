@@ -1,10 +1,13 @@
 """Finite-temperature transfer operators and their leading eigendata.
 
 The operator (L_{bA} f)(x) = sum_branches e^{b A(tau_k x)} f(tau_k x) is
-discretized on a uniform grid of [0, 1]: A is evaluated exactly at the
+discretized on a uniform grid of [0, 1]: its weights are b A at the
 branch images of the cell centers, and f at a branch image is read off
-by linear interpolation between neighbouring cell values.  All
-exponential sums run in log space so that beta = 64 is safe.
+by linear interpolation between neighbouring cell values.  The build
+fills the weights, and on Gauss the read points, _BLOCK cells at a time,
+so A is called on float64 blocks of branch images and must act
+elementwise.  All exponential sums run in log space so that beta = 64 is
+safe.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemKind, SystemSpec, _affine_branch, _as_count, inverse_branches
+from .dynamics import SystemKind, SystemSpec, _affine_branch, _as_count, _branch, _branch_indices
 from .involution import dual_potential
 from .potentials import PotentialSpec
 
@@ -45,12 +48,14 @@ class ThermoError(RuntimeError):
     """Raised on invalid operator input or non-convergent iterations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Piecewise description of a function by its values at cell centers.
 
     Evaluation between centers is linear interpolation, clamped to the
-    outermost center values at the edges.
+    outermost center values at the edges.  Two GridFunctions are equal
+    when their value arrays are (np.array_equal); a GridFunction is not
+    hashable.
     """
 
     values: np.ndarray
@@ -72,6 +77,11 @@ class GridFunction:
         f = object.__new__(cls)
         object.__setattr__(f, "values", values)
         return f
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
     @property
     def n_grid(self) -> int:
@@ -123,6 +133,15 @@ def _centers(n: int) -> np.ndarray:
 class _Operator:
     """Precomputed log-weights and read points of L_{beta A} on a grid.
 
+    The build walks the classes of cells (the two parity classes on 2x and
+    -2x, all cells on Gauss) _BLOCK cells at a time: it forms a block's
+    cell centers once and, per branch, their images, calls A on those as
+    one float64 array (A must act elementwise) and writes beta A, and on
+    Gauss the block's (j, th), into arrays allocated once, so no grid-sized
+    temporary is made.  An operator holds 8 bytes per cell per branch on 2x
+    and -2x (the weights) and 24 on Gauss (weights, j and th), plus a few
+    block-sized scratch rows.
+
     max_apply and log_apply share one kernel that walks the grid in blocks
     of _BLOCK cells and finishes every branch of a block before the next,
     so the block's scratch rows stay in cache.  On 2x and -2x every read
@@ -147,18 +166,32 @@ class _Operator:
                            "the operator needs an int n_grid >= 2, got {!r}")
         self.sys, self.A, self.beta, self.n_grid = sys, A, beta, n_grid
         gauss = sys.kind is SystemKind.GAUSS
-        # per branch, its weights as one class of cells (Gauss) or two
-        self._logw, self._gauss = [], [] if gauss else None
-        for _, t in inverse_branches(sys, _centers(n_grid)):
-            w = beta * np.asarray(A(t), dtype=float)
-            self._logw.append((w,) if gauss else (w[0::2].copy(), w[1::2].copy()))
-            if gauss:
-                # in place, the image (a fresh array) becomes t = p n - 0.5, then th
-                t *= n_grid
-                t -= 0.5
-                j = np.clip(np.floor(t), 0, n_grid - 2)
-                th = np.clip(np.subtract(t, j, out=t), 0.0, 1.0, out=t)
-                self._gauss.append((j.astype(np.intp), th))
+        ks = _branch_indices(sys)
+        # per branch, its weights as one class of cells (Gauss) or two parity
+        # classes, each a (first cell, stride) of the grid
+        classes = ((0, 1),) if gauss else ((0, 2), (1, 2))
+        sizes = [len(range(r, n_grid, step)) for r, step in classes]
+        self._logw = [tuple(np.empty(size) for size in sizes) for _ in ks]
+        self._gauss = ([(np.empty(n_grid, dtype=np.intp), np.empty(n_grid)) for _ in ks]
+                       if gauss else None)
+        for c, ((r, step), size) in enumerate(zip(classes, sizes)):
+            for s in range(0, size, _BLOCK):
+                e = min(s + _BLOCK, size)
+                # the block's cell centers (i + 1/2)/n, formed in place once for every branch
+                x = np.arange(r + step * s, r + step * e, step, dtype=float)
+                x += 0.5
+                x /= n_grid
+                for b, k in enumerate(ks):
+                    t = _branch(sys, k, x)
+                    np.multiply(beta, np.asarray(A(t), dtype=float), out=self._logw[b][c][s:e])
+                    if gauss:
+                        # in place, the image (a fresh array) becomes t = p n - 0.5, then th
+                        j, th = self._gauss[b]
+                        t *= n_grid
+                        t -= 0.5
+                        jf = np.clip(np.floor(t), 0, n_grid - 2)
+                        np.clip(np.subtract(t, jf, out=t), 0.0, 1.0, out=th[s:e])
+                        j[s:e] = jf
         self._blocks = self._plan_blocks()
         self._adjoint = None  # per-branch weights, built by adjoint_apply
         self.top = math.nan  # the maximum of the last max_step result

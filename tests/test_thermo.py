@@ -1,17 +1,18 @@
 """Transfer-operator eigendata and the finite-temperature estimates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ergotrans import thermo
-from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, branch_point, gauss_system,
-                                inverse_branches)
+from ergotrans.dynamics import (DOUBLING, MINUS_DOUBLING, SystemKind, branch_point,
+                                gauss_system, inverse_branches)
 from ergotrans.involution import quadratic_kernel, KernelSpec
 from ergotrans.potentials import (GAUSS_LOG, LINEAR, QUAD_CONVEX, QUAD_DIRAC, QUAD_PERIOD2,
-                                  polynomial_potential)
+                                  custom_potential, perturbed_potential, polynomial_potential)
 from ergotrans.presets import get_preset
 from ergotrans.thermo import (
     _BLOCK,
@@ -255,6 +256,64 @@ class TestAffineStencil:
         assert all(j.size == th.size == n for j, th in op._gauss)
 
 
+def _whole_array_build(sys, A, beta, n):
+    """Reference: the weights and stencil of every branch from whole-grid
+    arrays, as the operator once built them."""
+    logw, stencil = [], []
+    for k, p in inverse_branches(sys, (np.arange(n) + 0.5) / n):
+        logw.append(beta * np.asarray(A(p), dtype=float))
+        if sys.kind is SystemKind.GAUSS:
+            t = p * n - 0.5
+            j = np.clip(np.floor(t), 0, n - 2)
+            stencil.append((j.astype(np.intp), np.clip(t - j, 0.0, 1.0)))
+        else:
+            s, c = (-1, 1 + k) if sys is MINUS_DOUBLING else (1, k)
+            q = s * (2 * np.arange(n) + 1) + 2 * c * n - 2
+            j = np.clip(q // 4, 0, n - 2)
+            stencil.append((j, np.clip((q - 4 * j) / 4, 0.0, 1.0)))
+    return logw, stencil
+
+
+# A with a transcendental term, evaluated block by block like any A
+A_SINE = perturbed_potential(QUAD_DIRAC, custom_potential(np.sin, "sin(x)", 1.0), 0.25)
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("n", [2, 3, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING, gauss_system(1), gauss_system(7),
+                                     gauss_system(30)],
+                             ids=["2x", "-2x", "gauss1", "gauss7", "gauss30"])
+    def test_equals_whole_array_build(self, sys, n):
+        for A in (QUAD_DIRAC, LINEAR, GAUSS_LOG, A_SINE):
+            for beta in (0, 1, 64):
+                op = _Operator(sys, A, beta, n)
+                logw, stencil = _whole_array_build(sys, A, beta, n)
+                assert len(op.logw) == len(logw)
+                for w, ref in zip(op.logw, logw):
+                    assert w.tobytes() == ref.tobytes()
+                for (j, th), (ref_j, ref_th) in zip(op.stencil, stencil):
+                    assert np.array_equal(j, ref_j) and th.tobytes() == ref_th.tobytes()
+
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING], ids=["2x", "-2x"])
+    def test_build_makes_no_grid_sized_temporary(self, sys):
+        # the build's peak exceeds what the operator then holds by a few
+        # blocks at any grid size; built from whole-grid arrays it exceeded
+        # it by about 61 blocks at this size
+        n = 1 << 18
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            op = _Operator(sys, QUAD_DIRAC, 1.0, n)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert held - before >= 2 * n * 8 and op.n_grid == n
+        assert peak - held < 8 * _BLOCK * 8
+
+
 def _plain_adjoint(op, v):
     """The adjoint as first written: weights recomputed on every apply."""
     out = np.zeros_like(v)
@@ -300,6 +359,30 @@ def test_sup_diff_is_max_abs_difference():
     a0, b0 = a.copy(), b.copy()
     assert GridFunction(a).sup_diff(GridFunction(b)) == np.max(np.abs(a - b))
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+class TestGridFunctionEquality:
+    # the dataclass-generated __eq__ compared the arrays inside a tuple and
+    # raised ValueError for any two distinct arrays of 2 or more cells
+    def test_equal_values_are_equal(self):
+        a, b = GridFunction(np.arange(5.0)), GridFunction(np.arange(5.0))
+        assert a == b and not a != b
+
+    def test_other_values_or_size_differ(self):
+        a = GridFunction(np.arange(5.0))
+        assert a != GridFunction(np.arange(5.0) + 1e-12)
+        assert a != GridFunction(np.arange(6.0))
+        assert a != [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(GridFunction(np.arange(5.0)))
+
+    def test_eigenpairs_compare_by_value(self):
+        pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=256)
+        assert pair == pair
+        assert pair == eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=256)
+        assert pair != eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 4.0, n_grid=256)
 
 
 class TestEigenpair:
