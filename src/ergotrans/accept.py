@@ -105,9 +105,7 @@ def check_critical_values() -> CheckResult:
     errs = []
     for name in ("quad-dirac", "quad-period2", "gauss-golden"):
         pre = get_preset(name)
-        # 8 Gauss branches keep the screen small; the golden orbit has digit 1
-        system = gauss_system(8) if name == "gauss-golden" else pre.system
-        cv = critical_value(system, pre.potential, max_period=MAX_PERIOD)
+        cv = critical_value(pre.system, pre.potential, max_period=MAX_PERIOD)
         errs.append((name, abs(cv.m - pre.m_exact)))
     worst = max(e for _, e in errs)
     return CheckResult(

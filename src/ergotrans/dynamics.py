@@ -34,9 +34,7 @@ __all__ = [
     "backward_step",
     "periodic_orbits",
     "periodic_point",
-    "gauss_orbit_blocks",
     "gauss_rotation_points",
-    "gauss_walk_gap",
     "sorted_orbits",
     "DOUBLING",
     "MINUS_DOUBLING",
@@ -398,67 +396,18 @@ def _check_enumeration(sys: SystemSpec, max_period: int) -> int:
     return max_period
 
 
-def gauss_orbit_blocks(sys: SystemSpec,
-                       max_period: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Every Gauss periodic orbit of minimal period <= max_period, in blocks.
-
-    Yields (p, digits, points) by increasing p.  Each row of digits is one
-    necklace (k_0, ..., k_(p-1)) over the retained digits 1..branch_cap, so
-    each orbit appears exactly once.  points[:, 0] is the periodic_point of
-    the row, from one array fold per block; the other points are walked
-    back down the inverse branches, x_i = 1 / (k_i + x_(i+1 mod p)) for
-    i = p-1, ..., 1.  Each walked point lies within gauss_walk_gap of the
-    periodic_point of its rotation, which gauss_rotation_points folds.
-    Every link of every row is checked to close under the forward map
-    within CLOSURE_TOL; the link from x_0 to x_1 checks the fold.  digits
-    and points are the transposes of C-contiguous (p, rows) arrays, so the
-    fold, the walk and the check read one contiguous row per orbit
-    position.  Blocks are small, so a consumer that only scores orbits
-    never holds them all (ergopt.critical_value).  Raises DynamicsError
-    before the first block when the itineraries up to max_period exceed
-    MAX_ITINERARIES.
-    """
-    max_period = _check_enumeration(sys, max_period)
-    for p in range(1, max_period + 1):
-        for words in _necklace_blocks(sys.branch_cap, p):
-            digits = words + 1  # keeps the column layout of words
-            k, x = digits.T, np.empty((p, len(digits)))
-            x[0] = periodic_point(sys, k)
-            for i in range(p - 1, 0, -1):
-                np.divide(1.0, np.add(k[i], x[(i + 1) % p], out=x[i]), out=x[i])
-            _check_closure(digits, x.T)
-            yield p, digits, x.T
-
-
 def gauss_rotation_points(sys: SystemSpec, digits: np.ndarray) -> np.ndarray:
     """points[:, i] = periodic_point of each row of digits rotated left by i,
-    from one array fold over every rotation, checked to close like
-    gauss_orbit_blocks' points."""
+    from one array fold over every rotation.  Every link of every row is
+    checked to close under the forward map within CLOSURE_TOL.  This is the
+    one producer of Gauss orbit points: periodic_orbits folds every
+    necklace with it, ergopt.critical_value only the rows its screen keeps."""
     p = digits.shape[1]
     # rotations[r, i] = (r + i) mod p: the letters of the rotation by r
     rotations = np.add.outer(np.arange(p), np.arange(p)) % p
     points = periodic_point(sys, digits[:, rotations].reshape(-1, p).T).reshape(-1, p)
     _check_closure(digits, points)
     return points
-
-
-def gauss_walk_gap(sys: SystemSpec, p: int) -> float:
-    """Bound on |walked - folded| for a Gauss point of period at most p:
-    (branch_cap + 2p + 5) 2^-53.
-
-    With u = 2^-53 and K = branch_cap, the fold's root (-b' + sqrt(D))/(2c)
-    of c x^2 + b' x - b = 0 has exact b', D and 2c as floats and three
-    roundings, so to first order in u it is off by at most
-    2u x + u sqrt(D)/(2c).  sqrt(D)/c is x minus the other root, and the
-    other root of a purely periodic continued fraction is
-    -[k_p; k_(p-1), ...] (Galois), inside (-(K + 1), 0), so the fold is
-    off by at most u (K/2 + 3).  One walk step 1/(k + x) rounds twice,
-    adding at most 2u, and has slope at most 1 for k >= 1, x >= 0, so it
-    never grows an error; after p - 1 steps a walked point is off by at
-    most u (K/2 + 3) + 2u (p - 1).  The two errors add to u (K + 2p + 4);
-    the extra u covers the terms of order u^2.
-    """
-    return (sys.branch_cap + 2 * p + 5) * 2.0 ** -53
 
 
 def _check_closure(digits: np.ndarray, points: np.ndarray) -> None:
@@ -495,9 +444,9 @@ def periodic_orbits(sys: SystemSpec, max_period: int) -> list[PeriodicOrbit]:
     its least point and must close exactly under apply_map; a Gauss orbit
     must close within CLOSURE_TOL.  Either failure raises DynamicsError.  On
     gauss_system(30) up to period 4 that is 211,730 orbits, about 0.7 s and a
-    100 MB rise in peak RSS on one core of a shared 2-core Xeon: callers
-    that only score orbits consume gauss_orbit_blocks instead, as
-    ergopt.critical_value does.
+    100 MB rise in peak RSS on one core of a shared 2-core Xeon, so
+    ergopt.critical_value does not list them: it bounds each necklace by
+    its digits' cylinders and folds only the rows that could tie.
     Every system raises DynamicsError before listing anything when the
     itineraries up to max_period exceed MAX_ITINERARIES.
     """

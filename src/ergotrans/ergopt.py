@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, _as_count, _check_enumeration,
-                       apply_map, gauss_orbit_blocks, gauss_rotation_points, gauss_walk_gap,
-                       periodic_orbits, sorted_orbits)
+                       _necklace_blocks, apply_map, gauss_rotation_points, periodic_orbits,
+                       sorted_orbits)
 from .potentials import PotentialSpec
 from .thermo import _BLOCK, DEFAULT_N_GRID, GridFunction, _Operator
 
@@ -45,6 +45,11 @@ TIE_TOL = 1e-9
 _RENORM_BLOCK = 4 * _BLOCK
 # Relative slack of the Gauss tie screen in critical_value.
 SCREEN_SLACK = 1e-12
+# Pieces per cylinder in the Gauss screen's bound (_cylinder_bound).  On
+# gauss_system(30) up to period 4, 64, 128, 256 and 512 pieces folded 52, 46,
+# 45 and 45 of 211,730 rows for GAUSS_LOG and 1950, 1220, 891 and 737 for
+# cos 2 pi x, in 6.0-7.0 ms per call at each (best of 21, one Xeon core).
+SCREEN_PIECES = 256
 # A subaction is calibrated when one more update moves no cell by more than this.
 CAL_TOL = 1e-8
 
@@ -60,7 +65,7 @@ class CriticalValue:
     This is a lower bound on m(A) in general; every example in scope has a
     periodic maximizing orbit, for which it is exact.  tied lists every
     orbit within TIE_TOL of the maximum (including the argmax itself).
-    n_orbits counts the orbits scored; it is not written to any output.
+    n_orbits counts the orbits screened; it is not written to any output.
     """
 
     m: float
@@ -73,8 +78,8 @@ def critical_value(sys: SystemSpec, A: PotentialSpec,
                    max_period: int = DEFAULT_MAX_PERIOD) -> CriticalValue:
     """Maximum over periodic orbits of the scalar average sum(A(x_i)) / p.
 
-    On a Gauss system the orbits are screened block by block on arrays
-    (_gauss_candidates), and only those that could attain or tie the
+    On a Gauss system the necklaces are screened block by block on arrays
+    (_gauss_candidates), and only the orbits that could attain or tie the
     maximum are built and scored here, so m, orbit and tied are those of a
     scalar pass over periodic_orbits without materializing it.
     """
@@ -98,54 +103,83 @@ def critical_value(sys: SystemSpec, A: PotentialSpec,
 def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
                       max_period: int) -> tuple[list[PeriodicOrbit], int]:
     """Gauss orbits whose average may attain or tie the maximum, and the
-    number of orbits scored.
+    number of orbits screened.
 
-    Each block's averages are summed on gauss_orbit_blocks' points (one
-    fold and a walk per orbit) in the scalar order.  The orbits that pass
-    are folded again at every rotation (gauss_rotation_points), which gives
-    the points periodic_orbits lists, and critical_value scores them as
-    the scalar pass does.
+    Each row of a necklace block is bounded, unfolded, by the mean of
+    _cylinder_bound over its digits, and dropped when that bound is below
+    the running maximum by more than TIE_TOL + 2e; a NaN bound keeps it.
+    The rest are folded at every rotation (gauss_rotation_points, whose
+    points periodic_orbits lists), scored on arrays in the scalar order,
+    and kept with their points while within TIE_TOL + 2e of the running
+    maximum; the final maximum drops those a later block pushed out.
 
-    Let s be an orbit's scalar score and w its screen score.  A walked
-    point is within g = gauss_walk_gap(sys, max_period) of the folded one,
-    so A moves by at most H g there, H = A.holder_constant.  Past that,
-    numpy's vectorized A on arrays and A on a float, and the roundings of
-    the two p-term sums, differ in the last bits only, far below
-    SCREEN_SLACK times the largest |A| seen (scale).  So
-    |s - w| <= e with e = H g + SCREEN_SLACK * scale.  With W the largest
-    w and M the largest s, M >= W - e, so an orbit with s >= M - TIE_TOL
-    (the argmax included) has w >= W - TIE_TOL - 2e.  A row is kept while
-    it is within TIE_TOL + 2e of the running maximum, which never exceeds
-    W, and the final maximum drops the rows a later block pushed out; no
-    orbit that the scalar scores would tie is lost.  The bound holds for
-    the maximum and scale of whatever orbits were scored before, so it does
-    not depend on where the blocks split (_necklace_blocks' blocks may span
-    first letters): other boundaries may keep other non-tying rows, which
-    critical_value's scalar scores then drop, but never lose a tied one.
+    Let s, v and b be an orbit's scalar score (critical_value's), array
+    score and bound.  A on arrays and on floats, and the p-term sums,
+    differ in the last bits only, far below e = SCREEN_SLACK * scale, with
+    scale the largest |A| seen (the bound's first): |s - v| <= e and
+    s <= b + e.  A row dropped against the array score v' of an orbit of
+    scalar score s' has s <= b + e < v' - TIE_TOL - e <= s' - TIE_TOL, or
+    s - e <= v < v' - TIE_TOL - 2e: either way it cannot tie, so the
+    argmax and every tied orbit are kept, wherever the blocks split.
     """
-    max_period = _check_enumeration(sys, max_period)  # gauss_walk_gap reads it first
-    walk = A.holder_constant * gauss_walk_gap(sys, max_period)
-    best, scale, n_orbits, kept = -math.inf, 1.0, 0, []
-    for p, digits, points in gauss_orbit_blocks(sys, max_period):
-        vals = np.broadcast_to(np.asarray(A(points), dtype=float), points.shape)
-        total = vals[:, 0].copy()
-        for j in range(1, p):
-            total += vals[:, j]
-        avg = total / p
-        n_orbits += len(avg)
-        scale = max(scale, float(np.abs(vals).max()))
-        best = max(best, float(avg.max()))
-        keep = avg >= best - TIE_TOL - 2 * (walk + SCREEN_SLACK * scale)
-        if keep.any():
-            kept.append((avg[keep], p, digits[keep]))
-    floor = best - TIE_TOL - 2 * (walk + SCREEN_SLACK * scale)
-    rows = []
-    for avg, p, digits in kept:
-        digits = digits[avg >= floor]
-        if len(digits):
+    max_period = _check_enumeration(sys, max_period)
+    bound, scale = _cylinder_bound(sys, A)
+    best = floor = -math.inf
+    n_orbits, kept = 0, []
+    for p in range(1, max_period + 1):
+        for words in _necklace_blocks(sys.branch_cap, p):
+            n_orbits += len(words)
+            total = bound[words[:, 0]]
+            for j in range(1, p):
+                total += bound[words[:, j]]
+            digits = words[~(total / p < floor)] + 1
+            if not len(digits):
+                continue
             points = gauss_rotation_points(sys, digits)
-            rows += [(p, k, x) for k, x in zip(digits.tolist(), points.tolist())]
+            vals = np.broadcast_to(np.asarray(A(points), dtype=float), points.shape)
+            avg = vals[:, 0].copy()
+            for j in range(1, p):
+                avg += vals[:, j]
+            avg /= p
+            scale = float(np.fmax.reduce(np.abs(vals), axis=None, initial=scale))
+            best = float(np.fmax.reduce(avg, initial=best))
+            floor = best - TIE_TOL - 2 * SCREEN_SLACK * scale
+            keep = avg >= floor
+            if keep.any():
+                kept.append((avg[keep], p, digits[keep], points[keep]))
+    rows = []
+    for avg, p, digits, points in kept:
+        keep = avg >= floor
+        rows += [(p, k, x) for k, x in zip(digits[keep].tolist(), points[keep].tolist())]
     return sorted_orbits(rows), n_orbits
+
+
+def _cylinder_bound(sys: SystemSpec, A: PotentialSpec) -> tuple[np.ndarray, float]:
+    """(bound, scale): bound[k - 1] >= A on digit k's cylinder [1/(k+1),
+    1/k] and at every folded point of digit k; scale is the larger of 1
+    and the largest finite |A| among the cylinders' midpoint maxima.
+
+    A cylinder is cut into SCREEN_PIECES pieces of width w; each of its
+    points is within w/2 of its piece's midpoint.  A folded point is within
+    f of its periodic point, which lies in its digit's cylinder.  With
+    u = 2^-53 and K = branch_cap, the fold's root (-b' + sqrt(D))/(2c) has
+    exact b', D and 2c and three roundings, so to first order it is off by
+    at most 2u x + u sqrt(D)/(2c); sqrt(D)/c is x minus the other root,
+    -[k_p; k_(p-1), ...] (Galois), inside (-(K + 1), 0), so at most
+    u (K/2 + 3).  f = u (K/2 + 6) also covers terms of order u^2 and the
+    midpoints' roundings.  So A is at most its largest midpoint value plus
+    H (w/2 + f), H = A.holder_constant, and SCREEN_SLACK * scale covers
+    A's last bits.  A NaN at a midpoint makes its cylinder's bound NaN.
+    """
+    k = np.arange(1.0, sys.branch_cap + 1)
+    width = 1 / k - 1 / (k + 1)
+    pieces = (np.arange(SCREEN_PIECES) + 0.5) / SCREEN_PIECES
+    mids = (1 / (k + 1))[:, None] + np.outer(width, pieces)
+    top = np.broadcast_to(np.asarray(A(mids), dtype=float), mids.shape).max(axis=1)
+    scale = max(1.0, float(np.abs(top[np.isfinite(top)]).max(initial=0.0)))
+    fold = (sys.branch_cap / 2 + 6) * 2.0 ** -53
+    slack = A.holder_constant * (width / (2 * SCREEN_PIECES) + fold) + SCREEN_SLACK * scale
+    return top + slack, scale
 
 
 def lax_oleinik_step(sys: SystemSpec, A: PotentialSpec, m: float,

@@ -20,7 +20,6 @@ from ergotrans.dynamics import (
     apply_map,
     backward_step,
     branch_point,
-    gauss_orbit_blocks,
     gauss_system,
     inverse_branches,
     periodic_orbits,
@@ -260,10 +259,9 @@ class TestPeriodicOrbits:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 30])
     def test_gauss_orbit_counts_are_necklace_counts(self, n):
-        counts = Counter()
-        for p, digits, _ in gauss_orbit_blocks(gauss_system(n), 4):
-            counts[p] += len(digits)
-        assert [counts[p] for p in range(1, 5)] == [necklace_count(n, p) for p in range(1, 5)]
+        # one row per orbit: the count critical_value reports as n_orbits
+        counts = [sum(map(len, dynamics._necklace_blocks(n, p))) for p in range(1, 5)]
+        assert counts == [necklace_count(n, p) for p in range(1, 5)]
 
     def test_gauss_orbit_list_counts(self):
         counts = Counter(o.period for o in periodic_orbits(gauss_system(8), 4))

@@ -46,6 +46,15 @@ def scalar_pass(sys, A, max_period):
     return m, tied[0], tied, len(orbits)
 
 
+# potentials whose Gauss screen bound is checked point by point
+GAUSS_SCREEN_POTENTIALS = [
+    GAUSS_LOG,
+    custom_potential(lambda x: np.cos(2 * np.pi * x), "cos(2 pi x)", 2 * np.pi),
+    polynomial_potential(0, 0, -1, name="-x^2"),
+    perturbed_potential(GAUSS_LOG, LINEAR, 0.3),
+]
+
+
 class TestCriticalValue:
     def test_quad_dirac(self):
         cv = critical_value(MINUS_DOUBLING, QUAD_DIRAC, 4)
@@ -101,6 +110,66 @@ class TestCriticalValue:
         assert cv.n_orbits == 211_730
         assert [o.points for o in cv.tied] == [(GOLDEN,)]
         assert 1 <= len(built) <= 4
+
+    def test_gauss_golden_folds_few_rows(self, monkeypatch):
+        folded = []
+        fold = ergopt.gauss_rotation_points
+
+        def counting(sys, digits):
+            folded.append(len(digits))
+            return fold(sys, digits)
+
+        monkeypatch.setattr(ergopt, "gauss_rotation_points", counting)
+        pre = get_preset("gauss-golden")
+        cv = critical_value(pre.system, pre.potential, 4)
+        assert cv.n_orbits == 211_730
+        assert 1 <= sum(folded) <= 100
+
+    @pytest.mark.parametrize("A", GAUSS_SCREEN_POTENTIALS, ids=lambda A: A.name)
+    def test_cylinder_bound_covers_every_point_of_its_digit(self, A):
+        sys = gauss_system(30)
+        bound, scale = ergopt._cylinder_bound(sys, A)
+        assert bound.shape == (30,) and scale >= 1.0
+        for k in range(1, 31):
+            x = np.linspace(1 / (k + 1), 1 / k, 10_001)  # endpoints included
+            assert np.all(A(x) <= bound[k - 1])
+        for p in range(1, 5):
+            for words in dynamics._necklace_blocks(30, p):
+                points = dynamics.gauss_rotation_points(sys, words + 1)
+                assert np.all(A(points) <= bound[words])  # points[:, i] has digit words[:, i] + 1
+
+    # the fixed points and the period-2 orbits set a low running maximum
+    # before the maximizing orbit (1, 2, 3) is scored
+    @pytest.mark.parametrize("block", [dynamics.NECKLACE_BLOCK, 7])
+    def test_gauss_period_three_maximizer_equals_scalar_pass(self, monkeypatch, block):
+        monkeypatch.setattr(dynamics, "NECKLACE_BLOCK", block)
+        A = custom_potential(lambda x: np.sin(24 * np.pi * x), "sin(24 pi x)", 24 * np.pi)
+        sys = gauss_system(8)
+        cv = critical_value(sys, A, 4)
+        assert cv.orbit.itinerary == (1, 2, 3)
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == scalar_pass(sys, A, 4)
+
+    def test_nan_cylinder_rows_are_folded(self, monkeypatch):
+        # A is NaN on digit 2's cylinder, so every row with a 2 has a NaN bound
+        def log_nan_on_two(x):
+            with np.errstate(divide="ignore"):
+                return np.where((1 / 3 <= x) & (x <= 1 / 2), np.nan, 2.0 * np.log(x))
+
+        A = custom_potential(log_nan_on_two, "2 log x, NaN on [1/3, 1/2]",
+                             GAUSS_LOG.holder_constant)
+        folded = set()
+        fold = ergopt.gauss_rotation_points
+
+        def recording(sys, digits):
+            folded.update(map(tuple, digits.tolist()))
+            return fold(sys, digits)
+
+        monkeypatch.setattr(ergopt, "gauss_rotation_points", recording)
+        sys = gauss_system(5)
+        cv = critical_value(sys, A, 3)
+        with_two = {o.itinerary for o in periodic_orbits(sys, 3) if 2 in o.itinerary}
+        assert len(with_two) == 25 and with_two <= folded
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == scalar_pass(sys, A, 3)
 
     def test_constant_shift_invariance(self):
         cv0 = critical_value(MINUS_DOUBLING, QUAD_DIRAC, 4)

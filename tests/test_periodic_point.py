@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergotrans import dynamics
+from ergotrans import dynamics, ergopt
 from ergotrans import transport as tr
 from ergotrans.ergopt import critical_value
 from ergotrans.dynamics import (
@@ -16,7 +16,6 @@ from ergotrans.dynamics import (
     MINUS_DOUBLING,
     DynamicsError,
     SystemKind,
-    gauss_orbit_blocks,
     gauss_system,
     periodic_orbits,
     periodic_point,
@@ -98,21 +97,6 @@ class TestPeriodicPoint:
             for k in reversed(w):
                 y = dynamics.branch_point(sys, k, y)
             assert y == x
-
-    def test_gauss_blocks_equal_reference(self):
-        # column 0 is the fold of the row, the others the walk down the branches
-        sys = gauss_system(30)
-        n_rows = 0
-        for p, digits, points in gauss_orbit_blocks(sys, 4):
-            want = np.empty(points.shape)
-            want[:, 0] = gauss_fold(digits.T)
-            for i in range(p - 1, 0, -1):
-                want[:, i] = 1 / (digits[:, i] + want[:, (i + 1) % p])
-            assert np.array_equal(points, want)
-            folded = gauss_fold(rotation_digits(digits)).reshape(-1, p)
-            assert np.abs(points - folded).max() <= dynamics.gauss_walk_gap(sys, p)
-            n_rows += len(digits)
-        assert n_rows == 211_730
 
     @pytest.mark.parametrize("n, max_period", [(30, 3), (8, 4)])
     def test_gauss_orbits_fold_every_rotation(self, n, max_period):
@@ -212,10 +196,9 @@ class TestGaussClosure:
         monkeypatch.setattr(dynamics, "periodic_point", wrong_for_one_word)
 
     @pytest.mark.parametrize("run", [
-        lambda sys: list(gauss_orbit_blocks(sys, 3)),
         lambda sys: periodic_orbits(sys, 3),
         lambda sys: critical_value(sys, GAUSS_LOG, 3),
-    ], ids=["gauss_orbit_blocks", "periodic_orbits", "critical_value"])
+    ], ids=["periodic_orbits", "critical_value"])
     def test_perturbed_row_fold_does_not_close(self, monkeypatch, run):
         self.perturb_fold(monkeypatch, (1, 2))
         with pytest.raises(DynamicsError, match=r"digits \(1, 2\) does not close"):
@@ -225,9 +208,12 @@ class TestGaussClosure:
         # (2, 1) is a rotation of the necklace (1, 2): only the every-rotation fold meets it
         sys = gauss_system(3)
         self.perturb_fold(monkeypatch, (2, 1))
-        assert sum(len(digits) for _, digits, _ in gauss_orbit_blocks(sys, 3)) == 14
+        assert sum(sum(map(len, dynamics._necklace_blocks(3, p))) for p in range(1, 4)) == 14
         with pytest.raises(DynamicsError, match=r"digits \(1, 2\) does not close"):
             periodic_orbits(sys, 3)
+        # critical_value's screen keeps the row (1, 2) and folds it at every rotation
+        with pytest.raises(DynamicsError, match=r"digits \(1, 2\) does not close"):
+            critical_value(sys, GAUSS_LOG, 3)
 
 
 class TestAffineOrbits:
@@ -266,9 +252,9 @@ class TestEnumerationBudget:
             periodic_orbits(sys, max_period)
 
     def test_gauss_blocks_raise_before_the_first_block(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_necklace_blocks", None)
+        monkeypatch.setattr(ergopt, "_necklace_blocks", None)
         with pytest.raises(DynamicsError, match="budget exceeded"):
-            next(gauss_orbit_blocks(gauss_system(30), 5))
+            critical_value(gauss_system(30), GAUSS_LOG, 5)
 
     @pytest.mark.parametrize("sys", BINARY_SYSTEMS + [gauss_system(3)],
                              ids=lambda s: s.kind.value)
