@@ -157,7 +157,7 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
 def _cylinder_bound(sys: SystemSpec, A: PotentialSpec) -> tuple[np.ndarray, float]:
     """(bound, scale): bound[k - 1] >= A on digit k's cylinder [1/(k+1),
     1/k] and at every folded point of digit k; scale is the larger of 1
-    and the largest finite |A| among the cylinders' midpoint maxima.
+    and the largest finite |A| among the cylinders' sample maxima.
 
     A cylinder is cut into SCREEN_PIECES pieces of width w; each of its
     points is within w/2 of its piece's midpoint.  A folded point is within
@@ -169,13 +169,16 @@ def _cylinder_bound(sys: SystemSpec, A: PotentialSpec) -> tuple[np.ndarray, floa
     u (K/2 + 3).  f = u (K/2 + 6) also covers terms of order u^2 and the
     midpoints' roundings.  So A is at most its largest midpoint value plus
     H (w/2 + f), H = A.holder_constant, and SCREEN_SLACK * scale covers
-    A's last bits.  A NaN at a midpoint makes its cylinder's bound NaN.
+    A's last bits.  H is Lipschitz only on A's own domain (GAUSS_LOG's is
+    [1/31, 1], and gauss_system(K) reaches 1/(K + 1)), so A is also sampled
+    at each cylinder's two ends: the bound is at least a monotone A's
+    supremum on every cap.  A NaN at a sample makes its cylinder's bound NaN.
     """
     k = np.arange(1.0, sys.branch_cap + 1)
     width = 1 / k - 1 / (k + 1)
-    pieces = (np.arange(SCREEN_PIECES) + 0.5) / SCREEN_PIECES
-    mids = (1 / (k + 1))[:, None] + np.outer(width, pieces)
-    top = np.broadcast_to(np.asarray(A(mids), dtype=float), mids.shape).max(axis=1)
+    pieces = np.r_[0.0, (np.arange(SCREEN_PIECES) + 0.5) / SCREEN_PIECES, 1.0]
+    xs = (1 / (k + 1))[:, None] + np.outer(width, pieces)
+    top = np.broadcast_to(np.asarray(A(xs), dtype=float), xs.shape).max(axis=1)
     scale = max(1.0, float(np.abs(top[np.isfinite(top)]).max(initial=0.0)))
     fold = (sys.branch_cap / 2 + 6) * 2.0 ** -53
     slack = A.holder_constant * (width / (2 * SCREEN_PIECES) + fold) + SCREEN_SLACK * scale

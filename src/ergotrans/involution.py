@@ -75,9 +75,8 @@ def w2(x, y):
 class KernelSpec:
     """An evaluable kernel W(x, y) plus provenance and error metadata.
 
-    tail_bound is the recorded truncation bound for series kernels
-    (holder_constant * contraction**depth / (1 - contraction)); closed
-    forms carry 0.
+    tail_bound is the recorded truncation bound of a series kernel,
+    series_tail_bound(A, depth); closed forms carry 0.
     """
 
     fn: Callable
@@ -153,7 +152,17 @@ class CocycleValue(NamedTuple):
 
 
 def series_tail_bound(A: PotentialSpec, depth: int) -> float:
-    return A.holder_constant * A.contraction ** depth / (1.0 - A.contraction)
+    """H 2^(1 - depth), H = A.holder_constant: a bound on the sum of the
+    terms after the depth-th of every cocycle series, on all three systems.
+
+    For x, x' in [0, 1] the n-th term is at most H |tau_n x - tau_n x'|,
+    and n inverse branches shrink distances by a factor at most 2^(1 - n):
+    a branch of 2x or -2x has slope 1/2; a Gauss branch x -> 1/(b + x) has
+    slope 1/(b + x)^2 <= 1, and two of them, x -> (b + x)/(a (b + x) + 1),
+    slope 1/(a (b + x) + 1)^2 <= 1/4.  So the tail is at most
+    H sum_(n > depth) 2^(1 - n) = H 0.5^depth / 0.5.
+    """
+    return A.holder_constant * 0.5 ** depth / 0.5
 
 
 def cocycle_delta(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int) -> CocycleValue:
@@ -322,7 +331,7 @@ def dual_potential(sys: SystemSpec, A: PotentialSpec, W: KernelSpec) -> Potentia
         y = np.asarray(y, dtype=float)
         return 0.5 * (_dual_values(sys, A, W, x0, y) + _dual_values(sys, A, W, x1, y))
 
-    return PotentialSpec(f"dual[{A.name}]", fn, A.holder_constant, A.contraction)
+    return PotentialSpec(f"dual[{A.name}]", fn, A.holder_constant)
 
 
 def cohomology_residual(sys: SystemSpec, A: PotentialSpec, W: KernelSpec,

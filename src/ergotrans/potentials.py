@@ -37,14 +37,14 @@ class PotentialSpec:
 
     holder_constant bounds |A(x) - A(z)| / d(x, z) on the domain where the
     cocycle series evaluates A (for the Gauss-log potential that domain is
-    the union of branch images, bounded away from 0).  contraction is the
-    per-step rate of the system's inverse branches.
+    the union of branch images, bounded away from 0).  The rate at which
+    the series terms shrink belongs to the systems' inverse branches, not
+    to A: `involution.series_tail_bound` uses the same proved 1/2 for all.
     """
 
     name: str
     fn: Callable
     holder_constant: float
-    contraction: float = 0.5
     coeffs: tuple[Fraction, Fraction, Fraction] | None = None
 
     @cached_property
@@ -83,12 +83,8 @@ def perturbed_potential(p: PotentialSpec, r: PotentialSpec, eps: float) -> Poten
     def fn(x):
         return p(x) + eps * r(x)
 
-    return PotentialSpec(
-        f"{p.name}+{eps:g}*{r.name}",
-        fn,
-        p.holder_constant + abs(eps) * r.holder_constant,
-        max(p.contraction, r.contraction),
-    )
+    return PotentialSpec(f"{p.name}+{eps:g}*{r.name}", fn,
+                         p.holder_constant + abs(eps) * r.holder_constant)
 
 
 def polynomial_potential(a, b, c, name: str | None = None) -> PotentialSpec:
@@ -102,23 +98,23 @@ def polynomial_potential(a, b, c, name: str | None = None) -> PotentialSpec:
     # Lipschitz constant of b + 2 c x on [0, 1]
     lip = abs(b_) + 2 * abs(c_)
     label = name or f"poly({a_:g},{b_:g},{c_:g})"
-    return PotentialSpec(label, fn, holder_constant=lip, contraction=0.5, coeffs=(af, bf, cf))
+    return PotentialSpec(label, fn, holder_constant=lip, coeffs=(af, bf, cf))
 
 
 def gauss_log_potential() -> PotentialSpec:
     """A(x) = 2 log x = -log|T'| for the Gauss map; A(0) = -inf, unwarned.
 
-    The Lipschitz bound holds on [1/(GAUSS_BRANCH_CAP+1), 1], where all
-    branch images live; the two-step contraction of the Gauss branches is
-    below the golden mean squared, recorded here as a single-step 0.62.
+    The Lipschitz bound 2 (GAUSS_BRANCH_CAP + 1) holds on
+    [1/(GAUSS_BRANCH_CAP + 1), 1], where the branch images of
+    gauss_system() live; a system with more branches reaches closer to 0,
+    where the slope 2/x of A exceeds it.
     """
 
     def fn(x):
         with np.errstate(divide="ignore"):
             return 2.0 * np.log(x)
 
-    return PotentialSpec("2*log(x)", fn, holder_constant=2.0 * (GAUSS_BRANCH_CAP + 1),
-                         contraction=0.62)
+    return PotentialSpec("2*log(x)", fn, holder_constant=2.0 * (GAUSS_BRANCH_CAP + 1))
 
 
 def custom_potential(fn: Callable, name: str, holder_constant: float) -> PotentialSpec:

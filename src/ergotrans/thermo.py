@@ -418,25 +418,22 @@ def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
     """
     op = _Operator(sys, A, beta, n_grid)
     u, spare = np.zeros(n_grid), np.empty(n_grid)  # the steps alternate between the two
-    log_lam = math.nan
+    log_lam, converged = math.nan, False
     for it in range(1, MAX_ITER_EIG + 1):
         un = op.log_apply(u, out=spare)
         s = float(np.max(un))
         un -= s
         spare, u = u, un
-        if not math.isnan(log_lam) and abs(s - log_lam) <= TOL_EIG * max(1.0, abs(s)):
-            log_lam = s
-            break
+        converged = not math.isnan(log_lam) and abs(s - log_lam) <= TOL_EIG * max(1.0, abs(s))
         log_lam = s
-    else:
-        un = op.log_apply(u, out=spare)
-        res = float(np.max(np.abs(np.exp(un - log_lam) - np.exp(u))))
-        raise ThermoError(f"power iteration did not converge after {MAX_ITER_EIG} steps; "
-                          f"last residual {res:.3e}")
+        if converged:
+            break
     un = op.log_apply(u, out=spare)
     residual = float(np.max(np.abs(np.exp(un - log_lam) - np.exp(u))))
-    phi = GridFunction(np.exp(u))
-    return EigenPair(math.exp(log_lam), log_lam, phi, residual, it)
+    if not converged:
+        raise ThermoError(f"power iteration did not converge after {MAX_ITER_EIG} steps; "
+                          f"last residual {residual:.3e}")
+    return EigenPair(math.exp(log_lam), log_lam, GridFunction(np.exp(u)), residual, it)
 
 
 def eigen_measure(sys: SystemSpec, A: PotentialSpec, beta: float,

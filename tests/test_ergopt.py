@@ -138,6 +138,15 @@ class TestCriticalValue:
                 points = dynamics.gauss_rotation_points(sys, words + 1)
                 assert np.all(A(points) <= bound[words])  # points[:, i] has digit words[:, i] + 1
 
+    @pytest.mark.parametrize("cap", [30, 40, 100, 283])
+    def test_cylinder_bound_covers_both_ends_on_every_cap(self, cap):
+        # GAUSS_LOG's holder_constant 62 is Lipschitz on [1/31, 1] only; the
+        # sampled ends carry the bound past it, where A rises by 2/x
+        bound, _ = ergopt._cylinder_bound(gauss_system(cap), GAUSS_LOG)
+        k = np.arange(1.0, cap + 1)
+        assert np.all(GAUSS_LOG(1 / k) <= bound)
+        assert np.all(GAUSS_LOG(1 / (k + 1)) <= bound)
+
     # the fixed points and the period-2 orbits set a low running maximum
     # before the maximizing orbit (1, 2, 3) is scored
     @pytest.mark.parametrize("block", [dynamics.NECKLACE_BLOCK, 7])

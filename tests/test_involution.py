@@ -277,6 +277,59 @@ class TestFundamentalKernel:
             assert max(diffs) - min(diffs) < 1e-8
 
 
+def gauss_word_point(word):
+    """The Fraction [0; k_1, ..., k_L] whose Gauss digits are the word."""
+    y = Fraction(0)
+    for k in reversed(word):
+        y = 1 / (k + y)
+    return y
+
+
+class TestSeriesRate:
+    """series_tail_bound's rate 1/2: n inverse branches shrink distances by
+    at most 2^(1 - n) on every system."""
+
+    def test_two_gauss_steps_shrink_by_a_quarter(self):
+        a, b = np.meshgrid(np.arange(1, 31), np.arange(1, 31), indexing="ij")
+        a, b = a[..., None], b[..., None]
+        x = np.linspace(0.0, 1.0, 201)
+        slope = 1 / (a * (b + x) + 1) ** 2
+        assert slope.max() <= 0.25 and slope[0, 0, 0] == 0.25
+        # the slope of tau_a(tau_b(x)) = (b + x) / (a (b + x) + 1), by central differences
+        g, h = gauss_system(30), 1e-5
+        xi = np.clip(x, h, 1 - h)
+
+        def step2(t):
+            return branch_point(g, a, branch_point(g, b, t))
+
+        diff = (step2(xi + h) - step2(xi - h)) / (2 * h)
+        assert np.allclose(diff, 1 / (a * (b + xi) + 1) ** 2, rtol=1e-6, atol=1e-9)
+
+    def test_gauss_words_shrink_by_two_to_one_minus_n(self):
+        g = gauss_system(30)
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            x, xp = rand_fracs(rng, 2, den=10 ** 6)
+            tx, txp = x, xp
+            for n, k in enumerate(rng.integers(1, 31, size=int(rng.integers(1, 41))).tolist(), 1):
+                tx, txp = branch_point(g, k, tx), branch_point(g, k, txp)
+                assert abs(tx - txp) <= Fraction(2) ** (1 - n) * abs(x - xp)
+
+    def test_gauss_log_kernel_within_its_tail_bound(self):
+        g = gauss_system(30)
+        W20 = fundamental_kernel(g, GAUSS_LOG, 0.5, depth=20)
+        W40 = fundamental_kernel(g, GAUSS_LOG, 0.5, depth=40)
+        assert W20.tail_bound == GAUSS_LOG.holder_constant * 2.0 ** -19
+        assert fundamental_kernel(g, GAUSS_LOG, 0.5).tail_bound == 62 * 2.0 ** -47
+        rng = np.random.default_rng(20)
+        # y's first 44 Gauss digits are within the cap, so both walks stay in it
+        ys = [gauss_word_point(rng.integers(1, 31, size=44).tolist()) for _ in range(12)]
+        ys.append(gauss_word_point([1] * 44))
+        for y in ys:
+            for x in np.linspace(0.0, 1.0, 8).tolist():
+                assert abs(W20(x, y) - W40(x, y)) <= W20.tail_bound
+
+
 class TestDualPotential:
     def test_square_dual_is_square(self):
         A_star = dual_potential(MINUS_DOUBLING, A_SQUARE, W2K)

@@ -1,6 +1,7 @@
 """The public contract: the names the package binds, and every module's __all__."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -65,6 +66,29 @@ OPTIONS = {
     "transport.rochet_potential(mode)",
     "transport.rochet_potential(chain_cap)",
 }
+
+
+# Every field of the public input dataclasses, as Class.field.  A field is a
+# setting like a keyword option; add or drop one here, and in CHANGES.md, on purpose.
+FIELDS = {
+    "SystemSpec.kind", "SystemSpec.branch_cap",
+    "PotentialSpec.name", "PotentialSpec.fn", "PotentialSpec.holder_constant",
+    "PotentialSpec.coeffs",
+    "KernelSpec.fn", "KernelSpec.name", "KernelSpec.tail_bound", "KernelSpec.depth",
+    "CostSpec.w", "CostSpec.gamma", "CostSpec.i_eval",
+    "AtomicMeasure.atoms",
+    "Preset.name", "Preset.system", "Preset.potential", "Preset.kernel", "Preset.m_exact",
+    "Preset.closed_V", "Preset.paper_kernel", "Preset.gamma_exact",
+}
+
+
+def test_dataclass_fields_are_the_inventory():
+    classes = {getattr(ergotrans, f.split(".")[0]) for f in FIELDS}
+    found = [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)]
+    assert len(FIELDS) == 22
+    assert sorted(found) == sorted(FIELDS)
+    assert [f.name for f in dataclasses.fields(ergotrans.PotentialSpec)] == [
+        "name", "fn", "holder_constant", "coeffs"]
 
 
 def test_keyword_options_are_the_inventory():

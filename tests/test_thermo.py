@@ -424,10 +424,12 @@ class TestEigenpair:
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
         # A = x^2 at large beta has a near-degenerate leading pair (the
-        # boundary two-cycle), so plain power iteration never settles
-        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 2000)
-        with pytest.raises(ThermoError, match="after 2000 steps; last residual"):
-            eigenpair(MINUS_DOUBLING, A_SQUARE, 32.0, n_grid=512)
+        # boundary two-cycle), so plain power iteration never settles;
+        # QUAD_DIRAC at beta 8 settles in 33 steps, so a cap of 3 stops it first
+        for cap, A, beta in ((2000, A_SQUARE, 32.0), (3, QUAD_DIRAC, 8.0)):
+            monkeypatch.setattr(thermo, "MAX_ITER_EIG", cap)
+            with pytest.raises(ThermoError, match=f"after {cap} steps; last residual"):
+                eigenpair(MINUS_DOUBLING, A, beta, n_grid=512)
 
     def test_iterations_count_power_steps(self, monkeypatch):
         applies = []
