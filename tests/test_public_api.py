@@ -48,6 +48,7 @@ OPTIONS = {
     "ergopt.calibrated_subaction(n_grid)",
     "ergopt.calibrated_subaction(m)",
     "ergopt.calibrated_subaction(max_period)",
+    "ergopt.calibrated_subaction(start)",
     "ergopt.critical_value(max_period)",
     "ergopt.deviation_I(n_terms)",
     "ergopt.deviation_I(early_exit)",
@@ -100,7 +101,7 @@ def test_keyword_options_are_the_inventory():
                 found += [f"{name}.{fname}({p.name})"
                           for p in inspect.signature(fn).parameters.values()
                           if p.default is not inspect.Parameter.empty]
-    assert len(OPTIONS) == 25
+    assert len(OPTIONS) == 26
     assert sorted(found) == sorted(OPTIONS)
 
 
