@@ -42,6 +42,13 @@ MAX_ITER_EIG = 200_000
 # cells were timed at n_grid 2^20 on a 2-core Xeon with 4 MB of L2 cache,
 # and 2^14 was fastest
 _BLOCK = 1 << 14
+# a bound on a Gauss branch's terms over a block (_term_bound) is rounded up
+# by _ROUND_ULPS times the magnitude of its two parts, plus _TINY
+_ROUND_ULPS = 4 * np.finfo(float).eps
+_TINY = 1e-300
+# a log-space term y with y - S < log|S| - _LOG_GAP rounds away from the sum
+# S: e^-40 |S| is below half an ulp of S, which exceeds 2^-54 |S|
+_LOG_GAP = 40.0
 
 
 class ThermoError(RuntimeError):
@@ -157,6 +164,27 @@ class _Operator:
     it is finite and takes its maximum once the block's last branch is
     merged, while the block is still in cache.  sys, A and beta are those
     the operator was built for.
+
+    A Gauss branch after the first is skipped on a block where it provably
+    changes no bit of the block's output.  Its plan row keeps its largest
+    weight on the block, peak, and the window u[j_min : j_max + 2] of the
+    cells its reads touch, so each of its terms there is at most ub = peak
+    + max u[window], rounded up by a few ulps (_term_bound).  Max-plus
+    skips when ub < min(dst), taken once after the first branch, since
+    merges only raise dst: np.maximum with a smaller operand keeps every
+    bit.  Log space skips when ub - min(dst) < log(min |dst|) - 40: then
+    e^(y - S) < e^-40 |S| is below half an ulp of S, which exceeds
+    2^-54 |S|, so np.logaddexp(S, y) is S bit for bit.  There dst must
+    keep one sign at least 1e-300 away from 0; its minimum only rises, and
+    its maximum is carried through merges by the bound log(e^hi + e^ub),
+    so neither is taken again.  A NaN or an infinite bound, a non-finite
+    minimum or maximum of dst, or a u holding -inf or NaN (a read of
+    weight 0 at -inf is NaN) never skips, so a NaN that a skipped branch
+    would read still reaches the output and max_step still raises.  The
+    count of skipped (block, branch) pairs accumulates in _skipped.  The
+    rows of 2x and -2x carry no bound: there are two branches, and the two
+    reductions a block would need added 8-10 % to an affine max_step at
+    2^14 and 2^20 cells.
     """
 
     def __init__(self, sys: SystemSpec, A: PotentialSpec, beta: float, n_grid: int):
@@ -195,15 +223,20 @@ class _Operator:
         self._blocks = self._plan_blocks()
         self._adjoint = None  # per-branch weights, built by adjoint_apply
         self.top = math.nan  # the maximum of the last max_step result
+        self._skipped = 0  # (block, branch) pairs the applies skipped, in all
 
     @property
     def logw(self) -> list[np.ndarray]:
         """Per branch, beta A at the branch image of every cell."""
-        out = [np.empty(self.n_grid) for _ in self._logw]
-        for w, classes in zip(out, self._logw):
-            for r, c in enumerate(classes):
-                w[r::len(classes)] = c
-        return out
+        return [self._branch_logw(k) for k in range(len(self._logw))]
+
+    def _branch_logw(self, k: int) -> np.ndarray:
+        """beta A at branch k's image of every cell, as a new array."""
+        classes = self._logw[k]
+        w = np.empty(self.n_grid)
+        for r, c in enumerate(classes):
+            w[r::len(classes)] = c
+        return w
 
     def _reads(self, k: int, i):
         """(j, th) of the reads of cells i on affine branch k (see stencil)."""
@@ -231,7 +264,9 @@ class _Operator:
 
     def _plan_blocks(self) -> list:
         """Per block: its slice of the grid and, per branch, its scratch row,
-        the products of u it forms, its strided pieces, its gathers and its
+        its skip bound (Gauss branches after the first: the largest weight
+        on the block and the slice of u its reads touch; else None), the
+        products of u it forms, its strided pieces, its gathers and its
         clipped read, as views of logw and of scratch shared by every block."""
         n = self.n_grid
         size = min(_BLOCK, n)
@@ -258,11 +293,16 @@ class _Operator:
 
             rows = []
             for k, logw in enumerate(self._logw):
-                products, pieces, gathers, clipped = [], [], [], []
+                products, pieces, gathers, clipped, bound = [], [], [], [], None
                 if self._gauss is not None:
                     j, th = self._gauss[k]
                     gathers.append((logw[0][s:e], j[s:e], th[s:e],
                                     a[:e - s], b[:e - s], w[:e - s]))
+                    if k:
+                        # the branch's largest weight on the block, and the
+                        # window of u that holds every cell its reads touch
+                        bound = (float(np.max(logw[0][s:e])),
+                                 slice(int(np.min(j[s:e])), int(np.max(j[s:e])) + 2))
                 else:
                     step = _affine_branch(self.sys, k)[0]
                     # j is monotone in the cell, so the block's first and last
@@ -294,7 +334,7 @@ class _Operator:
                 # the first branch forms its terms in the output; a Gauss
                 # branch after it forms them in place in a
                 row = (cand if self._gauss is None else a)[:e - s] if k else None
-                rows.append((row, products, pieces, gathers, clipped))
+                rows.append((row, bound, products, pieces, gathers, clipped))
             blocks.append((slice(s, e), rows))
         return blocks
 
@@ -311,6 +351,9 @@ class _Operator:
         cells, not overlapping u: blocks read u after earlier blocks are
         written), else a new array.
 
+        A Gauss branch after the first is left out of a block where it
+        provably changes no bit of the result (see the class docstring).
+
         With a shift (not None), each block has it subtracted once its last
         branch is merged, while it is still in cache, and its maximum and
         minimum are taken: a NaN or an infinity raises ThermoError at that
@@ -325,10 +368,26 @@ class _Operator:
         elif out.shape != (self.n_grid,) or np.may_share_memory(out, u):
             raise ThermoError("out must be a separate array of the operator's grid size")
         u_next = u[1:]  # u_next[j] is u[j + 1]
-        top = -math.inf
+        log_space = merge is np.logaddexp
+        # a read of weight 0 at -inf is NaN, which no bound covers: u with a
+        # -inf (or a NaN, which the minimum also returns) skips no branch
+        bounded = self._gauss is not None and np.minimum.reduce(u) > -math.inf
+        top, skipped = -math.inf, 0
         for cells, rows in self._blocks:
             dst = out[cells]
-            for row, products, pieces, gathers, clipped in rows:
+            lo = hi = None  # bounds on dst's values, taken when first needed
+            for row, bound, products, pieces, gathers, clipped in rows:
+                if bounded and bound is not None:
+                    peak, window = bound
+                    if lo is None:
+                        lo = float(np.minimum.reduce(dst))
+                        hi = float(np.maximum.reduce(dst)) if log_space else None
+                    ub = _term_bound(peak, float(np.maximum.reduce(u[window])))
+                    if _leaves_unchanged(ub, lo, hi):
+                        skipped += 1
+                        continue
+                    if log_space:
+                        hi = _log_sum_bound(hi, ub)
                 cand = dst if row is None else row
                 for wt, src, prod in products:
                     np.multiply(wt, u[src], out=prod)
@@ -370,6 +429,7 @@ class _Operator:
                 top = max(top, hi)
         if shift is not None:
             self.top = top
+        self._skipped += skipped
         return out
 
     def log_apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -389,23 +449,90 @@ class _Operator:
         """
         return self._apply(u, np.maximum, False, out, m)
 
-    def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
+    def adjoint_apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transpose action on densities, in linear space.
 
-        Each branch's (e^logw, 1 - th) pair is computed on the first call
-        and kept, so an operator that is never applied to densities does
-        not hold it; every product and scatter is the plain expression's,
-        in its order.
+        Each branch's (e^logw, 1 - th) pair, and two product rows shared by
+        the branches, are made on the first call and kept, so an operator
+        that is never applied to densities does not hold them; the weights
+        are made one branch at a time.  Every product and scatter is the
+        plain expression's, in its order; the right reads scatter through
+        out[1:] at j, which is out at j + 1.  The result is written into
+        out when given (a float array of n_grid cells, not overlapping v:
+        every branch reads v after earlier branches scatter), else a new
+        array.
         """
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n_grid,):
+            raise ThermoError(f"operator on {self.n_grid} cells applied to shape {v.shape}")
+        if out is None:
+            out = np.zeros(self.n_grid)
+        elif out.shape != (self.n_grid,) or np.may_share_memory(out, v):
+            raise ThermoError("out must be a separate array of the operator's grid size")
+        else:
+            out.fill(0.0)
         if self._adjoint is None:
-            self._adjoint = [(np.exp(logw), 1.0 - th, j, j + 1, th)
-                             for logw, (j, th) in zip(self.logw, self.stencil)]
-        out = np.zeros_like(v)
-        for w, left, j, j1, right in self._adjoint:
-            contrib = w * v
-            np.add.at(out, j, left * contrib)
-            np.add.at(out, j1, right * contrib)
+            branches = []
+            for k, (j, th) in enumerate(self.stencil):
+                w = self._branch_logw(k)
+                branches.append((np.exp(w, out=w), 1.0 - th, j, th))
+            # made after the weights, so the build's peak does not hold them
+            rows = np.empty(self.n_grid), np.empty(self.n_grid)
+            self._adjoint = [(*branch, *rows) for branch in branches]
+        out_next = out[1:]  # out_next[j] is out[j + 1]
+        for w, left, j, right, contrib, part in self._adjoint:
+            np.multiply(w, v, out=contrib)
+            np.multiply(left, contrib, out=part)
+            np.add.at(out, j, part)
+            np.multiply(right, contrib, out=part)
+            np.add.at(out_next, j, part)
         return out
+
+
+def _term_bound(peak: float, reach: float) -> float:
+    """An upper bound on every term logw + read of u of a Gauss branch on a
+    block, from its largest weight peak and the largest u it reads, reach.
+
+    Rounding is monotone, so a term is at most the plain expression's
+    rounded value at logw = peak and u[j] = u[j + 1] = reach, which is off
+    from peak + reach by less than 2 eps (|peak| + |reach|); _ROUND_ULPS
+    covers that and this sum's own two roundings, _TINY any underflow.
+    """
+    ub = peak + reach
+    return ub + (_ROUND_ULPS * (abs(peak) + abs(reach)) + _TINY)
+
+
+def _leaves_unchanged(ub: float, lo: float, hi: float | None) -> bool:
+    """Whether merging terms of at most ub into values in [lo, hi] changes no bit.
+
+    Max-plus (hi None): np.maximum keeps every value when ub < lo; lo may
+    be a minimum taken before earlier merges, which only raise values.  Log
+    space: np.logaddexp(S, y) = S + log1p(e^(y - S)) is S bit for bit when
+    e^(y - S) is below half an ulp of S, which is more than 2^-54 |S|; so
+    when ub - lo < log(min |S|) - _LOG_GAP, where e^-_LOG_GAP < 2^-54 / 13,
+    on values of one sign at least _TINY from 0.  A NaN or an infinite ub,
+    lo or hi never skips.
+    """
+    if not (-math.inf < ub < math.inf and -math.inf < lo < math.inf):
+        return False
+    if hi is None:
+        return ub < lo
+    if not math.isfinite(hi):
+        return False
+    least = lo if lo > _TINY else -hi if hi < -_TINY else 0.0
+    return least > 0.0 and ub - lo < math.log(least) - _LOG_GAP
+
+
+def _log_sum_bound(hi: float, ub: float) -> float:
+    """An upper bound on np.logaddexp(S, y) for S <= hi and y <= ub.
+
+    The exact log(e^hi + e^ub) is increasing in both, and 1e-12 (1 + |it|)
+    is far above what the rounding of np.logaddexp's exp and log1p, or of
+    this sum's, can add.  A NaN or an infinite hi or ub gives a NaN or an
+    infinity, which no later test skips on.
+    """
+    t = max(hi, ub) + math.log1p(math.exp(-abs(hi - ub)))
+    return t + 1e-12 * (1.0 + abs(t))
 
 
 def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
@@ -440,18 +567,21 @@ def eigen_measure(sys: SystemSpec, A: PotentialSpec, beta: float,
                   n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
     """Eigen-probability of the adjoint operator (cell masses summing to 1)."""
     op = _Operator(sys, A, beta, n_grid)
-    v = np.full(n_grid, 1.0 / n_grid)
+    # the steps alternate between v and spare; the change goes through diff
+    v, spare, diff = np.full(n_grid, 1.0 / n_grid), np.empty(n_grid), np.empty(n_grid)
     change = math.inf
     for _ in range(MAX_ITER_EIG):
-        vn = op.adjoint_apply(v)
+        vn = op.adjoint_apply(v, out=spare)
         tot = float(np.sum(vn))
         if tot <= 0:
             raise ThermoError("adjoint iteration lost positivity")
         vn /= tot
-        change = float(np.max(np.abs(vn - v)))
+        np.subtract(vn, v, out=diff)
+        np.abs(diff, out=diff)
+        change = float(np.max(diff))
         if change <= TOL_MEASURE * np.max(vn):
             return vn
-        v = vn
+        spare, v = v, vn
     raise ThermoError(f"adjoint iteration did not converge after {MAX_ITER_EIG} steps; "
                       f"last change {change:.3e}")
 

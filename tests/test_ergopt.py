@@ -432,6 +432,18 @@ class TestCalibratedSubaction:
         digest = hashlib.sha256(res.V.values.astype("<f8").tobytes()).hexdigest()
         assert digest == "4dd8be714f5a839a70a08edc6096f5b7883aa29583dc67b46ef7cd40d50de64f"
 
+    @pytest.mark.parametrize("n, digest", [
+        (1 << 11, "6188ce7e53482964b86c0d424545778f6a60d557644ef5f888a42a8c800e140f"),
+        (1 << 12, "9ccceb8ababca7ebbe180d8579834f9a6b9aafc1defab6aab90e0b58799873f0"),
+        (1 << 13, "0d085c56049cde8e805b4773069f768d6fd1e77e873b647fa45ad47135e52a16"),
+    ])
+    def test_gauss_values_pinned(self, n, digest):
+        # computed before the operator skipped any Gauss branch: the skip
+        # must reproduce V to the last bit
+        res = calibrated_subaction(gauss_system(30), GAUSS_LOG, n_grid=n,
+                                   m=2.0 * math.log(GOLDEN))
+        assert hashlib.sha256(res.V.values.astype("<f8").tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("sys, A, m, n", [
         (MINUS_DOUBLING, QUAD_DIRAC, None, 4096),
         (MINUS_DOUBLING, QUAD_PERIOD2, None, 2048),

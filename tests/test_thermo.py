@@ -1,5 +1,6 @@
 """Transfer-operator eigendata and the finite-temperature estimates."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from ergotrans.thermo import (
     GridFunction,
     ThermoError,
     _Operator,
+    _centers,
     eigen_measure,
     eigenpair,
     gamma_estimate,
@@ -132,6 +134,175 @@ class TestBlockedOperator:
         for out in (np.empty(63), u, buf[1:]):
             with pytest.raises(ThermoError, match="separate array"):
                 op.max_apply(u, out=out)
+
+
+def _digest(values):
+    """sha256 of the little-endian float64 bytes of values."""
+    return hashlib.sha256(np.asarray(values).astype("<f8").tobytes()).hexdigest()
+
+
+GOLDEN_M = get_preset("gauss-golden").m_exact
+
+
+@pytest.fixture(scope="module")
+def gauss_inputs():
+    """gauss-golden's beta 64 log-eigenfunction and its Lax-Oleinik fixed
+    point, both on 4096 cells, with the beta of the operator each is for."""
+    from ergotrans.ergopt import calibrated_subaction
+
+    pre = get_preset("gauss-golden")
+    pair = eigenpair(pre.system, pre.potential, 64.0, n_grid=4096)
+    V = calibrated_subaction(pre.system, pre.potential, n_grid=4096, m=GOLDEN_M).V
+    return {"log-eigenfunction": (np.log(pair.eigenfunction.values), 64.0),
+            "subaction": (V.values, 1.0)}
+
+
+def _skips(op, call):
+    """The (block, branch) pairs one call of the operator skips."""
+    before = op._skipped
+    call()
+    return op._skipped - before
+
+
+class TestGaussSkip:
+    """Gauss branches whose terms provably change no bit are skipped: the
+    applies must still equal the plain expressions on inputs where they are."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4096, _BLOCK + 1])
+    @pytest.mark.parametrize("name", ["log-eigenfunction", "subaction"])
+    def test_applies_equal_plain_expressions_while_skipping(self, gauss_inputs, name, n):
+        values, beta = gauss_inputs[name]
+        u = np.interp(_centers(n), _centers(4096), values)
+        op = _Operator(gauss_system(30), GAUSS_LOG, beta, n)
+        best, log = _plain_applies(op, u)
+        skips = {}
+        skips["max"] = _skips(op, lambda: np.testing.assert_array_equal(op.max_apply(u), best))
+        skips["log"] = _skips(op, lambda: np.testing.assert_array_equal(op.log_apply(u), log))
+        out = np.empty(n)
+        skips["step"] = _skips(op, lambda: op.max_step(u, GOLDEN_M, out=out))
+        np.testing.assert_array_equal(out, best - GOLDEN_M)
+        assert op.top == np.max(best - GOLDEN_M)
+        # at beta 1 the branches' log-space terms are too close to skip
+        assert skips["max"] > 0 and skips["step"] > 0
+        assert (skips["log"] > 0) == (name == "log-eigenfunction")
+
+    @pytest.mark.parametrize("planted", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["log-eigenfunction", "subaction"])
+    def test_non_finite_read_reaches_the_output(self, gauss_inputs, name, planted):
+        values, beta = gauss_inputs[name]
+        op = _Operator(gauss_system(30), GAUSS_LOG, beta, 4096)
+        clean = _skips(op, lambda: op.max_apply(values))
+        # the last branch reads a window of a few cells near 1/31; it is
+        # skipped on the clean input, so the plant must stop that skip
+        (_, rows), = op._blocks
+        window = rows[-1][1][1]
+        u = values.copy()
+        u[(window.start + window.stop) // 2] = planted
+        # np.logaddexp warns of a NaN it is given, in both expressions alike
+        with np.errstate(invalid="ignore"):
+            best, log = _plain_applies(op, u)
+            assert _skips(op, lambda: np.testing.assert_array_equal(op.max_apply(u), best)) < clean
+            np.testing.assert_array_equal(op.log_apply(u), log)
+        step = best - GOLDEN_M
+        if np.all(np.isfinite(step)):
+            # a read of -inf drops out of a maximum with finite terms
+            assert planted == -math.inf
+            np.testing.assert_array_equal(op.max_step(u, GOLDEN_M), step)
+        else:
+            with pytest.raises(ThermoError, match="must be finite"):
+                op.max_step(u, GOLDEN_M)
+
+    def test_branch_a_hair_above_the_minimum_is_merged(self):
+        # branch 1 reads u = 0 all over [1/2, 1]; branch 2 reads a plateau
+        # of 1e-3 inside [1/3, 1/2], so its bound tops dst's minimum by 1e-3
+        n = 64
+        x = _centers(n)
+        u = np.where(x >= 0.45, 0.0, np.where(x >= 0.35, 1e-3, -1.0))
+        op = _Operator(gauss_system(2), A_ZERO, 1.0, n)
+        best, log = _plain_applies(op, u)
+        assert np.min(op.logw[0] + u[op.stencil[0][0]]) == 0.0 and np.max(best) > 0.0
+        assert np.array_equal(op.max_apply(u), best) and np.array_equal(op.log_apply(u), log)
+
+    def test_log_sum_rising_to_zero_stops_the_skip(self):
+        # on the second block (x in [1/2, 1]) branches 1 and 2 read -log 2,
+        # so their sum is about 0; branch 3 reads -42 there, which shifts a
+        # sum of 0 by e^-42 but would round away from dst's first values
+        n = 2 * _BLOCK
+        u = np.where(_centers(n) >= 0.3, -math.log(2.0), -42.0)
+        op = _Operator(gauss_system(3), A_ZERO, 1.0, n)
+        _, log = _plain_applies(op, u)
+        (logw, (j, th)), = list(zip(op.logw, op.stencil))[2:]
+        first_two = np.logaddexp(*(w + ((1.0 - t) * u[i] + t * u[i + 1])
+                                   for w, (i, t) in list(zip(op.logw, op.stencil))[:2]))
+        assert not np.array_equal(log[_BLOCK:], first_two[_BLOCK:])
+        assert np.array_equal(op.log_apply(u), log)
+
+    def test_term_bound_covers_rounding(self):
+        # rounding is monotone, so a term is largest where both reads sit at
+        # the window's maximum; both rounding orders stay under the bound,
+        # though they exceed the unrounded peak + reach
+        rng = np.random.default_rng(7)
+        size = 50_000
+        peak, reach = (rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-3, 4, size)
+                       for _ in range(2))
+        th = rng.uniform(0.0, 1.0, size)
+        bound = np.array([thermo._term_bound(p, r) for p, r in zip(peak.tolist(), reach.tolist())])
+        for terms in (peak + (1.0 - th) * reach + th * reach,
+                      peak + ((1.0 - th) * reach + th * reach)):
+            assert np.all(terms <= bound) and np.any(terms > peak + reach)
+
+    def test_log_gap_rounds_away(self):
+        # the worst term the log-space rule skips leaves the sum's bits as
+        # they were, at every scale of sum, powers of two included
+        for exponent in range(-300, 301, 7):
+            for S in (10.0 ** exponent, -(10.0 ** exponent), 2.0 ** (exponent // 4 * 3)):
+                y = S + (math.log(abs(S)) - thermo._LOG_GAP)
+                assert np.logaddexp(S, y) == S
+
+    def test_leaves_unchanged_rules(self):
+        rule = thermo._leaves_unchanged
+        # max-plus: strictly below the minimum, and finite
+        assert rule(-1.0, 0.0, None) and not rule(0.0, 0.0, None)
+        for ub, lo in ((math.nan, 0.0), (-math.inf, 0.0), (-1.0, math.inf), (-1.0, math.nan)):
+            assert not rule(ub, lo, None)
+        # log space: values of one sign, at least 1e-300 away from 0
+        assert rule(-50.0, 1.0, 2.0) and rule(-50.0, -3.0, -1.0)
+        assert not rule(-50.0, -1.0, 1.0) and not rule(-1e5, -1.0, -1e-301)
+        assert not rule(-50.0, 1e-301, 2.0)
+        assert not rule(-50.0, 1.0, math.inf) and not rule(-50.0, 1.0, math.nan)
+        assert not rule(math.nan, 1.0, 2.0) and not rule(-math.inf, 1.0, 2.0)
+        # the gap is log|S| - 40 below the minimum
+        assert rule(-39.01, 1.0, 2.0) and not rule(-38.99, 1.0, 2.0)
+
+    @pytest.mark.parametrize("n", [2, 3, _BLOCK, 2 * _BLOCK + 3])
+    def test_bound_covers_every_read(self, n):
+        # each Gauss branch after the first keeps, per block, its largest
+        # weight and a window of u holding both cells of every read
+        op = _Operator(gauss_system(30), GAUSS_LOG, 64.0, n)
+        for cells, rows in op._blocks:
+            assert rows[0][1] is None
+            for logw, (j, _), (_, (peak, window), *_) in list(zip(op.logw, op.stencil, rows))[1:]:
+                assert peak == np.max(logw[cells])
+                assert window.start <= np.min(j[cells]) and np.max(j[cells]) + 2 <= window.stop
+                assert window.stop <= n
+
+    def test_affine_rows_carry_no_bound(self):
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 64.0, _BLOCK + 1)
+        assert all(row[1] is None for _, rows in op._blocks for row in rows)
+        op.max_apply(np.zeros(_BLOCK + 1))
+        assert op._skipped == 0
+
+    @pytest.mark.parametrize("beta, digest", [
+        (8.0, "b24360ee4a0bb3e7591556e558f939c3209dd05054bec234f893a648474eb2c2"),
+        (64.0, "34bb599d28740e9ba1296c491820a978b44c227fafbe092189f79e4b09416362"),
+    ])
+    def test_eigenpair_pinned_at_4096(self, beta, digest):
+        # sha256 of the eigenfunction's values followed by log_eigenvalue,
+        # computed before any branch was skipped: the skip must keep them
+        # to the last bit
+        pre = get_preset("gauss-golden")
+        pair = eigenpair(pre.system, pre.potential, beta, n_grid=4096)
+        assert _digest(np.append(pair.eigenfunction.values, pair.log_eigenvalue)) == digest
 
 
 def _exact_stencil(sys, n, cells):
@@ -339,6 +510,35 @@ class TestAdjoint:
         # the second apply reuses the weights the first one built
         for v in (rng.uniform(0.0, 1.0, size=n), rng.uniform(0.0, 1e-3, size=n)):
             assert np.array_equal(op.adjoint_apply(v), _plain_adjoint(op, v))
+
+    def test_writes_into_out_without_allocating(self):
+        n = 4096
+        op = _Operator(gauss_system(30), GAUSS_LOG, 8.0, n)
+        v, out = np.random.default_rng(1).uniform(0.0, 1.0, size=n), np.full(n, np.nan)
+        assert op.adjoint_apply(v, out=out) is out
+        assert np.array_equal(out, _plain_adjoint(op, v))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            op.adjoint_apply(v, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # the products go through the two rows kept with the weights
+        assert peak - before < n * 8
+        assert np.array_equal(out, _plain_adjoint(op, v))
+
+    def test_out_of_other_size_or_overlapping_input_rejected(self):
+        op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 64)
+        v = np.ones(64)
+        for out in (np.empty(63), v, v[:]):
+            with pytest.raises(ThermoError, match="separate array"):
+                op.adjoint_apply(v, out=out)
+        with pytest.raises(ThermoError, match="64 cells"):
+            op.adjoint_apply(np.ones(65))
 
     def test_weights_built_only_when_applied(self):
         op = _Operator(MINUS_DOUBLING, QUAD_DIRAC, 1.0, 64)
