@@ -156,6 +156,17 @@ def apply_map(sys: SystemSpec, x):
     return inv - math.floor(inv)
 
 
+def _exact_step(sys: SystemSpec):
+    """apply_map on a rational N / D of [0, 1] held as the integer pair z =
+    (N, D): on 2x and -2x D stays and N -> +-2N mod D; on Gauss (N, D) ->
+    (D mod N, N), one step of Euclid's algorithm, with 0 fixed.  A reduced
+    pair stays reduced on Gauss, where 0 is reached only as (0, 1)."""
+    if sys.kind is SystemKind.GAUSS:
+        return lambda z: (z[1] % z[0], z[0]) if z[0] else z
+    factor = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
+    return lambda z: (factor * z[0] % z[1], z[1])
+
+
 def branch_point(sys: SystemSpec, k, x):
     """Image of x under the k-th inverse branch; an int array k and an array x broadcast."""
     _check_interval(x)

@@ -8,6 +8,7 @@ uses, with max in place of log-sum-exp).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, _as_count, _check_enumeration,
-                       _necklace_blocks, apply_map, gauss_rotation_points, periodic_orbits,
-                       sorted_orbits)
+                       _check_interval, _exact_step, _necklace_blocks, apply_map,
+                       gauss_rotation_points, periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
 from .thermo import _BLOCK, DEFAULT_N_GRID, GridFunction, _centers, _Operator
 
@@ -81,19 +82,22 @@ def critical_value(sys: SystemSpec, A: PotentialSpec,
     On a Gauss system the necklaces are screened block by block on arrays
     (_gauss_candidates), and only the orbits that could attain or tie the
     maximum are built and scored here, so m, orbit and tied are those of a
-    scalar pass over periodic_orbits without materializing it.
+    scalar pass over periodic_orbits without materializing it.  An orbit
+    whose average is NaN is skipped on every system (the Gauss screen
+    drops its row), and ErgOptError is raised when no orbit is left.
     """
     if sys.kind is SystemKind.GAUSS:
         orbits, n_orbits = _gauss_candidates(sys, A, max_period)
     else:
         orbits = periodic_orbits(sys, max_period)
         n_orbits = len(orbits)
-    if not orbits:
-        raise ErgOptError("no periodic orbits found")
     scored = []
     for o in orbits:
         avg = float(sum(float(A(p)) for p in o.points) / o.period)
-        scored.append(o.with_average(avg))
+        if not math.isnan(avg):  # a NaN average neither attains nor ties the maximum
+            scored.append(o.with_average(avg))
+    if not scored:
+        raise ErgOptError("no periodic orbit with a non-NaN average found")
     m = max(o.birkhoff_average for o in scored)
     tied = tuple(o for o in scored if m - o.birkhoff_average <= TIE_TOL)
     best = tied[0]
@@ -340,16 +344,15 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     point n_terms.  A is read once at each point the walk steps from,
     which are the points that have a term, and V once per stretch, so the
     values V returns number less than twice the points the terms read,
-    plus 8.  Only the step depends on the start.  A Fraction p / q in
-    [0, 1] on 2x or -2x with a polynomial A steps as the integer
-    p -> +-2p mod q: A there is one int true division of
-    (c p + b q) p + a q^2 by L q^2 in the integers of A._int_coeffs, and
-    the point's float is p / q.  Every other start (a float, an int, a
-    Gauss point, or an A without coeffs) steps by apply_map, with float(z)
-    and float(A(z)).  Both give the correctly rounded values of the exact
-    points, so a Fraction's value does not depend on its stepper.  A float
-    start is walked in floats: it ends on the fixed point 0 of +-2x after
-    about 54 steps, but a float Gauss orbit does not repeat.
+    plus 8.  A Fraction start is walked exactly on every system, as the
+    integer pair (N, D) of each point (dynamics._exact_step: N -> +-2N mod
+    D on 2x and -2x, one step of Euclid's algorithm on Gauss).  A point's
+    float is N / D by int true division, and A there is the int true
+    division of A._ratio(N, D) for a polynomial A, else A at that float:
+    every value read is the correctly rounded one at the exact point, and
+    no Fraction is built.  A float or an int start steps by apply_map,
+    with float(z) and float(A(z)): it ends on the fixed point 0 of +-2x
+    after about 54 steps, but a float Gauss orbit does not repeat.
 
     The terms are added in order from 0.0, and each partial sum is capped
     at CAP_I (+inf) and each term tested against TOL_I as it is added.  At
@@ -364,16 +367,27 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
     its partial sum.
     """
     n_terms = _as_count(n_terms, 1, ErgOptError, "n_terms must be an int >= 1, not {!r}")
-    q = 0  # the denominator of an integer walk; 0 when the walk steps by apply_map
-    if (sys.kind in (SystemKind.DOUBLING, SystemKind.MINUS_DOUBLING) and A.coeffs is not None
-            and isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator):
-        a, b, c, lcd = A._int_coeffs
-        z, q = x.numerator, x.denominator
-        bq, aqq, den = b * q, a * q * q, lcd * q * q
-        factor = -2 if sys.kind is SystemKind.MINUS_DOUBLING else 2
+    exact = isinstance(x, Fraction)
+    if exact:  # each point is the integer pair (N, D) of N / D
+        z, step = (x.numerator, x.denominator), _exact_step(sys)
+        if not 0 <= z[0] <= z[1]:
+            _check_interval(x)  # raises DynamicsError
+        if A.coeffs is None:
+            def value(z):
+                return float(A(z[0] / z[1]))
+        else:
+            ratio = A._ratio
+
+            def value(z):
+                num, den = ratio(*z)
+                return num / den
     else:
-        z = x
-    walk, first = [z], {z: 0}  # the points walked (numerators, if q), and each one's first index
+        # a start outside [0, 1] raises in apply_map before A reads it
+        z, step = x, functools.partial(apply_map, sys)
+
+        def value(z):
+            return float(A(z))
+    walk, first = [z], {z: 0}  # the points walked, and each one's first index
     repeat = None  # the index of the first repeated point, once walked
     v: list[float] = []  # V at walk[0], walk[1], ...
     a_vals: list[float] = []  # A at each walked point that has a term
@@ -387,31 +401,21 @@ def deviation_I(sys: SystemSpec, A: PotentialSpec, V, m: float, x,
                 if m - avg > TIE_TOL:
                     return DeviationValue(math.inf, True, i)
                 if avg - m > TIE_TOL:
-                    point = Fraction(walk[i], q) if q else walk[i]
+                    point = Fraction(*walk[i]) if exact else walk[i]
                     raise ErgOptError(f"the cycle through {point!r} averages {avg!r}, above "
                                       f"m = {m!r}: m is not the critical value")
                 return DeviationValue(sums[k], True, n_terms)
             stop = min(len(v) + size, n_terms + 1)
-            if q:
-                while len(walk) < stop and repeat is None:
-                    a_vals.append(((c * z + bq) * z + aqq) / den)
-                    z = factor * z % q
-                    if z in first:
-                        repeat = len(walk)
-                    else:
-                        first[z] = len(walk)
-                    walk.append(z)
-                pts = np.array([w / q for w in walk[len(v):]])
-            else:
-                while len(walk) < stop and repeat is None:
-                    z = apply_map(sys, z)  # a start outside [0, 1] raises before A reads it
-                    a_vals.append(float(A(walk[-1])))
-                    if z in first:
-                        repeat = len(walk)
-                    else:
-                        first[z] = len(walk)
-                    walk.append(z)
-                pts = np.array([float(w) for w in walk[len(v):]])
+            while len(walk) < stop and repeat is None:
+                z = step(z)
+                a_vals.append(value(walk[-1]))
+                if z in first:
+                    repeat = len(walk)
+                else:
+                    first[z] = len(walk)
+                walk.append(z)
+            pts = np.array([N / D for N, D in walk[len(v):]] if exact
+                           else [float(w) for w in walk[len(v):]])
             vals = np.asarray(V(pts), dtype=float)
             if vals.shape != pts.shape:  # a scalar V broadcasts
                 vals = np.broadcast_to(vals, pts.shape)

@@ -226,8 +226,8 @@ def _walk_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int):
     Fraction point P / Q is walked exactly as the integer pair (N, D) of
     its Moebius images, Python ints (in object arrays beside an array
     branch word), so no step can overflow.  A polynomial A is valued on it
-    in integers, as one Fraction, or divided once when an input is an
-    array; any other A is evaluated on the point rounded once.  Inverse
+    in integers by A._ratio, as one Fraction, or divided once when an input
+    is an array; any other A is evaluated on the point rounded once.  Inverse
     branches keep [0, 1] in [0, 1], so after the entry checks the walk
     steps unchecked, except that a Gauss y steps by backward_step, whose
     digit check can fail mid-walk.
@@ -238,8 +238,6 @@ def _walk_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int):
     exact = [isinstance(p, Fraction) for p in (x, x_prime)]
     points = [(p.numerator, p.denominator) if is_exact else p
               for p, is_exact in zip((x, x_prime), exact)]
-    if A.coeffs is not None:
-        a, b, c, lcd = A._int_coeffs
     arrays = any(isinstance(p, np.ndarray) for p in (x, x_prime, y))
     quotient = _rounded if arrays else Fraction
     cur_y, total = y, 0
@@ -264,8 +262,7 @@ def _walk_cocycle(sys: SystemSpec, A: PotentialSpec, x, x_prime, y, depth: int):
                 N, D = sign * N + shift * D, 2 * D
             points[i] = N, D
             if A.coeffs is not None:
-                DD = D * D
-                values.append(quotient((c * N + b * D) * N + a * DD, lcd * DD))
+                values.append(quotient(*A._ratio(N, D)))
             else:
                 t = _rounded(N, D)
                 values.append(np.broadcast_to(np.asarray(A(t), float), np.shape(t)) if arrays
@@ -313,13 +310,14 @@ def dual_potential(sys: SystemSpec, A: PotentialSpec, W: KernelSpec) -> Potentia
     """Dual potential A*(y), with the x-independence verified up front.
 
     Raises InvolutionError when varying x moves the value by more than
-    DUAL_TOL (beyond the kernel's recorded series tail), i.e. when W is
-    not an involution kernel for A.  A* evaluates on float arrays.
+    DUAL_TOL (beyond the kernel's recorded series tail), or by an amount
+    that is NaN, i.e. when W is not an involution kernel for A.  A*
+    evaluates on float arrays.
     """
     ys = np.linspace(probe_floor(sys, 1e-3), 1.0 - 1e-3, DUAL_CHECK_GRID)
     vals = _dual_values(sys, A, W, np.array(DUAL_PROBE_XS)[:, None], ys[None, :])
     spread = vals.max(axis=0) - vals.min(axis=0)
-    bad = np.flatnonzero(spread > DUAL_TOL + 4.0 * W.tail_bound)
+    bad = np.flatnonzero(~(spread <= DUAL_TOL + 4.0 * W.tail_bound))  # a NaN spread fails
     if bad.size:
         raise InvolutionError(
             f"{W.name} is not an involution kernel for {A.name}: "

@@ -53,19 +53,24 @@ class PotentialSpec:
         common denominator L."""
         return _over_lcd(self.coeffs)
 
+    def _ratio(self, N, D):
+        """A(N / D) of a polynomial A, exactly, as the integers (numerator,
+        denominator) ((c N + b D) N + a D^2, L D^2) of _int_coeffs; N and D
+        > 0 may be ints or object arrays of them, valued elementwise."""
+        a, b, c, lcd = self._int_coeffs
+        DD = D * D
+        return (c * N + b * D) * N + a * DD, lcd * DD
+
     def __call__(self, x):
         """A(x); a Fraction x gives the exact Fraction when A has coeffs.
 
-        With x = p / q that value is ((c p + b q) p + a q^2) / (L q^2) in
-        the integers of _int_coeffs, built as one Fraction: a Fraction is
-        canonical, so it equals a + b x + c x^2 taken in Fractions, with
-        one gcd instead of one per operation.
+        That Fraction is built once from _ratio: a Fraction is canonical, so
+        it equals a + b x + c x^2 taken in Fractions, with one gcd instead
+        of one per operation.
         """
         if isinstance(x, Fraction):
             if self.coeffs is not None:
-                a, b, c, lcd = self._int_coeffs
-                p, q = x.numerator, x.denominator
-                return Fraction((c * p + b * q) * p + a * q * q, lcd * q * q)
+                return Fraction(*self._ratio(x.numerator, x.denominator))
             x = float(x)
         return self.fn(x)
 

@@ -49,6 +49,8 @@ _TINY = 1e-300
 # a log-space term y with y - S < log|S| - _LOG_GAP rounds away from the sum
 # S: e^-40 |S| is below half an ulp of S, which exceeds 2^-54 |S|
 _LOG_GAP = 40.0
+# the largest float t whose exp(t) is finite, in math and in numpy: log(float max)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class ThermoError(RuntimeError):
@@ -338,15 +340,14 @@ class _Operator:
             blocks.append((slice(s, e), rows))
         return blocks
 
-    def _apply(self, u: np.ndarray, merge, sum_reads_first: bool,
-               out: np.ndarray | None, shift) -> np.ndarray:
+    def _apply(self, u: np.ndarray, merge, out: np.ndarray | None, shift) -> np.ndarray:
         """Merge over branches of logw + read of u, block by block.
 
         merge (np.maximum or np.logaddexp) folds each branch into the
         first, in branch order.  The rounding order of the plain
         expressions is kept on strided and gathered cells alike, so results
-        are bit-for-bit the same: logw + ((1 - th) u[j] + th u[j+1]) when
-        sum_reads_first, else (logw + (1 - th) u[j]) + th u[j+1].  The
+        are bit-for-bit the same: logw + ((1 - th) u[j] + th u[j+1]) in log
+        space, else (logw + (1 - th) u[j]) + th u[j+1].  The
         result is written into out when given (a float array of n_grid
         cells, not overlapping u: blocks read u after earlier blocks are
         written), else a new array.
@@ -393,7 +394,7 @@ class _Operator:
                     np.multiply(wt, u[src], out=prod)
                 for at, logw, left, right in pieces:
                     seg = cand[at]
-                    if sum_reads_first:
+                    if log_space:
                         np.add(left, right, out=seg)
                         np.add(logw, seg, out=seg)
                     else:
@@ -408,7 +409,7 @@ class _Operator:
                     np.multiply(w, a, out=a)
                     u_next.take(j, out=b, mode="clip")
                     np.multiply(th, b, out=b)
-                    if sum_reads_first:
+                    if log_space:
                         np.add(a, b, out=a)
                         np.add(logw, a, out=cand)
                     else:
@@ -417,7 +418,7 @@ class _Operator:
                 for at, logw, j, th in clipped:
                     # the clipped read, in Python floats: the same IEEE double operations
                     left, right = (1.0 - th) * u.item(j), th * u.item(j + 1)
-                    cand[at] = logw + (left + right) if sum_reads_first else logw + left + right
+                    cand[at] = logw + (left + right) if log_space else logw + left + right
                 if row is not None:
                     merge(dst, cand, out=dst)
             if shift is not None:
@@ -434,11 +435,11 @@ class _Operator:
 
     def log_apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """log of L applied to e^u, with linear interpolation of u."""
-        return self._apply(u, np.logaddexp, True, out, None)
+        return self._apply(u, np.logaddexp, out, None)
 
     def max_apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Max-plus twin of log_apply: max over branches of logw + read of u."""
-        return self._apply(u, np.maximum, False, out, None)
+        return self._apply(u, np.maximum, out, None)
 
     def max_step(self, u: np.ndarray, m: float, out: np.ndarray | None = None) -> np.ndarray:
         """max_apply(u) - m, bit for bit, proved finite, in one blocked pass.
@@ -447,7 +448,7 @@ class _Operator:
         infinity) and the maximum run per block inside the kernel, so the
         result is not read again; its maximum is left in self.top.
         """
-        return self._apply(u, np.maximum, False, out, m)
+        return self._apply(u, np.maximum, out, m)
 
     def adjoint_apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transpose action on densities, in linear space.
@@ -460,7 +461,8 @@ class _Operator:
         out[1:] at j, which is out at j + 1.  The result is written into
         out when given (a float array of n_grid cells, not overlapping v:
         every branch reads v after earlier branches scatter), else a new
-        array.
+        array.  A weight beta A that is NaN or above log(float max), where
+        its exponential overflows, raises ThermoError before any is taken.
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_grid,):
@@ -475,6 +477,9 @@ class _Operator:
             branches = []
             for k, (j, th) in enumerate(self.stencil):
                 w = self._branch_logw(k)
+                top = float(np.max(w))
+                if not top <= _LOG_MAX:  # NaN fails too
+                    raise ThermoError(f"beta A reaches {top!r}: e^(beta A) is not a finite weight")
                 branches.append((np.exp(w, out=w), 1.0 - th, j, th))
             # made after the weights, so the build's peak does not hold them
             rows = np.empty(self.n_grid), np.empty(self.n_grid)
@@ -541,47 +546,62 @@ def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
 
     Iterates from the constant function until the relative eigenvalue
     change drops below TOL_EIG; raises ThermoError with the step count and
-    the last residual if MAX_ITER_EIG steps are exhausted first.
+    the last residual if MAX_ITER_EIG steps are exhausted first, and at the
+    first step whose maximum is not finite (a NaN in beta A, or a maximum
+    of -inf), with no RuntimeWarning.  The iteration runs in log space, so
+    log_eigenvalue may pass log(float max); eigenvalue is then +inf.
     """
     op = _Operator(sys, A, beta, n_grid)
     u, spare = np.zeros(n_grid), np.empty(n_grid)  # the steps alternate between the two
     log_lam, converged = math.nan, False
-    for it in range(1, MAX_ITER_EIG + 1):
-        un = op.log_apply(u, out=spare)
-        s = float(np.max(un))
-        un -= s
-        spare, u = u, un
-        converged = not math.isnan(log_lam) and abs(s - log_lam) <= TOL_EIG * max(1.0, abs(s))
-        log_lam = s
-        if converged:
-            break
+    # a NaN (from beta A, or -inf + inf) makes the step's maximum NaN, which raises
+    with np.errstate(invalid="ignore"):
+        for it in range(1, MAX_ITER_EIG + 1):
+            un = op.log_apply(u, out=spare)
+            s = float(np.max(un))
+            if not math.isfinite(s):
+                raise ThermoError(f"power iteration step {it} has maximum {s!r}, not finite")
+            un -= s
+            spare, u = u, un
+            converged = not math.isnan(log_lam) and abs(s - log_lam) <= TOL_EIG * max(1.0, abs(s))
+            log_lam = s
+            if converged:
+                break
     un = op.log_apply(u, out=spare)
     residual = float(np.max(np.abs(np.exp(un - log_lam) - np.exp(u))))
     if not converged:
         raise ThermoError(f"power iteration did not converge after {MAX_ITER_EIG} steps; "
                           f"last residual {residual:.3e}")
-    return EigenPair(math.exp(log_lam), log_lam, GridFunction(np.exp(u)), residual, it)
+    eigenvalue = math.exp(log_lam) if log_lam <= _LOG_MAX else math.inf
+    return EigenPair(eigenvalue, log_lam, GridFunction(np.exp(u)), residual, it)
 
 
 def eigen_measure(sys: SystemSpec, A: PotentialSpec, beta: float,
                   n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
-    """Eigen-probability of the adjoint operator (cell masses summing to 1)."""
+    """Eigen-probability of the adjoint operator (cell masses summing to 1).
+
+    Raises ThermoError, with no RuntimeWarning, on a weight beta A that is
+    NaN or whose exponential overflows (adjoint_apply), and at the first
+    step whose total mass is not finite and positive.
+    """
     op = _Operator(sys, A, beta, n_grid)
     # the steps alternate between v and spare; the change goes through diff
     v, spare, diff = np.full(n_grid, 1.0 / n_grid), np.empty(n_grid), np.empty(n_grid)
     change = math.inf
-    for _ in range(MAX_ITER_EIG):
-        vn = op.adjoint_apply(v, out=spare)
-        tot = float(np.sum(vn))
-        if tot <= 0:
-            raise ThermoError("adjoint iteration lost positivity")
-        vn /= tot
-        np.subtract(vn, v, out=diff)
-        np.abs(diff, out=diff)
-        change = float(np.max(diff))
-        if change <= TOL_MEASURE * np.max(vn):
-            return vn
-        spare, v = v, vn
+    with np.errstate(over="ignore"):  # an overflowing mass is +inf, which raises
+        for _ in range(MAX_ITER_EIG):
+            vn = op.adjoint_apply(v, out=spare)
+            tot = float(np.sum(vn))
+            if not 0 < tot < math.inf:
+                raise ThermoError("adjoint iteration lost positivity or finiteness: "
+                                  f"total mass {tot!r}")
+            vn /= tot
+            np.subtract(vn, v, out=diff)
+            np.abs(diff, out=diff)
+            change = float(np.max(diff))
+            if change <= TOL_MEASURE * np.max(vn):
+                return vn
+            spare, v = v, vn
     raise ThermoError(f"adjoint iteration did not converge after {MAX_ITER_EIG} steps; "
                       f"last change {change:.3e}")
 

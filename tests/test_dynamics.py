@@ -64,6 +64,24 @@ class TestApplyMap:
     def test_gauss_golden_fixed(self):
         assert abs(apply_map(gauss_system(), GOLDEN) - GOLDEN) < 1e-14
 
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING, gauss_system(30)],
+                             ids=["doubling", "minus-doubling", "gauss"])
+    def test_exact_step_is_apply_map_on_integer_pairs(self, sys):
+        # ten steps from every p/q with q <= 40: the pair walk stays on
+        # apply_map's Fraction orbit, keeps D on +-2x and stays reduced on Gauss
+        step = dynamics._exact_step(sys)
+        for q in range(1, 41):
+            for p in range(q + 1):
+                x = Fraction(p, q)
+                z = start = (x.numerator, x.denominator)
+                for _ in range(10):
+                    x, z = apply_map(sys, x), step(z)
+                    assert Fraction(*z) == x
+                    if sys.kind is SystemKind.GAUSS:
+                        assert z == (x.numerator, x.denominator)
+                    else:
+                        assert z[1] == start[1]
+
 
 class TestInverseBranches:
     def test_minus_doubling_at_third(self):

@@ -180,6 +180,37 @@ class TestCriticalValue:
         assert len(with_two) == 25 and with_two <= folded
         assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == scalar_pass(sys, A, 3)
 
+    @pytest.mark.parametrize("sys, A", [
+        # the fixed point 0 of -2x is the first orbit, and the only one below 0.1
+        (MINUS_DOUBLING, custom_potential(
+            lambda x: np.where(np.asarray(x) < 0.1, np.nan, QUAD_DIRAC.fn(x)),
+            "-(x-1)^2, NaN below 0.1", 2.0)),
+        # a NaN orbit after the first, on 2x
+        (DOUBLING, custom_potential(
+            lambda x: np.where(np.asarray(x) > 0.6, np.nan, QUAD_PERIOD2.fn(x)),
+            "-(x-1/2)^2, NaN above 0.6", 2.0)),
+        # digits 3 to 5 of gauss_system(5) lie below 1/3
+        (gauss_system(5), custom_potential(
+            lambda x: np.where(np.asarray(x) < 0.3, np.nan, 2.0 * np.log(x)),
+            "2 log x, NaN below 0.3", GAUSS_LOG.holder_constant)),
+    ], ids=["minus-doubling-first", "doubling", "gauss"])
+    def test_nan_averages_are_skipped(self, sys, A):
+        scored = [o.with_average(float(sum(float(A(p)) for p in o.points) / o.period))
+                  for o in periodic_orbits(sys, 3)]
+        finite = [o for o in scored if not math.isnan(o.birkhoff_average)]
+        assert 0 < len(finite) < len(scored)
+        m = max(o.birkhoff_average for o in finite)
+        tied = tuple(o for o in finite if m - o.birkhoff_average <= ergopt.TIE_TOL)
+        cv = critical_value(sys, A, 3)
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == (m, tied[0], tied, len(scored))
+
+    @pytest.mark.parametrize("sys", [MINUS_DOUBLING, DOUBLING, gauss_system(5)],
+                             ids=["minus-doubling", "doubling", "gauss"])
+    def test_all_nan_averages_raise(self, sys):
+        A = custom_potential(lambda x: np.full(np.shape(x), np.nan), "NaN", 1.0)
+        with pytest.raises(ErgOptError, match="no periodic orbit with a non-NaN average"):
+            critical_value(sys, A, 3)
+
     def test_constant_shift_invariance(self):
         cv0 = critical_value(MINUS_DOUBLING, QUAD_DIRAC, 4)
         shifted = polynomial_potential(-1 + Fraction(1, 4), 2, -1)
@@ -635,6 +666,34 @@ def _sweep_cases(count=1000):
     return cases
 
 
+GAUSS_POLY = polynomial_potential(0, 0, -1, name="-x^2")
+
+
+def _without_coeffs(A):
+    """A as a potential without coeffs: called on floats only."""
+    return custom_potential(A, f"{A.name} without coeffs", A.holder_constant)
+
+
+def _gauss_sweep_cases():
+    """Fraction starts on gauss_system(30) and gauss_system(5): the probe
+    grid (2i + 1)/128, every p/q with q <= 12 (0 and 1 among them).  Each
+    is walked under GAUSS_LOG at the golden-mean m (a rational orbit ends
+    on the fixed point 0, where 2 log 0 = -inf: +inf), and under -x^2 with
+    and without coeffs at m = 0 (A(0) = 0 ties: the preperiod sum) and at
+    m = -0.2 (ErgOptError); V, early_exit and n_terms cycle over the starts."""
+    starts = [Fraction(2 * i + 1, 128) for i in range(64)]
+    starts += sorted({Fraction(p, q) for q in range(1, 13) for p in range(q + 1)})
+    setups = [(GAUSS_LOG, get_preset("gauss-golden").m_exact), (GAUSS_POLY, 0.0),
+              (_without_coeffs(GAUSS_POLY), 0.0), (GAUSS_POLY, -0.2)]
+    cases = []
+    for i, x in enumerate(starts):
+        V = (lambda z: 0.5 * z, GRID_V, _zero_V)[i % 3]
+        kw = dict(n_terms=(1, 2, 5, 2000)[i // 3 % 4], early_exit=i // 12 % 2 == 0)
+        for sys in (gauss_system(30), gauss_system(5)):
+            cases += [(sys, A, V, m, x, kw) for A, m in setups]
+    return cases
+
+
 class TestDeviationReuse:
     @pytest.mark.parametrize("sys, A, V, m, x, kw", [
         # dyadic: ends on the fixed point 0, which is not maximizing
@@ -675,11 +734,32 @@ class TestDeviationReuse:
          dict(n_terms=300, early_exit=False)),
         # the integer walk of Fractions on 2x and -2x, against the Fraction reference
         *_sweep_cases(),
+        # ... on Gauss, and on 2x and -2x under a potential without coeffs
+        *_gauss_sweep_cases(),
+        *[(sys, _without_coeffs(A), *rest) for sys, A, *rest in _sweep_cases(240)],
     ])
     def test_matches_plain_loop(self, monkeypatch, sys, A, V, m, x, kw):
         want = _outcome(_rule_deviation, sys, A, V, m, x, **kw)
         got = _outcome(_deviation, monkeypatch, sys, A, V, m, x, **kw)
         # bit for bit: the value's sign of zero, and a float, not a numpy scalar
+        assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING, gauss_system(30)],
+                             ids=["doubling", "minus-doubling", "gauss"])
+    @pytest.mark.parametrize("A", [QUAD_DIRAC, GAUSS_LOG, _without_coeffs(QUAD_DIRAC)],
+                             ids=["polynomial", "gauss-log", "no-coeffs"])
+    def test_fraction_start_never_calls_apply_map(self, monkeypatch, sys, A):
+        starts = [Fraction(5, 128), Fraction(3, 97), Fraction(5, 13), Fraction(0), Fraction(1)]
+        args = [(sys, A, GRID_V, -1 / 9, x) for x in starts]
+        kw = dict(n_terms=300, early_exit=False)
+        want = [_outcome(_rule_deviation, *a, **kw) for a in args]
+
+        def refuse(*args):
+            raise AssertionError("apply_map called on a Fraction start")
+
+        monkeypatch.setattr(ergopt, "apply_map", refuse)
+        monkeypatch.setattr(dynamics, "apply_map", refuse)
+        got = [_outcome(deviation_I, *a, **kw) for a in args]
         assert got == want and repr(got) == repr(want)
 
     def test_boundary_partial_sum(self):
@@ -694,11 +774,13 @@ class TestDeviationReuse:
         past = deviation_I(*args, n_terms=9, early_exit=False)
         assert (past.value, past.converged, past.n_used) == (math.inf, True, 8)
 
-    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING])
+    @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING, gauss_system(30)])
     @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(-1, 3)])
     def test_fraction_outside_interval_raises(self, sys, x):
-        with pytest.raises(DynamicsError, match=rf"point {re.escape(repr(x))} outside \[0, 1\]"):
-            deviation_I(sys, QUAD_DIRAC, _closed_V_dirac, -1 / 9, x)
+        for A in (QUAD_DIRAC, _without_coeffs(QUAD_DIRAC)):
+            with pytest.raises(DynamicsError,
+                               match=rf"point {re.escape(repr(x))} outside \[0, 1\]"):
+                deviation_I(sys, A, _closed_V_dirac, -1 / 9, x)
 
     @pytest.mark.parametrize("sys", [DOUBLING, MINUS_DOUBLING, gauss_system(30)])
     @pytest.mark.parametrize("x", [1.5, -0.25])
@@ -715,7 +797,8 @@ class TestDeviationReuse:
         (MINUS_DOUBLING, custom_potential(QUAD_DIRAC, "no coeffs", 2.0), Fraction(3, 97)),
     ], ids=["gauss", "gauss-float", "float", "int", "no-coeffs"])
     def test_other_inputs_match_the_rule(self, sys, A, x):
-        # the starts that step by apply_map, against the reference walk
+        # a Gauss Fraction, a float, an int and an A without coeffs, against
+        # the reference walk
         args = (sys, A, _closed_V_dirac, -1 / 9, x)
         for n_terms in (1, 7, 300):
             kw = dict(n_terms=n_terms, early_exit=False)
@@ -724,7 +807,7 @@ class TestDeviationReuse:
             assert got == want and repr(got) == repr(want)
 
     @pytest.mark.parametrize("sys, A, m, x, kw", [
-        # a Fraction on +-2x with a polynomial A: the integer walk
+        # a Fraction: the integer walk
         (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(3, 173), dict(n_terms=2000, early_exit=False)),
         (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(3, 173), dict(n_terms=40, early_exit=False)),
         (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(3, 173), dict(n_terms=9, early_exit=False)),
@@ -732,7 +815,7 @@ class TestDeviationReuse:
          dict(n_terms=3000, early_exit=False)),
         (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(11, 3 * 2 ** 3), dict(n_terms=500)),
         (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, Fraction(0), dict(n_terms=500)),
-        # every other start steps by apply_map
+        # a float or an int steps by apply_map
         (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, 0.3, dict(n_terms=500, early_exit=False)),
         (DOUBLING, QUAD_PERIOD2, -1 / 36, 0.7, dict(n_terms=500, early_exit=False)),
         (MINUS_DOUBLING, QUAD_DIRAC, -1 / 9, 1, dict(n_terms=500, early_exit=False)),

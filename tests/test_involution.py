@@ -352,6 +352,13 @@ class TestDualPotential:
         with pytest.raises(InvolutionError):
             dual_potential(MINUS_DOUBLING, QUAD_PERIOD2, example5_kernel())
 
+    def test_rejects_kernel_nan_on_the_probe_grid(self):
+        # W1 is the kernel of A = x; NaN for y > 1/2 makes the spread NaN there
+        W = involution.KernelSpec(lambda x, y: np.where(np.asarray(y) > 0.5, np.nan, w1(x, y)),
+                                  "W1, NaN above 1/2")
+        with pytest.raises(InvolutionError, match="x-dependence nan at y="):
+            dual_potential(MINUS_DOUBLING, LINEAR, W)
+
 
 class TestCohomologyResidual:
     CASES = [
@@ -587,6 +594,23 @@ class TestIntegerFractions:
         for x in self.random_fractions(np.random.default_rng(1), 60):
             got, want = A(x), fraction_potential(coeffs, x)
             assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+    def test_ratio_equals_fraction_expression(self, coeffs):
+        # the integer pair of A at N / D, on ints and elementwise on object
+        # arrays, also on unreduced pairs
+        A = polynomial_potential(*coeffs)
+        xs = self.random_fractions(np.random.default_rng(4), 60)
+        for x in xs:
+            num, den = A._ratio(x.numerator, x.denominator)
+            assert type(num) is int and type(den) is int
+            assert Fraction(num, den) == fraction_potential(coeffs, x)
+        N = np.array([3 * x.numerator for x in xs], dtype=object)
+        D = np.array([3 * x.denominator for x in xs], dtype=object)
+        num, den = A._ratio(N, D)
+        assert num.dtype == den.dtype == object
+        assert [Fraction(n, d) for n, d in zip(num, den)] == [fraction_potential(coeffs, x)
+                                                             for x in xs]
 
     @pytest.mark.parametrize("coeffs", COEFFS, ids=str)
     def test_kernel_equals_fraction_expression(self, coeffs):

@@ -646,6 +646,59 @@ class TestEigenpair:
         assert pair.iterations > 1
 
 
+A_NAN_TOP = custom_potential(lambda x: np.where(np.asarray(x) > 0.9, np.nan, np.asarray(x, float)),
+                             "x, NaN above 0.9", 1.0)
+
+
+class TestNonFinite:
+    """Power iterations stop, with no RuntimeWarning, at the first value
+    that is not finite; a cap of 50 steps keeps a run that does not stop
+    from looking like one that does."""
+
+    def test_log_max_is_the_overflow_threshold(self):
+        top = thermo._LOG_MAX
+        assert math.isfinite(math.exp(top)) and np.isfinite(np.exp(top))
+        with pytest.raises(OverflowError):
+            math.exp(math.nextafter(top, math.inf))
+
+    def test_eigenvalue_past_float_max_is_inf(self):
+        # A = 20 x on -2x at beta 64: log lambda = 853.33 > log(float max)
+        A = polynomial_potential(0, 20, 0)
+        pair = eigenpair(MINUS_DOUBLING, A, 64.0, n_grid=256)
+        assert pair.eigenvalue == math.inf
+        assert pair.log_eigenvalue == pytest.approx(853.33, abs=0.01)
+        vb = v_beta(MINUS_DOUBLING, A, 64.0, n_grid=256)
+        assert np.max(vb.values) == 0.0
+        np.testing.assert_array_equal(vb.values, v_beta(MINUS_DOUBLING, A, 64.0, n_grid=256).values)
+
+    @pytest.mark.parametrize("A, top", [
+        (A_NAN_TOP, "nan"),
+        (custom_potential(lambda x: np.full(np.shape(x), -np.inf), "-inf", 1.0), "-inf"),
+    ], ids=["nan", "-inf"])
+    def test_eigenpair_raises_at_first_nonfinite_maximum(self, monkeypatch, A, top):
+        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 50)
+        for f in (eigenpair, v_beta):
+            with pytest.raises(ThermoError, match=f"step 1 has maximum {top}, not finite"):
+                f(MINUS_DOUBLING, A, 8.0, n_grid=256)
+
+    @pytest.mark.parametrize("A, beta, top", [
+        (A_NAN_TOP, 8.0, "nan"),
+        # e^(64 * 12 x) overflows above x = 0.924
+        (polynomial_potential(0, 12, 0), 64.0, "767.25"),
+    ], ids=["nan", "overflow"])
+    def test_eigen_measure_rejects_weights_before_exp(self, monkeypatch, A, beta, top):
+        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 50)
+        with pytest.raises(ThermoError, match=f"beta A reaches {top}: e\\^\\(beta A\\) is not"):
+            eigen_measure(MINUS_DOUBLING, A, beta, n_grid=256)
+
+    def test_eigen_measure_raises_on_overflowing_mass(self, monkeypatch):
+        # weights e^709.5 are finite, the two branches' total mass is not
+        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 50)
+        with pytest.raises(ThermoError, match="total mass inf"):
+            eigen_measure(MINUS_DOUBLING, polynomial_potential(Fraction(1419, 2), 0, 0), 1.0,
+                          n_grid=256)
+
+
 class TestVBeta:
     def test_zero_potential_vanishes(self):
         vb = v_beta(DOUBLING, A_ZERO, 4.0, n_grid=256)
