@@ -315,8 +315,10 @@ def dual_potential(sys: SystemSpec, A: PotentialSpec, W: KernelSpec) -> Potentia
     evaluates on float arrays.
     """
     ys = np.linspace(probe_floor(sys, 1e-3), 1.0 - 1e-3, DUAL_CHECK_GRID)
-    vals = _dual_values(sys, A, W, np.array(DUAL_PROBE_XS)[:, None], ys[None, :])
-    spread = vals.max(axis=0) - vals.min(axis=0)
+    # a kernel infinite on the probe grid gives inf - inf = NaN, which fails below
+    with np.errstate(invalid="ignore"):
+        vals = _dual_values(sys, A, W, np.array(DUAL_PROBE_XS)[:, None], ys[None, :])
+        spread = vals.max(axis=0) - vals.min(axis=0)
     bad = np.flatnonzero(~(spread <= DUAL_TOL + 4.0 * W.tail_bound))  # a NaN spread fails
     if bad.size:
         raise InvolutionError(

@@ -12,6 +12,7 @@ safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,6 +135,14 @@ class EigenPair:
     iterations: int = 0
 
 
+def _checked_grid(beta: float, n_grid) -> int:
+    """n_grid as an int, once beta is finite and >= 0 and n_grid is an int
+    >= 2; else ThermoError."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ThermoError(f"beta must be finite and >= 0, got {beta}")
+    return _as_count(n_grid, 2, ThermoError, "the operator needs an int n_grid >= 2, got {!r}")
+
+
 def _centers(n: int) -> np.ndarray:
     """The centers (i + 1/2)/n of the n cells of [0, 1]."""
     return (np.arange(n) + 0.5) / n
@@ -190,10 +199,7 @@ class _Operator:
     """
 
     def __init__(self, sys: SystemSpec, A: PotentialSpec, beta: float, n_grid: int):
-        if not (math.isfinite(beta) and beta >= 0):
-            raise ThermoError(f"beta must be finite and >= 0, got {beta}")
-        n_grid = _as_count(n_grid, 2, ThermoError,
-                           "the operator needs an int n_grid >= 2, got {!r}")
+        n_grid = _checked_grid(beta, n_grid)
         self.sys, self.A, self.beta, self.n_grid = sys, A, beta, n_grid
         gauss = sys.kind is SystemKind.GAUSS
         ks = _branch_indices(sys)
@@ -540,6 +546,55 @@ def _log_sum_bound(hi: float, ub: float) -> float:
     return t + 1e-12 * (1.0 + abs(t))
 
 
+def _log_power(sys: SystemSpec, A: PotentialSpec, beta: float,
+               n_grid: int) -> tuple[np.ndarray, float, float, int]:
+    """The leading eigendata of L_{beta A} that eigenpair and v_beta read.
+
+    The inputs are checked first, so invalid ones raise as the operator
+    does.  The solve is then looked up in _solve's memo under the checked
+    inputs and the TOL_EIG and MAX_ITER_EIG of this call.
+    """
+    n_grid = _checked_grid(beta, n_grid)
+    return _solve(sys, A, float(beta), n_grid, TOL_EIG, MAX_ITER_EIG)
+
+
+@functools.lru_cache(maxsize=2)
+def _solve(sys: SystemSpec, A: PotentialSpec, beta: float, n_grid: int,
+           tol: float, max_iter: int) -> tuple[np.ndarray, float, float, int]:
+    """Power iteration in log space with sup normalization: (u, log lambda,
+    residual, steps), u the log-eigenfunction with max exactly 0.
+
+    Iterates from the constant function until the relative change of log
+    lambda drops below tol.  A call that raises is not stored, and u is
+    read-only, so no caller can change a stored result.  The last two
+    solves are kept for the run, enough for eigenpair and v_beta at two
+    betas in either order; cache_clear empties them.
+    """
+    op = _Operator(sys, A, beta, n_grid)
+    u, spare = np.zeros(n_grid), np.empty(n_grid)  # the steps alternate between the two
+    log_lam, converged = math.nan, False
+    # a NaN (from beta A, or -inf + inf) makes the step's maximum NaN, which raises
+    with np.errstate(invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            un = op.log_apply(u, out=spare)
+            s = float(np.max(un))
+            if not math.isfinite(s):
+                raise ThermoError(f"power iteration step {it} has maximum {s!r}, not finite")
+            un -= s
+            spare, u = u, un
+            converged = not math.isnan(log_lam) and abs(s - log_lam) <= tol * max(1.0, abs(s))
+            log_lam = s
+            if converged:
+                break
+    un = op.log_apply(u, out=spare)
+    residual = float(np.max(np.abs(np.exp(un - log_lam) - np.exp(u))))
+    if not converged:
+        raise ThermoError(f"power iteration did not converge after {max_iter} steps; "
+                          f"last residual {residual:.3e}")
+    u.flags.writeable = False
+    return u, log_lam, residual, it
+
+
 def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
               n_grid: int = DEFAULT_N_GRID) -> EigenPair:
     """Leading eigenpair by power iteration with sup normalization.
@@ -549,29 +604,11 @@ def eigenpair(sys: SystemSpec, A: PotentialSpec, beta: float,
     the last residual if MAX_ITER_EIG steps are exhausted first, and at the
     first step whose maximum is not finite (a NaN in beta A, or a maximum
     of -inf), with no RuntimeWarning.  The iteration runs in log space, so
-    log_eigenvalue may pass log(float max); eigenvalue is then +inf.
+    log_eigenvalue may pass log(float max); eigenvalue is then +inf.  The
+    solve is shared with v_beta and kept for the run (see _solve), so
+    eigenpair and v_beta at one (sys, A, beta, n_grid) iterate once.
     """
-    op = _Operator(sys, A, beta, n_grid)
-    u, spare = np.zeros(n_grid), np.empty(n_grid)  # the steps alternate between the two
-    log_lam, converged = math.nan, False
-    # a NaN (from beta A, or -inf + inf) makes the step's maximum NaN, which raises
-    with np.errstate(invalid="ignore"):
-        for it in range(1, MAX_ITER_EIG + 1):
-            un = op.log_apply(u, out=spare)
-            s = float(np.max(un))
-            if not math.isfinite(s):
-                raise ThermoError(f"power iteration step {it} has maximum {s!r}, not finite")
-            un -= s
-            spare, u = u, un
-            converged = not math.isnan(log_lam) and abs(s - log_lam) <= TOL_EIG * max(1.0, abs(s))
-            log_lam = s
-            if converged:
-                break
-    un = op.log_apply(u, out=spare)
-    residual = float(np.max(np.abs(np.exp(un - log_lam) - np.exp(u))))
-    if not converged:
-        raise ThermoError(f"power iteration did not converge after {MAX_ITER_EIG} steps; "
-                          f"last residual {residual:.3e}")
+    u, log_lam, residual, it = _log_power(sys, A, beta, n_grid)
     eigenvalue = math.exp(log_lam) if log_lam <= _LOG_MAX else math.inf
     return EigenPair(eigenvalue, log_lam, GridFunction(np.exp(u)), residual, it)
 
@@ -608,12 +645,15 @@ def eigen_measure(sys: SystemSpec, A: PotentialSpec, beta: float,
 
 def v_beta(sys: SystemSpec, A: PotentialSpec, beta: float,
            n_grid: int = DEFAULT_N_GRID) -> GridFunction:
-    """(1/beta) log of the leading eigenfunction, normalized to max 0."""
+    """(1/beta) log of the leading eigenfunction, normalized to max 0.
+
+    Read straight off eigenpair's log-space solve (shared with it, see
+    _solve), so no cell underflows on the way: V_beta stays finite at a
+    beta where eigenfunction cells are 0.0.  Raises as eigenpair does.
+    """
     if beta <= 0:
         raise ThermoError("v_beta needs beta > 0")
-    pair = eigenpair(sys, A, beta, n_grid=n_grid)
-    u = np.log(pair.eigenfunction.values) / beta
-    return GridFunction(u - np.max(u))
+    return GridFunction(_log_power(sys, A, beta, n_grid)[0] / beta)
 
 
 def gamma_estimate(sys: SystemSpec, A: PotentialSpec, W, beta: float) -> float:

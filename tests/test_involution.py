@@ -359,6 +359,14 @@ class TestDualPotential:
         with pytest.raises(InvolutionError, match="x-dependence nan at y="):
             dual_potential(MINUS_DOUBLING, LINEAR, W)
 
+    def test_rejects_kernel_infinite_on_part_of_the_probe_grid(self):
+        # +inf for y > 1/2 gives inf - inf in the values and the spread: a
+        # NaN spread, raised as InvolutionError, not a RuntimeWarning
+        W = involution.KernelSpec(lambda x, y: np.where(np.asarray(y) > 0.5, np.inf, w1(x, y)),
+                                  "W1, +inf above 1/2")
+        with pytest.raises(InvolutionError, match="x-dependence nan at y="):
+            dual_potential(MINUS_DOUBLING, LINEAR, W)
+
 
 class TestCohomologyResidual:
     CASES = [

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -585,6 +586,23 @@ class TestGridFunctionEquality:
         assert pair != eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 4.0, n_grid=256)
 
 
+@pytest.fixture
+def applies(monkeypatch):
+    """A list that grows by one at every _Operator.log_apply call, counted
+    from an empty solve memo, so a solve stored by an earlier test is not
+    read instead of run."""
+    thermo._solve.cache_clear()
+    calls = []
+    plain = _Operator.log_apply
+
+    def counting(self, u, **kwargs):
+        calls.append(1)
+        return plain(self, u, **kwargs)
+
+    monkeypatch.setattr(_Operator, "log_apply", counting)
+    return calls
+
+
 class TestEigenpair:
     def test_zero_potential(self):
         pair = eigenpair(DOUBLING, A_ZERO, 1.0, n_grid=256)
@@ -631,15 +649,7 @@ class TestEigenpair:
             with pytest.raises(ThermoError, match=f"after {cap} steps; last residual"):
                 eigenpair(MINUS_DOUBLING, A, beta, n_grid=512)
 
-    def test_iterations_count_power_steps(self, monkeypatch):
-        applies = []
-        plain = _Operator.log_apply
-
-        def counting(self, u, **kwargs):
-            applies.append(1)
-            return plain(self, u, **kwargs)
-
-        monkeypatch.setattr(_Operator, "log_apply", counting)
+    def test_iterations_count_power_steps(self, applies):
         pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
         # one more apply after the loop measures the residual
         assert pair.iterations == len(applies) - 1
@@ -699,6 +709,60 @@ class TestNonFinite:
                           n_grid=256)
 
 
+class TestSharedSolve:
+    """eigenpair and v_beta read one memoized log-space power iteration per
+    (sys, A, beta, n_grid, TOL_EIG, MAX_ITER_EIG)."""
+
+    def test_eigenpair_then_v_beta_iterate_once(self, applies):
+        pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
+        solved = len(applies)
+        # one apply per step, and one more for the residual
+        assert solved == pair.iterations + 1
+        v_beta(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
+        assert eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512) == pair
+        assert len(applies) == solved
+
+    def test_check_12_iterates_once_per_beta(self, applies):
+        from ergotrans.accept import check_finite_beta
+
+        assert check_finite_beta().passed
+        counted = len(applies)
+        pre = get_preset("quad-dirac")
+        steps = [eigenpair(pre.system, pre.potential, beta).iterations for beta in (8.0, 64.0)]
+        assert counted == sum(steps) + 2
+
+    @pytest.mark.parametrize("other", [
+        dict(beta=8.5), dict(n_grid=256), dict(A=QUAD_PERIOD2), dict(sys=DOUBLING)],
+        ids=["beta", "n_grid", "A", "sys"])
+    def test_other_inputs_miss_the_memo(self, applies, other):
+        base = dict(sys=MINUS_DOUBLING, A=QUAD_DIRAC, beta=8.0, n_grid=512)
+        eigenpair(**base)
+        solved = len(applies)
+        eigenpair(**{**base, **other})
+        assert len(applies) > solved
+
+    def test_patched_cap_and_tolerance_are_read_per_call(self, monkeypatch):
+        pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
+        monkeypatch.setattr(thermo, "TOL_EIG", 1e-4)
+        assert eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512).iterations < pair.iterations
+        monkeypatch.setattr(thermo, "MAX_ITER_EIG", 3)
+        with pytest.raises(ThermoError, match="did not converge after 3 steps"):
+            eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
+
+    def test_stored_solve_is_read_only(self):
+        u = thermo._log_power(MINUS_DOUBLING, QUAD_DIRAC, 8.0, 512)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 1.0
+        assert eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512).eigenfunction.values.flags.writeable
+
+    def test_cache_clear_solves_again(self, applies):
+        eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
+        solved = len(applies)
+        thermo._solve.cache_clear()
+        eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 8.0, n_grid=512)
+        assert len(applies) == 2 * solved
+
+
 class TestVBeta:
     def test_zero_potential_vanishes(self):
         vb = v_beta(DOUBLING, A_ZERO, 4.0, n_grid=256)
@@ -721,6 +785,24 @@ class TestVBeta:
         vb = v_beta(MINUS_DOUBLING, QUAD_DIRAC, 16.0, n_grid=1024)
         res = calibrated_subaction(MINUS_DOUBLING, QUAD_DIRAC, n_grid=1024, max_period=4)
         assert vb.sup_diff(res.V) < 0.15
+
+    def test_reads_the_log_space_iterate(self):
+        pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 64.0, n_grid=1024)
+        vb = v_beta(MINUS_DOUBLING, QUAD_DIRAC, 64.0, n_grid=1024)
+        assert np.max(vb.values) == 0.0
+        # the exp/log round trip through the eigenfunction rounds, and no more
+        np.testing.assert_allclose(vb.values, np.log(pair.eigenfunction.values) / 64.0,
+                                   rtol=0, atol=1e-15)
+
+    def test_finite_where_the_eigenfunction_underflows(self):
+        # at beta 6000 cells of the eigenfunction underflow to 0.0, whose log
+        # used to warn "divide by zero" and then fail the finiteness check
+        pair = eigenpair(MINUS_DOUBLING, QUAD_DIRAC, 6000.0, n_grid=256)
+        assert np.any(pair.eigenfunction.values == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vb = v_beta(MINUS_DOUBLING, QUAD_DIRAC, 6000.0, n_grid=256)
+        assert np.all(np.isfinite(vb.values)) and np.max(vb.values) == 0.0
 
     def test_square_potential_selects_boundary_cycle(self):
         # A = x^2 has A(1) > A(0): orbits of the mod-1 map shadowing the
