@@ -7,6 +7,11 @@ full structural certification (duality, cyclical monotonicity, graph
 property, Rockafellar-type potentials).
 """
 
+import logging
+
+# silent unless the application configures logging ("ergotrans" and its children)
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .dynamics import (
     DOUBLING,
     MINUS_DOUBLING,

@@ -9,6 +9,7 @@ uses, with max in place of log-sum-exp).
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import (SystemKind, SystemSpec, PeriodicOrbit, _as_count, _check_enumeration,
-                       _check_interval, _exact_step, _necklace_blocks, apply_map,
-                       gauss_rotation_points, periodic_orbits, sorted_orbits)
+                       _check_interval, _exact_step, _necklace_blocks, _necklace_count,
+                       apply_map, gauss_rotation_points, periodic_orbits, sorted_orbits)
 from .potentials import PotentialSpec
 from .thermo import _BLOCK, DEFAULT_N_GRID, GridFunction, _centers, _Operator
 
@@ -54,6 +55,8 @@ SCREEN_PIECES = 256
 # A subaction is calibrated when one more update moves no cell by more than this.
 CAL_TOL = 1e-8
 
+_log = logging.getLogger(__name__)
+
 
 class ErgOptError(RuntimeError):
     pass
@@ -66,7 +69,9 @@ class CriticalValue:
     This is a lower bound on m(A) in general; every example in scope has a
     periodic maximizing orbit, for which it is exact.  tied lists every
     orbit within TIE_TOL of the maximum (including the argmax itself).
-    n_orbits counts the orbits screened; it is not written to any output.
+    n_orbits counts every periodic orbit up to max_period, scored or ruled
+    out by a bound (on Gauss, by its row's or by one of its digits'); it
+    is not written to any output.
     """
 
     m: float
@@ -80,11 +85,15 @@ def critical_value(sys: SystemSpec, A: PotentialSpec,
     """Maximum over periodic orbits of the scalar average sum(A(x_i)) / p.
 
     On a Gauss system the necklaces are screened block by block on arrays
-    (_gauss_candidates), and only the orbits that could attain or tie the
-    maximum are built and scored here, so m, orbit and tied are those of a
-    scalar pass over periodic_orbits without materializing it.  An orbit
-    whose average is NaN is skipped on every system (the Gauss screen
-    drops its row), and ErgOptError is raised when no orbit is left.
+    (_gauss_candidates): each period enumerates only the digits that can
+    appear in an orbit able to tie the running maximum, each row is
+    bounded by its digits' cylinders, and only the orbits that could
+    attain or tie the maximum are built and scored here.  Both bounds
+    drop only orbits that provably cannot tie, so m, orbit and tied are
+    those of a scalar pass over periodic_orbits without materializing
+    it.  An orbit whose average is NaN is skipped on every system (the
+    Gauss screen drops its row), and ErgOptError is raised when no orbit
+    is left.
     """
     if sys.kind is SystemKind.GAUSS:
         orbits, n_orbits = _gauss_candidates(sys, A, max_period)
@@ -107,7 +116,18 @@ def critical_value(sys: SystemSpec, A: PotentialSpec,
 def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
                       max_period: int) -> tuple[list[PeriodicOrbit], int]:
     """Gauss orbits whose average may attain or tie the maximum, and the
-    number of orbits screened.
+    number of orbits up to max_period (_necklace_count of every period,
+    whether or not its necklaces are built).
+
+    Period p enumerates only the letters 0..cut-1 (digits 1..cut), with
+    floor the running maximum less TIE_TOL + 2e and top the largest
+    bound: a row holding letter d has a mean bound of at most (bound[d] +
+    (p - 1) top) / p, so d is kept only while bound[d] + (p - 1) top >=
+    p floor, and cut is one more than the largest letter kept.  The
+    necklaces over 0..cut-1 are exactly the full alphabet's whose letters
+    are all below cut, in the same order, and every row the cut drops
+    has a mean bound below floor, as the row screen would find.  A NaN
+    bound (whose rows are kept) or a +inf top cuts nothing.
 
     Each row of a necklace block is bounded, unfolded, by the mean of
     _cylinder_bound over its digits, and dropped when that bound is below
@@ -116,6 +136,8 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
     points periodic_orbits lists), scored on arrays in the scalar order,
     and kept with their points while within TIE_TOL + 2e of the running
     maximum; the final maximum drops those a later block pushed out.
+    One DEBUG record per period gives the letters kept, the necklaces
+    built and the rows folded.
 
     Let s, v and b be an orbit's scalar score (critical_value's), array
     score and bound.  A on arrays and on floats, and the p-term sums,
@@ -124,19 +146,28 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
     s <= b + e.  A row dropped against the array score v' of an orbit of
     scalar score s' has s <= b + e < v' - TIE_TOL - e <= s' - TIE_TOL, or
     s - e <= v < v' - TIE_TOL - 2e: either way it cannot tie, so the
-    argmax and every tied orbit are kept, wherever the blocks split.
+    argmax and every tied orbit are kept, wherever the blocks split.  The
+    cut's comparison and the row screen's mean round differently, by a few
+    ulps of p * scale, far below e, so the same holds of a row the cut drops.
     """
     max_period = _check_enumeration(sys, max_period)
     bound, scale = _cylinder_bound(sys, A)
+    top = float(bound.max())  # NaN when some bound is
     best = floor = -math.inf
     n_orbits, kept = 0, []
     for p in range(1, max_period + 1):
-        for words in _necklace_blocks(sys.branch_cap, p):
-            n_orbits += len(words)
+        n_orbits += _necklace_count(sys.branch_cap, p)
+        cut = sys.branch_cap
+        if floor > -math.inf and top < math.inf:
+            cut = int(max(np.flatnonzero(bound + (p - 1) * top >= p * floor), default=-1)) + 1
+        built = folded = 0
+        for words in _necklace_blocks(cut, p):
+            built += len(words)
             total = bound[words[:, 0]]
             for j in range(1, p):
                 total += bound[words[:, j]]
             digits = words[~(total / p < floor)] + 1
+            folded += len(digits)
             if not len(digits):
                 continue
             points = gauss_rotation_points(sys, digits)
@@ -151,6 +182,8 @@ def _gauss_candidates(sys: SystemSpec, A: PotentialSpec,
             keep = avg >= floor
             if keep.any():
                 kept.append((avg[keep], p, digits[keep], points[keep]))
+        _log.debug("gauss screen, period %d: %d of %d letters, %d necklaces built, %d rows folded",
+                   p, cut, sys.branch_cap, built, folded)
     rows = []
     for avg, p, digits, points in kept:
         keep = avg >= floor

@@ -281,6 +281,12 @@ class TestPeriodicOrbits:
         counts = [sum(map(len, dynamics._necklace_blocks(n, p))) for p in range(1, 5)]
         assert counts == [necklace_count(n, p) for p in range(1, 5)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 30])
+    def test_necklace_count_is_moreaus_formula(self, n):
+        # critical_value counts n_orbits by it, whatever letters it enumerates
+        assert [dynamics._necklace_count(n, p) for p in range(1, 13)] == [
+            necklace_count(n, p) for p in range(1, 13)]
+
     def test_gauss_orbit_list_counts(self):
         counts = Counter(o.period for o in periodic_orbits(gauss_system(8), 4))
         assert [counts[p] for p in range(1, 5)] == [8, 28, 168, 1008]

@@ -1,11 +1,17 @@
 """Critical values, Lax-Oleinik subactions, and the deviation function."""
 
+import functools
 import gc
 import hashlib
+import logging
 import math
+import os
 import re
+import subprocess
 import weakref
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -44,6 +50,29 @@ def scalar_pass(sys, A, max_period):
     m = max(o.birkhoff_average for o in scored)
     tied = tuple(o for o in scored if m - o.birkhoff_average <= 1e-9)
     return m, tied[0], tied, len(orbits)
+
+
+def _peak_at(*words):
+    """-(squared distance to the nearest point of the Gauss orbits of words) on
+    gauss_system(12): every orbit of those words averages 0, every other below."""
+    sys = gauss_system(12)
+    peaks = np.array([dynamics.periodic_point(sys, w[i:] + w[:i])
+                      for w in words for i in range(len(w))])
+    return custom_potential(lambda x: -np.min((np.asarray(x)[..., None] - peaks) ** 2, axis=-1),
+                            f"peak at {words}", 2.0)
+
+
+# (system, potential, max_period, maximizing itinerary) of the digit-cut checks
+CUT_CASES = {
+    "peak-at-7": (gauss_system(12), _peak_at([7]), 4, (7,)),
+    "peak-at-2-7": (gauss_system(12), _peak_at([2, 7]), 4, (2, 7)),
+    "log-cap-40": (gauss_system(40), GAUSS_LOG, 3, (1,)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cached_scalar_pass(sys, A, max_period):
+    return scalar_pass(sys, A, max_period)
 
 
 # potentials whose Gauss screen bound is checked point by point
@@ -124,6 +153,102 @@ class TestCriticalValue:
         cv = critical_value(pre.system, pre.potential, 4)
         assert cv.n_orbits == 211_730
         assert 1 <= sum(folded) <= 100
+
+    def test_gauss_golden_builds_few_necklaces_and_folds_the_same_rows(self, monkeypatch):
+        blocks, fold = ergopt._necklace_blocks, ergopt.gauss_rotation_points
+        pre = get_preset("gauss-golden")
+
+        def screen(letters):
+            """critical_value's result with letters(cut) letters enumerated per
+            period, the necklaces built and the rows folded, in order."""
+            built, folded = [], []
+
+            def counting_blocks(n, p):
+                for words in blocks(letters(n), p):
+                    built.append(len(words))
+                    yield words
+
+            def recording_fold(sys, digits):
+                folded.extend(map(tuple, digits.tolist()))
+                return fold(sys, digits)
+
+            monkeypatch.setattr(ergopt, "_necklace_blocks", counting_blocks)
+            monkeypatch.setattr(ergopt, "gauss_rotation_points", recording_fold)
+            cv = critical_value(pre.system, pre.potential, 4)
+            return (cv.m, cv.orbit, cv.tied, cv.n_orbits), sum(built), folded
+
+        cut, n_cut, rows = screen(lambda n: n)
+        uncut, n_uncut, rows_uncut = screen(lambda n: 30)  # every letter: no digit cut
+        assert cut == uncut
+        assert cut[3] == n_uncut == 211_730
+        assert n_cut <= 1_000
+        assert len(rows) == 45 and rows == rows_uncut
+
+    # a NaN bound keeps its rows and a +inf top bounds nothing, so neither
+    # may cut a letter; a finite bound cuts on gauss_system(8) from period 2
+    @pytest.mark.parametrize("value", [None, math.inf, math.nan], ids=["finite", "inf", "nan"])
+    def test_infinite_or_nan_bound_cuts_no_letter(self, monkeypatch, value):
+        bounds, blocks = ergopt._cylinder_bound, ergopt._necklace_blocks
+        built = []
+
+        def patched_bound(sys, A):
+            bound, scale = bounds(sys, A)
+            if value is not None:
+                bound[3] = value
+            return bound, scale
+
+        def counting_blocks(n, p):
+            for words in blocks(n, p):
+                built.append(len(words))
+                yield words
+
+        monkeypatch.setattr(ergopt, "_cylinder_bound", patched_bound)
+        monkeypatch.setattr(ergopt, "_necklace_blocks", counting_blocks)
+        sys = gauss_system(8)
+        cv = critical_value(sys, GAUSS_LOG, 4)
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == scalar_pass(sys, GAUSS_LOG, 4)
+        assert cv.n_orbits == 8 + 28 + 168 + 1008
+        assert (sum(built) < cv.n_orbits) if value is None else (sum(built) == cv.n_orbits)
+
+    # the cut keeps the letters 0..cut-1, so a maximizer or tie at a high
+    # digit is the case it could lose; GAUSS_LOG's Hoelder constant is too
+    # small above cap 30, where only the cylinder-end samples keep the bound
+    @pytest.mark.parametrize("block", [dynamics.NECKLACE_BLOCK, 7])
+    @pytest.mark.parametrize("case", ["peak-at-7", "peak-at-2-7", "log-cap-40"])
+    def test_cut_keeps_a_maximizer_at_a_high_digit(self, monkeypatch, case, block):
+        sys, A, max_period, itinerary = CUT_CASES[case]
+        want = cached_scalar_pass(sys, A, max_period)
+        monkeypatch.setattr(dynamics, "NECKLACE_BLOCK", block)
+        cv = critical_value(sys, A, max_period)
+        assert (cv.m, cv.orbit, cv.tied, cv.n_orbits) == want
+        assert cv.orbit.itinerary == itinerary
+        if case == "log-cap-40":
+            assert cv.n_orbits == 22_140
+
+    def test_screen_logs_one_debug_record_per_period(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="ergotrans")
+        pre = get_preset("gauss-golden")
+        critical_value(pre.system, pre.potential, 4)
+        records = [r for r in caplog.records if r.name.startswith("ergotrans")]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 4
+        assert [r.getMessage() for r in records] == [
+            f"gauss screen, period {p}: {cut} of 30 letters, {n} necklaces built, {k} rows folded"
+            for p, cut, n, k in [(1, 30, 30, 30), (2, 2, 1, 1), (3, 4, 20, 4), (4, 7, 588, 10)]]
+
+    def test_package_logger_is_silent_by_default(self):
+        # without a handler of its own, a warning would reach stderr through
+        # logging's last-resort handler
+        probe = ("import logging, ergotrans\n"
+                 "from ergotrans.presets import get_preset\n"
+                 "pre = get_preset('gauss-golden')\n"
+                 "ergotrans.critical_value(pre.system, pre.potential, 4)\n"
+                 "logging.getLogger('ergotrans.ergopt').warning('probe')\n")
+        paths = [str(Path(ergopt.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("A", GAUSS_SCREEN_POTENTIALS, ids=lambda A: A.name)
     def test_cylinder_bound_covers_every_point_of_its_digit(self, A):
